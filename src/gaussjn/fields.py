@@ -131,7 +131,8 @@ class ScalarField:
         return f"ScalarField({self.id!r})"
 
 
-def _merge_breaks(*mappings: Mapping[int, Sequence[float]]) -> dict[int, tuple[float, ...]]:
+def merge_breaks(*mappings: Mapping[int, Sequence[float]]) -> dict[int, tuple[float, ...]]:
+    """Union of per-axis break positions, deduplicated and sorted."""
     out: dict[int, set[float]] = {}
     for mp_ in mappings:
         for ax, bs in mp_.items():
@@ -182,7 +183,7 @@ def restrict_field(f: ScalarField, cube: Cube) -> ScalarField:
         f"{f.id}|chi:{cube.center!r}:{cube.side!r}",
         fn,
         dim=cube.dim,
-        breaks=_merge_breaks(f.breaks, face_breaks),
+        breaks=merge_breaks(f.breaks, face_breaks),
         description=f"{f.id} restricted to a cube",
         singular_set=f.singular_set,
     )
@@ -196,7 +197,7 @@ def product_field(f1: ScalarField, f2: ScalarField) -> ScalarField:
         f"({f1.id})*({f2.id})",
         lambda pts: f1(pts) * f2(pts),
         dim=f1.dim if f1.dim is not None else f2.dim,
-        breaks=_merge_breaks(f1.breaks, f2.breaks),
+        breaks=merge_breaks(f1.breaks, f2.breaks),
         description=f"product of {f1.id} and {f2.id}",
         singular_set=f1.singular_set or f2.singular_set,
     )
@@ -218,7 +219,7 @@ def truncate(f: ScalarField, level: float) -> ScalarField:
         f"{f.id}|trunc:{n!r}",
         lambda pts: np.clip(f(pts), -n, n),
         dim=f.dim,
-        breaks=_merge_breaks(f.breaks, extra),
+        breaks=merge_breaks(f.breaks, extra),
         description=f"{f.id} truncated at {n}",
         singular_set=f.singular_set,
         growth=(n, 0.0),
@@ -267,7 +268,7 @@ def _axis_rule(
     return x_all, w_all / total
 
 
-def _tensor_rule(
+def tensor_rule(
     cube: Cube, breaks: Mapping[int, Sequence[float]], level: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """All tensor nodes (n, d) and normalized weights (n,) for the cube."""
@@ -293,8 +294,13 @@ def _tensor_rule(
     return pts, w
 
 
-def _field_breaks(f: ScalarField, extra: Mapping[int, Sequence[float]] | None = None) -> dict:
-    return _merge_breaks(f.breaks, extra or {})
+def _not_converged(
+    what: str, f: ScalarField, cube: Cube, level: int, nodes: int, detail: str
+) -> QuadratureError:
+    return QuadratureError(
+        f"{what} of field {f.id} on cube center {cube.center} side {cube.side} "
+        f"did not converge by refinement level {level} ({nodes} tensor nodes): {detail}"
+    )
 
 
 def average_gamma(
@@ -304,7 +310,6 @@ def average_gamma(
     *,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
     extra_breaks: Mapping[int, Sequence[float]] | None = None,
-    max_level: int | None = None,
     abs_tol: float | None = None,
 ) -> float:
     """Gamma-normalized mean of transform(f) over the cube.
@@ -315,13 +320,12 @@ def average_gamma(
     one up to rounding), so a field that is identically 1 averages to
     exactly 1.0 and centered oscillations of constants vanish exactly.
     """
-    breaks = _field_breaks(f, extra_breaks)
-    levels = spec.refinement_levels if max_level is None else max_level
+    breaks = merge_breaks(f.breaks, extra_breaks or {})
     tol = spec.abs_tol if abs_tol is None else abs_tol
     prev: float | None = None
     last_diff = math.inf
-    for level in range(levels + 1):
-        pts, w = _tensor_rule(cube, breaks, level, spec.nodes_per_axis)
+    for level in range(spec.refinement_levels + 1):
+        pts, w = tensor_rule(cube, breaks, level, spec.nodes_per_axis)
         vals = f(pts)
         if transform is not None:
             vals = transform(vals)
@@ -331,8 +335,8 @@ def average_gamma(
             if last_diff <= tol:
                 return est
         prev = est
-    raise QuadratureError(
-        f"average over {cube.center}/{cube.side} did not converge: last diff {last_diff:.3e} > {tol:.3e}"
+    raise _not_converged(
+        "average", f, cube, level, w.size, f"last diff {last_diff:.3e} > {tol:.3e}"
     )
 
 
@@ -414,7 +418,7 @@ def level_set_breaks(
             pieces.append(
                 {ax: tuple(b for b in bs if math.isfinite(b)) for ax, bs in mp_.items()}
             )
-    return _merge_breaks(*pieces) if pieces else {}
+    return merge_breaks(*pieces) if pieces else {}
 
 
 def _tail_converge(
@@ -424,13 +428,13 @@ def _tail_converge(
     spec: QuadratureSpec,
     center: float,
 ) -> np.ndarray:
-    breaks = _merge_breaks(_field_breaks(f), level_set_breaks(f, center, sigmas))
+    breaks = merge_breaks(f.breaks, level_set_breaks(f, center, sigmas))
     gq = gaussian_measure(cube)
     levels = 2 * spec.refinement_levels
     prev: np.ndarray | None = None
     last_diff = math.inf
     for level in range(levels + 1):
-        pts, w = _tensor_rule(cube, breaks, level, spec.nodes_per_axis)
+        pts, w = tensor_rule(cube, breaks, level, spec.nodes_per_axis)
         av = np.abs(f(pts) - center)
         tails = kernels.tail_sums(av, w * gq, sigmas)
         if prev is not None:
@@ -438,8 +442,8 @@ def _tail_converge(
             if last_diff <= spec.abs_tol:
                 return tails
         prev = tails
-    raise QuadratureError(
-        f"tail profile did not converge: last diff {last_diff:.3e} > {spec.abs_tol:.3e}"
+    raise _not_converged(
+        "tail profile", f, cube, level, w.size, f"last diff {last_diff:.3e} > {spec.abs_tol:.3e}"
     )
 
 
@@ -517,20 +521,18 @@ def weak_lp_norm(
     if not p >= 1.0:
         raise ValueError("exponent p must be >= 1")
     gq = gaussian_measure(cube)
-    breaks = _field_breaks(f)
+    breaks = merge_breaks(f.breaks)
     prev: float | None = None
     last_diff = math.inf
     for lv in range(2 * spec.refinement_levels + 1):
-        pts, w = _tensor_rule(cube, breaks, lv, spec.nodes_per_axis)
+        pts, w = tensor_rule(cube, breaks, lv, spec.nodes_per_axis)
         sup = _node_measure_weak_sup(np.abs(f(pts)), w * gq, p)
         if prev is not None:
             last_diff = abs(sup - prev)
             if last_diff <= max(spec.abs_tol, rel_tol * abs(sup)):
                 return sup
         prev = sup
-    raise QuadratureError(
-        f"weak norm did not stabilize: last diff {last_diff:.3e}"
-    )
+    raise _not_converged("weak norm", f, cube, lv, w.size, f"last diff {last_diff:.3e}")
 
 
 def growth_tail_bound(a_coef: float, b_coef: float, radius: float, d: int) -> float:

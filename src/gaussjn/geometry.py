@@ -14,7 +14,7 @@ is exact -- no epsilon slack -- so membership in the family Q_a is a crisp
 predicate.
 
 Measures of boxes factor across axes; the one-dimensional factors are
-evaluated with the in-repo error integral from :mod:`gaussjn.kernels`,
+evaluated with the error integrals of :mod:`gaussjn.kernels`,
 giving absolute accuracy near machine precision (well inside the 1e-12
 contract used by callers).
 """

@@ -44,9 +44,11 @@ from .fields import (
     gauss_average,
     l1_tail_bound,
     level_set_breaks,
+    merge_breaks,
     product_field,
     restrict_field,
     shift_field,
+    tensor_rule,
     truncate,
 )
 from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
@@ -364,9 +366,7 @@ def _node_grid(
     f: ScalarField, cube: Cube, spec: QuadratureSpec, *, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(points, normalized weights) of the field-aligned tensor rule."""
-    from .fields import _field_breaks, _tensor_rule  # shared panel machinery
-
-    return _tensor_rule(cube, _field_breaks(f), level, spec.nodes_per_axis)
+    return tensor_rule(cube, merge_breaks(f.breaks), level, spec.nodes_per_axis)
 
 
 def dual_atom(
@@ -406,13 +406,11 @@ def dual_atom(
         h = f(pts) - c_star
         return np.sign(h) * np.abs(h) ** (q_osc - 1.0)
 
-    from .fields import _merge_breaks
-
     b0 = ScalarField(
         f"dual0({f.id})",
         b0_eval,
         dim=f.dim,
-        breaks=_merge_breaks(f.breaks, kink),
+        breaks=merge_breaks(f.breaks, kink),
         description=f"dual-atom seed for {f.id}",
     )
     if target <= 0.0:
@@ -555,13 +553,11 @@ def _dual_ascent(
         idx = np.clip(np.searchsorted(edges, ptsq[:, 0], side="right") - 1, 0, cells - 1)
         return b_field(ptsq) + np.asarray(theta_vals)[idx]
 
-    from .fields import _merge_breaks
-
     pert = ScalarField(
         f"dual-ascent({f.id})",
         perturbed,
         dim=b_field.dim,
-        breaks=_merge_breaks(b_field.breaks, {0: cell_edges}),
+        breaks=merge_breaks(b_field.breaks, {0: cell_edges}),
         description=f"ascent-polished dual atom for {f.id}",
     )
     mu = average_gamma(pert, cube, spec, abs_tol=abs_tol)
@@ -718,8 +714,6 @@ def subdivide_atom(
         gamma_core = gaussian_measure(core)
         t1, t2 = _thirds_cells(cube)
         thirds_breaks = {ax: (float(t1[ax]), float(t2[ax])) for ax in range(d)}
-        from .fields import _merge_breaks
-
         lambdas: list[float] = []
         pieces: list[tuple[ScalarField, Cube]] = []
         for bits in np.ndindex(*(2,) * d):
@@ -730,7 +724,7 @@ def subdivide_atom(
                 f"{v.id}|psi{bits_t}",
                 lambda pts, _psi=psi, _v=v: _v(pts) * _psi(pts),
                 dim=d,
-                breaks=_merge_breaks(v.breaks, thirds_breaks),
+                breaks=merge_breaks(v.breaks, thirds_breaks),
                 description=f"{v.id} times corner weight {bits_t}",
             )
             lam = (

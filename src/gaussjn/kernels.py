@@ -1,245 +1,37 @@
-"""Low-level numerical kernels with two interchangeable backends.
+"""Low-level numerical kernels: error integrals, deterministic reductions,
+point-in-cube membership counting and tail sums over shared node sets.
 
-The hot loops of the package (error-integral evaluation, deterministic
-pairwise reductions, point-in-cube membership counting, tail sums over
-shared node sets) are implemented twice:
+The error integral E(t) = (2/sqrt(pi)) * Int_0^t exp(-s^2) ds and its
+complement come from the libraries: the scalar ``erf``/``erfc`` are
+:func:`math.erf`/:func:`math.erfc`, and ``erf_array``/``erfc_array`` wrap
+:func:`scipy.special.erf`/:func:`scipy.special.erfc`.  ``erfc`` keeps full
+relative accuracy deep in the right tail, which ``gauss1d`` relies on.
 
-* a ``numba`` ``@njit`` backend (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Set the environment variable ``GAUSSJN_NO_NUMBA=1`` before importing the
-package to force the numpy fallback.  The active backend is reported by
-``BACKEND`` (``"numba"`` or ``"numpy"``).  Both backends implement the same
-algorithms; reductions use an identical pairwise tree so that each backend
-is deterministic run-to-run.  Results may differ between backends in the
-last couple of ulps (different libm implementations), which is why the
-backend choice is considered part of the experiment environment.
-
-The error integral E(t) = (2/sqrt(pi)) * Int_0^t exp(-s^2) ds is evaluated
-in-repo to ~1e-15 relative accuracy with the classical pair of expansions:
-
-* ``|t| <= 2``: the all-positive confluent series
-  erf(t) = (2 t e^{-t^2}/sqrt(pi)) * sum_n (2 t^2)^n / (2n+1)!!
-* ``t > 2``: the Lentz evaluation of the continued fraction
-  sqrt(pi) e^{t^2} erfc(t) = 1/(t + (1/2)/(t + 1/(t + (3/2)/(t + ...))))
-
-both free of cancellation in their regime.
+Every reduction uses one fixed pairwise tree, so sums are deterministic
+run-to-run.  ``BACKEND`` names the implementation in reports.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+from scipy import special
 
-_ENV_FLAG = "GAUSSJN_NO_NUMBA"
-NUMBA_DISABLED = os.environ.get(_ENV_FLAG, "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
+BACKEND = "numpy"
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via " + _ENV_FLAG)
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-_SQRT_PI = math.sqrt(math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
-
-_SERIES_CUT = 2.0
-_ERFC_ZERO_CUT = 30.0  # exp(-x^2) underflows well before this
-_SERIES_MAX_TERMS = 300
-_CF_MAX_ITER = 400
-_CF_TINY = 1e-300
+erf = math.erf
+erfc = math.erfc
 
 
-# ---------------------------------------------------------------------------
-# error integral: scalar implementations (self-contained, jit-compilable)
-# ---------------------------------------------------------------------------
+def erf_array(xs: np.ndarray) -> np.ndarray:
+    """Elementwise erf; the result has the input's shape."""
+    return special.erf(np.asarray(xs, dtype=np.float64))
 
 
-def _erf_scalar_impl(x: float) -> float:
-    ax = abs(x)
-    if ax <= _SERIES_CUT:
-        # confluent series, all terms positive
-        t = 2.0 * x * x
-        term = 1.0
-        s = 1.0
-        n = 0
-        while n < _SERIES_MAX_TERMS:
-            n += 1
-            term *= t / (2.0 * n + 1.0)
-            s += term
-            if term <= 1e-18 * s:
-                break
-        return _TWO_OVER_SQRT_PI * x * math.exp(-x * x) * s
-    if ax >= _ERFC_ZERO_CUT:
-        return 1.0 if x > 0.0 else -1.0
-    # continued fraction for the tail, modified Lentz
-    f = _CF_TINY
-    c = f
-    d = 0.0
-    n = 0
-    while n < _CF_MAX_ITER:
-        n += 1
-        an = 1.0 if n == 1 else 0.5 * (n - 1.0)
-        d = ax + an * d
-        if d == 0.0:
-            d = _CF_TINY
-        c = ax + an / c
-        if c == 0.0:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    tail = math.exp(-ax * ax) / _SQRT_PI * f
-    return 1.0 - tail if x > 0.0 else tail - 1.0
-
-
-def _erfc_scalar_impl(x: float) -> float:
-    ax = abs(x)
-    if ax <= _SERIES_CUT:
-        # 1 - series; fine here because erfc(x) >= erfc(2) ~ 4.7e-3
-        t = 2.0 * ax * ax
-        term = 1.0
-        s = 1.0
-        n = 0
-        while n < _SERIES_MAX_TERMS:
-            n += 1
-            term *= t / (2.0 * n + 1.0)
-            s += term
-            if term <= 1e-18 * s:
-                break
-        val = 1.0 - _TWO_OVER_SQRT_PI * ax * math.exp(-ax * ax) * s
-    elif ax >= _ERFC_ZERO_CUT:
-        val = 0.0
-    else:
-        f = _CF_TINY
-        c = f
-        d = 0.0
-        n = 0
-        while n < _CF_MAX_ITER:
-            n += 1
-            an = 1.0 if n == 1 else 0.5 * (n - 1.0)
-            d = ax + an * d
-            if d == 0.0:
-                d = _CF_TINY
-            c = ax + an / c
-            if c == 0.0:
-                c = _CF_TINY
-            d = 1.0 / d
-            delta = c * d
-            f *= delta
-            if abs(delta - 1.0) < 1e-17:
-                break
-        val = math.exp(-ax * ax) / _SQRT_PI * f
-    return val if x >= 0.0 else 2.0 - val
-
-
-# ---------------------------------------------------------------------------
-# error integral: vectorized numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _erfc_cf_array(xb: np.ndarray) -> np.ndarray:
-    """Vectorized Lentz continued fraction for erfc, entries > _SERIES_CUT."""
-    f = np.full(xb.shape, _CF_TINY)
-    c = f.copy()
-    d = np.zeros_like(xb)
-    n = 0
-    active = np.ones(xb.shape, dtype=bool)
-    while n < _CF_MAX_ITER and np.any(active):
-        n += 1
-        an = 1.0 if n == 1 else 0.5 * (n - 1.0)
-        d = xb + an * d
-        d[d == 0.0] = _CF_TINY
-        c = xb + an / c
-        c[c == 0.0] = _CF_TINY
-        d = 1.0 / d
-        delta = c * d
-        f = f * delta
-        active = np.abs(delta - 1.0) >= 1e-17
-    return np.exp(-xb * xb) / _SQRT_PI * f
-
-
-def erf_array_numpy(xs: np.ndarray) -> np.ndarray:
-    """Vectorized erf over an array (numpy backend)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    flat = xs.ravel()
-    out = np.empty(flat.shape, dtype=np.float64)
-    ax = np.abs(flat)
-
-    small = ax <= _SERIES_CUT
-    if np.any(small):
-        xsm = flat[small]
-        t = 2.0 * xsm * xsm
-        term = np.ones_like(xsm)
-        s = np.ones_like(xsm)
-        n = 0
-        active = np.ones(xsm.shape, dtype=bool)
-        while n < _SERIES_MAX_TERMS and np.any(active):
-            n += 1
-            term = term * (t / (2.0 * n + 1.0))
-            s = s + term
-            active = term > 1e-18 * s
-        out[small] = _TWO_OVER_SQRT_PI * xsm * np.exp(-xsm * xsm) * s
-
-    big = ~small
-    if np.any(big):
-        xb = ax[big]
-        tail = _erfc_cf_array(xb)
-        res = 1.0 - tail
-        res[xb >= _ERFC_ZERO_CUT] = 1.0
-        out[big] = np.where(flat[big] > 0.0, res, -res)
-
-    return out.reshape(xs.shape)
-
-
-def erfc_array_numpy(xs: np.ndarray) -> np.ndarray:
-    """Vectorized erfc over an array (numpy backend)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    flat = xs.ravel()
-    out = np.empty(flat.shape, dtype=np.float64)
-    neg = flat < 0.0
-    pos = ~neg
-    if np.any(pos):
-        xp = flat[pos]
-        res = np.empty_like(xp)
-        small = xp <= _SERIES_CUT
-        if np.any(small):
-            res[small] = 1.0 - erf_array_numpy(xp[small])
-        big = ~small
-        if np.any(big):
-            xb = xp[big]
-            tail = _erfc_cf_array(xb)
-            tail[xb >= _ERFC_ZERO_CUT] = 0.0
-            res[big] = tail
-        out[pos] = res
-    if np.any(neg):
-        out[neg] = 2.0 - erfc_array_numpy(-flat[neg])
-    return out.reshape(xs.shape)
+def erfc_array(xs: np.ndarray) -> np.ndarray:
+    """Elementwise erfc; the result has the input's shape."""
+    return special.erfc(np.asarray(xs, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +39,8 @@ def erfc_array_numpy(xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_sum_numpy(values: np.ndarray) -> float:
-    """Sum with a fixed pairwise tree: (0,1),(2,3),... per pass."""
-    a = np.asarray(values, dtype=np.float64).ravel()
+def _tree_sum(a: np.ndarray) -> float:
+    """Sum of a flat float64 array with a fixed pairwise tree: (0,1),(2,3),... per pass."""
     n = a.size
     if n == 0:
         return 0.0
@@ -263,35 +54,16 @@ def pairwise_sum_numpy(values: np.ndarray) -> float:
     return float(a[0])
 
 
-@njit(cache=True)
-def _pairwise_sum_jit(values):
-    n = values.size
-    if n == 0:
-        return 0.0
-    buf = values.copy()
-    while n > 1:
-        half = n // 2
-        for i in range(half):
-            buf[i] = buf[2 * i] + buf[2 * i + 1]
-        if n % 2 == 1:
-            buf[half] = buf[n - 1]
-            n = half + 1
-        else:
-            n = half
-    return buf[0]
+def pairwise_sum(values: np.ndarray) -> float:
+    """Sum with a fixed pairwise tree over the values in C order."""
+    return _tree_sum(np.asarray(values, dtype=np.float64).ravel())
 
 
-def weighted_sum_numpy(values: np.ndarray, weights: np.ndarray) -> float:
+def weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
     """Pairwise-tree sum of values*weights."""
     v = np.asarray(values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
-    return pairwise_sum_numpy(v * w)
-
-
-@njit(cache=True)
-def _weighted_sum_jit(values, weights):
-    prod = values * weights
-    return _pairwise_sum_jit(prod)
+    return _tree_sum(v * w)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +71,7 @@ def _weighted_sum_jit(values, weights):
 # ---------------------------------------------------------------------------
 
 
-def count_membership_numpy(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def count_membership(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Number of open boxes (lo_j, hi_j) strictly containing each point.
 
     points: (n, d); lo, hi: (m, d).  Returns int64 counts of shape (n,).
@@ -318,31 +90,12 @@ def count_membership_numpy(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
     return counts
 
 
-@njit(cache=True)
-def _count_membership_jit(points, lo, hi):
-    n = points.shape[0]
-    m = lo.shape[0]
-    d = points.shape[1]
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            inside = True
-            for k in range(d):
-                x = points[i, k]
-                if x <= lo[j, k] or x >= hi[j, k]:
-                    inside = False
-                    break
-            if inside:
-                counts[i] += 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # tail sums over a shared node set
 # ---------------------------------------------------------------------------
 
 
-def tail_sums_numpy(abs_values: np.ndarray, weights: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+def tail_sums(abs_values: np.ndarray, weights: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """gamma-mass of {|value| > sigma} for each sigma, shared node set.
 
     abs_values, weights: (n,); sigmas: (s,).  Each sigma uses the same
@@ -354,93 +107,8 @@ def tail_sums_numpy(abs_values: np.ndarray, weights: np.ndarray, sigmas: np.ndar
     sig = np.asarray(sigmas, dtype=np.float64).ravel()
     out = np.empty(sig.size, dtype=np.float64)
     for s in range(sig.size):
-        out[s] = pairwise_sum_numpy(np.where(av > sig[s], w, 0.0))
+        out[s] = _tree_sum(np.where(av > sig[s], w, 0.0))
     return out
-
-
-@njit(cache=True)
-def _tail_sums_jit(abs_values, weights, sigmas):
-    n = abs_values.size
-    out = np.empty(sigmas.size, dtype=np.float64)
-    masked = np.empty(n, dtype=np.float64)
-    for s in range(sigmas.size):
-        sg = sigmas[s]
-        for i in range(n):
-            masked[i] = weights[i] if abs_values[i] > sg else 0.0
-        out[s] = _pairwise_sum_jit(masked)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    _erf_scalar_jit = njit(cache=True)(_erf_scalar_impl)
-    _erfc_scalar_jit = njit(cache=True)(_erfc_scalar_impl)
-
-    @njit(cache=True)
-    def _erf_array_jit(flat):
-        out = np.empty(flat.size, dtype=np.float64)
-        for i in range(flat.size):
-            out[i] = _erf_scalar_jit(flat[i])
-        return out
-
-    @njit(cache=True)
-    def _erfc_array_jit(flat):
-        out = np.empty(flat.size, dtype=np.float64)
-        for i in range(flat.size):
-            out[i] = _erfc_scalar_jit(flat[i])
-        return out
-
-    def erf(x: float) -> float:
-        return float(_erf_scalar_jit(float(x)))
-
-    def erfc(x: float) -> float:
-        return float(_erfc_scalar_jit(float(x)))
-
-    def erf_array(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        return _erf_array_jit(np.ascontiguousarray(xs).ravel()).reshape(xs.shape)
-
-    def erfc_array(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        return _erfc_array_jit(np.ascontiguousarray(xs).ravel()).reshape(xs.shape)
-
-    def pairwise_sum(values: np.ndarray) -> float:
-        return float(_pairwise_sum_jit(np.ascontiguousarray(values, dtype=np.float64).ravel()))
-
-    def weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
-        return float(
-            _weighted_sum_jit(
-                np.ascontiguousarray(values, dtype=np.float64).ravel(),
-                np.ascontiguousarray(weights, dtype=np.float64).ravel(),
-            )
-        )
-
-    def count_membership(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return _count_membership_jit(
-            np.ascontiguousarray(points, dtype=np.float64),
-            np.ascontiguousarray(lo, dtype=np.float64),
-            np.ascontiguousarray(hi, dtype=np.float64),
-        )
-
-    def tail_sums(abs_values: np.ndarray, weights: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-        return _tail_sums_jit(
-            np.ascontiguousarray(abs_values, dtype=np.float64).ravel(),
-            np.ascontiguousarray(weights, dtype=np.float64).ravel(),
-            np.ascontiguousarray(sigmas, dtype=np.float64).ravel(),
-        )
-
-else:
-    erf = _erf_scalar_impl
-    erfc = _erfc_scalar_impl
-    erf_array = erf_array_numpy
-    erfc_array = erfc_array_numpy
-    pairwise_sum = pairwise_sum_numpy
-    weighted_sum = weighted_sum_numpy
-    count_membership = count_membership_numpy
-    tail_sums = tail_sums_numpy
 
 
 def gauss1d(alpha: float, beta: float) -> float:
@@ -459,7 +127,7 @@ def gauss1d(alpha: float, beta: float) -> float:
 
 
 def warmup() -> None:
-    """Force jit compilation of all kernels (no-op on the numpy backend)."""
+    """Call every kernel once on tiny inputs, so first-call costs fall outside timed work."""
     pts = np.zeros((2, 2))
     lo = np.full((1, 2), -1.0)
     hi = np.full((1, 2), 1.0)

@@ -425,8 +425,13 @@ def test_quadrature_error_on_undeclared_kink():
     # the refinement loop must refuse to certify rather than return junk
     f = ScalarField("hidden-kink", lambda p: np.abs(p[:, 0] - 0.377))
     tight = QuadratureSpec(nodes_per_axis=2, refinement_levels=1, abs_tol=1e-15)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=r"field hidden-kink .* refinement level 1 \("):
         gauss_average(f, P1, tight)
+    # tails and weak norms refine to twice the level budget
+    with pytest.raises(QuadratureError, match=r"field hidden-kink .* refinement level 2 \("):
+        tail_profile(f, P1, [0.1, 0.2], tight, center=0.0)
+    with pytest.raises(QuadratureError, match=r"field hidden-kink .* refinement level 2 \("):
+        weak_lp_norm(f, P1, 2.0, tight, rel_tol=1e-15)
 
 
 def test_declared_kink_converges(spec):

@@ -67,13 +67,13 @@ def test_erf_identities():
 
 
 def test_backend_flavours_agree():
-    """Bound implementation and the plain-numpy fallback answer alike."""
+    """The array kernels match mpmath on the grid, as the scalar ones do."""
     got = kernels.erf_array(ERF_GRID.copy())
-    ref = kernels.erf_array_numpy(ERF_GRID.copy())
-    np.testing.assert_allclose(got, ref, rtol=2e-14, atol=0.0)
+    ref = np.array([oracles.erf_mp(float(x)) for x in ERF_GRID])
+    np.testing.assert_allclose(got, ref, rtol=5e-15, atol=1e-300)
     gotc = kernels.erfc_array(ERF_GRID.copy())
-    refc = kernels.erfc_array_numpy(ERF_GRID.copy())
-    np.testing.assert_allclose(gotc, refc, rtol=2e-13, atol=0.0)
+    refc = np.array([float(oracles.mp.erfc(oracles.mp.mpf(float(x)))) for x in ERF_GRID])
+    np.testing.assert_allclose(gotc, refc, rtol=5e-13, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +151,16 @@ def test_weighted_sum_matches_product_pairwise():
 
 
 def test_summation_backends_agree():
+    """Strided, non-contiguous views sum bit for bit like their contiguous copies."""
     rng = np.random.default_rng(13)
-    xs = rng.normal(size=9999)
-    ws = rng.uniform(size=9999)
-    assert kernels.pairwise_sum(xs) == pytest.approx(
-        kernels.pairwise_sum_numpy(xs), rel=1e-14
-    )
-    assert kernels.weighted_sum(xs, ws) == pytest.approx(
-        kernels.weighted_sum_numpy(xs, ws), rel=1e-14
-    )
+    xs = rng.normal(size=(9999, 3))
+    ws = rng.uniform(size=(9999, 3))
+    for view, wview in ((xs[::2, 1], ws[::2, 1]), (xs.T, ws.T), (xs[::-3], ws[::-3])):
+        assert not view.flags.c_contiguous
+        assert kernels.pairwise_sum(view) == kernels.pairwise_sum(np.ascontiguousarray(view))
+        assert kernels.weighted_sum(view, wview) == kernels.weighted_sum(
+            np.ascontiguousarray(view), np.ascontiguousarray(wview)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,6 @@ def test_count_membership_matches_brute():
         got = kernels.count_membership(pts, lo, hi)
         ref = oracles.points_in_cube_brute(pts, lo, hi)
         np.testing.assert_array_equal(got, ref)
-        assert kernels.count_membership_numpy(pts, lo, hi).tolist() == got.tolist()
 
 
 def test_count_membership_boundary_is_exclusive():
@@ -194,7 +194,6 @@ def test_tail_sums_matches_brute():
     got = kernels.tail_sums(av, w, sig)
     ref = np.array([math.fsum(w[av > s].tolist()) for s in sig])
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-300)
-    np.testing.assert_allclose(kernels.tail_sums_numpy(av, w, sig), ref, rtol=1e-12)
 
 
 def test_tail_sums_monotone_nonincreasing():
@@ -209,4 +208,4 @@ def test_tail_sums_monotone_nonincreasing():
 def test_warmup_idempotent():
     kernels.warmup()
     kernels.warmup()
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"
