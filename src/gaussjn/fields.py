@@ -284,7 +284,8 @@ def tensor_rule(
         count *= x.size
     if count > MAX_TENSOR_NODES:
         raise QuadratureError(
-            f"refinement level {level} would need {count} tensor nodes (cap {MAX_TENSOR_NODES})"
+            f"refinement level {level} would need {count} tensor nodes (cap {MAX_TENSOR_NODES}) "
+            f"on cube center {cube.center} side {cube.side}"
         )
     mesh = np.meshgrid(*axis_nodes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -292,6 +293,25 @@ def tensor_rule(
     for ax in range(1, d):
         w = (w[:, None] * axis_weights[ax][None, :]).ravel()
     return pts, w
+
+
+def field_rule(
+    what: str,
+    f: ScalarField,
+    cube: Cube,
+    breaks: Mapping[int, Sequence[float]],
+    level: int,
+    order: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``tensor_rule`` for the quadrature ``what`` of field f.
+
+    A node-cap :class:`QuadratureError` is re-raised with the quadrature and
+    the field id in front of the cube, level and node count it names.
+    """
+    try:
+        return tensor_rule(cube, breaks, level, order)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{what} of field {f.id}: {exc}") from exc
 
 
 def _not_converged(
@@ -325,7 +345,7 @@ def average_gamma(
     prev: float | None = None
     last_diff = math.inf
     for level in range(spec.refinement_levels + 1):
-        pts, w = tensor_rule(cube, breaks, level, spec.nodes_per_axis)
+        pts, w = field_rule("average", f, cube, breaks, level, spec.nodes_per_axis)
         vals = f(pts)
         if transform is not None:
             vals = transform(vals)
@@ -434,7 +454,7 @@ def _tail_converge(
     prev: np.ndarray | None = None
     last_diff = math.inf
     for level in range(levels + 1):
-        pts, w = tensor_rule(cube, breaks, level, spec.nodes_per_axis)
+        pts, w = field_rule("tail profile", f, cube, breaks, level, spec.nodes_per_axis)
         av = np.abs(f(pts) - center)
         tails = kernels.tail_sums(av, w * gq, sigmas)
         if prev is not None:
@@ -525,7 +545,7 @@ def weak_lp_norm(
     prev: float | None = None
     last_diff = math.inf
     for lv in range(2 * spec.refinement_levels + 1):
-        pts, w = tensor_rule(cube, breaks, lv, spec.nodes_per_axis)
+        pts, w = field_rule("weak norm", f, cube, breaks, lv, spec.nodes_per_axis)
         sup = _node_measure_weak_sup(np.abs(f(pts)), w * gq, p)
         if prev is not None:
             last_diff = abs(sup - prev)

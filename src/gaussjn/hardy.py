@@ -41,6 +41,7 @@ from .fields import (
     ScalarField,
     StepField,
     average_gamma,
+    field_rule,
     gauss_average,
     l1_tail_bound,
     level_set_breaks,
@@ -48,7 +49,6 @@ from .fields import (
     product_field,
     restrict_field,
     shift_field,
-    tensor_rule,
     truncate,
 )
 from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
@@ -366,7 +366,7 @@ def _node_grid(
     f: ScalarField, cube: Cube, spec: QuadratureSpec, *, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(points, normalized weights) of the field-aligned tensor rule."""
-    return tensor_rule(cube, merge_breaks(f.breaks), level, spec.nodes_per_axis)
+    return field_rule("node grid", f, cube, merge_breaks(f.breaks), level, spec.nodes_per_axis)
 
 
 def dual_atom(

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import kernels
 from .covering import Covering
 from .fields import QuadratureSpec, ScalarField, gauss_average, l1_gamma_norm, oscillation, tail_profile
 from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
@@ -148,9 +149,16 @@ def make_candidates(covering: Covering, depth: int) -> CandidateSet:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     a = covering.admissibility
+    cubes = [cube for _layer, cube in covering.all_cubes()]
+    # only cubes filed in a grid cell with this one can overlap it
+    neighbours = kernels.earlier_neighbours(
+        np.array([q.lo for q in cubes]), np.array([q.hi for q in cubes])
+    )
+    is_kept = [False] * len(cubes)
     kept: list[Cube] = []
-    for _layer, cube in covering.all_cubes():
-        if all(cubes_disjoint(cube, other) for other in kept):
+    for i, cube in enumerate(cubes):
+        if all(cubes_disjoint(cube, cubes[j]) for j in neighbours[i].tolist() if is_kept[j]):
+            is_kept[i] = True
             kept.append(cube)
     roots = []
     for cube in kept:

@@ -1,5 +1,6 @@
 """Low-level numerical kernels: error integrals, deterministic reductions,
-point-in-cube membership counting and tail sums over shared node sets.
+point-in-cube membership counting, box neighbour lists and tail sums over
+shared node sets.
 
 The error integral E(t) = (2/sqrt(pi)) * Int_0^t exp(-s^2) ds and its
 complement come from the libraries: the scalar ``erf``/``erfc`` are
@@ -9,6 +10,15 @@ relative accuracy deep in the right tail, which ``gauss1d`` relies on.
 
 Every reduction uses one fixed pairwise tree, so sums are deterministic
 run-to-run.  ``BACKEND`` names the implementation in reports.
+
+Box geometry goes through one uniform-grid bucket index (``_BoxGrid``):
+each nonempty box is filed under every cell it meets, with the cell step
+taken from the boxes' median side and at most a constant number of
+(box, cell) entries per box.  ``count_membership`` tests each point only
+against the boxes of its own cell, and ``earlier_neighbours`` lists the
+boxes that share a cell, which is all an exact first-fit disjointness scan
+needs to look at.  Both return exactly what the all-pairs comparisons
+would, at O((n + m) log m) cost for coverings instead of O(n m) and O(m^2).
 """
 
 from __future__ import annotations
@@ -67,6 +77,105 @@ def weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# uniform-grid bucket index over boxes
+# ---------------------------------------------------------------------------
+
+#: The index holds at most this many times 2^d (box, cell) entries per box.
+#: A box no wider than the cell step meets up to 2^d cells, so the budget
+#: keeps the median-side step for coverings and coarsens the grid only when
+#: some boxes are far wider than the rest.
+_ENTRIES_PER_BOX = 8
+#: Cell keys are row-major int64 offsets, so the grid may not hold more cells.
+_MAX_CELLS = 2**62
+
+
+def _as_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if lo.shape != hi.shape or lo.ndim != 2:
+        raise ValueError(f"lo and hi must both have shape (m, d), got {lo.shape} and {hi.shape}")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("box bounds must be finite")
+    return lo, hi
+
+
+class _BoxGrid:
+    """Uniform grid of cubic cells, each listing the boxes that meet it.
+
+    The cell of a coordinate is floor((x - origin) / step) on each axis.
+    That map is monotone in floating point, so lo < x < hi implies
+    cell(lo) <= cell(x) <= cell(hi): a point strictly inside a box lies in
+    one of the cells the box is filed under, and two boxes whose closures
+    meet share a cell.  Only nonempty boxes (hi > lo on every axis) are
+    filed; an empty open box contains no point.
+
+    The step starts at the median of the boxes' widest sides and doubles
+    until the (box, cell) entries fit the budget of ``_ENTRIES_PER_BOX *
+    2^d`` per box and the cell keys fit int64, so the index holds O(m)
+    entries whatever the box sizes.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        d = lo.shape[1]
+        live = np.flatnonzero(np.all(hi > lo, axis=1))
+        self.origin = np.zeros(d)
+        self.step = 1.0
+        self.shape = np.zeros(d)
+        self.strides = np.zeros(d, dtype=np.int64)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.boxes = np.empty(0, dtype=np.int64)
+        if live.size == 0:
+            return
+        lo, hi = lo[live], hi[live]
+        self.origin = lo.min(axis=0)
+        self.step = float(np.median((hi - lo).max(axis=1)))
+        budget = _ENTRIES_PER_BOX * 2**d * live.size
+        while True:
+            first, last = self._cells(lo), self._cells(hi)
+            self.shape = last.max(axis=0) + 1.0
+            entries = float(np.prod(last - first + 1.0, axis=1).sum())
+            if entries <= budget and math.prod(int(s) for s in self.shape) <= _MAX_CELLS:
+                break
+            self.step *= 2.0
+        self.strides = np.array(
+            [math.prod(int(s) for s in self.shape[ax + 1 :]) for ax in range(d)], dtype=np.int64
+        )
+        first = first.astype(np.int64)
+        span = (last - first + 1.0).astype(np.int64)
+        per_box = np.prod(span, axis=1)
+        box, rank = _ragged(np.zeros(live.size, dtype=np.int64), per_box)
+        key = np.zeros(box.size, dtype=np.int64)
+        for ax in range(d):
+            key += (first[box, ax] + rank % span[box, ax]) * self.strides[ax]
+            rank //= span[box, ax]
+        # entries were generated box by box, so the stable sort keeps each
+        # cell's boxes in ascending order
+        order = np.argsort(key, kind="stable")
+        self.keys = key[order]
+        self.boxes = live[box[order]]
+
+    def _cells(self, x: np.ndarray) -> np.ndarray:
+        return np.floor((x - self.origin) / self.step)
+
+    def slots(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[start, stop) into ``boxes`` for the cell of each point; empty off the grid."""
+        c = self._cells(points)
+        inside = np.all((c >= 0.0) & (c < self.shape), axis=1)
+        key = np.where(inside[:, None], c, 0.0).astype(np.int64) @ self.strides
+        start = np.searchsorted(self.keys, key, side="left")
+        stop = np.where(inside, np.searchsorted(self.keys, key, side="right"), start)
+        return start, stop
+
+
+def _ragged(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, position) of every index in the ranges [start_i, stop_i)."""
+    size = stop - start
+    owner = np.repeat(np.arange(size.size), size)
+    position = np.arange(owner.size) + np.repeat(start - (np.cumsum(size) - size), size)
+    return owner, position
+
+
+# ---------------------------------------------------------------------------
 # point-in-cube membership counting
 # ---------------------------------------------------------------------------
 
@@ -74,20 +183,50 @@ def weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
 def count_membership(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Number of open boxes (lo_j, hi_j) strictly containing each point.
 
-    points: (n, d); lo, hi: (m, d).  Returns int64 counts of shape (n,).
-    Processes points in chunks to bound the broadcast footprint.
+    points: (n, d); lo, hi: (m, d) with finite entries.  Returns int64
+    counts of shape (n,).  The boxes are filed in a uniform-grid bucket
+    index (``_BoxGrid``) and each point is tested, with the strict
+    comparisons lo < x < hi, only against the boxes filed under its own
+    cell, so the counts are exact.  For a covering, where a point meets a
+    bounded number of cubes, the cost is O(m log m + n log m) rather than
+    O(n m).  Points go through in chunks to bound the memory of the
+    (point, box) pairs tested at once.
     """
     points = np.asarray(points, dtype=np.float64)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
+    lo, hi = _as_bounds(lo, hi)
     n = points.shape[0]
-    counts = np.empty(n, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    grid = _BoxGrid(lo, hi)
     chunk = 4096
-    for start in range(0, n, chunk):
-        block = points[start : start + chunk]
-        inside = (block[:, None, :] > lo[None, :, :]) & (block[:, None, :] < hi[None, :, :])
-        counts[start : start + chunk] = inside.all(axis=2).sum(axis=1)
+    for begin in range(0, n, chunk):
+        block = points[begin : begin + chunk]
+        point, entry = _ragged(*grid.slots(block))
+        box = grid.boxes[entry]
+        inside = np.all((block[point] > lo[box]) & (block[point] < hi[box]), axis=1)
+        counts[begin : begin + chunk] = np.bincount(point[inside], minlength=block.shape[0])
     return counts
+
+
+def earlier_neighbours(lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+    """For each box i, the ascending indices j < i of boxes filed in a cell with it.
+
+    lo, hi: (m, d) with finite entries.  Uses the same grid index as
+    ``count_membership``: every earlier nonempty box whose closure meets the
+    closure of box i is in the list, together with a few that only come
+    near it, so an exact pairwise test run on the list alone decides every
+    overlap.
+    """
+    lo, hi = _as_bounds(lo, hi)
+    m = lo.shape[0]
+    if m == 0:
+        return []
+    grid = _BoxGrid(lo, hi)
+    # every entry pairs with the entries filed before it in its own cell
+    cell_start = np.searchsorted(grid.keys, grid.keys, side="left")
+    later, earlier = _ragged(cell_start, np.arange(grid.keys.size))
+    pairs = np.unique(grid.boxes[later] * m + grid.boxes[earlier])
+    per_box = np.bincount(pairs // m, minlength=m)
+    return np.split(pairs % m, np.cumsum(per_box)[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import math
 import mpmath as mp
 import numpy as np
 
+from gaussjn.geometry import cubes_disjoint
+
 mp.mp.dps = 40
 
 SQRT_PI = float(mp.sqrt(mp.pi))
@@ -234,7 +236,7 @@ def shape_node_count(shape) -> int:
 
 
 # ---------------------------------------------------------------------------
-# membership brute force
+# membership and first-fit brute force
 # ---------------------------------------------------------------------------
 
 
@@ -251,6 +253,21 @@ def points_in_cube_brute(pts: np.ndarray, lo, hi) -> np.ndarray:
                 hits += 1
         out.append(hits)
     return np.array(out, dtype=np.int64)
+
+
+def first_fit_disjoint_brute(cubes) -> list:
+    """First-fit disjoint subfamily in the given order: each cube is tested
+    against every cube kept before it, O(m^2) pairwise tests.
+
+    The pairwise test is the package's own ``cubes_disjoint`` (its
+    boundary tolerance is what is being reproduced); the oracle checks which
+    pairs a faster first-fit may skip, not the predicate itself.
+    """
+    kept = []
+    for cube in cubes:
+        if all(cubes_disjoint(cube, other) for other in kept):
+            kept.append(cube)
+    return kept
 
 
 # ---------------------------------------------------------------------------

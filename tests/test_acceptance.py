@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end criteria, one test (and one verdict line) each.
+"""Acceptance suite: eleven end-to-end criteria, one test (and one verdict line) each.
 
 Every test measures its own runtime against the stated budget; the session
 fixture has already compiled the numerics backend, so the budgets cover the
@@ -424,3 +424,22 @@ def test_criterion_10_duality_chain_suite():
     assert total_atoms == 100
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"runtime {elapsed:.2f}s exceeds 2min budget"
+
+
+def test_criterion_11_grid_indexed_geometry_d3():
+    """The d=3 depth-6 covering (12373 cubes) is checked against 100k points
+    in under 5 s, with full coverage and overlap at most 3^3, and thinned to
+    its first-fit disjoint roots in under 10 s."""
+    cov = build_covering(6, 3)
+    t0 = time.perf_counter()
+    report = coverage_report(cov, n_points=100_000, seed=SEED)
+    elapsed = time.perf_counter() - t0
+    assert report["covered_fraction"] == 1.0
+    assert report["max_overlap"] <= 27
+    assert elapsed < 5.0, f"coverage_report runtime {elapsed:.2f}s exceeds 5s budget"
+    t0 = time.perf_counter()
+    cands = make_candidates(cov, 0)
+    elapsed = time.perf_counter() - t0
+    # the all-pairs first-fit scan keeps the same 10261 roots (in about 250 s)
+    assert len(cands.roots) == 10261
+    assert elapsed < 10.0, f"make_candidates runtime {elapsed:.2f}s exceeds 10s budget"

@@ -1,6 +1,7 @@
 """Scalar fields, adaptive quadrature, oscillations, and distribution tails."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -432,6 +433,30 @@ def test_quadrature_error_on_undeclared_kink():
         tail_profile(f, P1, [0.1, 0.2], tight, center=0.0)
     with pytest.raises(QuadratureError, match=r"field hidden-kink .* refinement level 2 \("):
         weak_lp_norm(f, P1, 2.0, tight, rel_tol=1e-15)
+
+
+def test_node_cap_error_names_field_and_cube(monkeypatch):
+    # 4 nodes per axis in d=2: 16, 64, 256 tensor nodes at levels 0, 1, 2,
+    # so a cap of 100 stops every refinement at level 2
+    from gaussjn import fields
+    from gaussjn.hardy import min_centered_oscillation
+
+    monkeypatch.setattr(fields, "MAX_TENSOR_NODES", 100)
+    f = ScalarField("kink-2d", lambda p: np.abs(p[:, 0] + p[:, 1] - 0.377), dim=2)
+    cube = Cube((0.5, -0.25), 0.5)
+    tight = QuadratureSpec(nodes_per_axis=4, refinement_levels=4, abs_tol=1e-15)
+    cap = re.escape(
+        ": refinement level 2 would need 256 tensor nodes (cap 100) "
+        "on cube center (0.5, -0.25) side 0.5"
+    )
+    with pytest.raises(QuadratureError, match="^average of field kink-2d" + cap):
+        gauss_average(f, cube, tight)
+    with pytest.raises(QuadratureError, match="^tail profile of field kink-2d" + cap):
+        tail_profile(f, cube, [0.1, 0.2], tight, center=0.0)
+    with pytest.raises(QuadratureError, match="^weak norm of field kink-2d" + cap):
+        weak_lp_norm(f, cube, 2.0, tight, rel_tol=1e-15)
+    with pytest.raises(QuadratureError, match="^node grid of field kink-2d" + cap):
+        min_centered_oscillation(f, cube, 2.0, tight)
 
 
 def test_declared_kink_converges(spec):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gaussjn.covering import build_covering
+from gaussjn.covering import Covering, Layer, build_covering, radius_sequence
 from gaussjn.fields import QuadratureSpec, corpus_by_id, oscillation
 from gaussjn.geometry import Cube, gaussian_measure
 from gaussjn.jnp import (
@@ -200,6 +200,37 @@ def test_make_candidates_2d_roots_disjoint():
 # ---------------------------------------------------------------------------
 # the optimized functional
 # ---------------------------------------------------------------------------
+
+
+def _root_keys(cands):
+    return [(r.cube.center, r.cube.side) for r in cands.roots]
+
+
+def test_make_candidates_roots_match_first_fit_oracle():
+    for d, depths in ((1, (1, 4, 8)), (2, (1, 3, 6)), (3, (1, 2))):
+        for depth in depths:
+            cov = build_covering(depth, d)
+            ref = oracles.first_fit_disjoint_brute([q for _, q in cov.all_cubes()])
+            assert _root_keys(make_candidates(cov, 0)) == [(q.center, q.side) for q in ref]
+
+
+def test_make_candidates_first_fit_keeps_abutting_dyadic_halves():
+    # the 16 grandchildren of a side-0.3 cube abut exactly in the model, but
+    # 0.3 is no binary fraction and 8 of their pairs render with an overlap
+    # of a few ulps: only the boundary tolerance keeps them all
+    q = Cube((0.1, 0.7), 0.3)
+    halves = [g for child in q.dyadic_children() for g in child.dyadic_children()]
+    rendered_overlaps = sum(
+        all(h1 > l2 and h2 > l1 for l1, h1, l2, h2 in zip(a.lo, a.hi, b.lo, b.hi))
+        for a, b in itertools.combinations(halves, 2)
+    )
+    assert rendered_overlaps == 8
+    shifted = Cube((0.1 + 0.3 / 8.0, 0.7), 0.075)  # overlaps two grandchildren by half
+    order = [halves[5], q, *halves[:5], *halves[6:], shifted]
+    cov = Covering(2, 1, radius_sequence(2), (Layer(0, tuple(order[:3])), Layer(1, tuple(order[3:]))))
+    expected = [halves[5], *halves[:5], *halves[6:]]
+    assert oracles.first_fit_disjoint_brute(order) == expected
+    assert _root_keys(make_candidates(cov, 0)) == [(c.center, c.side) for c in expected]
 
 
 def test_maximize_jnp_sign_reference(cands1, spec):

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from gaussjn import kernels
+from gaussjn.covering import build_covering, low_discrepancy_points
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +169,82 @@ def test_summation_backends_agree():
 # ---------------------------------------------------------------------------
 
 
-def test_count_membership_matches_brute():
+def _membership_cases():
+    """(name, points, lo, hi) inputs for the grid-indexed membership count."""
     rng = np.random.default_rng(23)
     for d in (1, 2, 3):
         pts = rng.uniform(-3.0, 3.0, size=(4000, d))
         lo = rng.uniform(-3.0, 0.0, size=(15, d))
         hi = lo + rng.uniform(0.1, 3.0, size=(15, d))
+        yield f"random-d{d}", pts, lo, hi
+    for d, depth in ((1, 8), (2, 4), (3, 1)):
+        cov = build_covering(depth, d)
+        cubes = [q for _, q in cov.all_cubes()]
+        lo = np.array([q.lo for q in cubes])
+        hi = np.array([q.hi for q in cubes])
+        sobol = low_discrepancy_points(cov, 2000, seed=d)
+        yield f"covering-d{d}", sobol, lo, hi
+        # every face value of every cube, on every axis, with the other
+        # coordinates taken from a cube center: points exactly on faces
+        faces = []
+        for axis in range(d):
+            for bound in (lo, hi):
+                p = np.array([q.center for q in cubes])
+                p[:, axis] = bound[:, axis]
+                faces.append(p)
+        yield f"covering-faces-d{d}", np.concatenate(faces), lo, hi
+        # grid cell edges origin + k * step on every axis, and the face
+        # values mixed across axes
+        grid = kernels._BoxGrid(lo, hi)
+        ks = np.arange(-2, int(grid.shape.max()) + 3)
+        edges = grid.origin[None, :] + ks[:, None] * grid.step
+        mixed = rng.choice(np.concatenate([lo.ravel(), hi.ravel(), edges.ravel()]), (2000, d))
+        yield f"covering-cell-edges-d{d}", np.concatenate([edges, mixed]), lo, hi
+    lo = np.array([[-1.0, -1.0]])
+    hi = np.array([[1.0, 0.5]])
+    yield "no-points", np.empty((0, 2)), lo, hi
+    yield "no-boxes", rng.uniform(-1.0, 1.0, (50, 2)), np.empty((0, 2)), np.empty((0, 2))
+    single = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 0.5], [0.99, 0.49], [1.0, 0.0]])
+    yield "single-box", np.concatenate([single, rng.uniform(-2.0, 2.0, (500, 2))]), lo, hi
+    lo = np.array([[0.0, 0.0], [0.5, 0.0], [0.2, 0.2]])
+    hi = np.array([[1.0, 1.0], [0.5, 1.0], [0.1, 0.9]])  # two boxes with hi <= lo on axis 0
+    yield "empty-boxes", rng.uniform(-0.5, 1.5, (500, 2)), lo, hi
+    lo = rng.uniform(-1.0, 1.0, (40, 2))
+    hi = lo + 0.2
+    far = np.array([[50.0, 0.0], [-50.0, 0.0], [0.0, 1e300], [-1e300, -1e300], [0.5, -30.0]])
+    yield "outside-bounding-box", far, lo, hi
+    lo = rng.uniform(-1.0, 1.0, (60, 3))
+    hi = lo + 0.1
+    lo[17] = -10.0
+    hi[17] = 10.0  # 100 times wider than the others, 200^3 cells at their step
+    yield "one-wide-box", rng.uniform(-12.0, 12.0, (4000, 3)), lo, hi
+
+
+def test_count_membership_matches_brute():
+    for name, pts, lo, hi in _membership_cases():
         got = kernels.count_membership(pts, lo, hi)
         ref = oracles.points_in_cube_brute(pts, lo, hi)
-        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got, ref, err_msg=name)
+        # the index stays O(m) in size whatever the box widths
+        entries = kernels._BoxGrid(lo, hi).keys.size
+        assert entries <= kernels._ENTRIES_PER_BOX * 2 ** lo.shape[1] * len(lo), name
+
+
+def test_earlier_neighbours_hold_every_meeting_box():
+    rng = np.random.default_rng(37)
+    lo = rng.uniform(-2.0, 2.0, (120, 2))
+    hi = lo + rng.uniform(0.05, 0.4, (120, 2))
+    lo[5], hi[5] = (-20.0, -20.0), (20.0, 20.0)  # 100 times the median side
+    lo[40:50], hi[40:50] = hi[30:40], hi[30:40] + 0.1  # corners touch exactly
+    neighbours = kernels.earlier_neighbours(lo, hi)
+    assert len(neighbours) == 120
+    for i in range(120):
+        near = neighbours[i].tolist()
+        assert near == sorted(set(near)) and all(j < i for j in near)
+        for j in range(i):
+            if np.all(lo[j] <= hi[i]) and np.all(lo[i] <= hi[j]):
+                assert j in near, (i, j)
+    assert kernels.earlier_neighbours(np.empty((0, 3)), np.empty((0, 3))) == []
 
 
 def test_count_membership_boundary_is_exclusive():
