@@ -17,9 +17,9 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .fields import (
     step_weak_lp_norm,
 )
 from .jnp import (
+    OscCache,
     bmo_norm_estimate,
     make_candidates,
     maximize_jnp,
@@ -68,49 +69,84 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _as_float_tuple(value, name: str) -> tuple[float, ...]:
+def _section(cls, obj, name: str, convert: Mapping[str, Callable]):
+    """``cls(**kwargs)`` from the JSON object ``obj``, one converter per key.
+
+    Keys absent from ``obj`` keep the defaults of ``cls``.  Unknown keys, and
+    any value a converter or ``cls`` itself rejects, raise ``ConfigError``.
+    """
+    _require(isinstance(obj, dict), f"{name} must be a JSON object")
+    unknown = set(obj) - set(convert)
+    _require(not unknown, f"unknown {name} keys {sorted(unknown)}")
+    kwargs: dict = {}
     try:
-        out = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a sequence of numbers") from exc
-    _require(all(math.isfinite(v) for v in out), f"{name} entries must be finite")
+        for key, value in obj.items():
+            kwargs[key] = convert[key](value)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, ArithmeticError, LookupError) as exc:
+        where = name if len(kwargs) == len(obj) else f"{name}.{key}"
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _of_type(kind: type, what: str) -> Callable:
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"must be {what}")
+        return value
+
+    return convert
+
+
+def _optional(convert: Callable) -> Callable:
+    return lambda value: None if value is None else convert(value)
+
+
+def _floats(value) -> tuple[float, ...]:
+    out = tuple(float(v) for v in value)
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError("entries must be finite")
     return out
 
 
-def _sigma_grid(obj, name: str = "sigmas") -> tuple[float, ...]:
+def _field_ids(value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise TypeError("must be a list of corpus field ids")
+    return tuple(value)
+
+
+def _grid(
+    start: float = 0.05, stop: float = 4.0, num: int = 25, log: bool = True
+) -> tuple[float, ...]:
+    _require(0.0 < start < stop, "sigmas: need 0 < start < stop")
+    _require(num >= 2, "sigmas: need at least two grid points")
+    grid = np.geomspace(start, stop, num) if log else np.linspace(start, stop, num)
+    return tuple(float(v) for v in grid)
+
+
+def _sigma_grid(obj) -> tuple[float, ...]:
     """Either an explicit increasing list or {start, stop, num, log}."""
     if isinstance(obj, dict):
-        unknown = set(obj) - {"start", "stop", "num", "log"}
-        _require(not unknown, f"{name}: unknown keys {sorted(unknown)}")
-        start = float(obj.get("start", 0.05))
-        stop = float(obj.get("stop", 4.0))
-        num = int(obj.get("num", 25))
-        log = bool(obj.get("log", True))
-        _require(0.0 < start < stop, f"{name}: need 0 < start < stop")
-        _require(num >= 2, f"{name}: need at least two grid points")
-        if log:
-            grid = np.geomspace(start, stop, num)
-        else:
-            grid = np.linspace(start, stop, num)
-        return tuple(float(v) for v in grid)
-    grid = _as_float_tuple(obj, name)
-    _require(len(grid) >= 2, f"{name}: need at least two grid points")
-    _require(all(v > 0.0 for v in grid), f"{name}: entries must be positive")
+        return _section(
+            _grid, obj, "sigmas", {"start": float, "stop": float, "num": int, "log": bool}
+        )
+    grid = _floats(obj)
+    _require(len(grid) >= 2, "sigmas: need at least two grid points")
+    _require(all(v > 0.0 for v in grid), "sigmas: entries must be positive")
     _require(
         all(a < b for a, b in zip(grid, grid[1:])),
-        f"{name}: entries must be strictly increasing",
+        "sigmas: entries must be strictly increasing",
     )
     return grid
 
 
-def _cube_from_obj(obj, d: int, name: str) -> Cube:
-    if not isinstance(obj, dict) or set(obj) != {"center", "side"}:
-        raise ConfigError(f"{name} must be an object with keys center, side")
-    center = _as_float_tuple(obj["center"], f"{name}.center")
-    _require(len(center) == d, f"{name}.center must have {d} coordinates")
-    side = float(obj["side"])
-    _require(side > 0.0, f"{name}.side must be positive")
-    return Cube(center, side)
+def _cubes(value) -> tuple[Cube, ...]:
+    _require(isinstance(value, list), "duality.cubes must be a list")
+    return tuple(
+        _section(Cube, c, f"duality.cubes[{i}]", {"center": _floats, "side": float})
+        for i, c in enumerate(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -127,12 +163,11 @@ class EmbedSection:
         for p, q in self.pairs:
             _require(1.0 <= q < p, f"embed pair ({p}, {q}) must satisfy 1 <= q < p")
 
-    def to_obj(self) -> dict:
-        return {
-            "pairs": [[p, q] for p, q in self.pairs],
-            "trials": self.trials,
-            "margin": self.margin,
-        }
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    if value is None:
+        return EmbedSection.pairs
+    return tuple((float(p[0]), float(p[1])) for p in value)
 
 
 @dataclass(frozen=True)
@@ -166,15 +201,6 @@ class SubdivideSection:
         )
         return a_start, cube
 
-    def to_obj(self) -> dict:
-        return {
-            "a_start": self.a_start,
-            "a_target": self.a_target,
-            "center": None if self.center is None else list(self.center),
-            "side": self.side,
-            "atom_q": self.atom_q,
-        }
-
 
 @dataclass(frozen=True)
 class DualitySection:
@@ -182,12 +208,18 @@ class DualitySection:
 
     p: float = 1.5
     q: float = 3.0
-    p_prime: float = 3.0
-    q_prime: float = 1.5
+    p_prime: float | None = None  # None -> conjugate of p
+    q_prime: float | None = None  # None -> conjugate of q
     c0: float = 0.3
     cubes: tuple[Cube, ...] | None = None  # None -> three default disjoint cubes
     pairing_tol: float = 1e-8
     max_exponent: int = 30
+
+    def __post_init__(self) -> None:
+        if self.p_prime is None:
+            object.__setattr__(self, "p_prime", conjugate_exponent(self.p))
+        if self.q_prime is None:
+            object.__setattr__(self, "q_prime", conjugate_exponent(self.q))
 
     def resolve_cubes(self, d: int) -> tuple[Cube, ...]:
         if self.cubes is not None:
@@ -207,7 +239,7 @@ class DualitySection:
         ):
             want = conjugate_exponent(base)
             _require(
-                abs(1.0 / base + 1.0 / given - 1.0) <= 1e-12,
+                given > 1.0 and abs(1.0 / base + 1.0 / given - 1.0) <= 1e-12,
                 f"duality.{tag}_prime = {given} is not conjugate to {tag} = {base} "
                 f"(expected {want})",
             )
@@ -222,39 +254,60 @@ class DualitySection:
         except ValueError as exc:
             raise ConfigError(f"duality cubes: {exc}") from exc
 
-    def to_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "p_prime": self.p_prime,
-            "q_prime": self.q_prime,
-            "c0": self.c0,
-            "cubes": None
-            if self.cubes is None
-            else [{"center": list(c.center), "side": c.side} for c in self.cubes],
-            "pairing_tol": self.pairing_tol,
-            "max_exponent": self.max_exponent,
-        }
 
+_INTEGER = _of_type(int, "an integer")
 
-_CONFIG_KEYS = {
-    "dimension",
-    "p",
-    "q",
-    "a",
-    "depth",
-    "candidate_depth",
-    "quadrature",
-    "fields",
-    "sigmas",
-    "p_grid",
-    "radius",
-    "coverage_points",
-    "out_dir",
-    "seed",
-    "embed",
-    "subdivide",
-    "duality",
+# one converter per config key; every default lives in the dataclasses
+_CONFIG_KEYS: dict[str, Callable] = {
+    "dimension": _INTEGER,
+    "p": float,
+    "q": float,
+    "a": _optional(float),
+    "depth": _INTEGER,
+    "candidate_depth": _INTEGER,
+    "quadrature": lambda obj: _section(
+        QuadratureSpec,
+        obj,
+        "quadrature",
+        {"nodes_per_axis": int, "refinement_levels": int, "abs_tol": float},
+    ),
+    "fields": _field_ids,
+    "sigmas": _sigma_grid,
+    "p_grid": _floats,
+    "radius": float,
+    "coverage_points": _INTEGER,
+    "out_dir": _of_type(str, "a string"),
+    "seed": _INTEGER,
+    "embed": lambda obj: _section(
+        EmbedSection, obj, "embed", {"pairs": _pairs, "trials": int, "margin": float}
+    ),
+    "subdivide": lambda obj: _section(
+        SubdivideSection,
+        obj,
+        "subdivide",
+        {
+            "a_start": _optional(float),
+            "a_target": float,
+            "center": _optional(_floats),
+            "side": float,
+            "atom_q": float,
+        },
+    ),
+    "duality": lambda obj: _section(
+        DualitySection,
+        obj,
+        "duality",
+        {
+            "p": float,
+            "q": float,
+            "p_prime": float,
+            "q_prime": float,
+            "c0": float,
+            "cubes": _optional(_cubes),
+            "pairing_tol": float,
+            "max_exponent": int,
+        },
+    ),
 }
 
 
@@ -269,8 +322,8 @@ class ExperimentConfig:
     depth: int = 4
     candidate_depth: int = 4
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
-    field_ids: tuple[str, ...] = ("sign0", "radius_sq")
-    sigmas: tuple[float, ...] = _sigma_grid({})
+    fields: tuple[str, ...] = ("sign0", "radius_sq")
+    sigmas: tuple[float, ...] = _grid()
     p_grid: tuple[float, ...] = (2.0, 2.5, 3.0, 4.0, 6.0)
     radius: float = 6.0
     coverage_points: int = 100_000
@@ -305,9 +358,9 @@ class ExperimentConfig:
             isinstance(self.seed, int) and 0 <= self.seed < 2**64,
             "seed must be an unsigned 64-bit integer",
         )
-        _require(len(self.field_ids) >= 1, "fields must name at least one corpus field")
+        _require(len(self.fields) >= 1, "fields must name at least one corpus field")
         known = set(corpus_by_id(self.dimension))
-        unknown = [f for f in self.field_ids if f not in known]
+        unknown = [f for f in self.fields if f not in known]
         _require(not unknown, f"unknown corpus fields {unknown}; known: {sorted(known)}")
 
     def validate_for(self, subcommand: str) -> None:
@@ -333,150 +386,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("config root must be a JSON object")
-        unknown = set(obj) - _CONFIG_KEYS
-        _require(not unknown, f"unknown config keys {sorted(unknown)}")
-        kwargs: dict = {}
-        if "dimension" in obj:
-            _require(isinstance(obj["dimension"], int), "dimension must be an integer")
-            kwargs["dimension"] = obj["dimension"]
-        d = kwargs.get("dimension", 1)
-        for key in ("p", "q", "radius"):
-            if key in obj:
-                kwargs[key] = float(obj[key])
-        if "a" in obj and obj["a"] is not None:
-            kwargs["a"] = float(obj["a"])
-        for key in ("depth", "candidate_depth", "coverage_points", "seed"):
-            if key in obj:
-                _require(isinstance(obj[key], int), f"{key} must be an integer")
-                kwargs[key] = obj[key]
-        if "quadrature" in obj:
-            qspec = obj["quadrature"]
-            _require(isinstance(qspec, dict), "quadrature must be an object")
-            unknown = set(qspec) - {"nodes_per_axis", "refinement_levels", "abs_tol"}
-            _require(not unknown, f"quadrature: unknown keys {sorted(unknown)}")
-            try:
-                kwargs["quadrature"] = QuadratureSpec(
-                    nodes_per_axis=int(qspec.get("nodes_per_axis", 8)),
-                    refinement_levels=int(qspec.get("refinement_levels", 10)),
-                    abs_tol=float(qspec.get("abs_tol", 1e-9)),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"quadrature: {exc}") from exc
-        if "fields" in obj:
-            _require(
-                isinstance(obj["fields"], list)
-                and all(isinstance(s, str) for s in obj["fields"]),
-                "fields must be a list of corpus field ids",
-            )
-            kwargs["field_ids"] = tuple(obj["fields"])
-        if "sigmas" in obj:
-            kwargs["sigmas"] = _sigma_grid(obj["sigmas"])
-        if "p_grid" in obj:
-            kwargs["p_grid"] = _as_float_tuple(obj["p_grid"], "p_grid")
-        if "out_dir" in obj:
-            _require(isinstance(obj["out_dir"], str), "out_dir must be a string")
-            kwargs["out_dir"] = obj["out_dir"]
-        if "embed" in obj:
-            sec = obj["embed"]
-            _require(isinstance(sec, dict), "embed must be an object")
-            unknown = set(sec) - {"pairs", "trials", "margin"}
-            _require(not unknown, f"embed: unknown keys {sorted(unknown)}")
-            pairs = sec.get("pairs")
-            if pairs is not None:
-                try:
-                    pairs = tuple((float(p[0]), float(p[1])) for p in pairs)
-                except (TypeError, ValueError, IndexError, KeyError) as exc:
-                    raise ConfigError(
-                        "embed.pairs must be a list of [p, q] number pairs"
-                    ) from exc
-            kwargs["embed"] = EmbedSection(
-                pairs=EmbedSection().pairs if pairs is None else pairs,
-                trials=int(sec.get("trials", 50)),
-                margin=float(sec.get("margin", 0.02)),
-            )
-        if "subdivide" in obj:
-            sec = obj["subdivide"]
-            _require(isinstance(sec, dict), "subdivide must be an object")
-            unknown = set(sec) - {"a_start", "a_target", "center", "side", "atom_q"}
-            _require(not unknown, f"subdivide: unknown keys {sorted(unknown)}")
-            kwargs["subdivide"] = SubdivideSection(
-                a_start=None if sec.get("a_start") is None else float(sec["a_start"]),
-                a_target=float(sec.get("a_target", 1.0)),
-                center=None
-                if sec.get("center") is None
-                else _as_float_tuple(sec["center"], "subdivide.center"),
-                side=float(sec.get("side", 1.0)),
-                atom_q=float(sec.get("atom_q", 3.0)),
-            )
-        if "duality" in obj:
-            sec = obj["duality"]
-            _require(isinstance(sec, dict), "duality must be an object")
-            unknown = set(sec) - {
-                "p",
-                "q",
-                "p_prime",
-                "q_prime",
-                "c0",
-                "cubes",
-                "pairing_tol",
-                "max_exponent",
-            }
-            _require(not unknown, f"duality: unknown keys {sorted(unknown)}")
-            base = DualitySection()
-            p = float(sec.get("p", base.p))
-            q = float(sec.get("q", base.q))
-            cubes = base.cubes
-            if "cubes" in sec:
-                _require(isinstance(sec["cubes"], list), "duality.cubes must be a list")
-                cubes = tuple(
-                    _cube_from_obj(c, d, f"duality.cubes[{i}]")
-                    for i, c in enumerate(sec["cubes"])
-                )
-            kwargs["duality"] = DualitySection(
-                p=p,
-                q=q,
-                p_prime=float(sec.get("p_prime", conjugate_exponent(p))),
-                q_prime=float(sec.get("q_prime", conjugate_exponent(q))),
-                c0=float(sec.get("c0", base.c0)),
-                cubes=cubes,
-                pairing_tol=float(sec.get("pairing_tol", base.pairing_tol)),
-                max_exponent=int(sec.get("max_exponent", base.max_exponent)),
-            )
-        try:
-            cfg = cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = _section(cls, obj, "config", _CONFIG_KEYS)
         cfg.validate()
         return cfg
 
     def to_obj(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "p": self.p,
-            "q": self.q,
-            "a": self.a,
-            "a_value": self.a_value,
-            "depth": self.depth,
-            "candidate_depth": self.candidate_depth,
-            "quadrature": {
-                "nodes_per_axis": self.quadrature.nodes_per_axis,
-                "refinement_levels": self.quadrature.refinement_levels,
-                "abs_tol": self.quadrature.abs_tol,
-            },
-            "fields": list(self.field_ids),
-            "sigmas": list(self.sigmas),
-            "p_grid": list(self.p_grid),
-            "radius": self.radius,
-            "coverage_points": self.coverage_points,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "embed": self.embed.to_obj(),
-            "subdivide": self.subdivide.to_obj(),
-            "duality": self.duality.to_obj(),
-            "backend": kernels.BACKEND,
-        }
+        return dict(asdict(self), a_value=self.a_value, backend=kernels.BACKEND)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +442,7 @@ def _write_reports(result: RunResult, out_dir: Path, name: str) -> list[Path]:
 
 def _corpus_fields(cfg: ExperimentConfig) -> list[ScalarField]:
     by_id = corpus_by_id(cfg.dimension)
-    return [by_id[fid] for fid in cfg.field_ids]
+    return [by_id[fid] for fid in cfg.fields]
 
 
 def _cube_obj(cube: Cube) -> dict:
@@ -624,10 +539,11 @@ def _run_bmo(cfg: ExperimentConfig) -> RunResult:
     results = []
     checks: list[CheckResult] = []
     for f in _corpus_fields(cfg):
+        cache = OscCache(f, cfg.q, cfg.quadrature)
         est = bmo_norm_estimate(
-            f, cands, cfg.dimension, cfg.radius, cfg.quadrature, q=cfg.q
+            f, cands, cfg.dimension, cfg.radius, cfg.quadrature, q=cfg.q, cache=cache
         )
-        jn = maximize_jnp(f, cands, cfg.p, cfg.q, cfg.quadrature)
+        jn = maximize_jnp(f, cands, cfg.p, cfg.q, cfg.quadrature, cache=cache)
         results.append(dict(est.to_obj(), field=f.id, jnp=jn.to_obj()))
         rows.append((f.id, cfg.q, est.value, est.l1_term, est.sup_term, jn.value, cfg.p))
         checks.append(
@@ -1010,8 +926,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        _require(isinstance(obj, dict), "config must be a JSON object")
     if args.seed is not None:
         _require(0 <= args.seed < 2**64, "--seed must be an unsigned 64-bit integer")
         obj = dict(obj, seed=args.seed)

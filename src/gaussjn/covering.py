@@ -373,7 +373,7 @@ def coverage_report(covering: Covering, n_points: int = 100_000, seed: int = 0) 
         sup = max(sup, ratios[k])
         running_sup.append(sup)
     if len(running_sup) >= 4:
-        plateau_ok = running_sup[-1] == running_sup[-4]
+        plateau_ok = running_sup[-1] == running_sup[-3]
     else:
         plateau_ok = True
 

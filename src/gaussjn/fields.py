@@ -595,12 +595,7 @@ def l1_gamma_norm(
     [estimate, estimate + tail_slack] up to quadrature tolerance.
     """
     box = Cube((0.0,) * d, 2.0 * float(radius))
-    extra: Mapping[int, Sequence[float]] = {}
-    if f.level_breaks is not None:
-        try:
-            extra = f.level_breaks(0.0)
-        except (ValueError, OverflowError):
-            extra = {}
+    extra = level_set_breaks(f, 0.0, np.zeros(1))
     mean_abs = average_gamma(f, box, spec, transform=np.abs, extra_breaks=extra)
     estimate = mean_abs * gaussian_measure(box)
     return estimate, l1_tail_bound(f, radius, d)

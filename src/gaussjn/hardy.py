@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
+from . import kernels
 from .fields import (
     QuadratureSpec,
     ScalarField,
@@ -46,12 +46,14 @@ from .fields import (
     l1_tail_bound,
     level_set_breaks,
     merge_breaks,
+    oscillation,
     product_field,
     restrict_field,
     shift_field,
     truncate,
 )
 from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
+from .jnp import jnp_sum
 
 
 def conjugate_exponent(r: float) -> float:
@@ -336,6 +338,9 @@ def min_centered_oscillation(
     The objective is convex in c; the bracket comes from the field's range
     on a pilot node grid.
     """
+    # lazy: scipy.optimize is slow to import and no CLI subcommand needs it
+    from scipy import optimize
+
     if not q >= 1.0:
         raise ValueError("exponent q must be >= 1")
     pilot = _node_grid(f, cube, spec, level=2)
@@ -874,8 +879,6 @@ def _const_tail_slack(f: ScalarField, n: float, radius: float, d: int) -> float:
 
 
 def _box_mass(radius: float, d: int) -> float:
-    from . import kernels
-
     return kernels.erf(radius) ** d
 
 
@@ -910,8 +913,6 @@ def holder_check(
     Because the atom has zero mean, f can be recentered at f_Q on the left,
     which is exactly what makes the oscillation appear on the right.
     """
-    from .fields import oscillation
-
     q_osc = conjugate_exponent(atom.q)
     gamma_q = gaussian_measure(atom.cube)
     lhs = abs(average_gamma(product_field(f, atom.field), atom.cube, spec) * gamma_q)
@@ -965,8 +966,6 @@ def duality_check(
     bound (1 + C1) * khat * norm_upper with the documented normalization
     C1 = headline_constant also covers the constant term pathway.
     """
-    from .jnp import jnp_sum
-
     checks: list[HolderCheck] = []
     khat = 0.0
     lhs_total = 0.0
@@ -1008,8 +1007,6 @@ def truncation_oscillation_check(
     """(osc of f_N, osc of f, ratio): clamping at N at most doubles the
     q-oscillation, since both f_N and the recentering constant move by at
     most the clamp distance (a 1-Lipschitz map argument)."""
-    from .fields import oscillation
-
     osc_trunc = oscillation(truncate(f, level), cube, q, spec)
     osc_full = oscillation(f, cube, q, spec)
     ratio = math.inf if osc_full == 0.0 else osc_trunc / osc_full

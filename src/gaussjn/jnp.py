@@ -231,7 +231,7 @@ class JnpEstimate:
         }
 
 
-class _OscCache:
+class OscCache:
     """Memoizes gamma(Q) and osc_q(f, Q) per cube across optimizer passes."""
 
     def __init__(self, f: ScalarField, q: float, spec: QuadratureSpec) -> None:
@@ -260,11 +260,11 @@ def maximize_jnp(
     q: float,
     spec: QuadratureSpec,
     *,
-    cache: _OscCache | None = None,
+    cache: OscCache | None = None,
 ) -> JnpEstimate:
     """Best oscillation sum over all antichains of the candidate forest."""
     _check_exponents(p, q)
-    cache = cache or _OscCache(f, q, spec)
+    cache = cache or OscCache(f, q, spec)
     total, picks = max_weight_antichain(
         candidates.roots, lambda node: cache.weight(node.cube, p)
     )
@@ -303,7 +303,7 @@ def maximize_jnp_pool(
     for cube in cubes:
         if not is_admissible(cube, a):
             raise ValueError(f"pool cube (center {cube.center}) is not admissible")
-    cache = _OscCache(f, q, spec)
+    cache = OscCache(f, q, spec)
     order = sorted(range(len(cubes)), key=lambda i: -cache.weight(cubes[i], p))
     chosen: list[int] = []
     for i in order:
@@ -373,18 +373,21 @@ def bmo_norm_estimate(
     spec: QuadratureSpec,
     *,
     q: float = 1.0,
+    cache: OscCache | None = None,
 ) -> BmoEstimate:
     """Lower estimate of the BMO-type norm ||f||_L1 + sup_Q osc_q(f, Q).
 
     The supremum runs over the candidate pool (a lower bound for the true
     supremum over all admissible cubes); the L^1 term integrates over the
-    box (-R, R)^d and logs the analytic tail bound as slack.
+    box (-R, R)^d and logs the analytic tail bound as slack.  A ``cache``
+    for the same (f, q, spec) shares the oscillations with ``maximize_jnp``.
     """
+    cache = cache or OscCache(f, q, spec)
     l1_est, slack = l1_gamma_norm(f, d, radius, spec)
     best = -math.inf
     best_cube: Cube | None = None
     for node in candidates.iter_nodes():
-        osc = oscillation(f, node.cube, q, spec)
+        _, osc = cache.stats(node.cube)
         if osc > best:
             best = osc
             best_cube = node.cube
@@ -417,7 +420,7 @@ def p_limit_scan(
     ps_sorted = sorted(float(p) for p in ps)
     if ps_sorted != [float(p) for p in ps]:
         raise ValueError("exponent grid must be sorted increasing")
-    cache = _OscCache(f, q, spec)
+    cache = OscCache(f, q, spec)
     return [(p, maximize_jnp(f, candidates, p, q, spec, cache=cache)) for p in ps_sorted]
 
 

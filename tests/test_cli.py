@@ -117,6 +117,68 @@ def test_exponent_order_is_enforced_per_subcommand(tmp_path, capsys):
     assert code == 0
 
 
+MALFORMED_CONFIGS = [
+    {"p": "abc"},
+    {"p": None},
+    {"embed": {"trials": "x"}},
+    {"embed": {"pairs": [[3]]}},
+    {"subdivide": {"side": None}},
+    {"sigmas": {"num": "a"}},
+    {"duality": {"cubes": [{"center": [0.0], "side": "a"}]}},
+]
+
+
+@pytest.mark.parametrize("cfg", MALFORMED_CONFIGS, ids=json.dumps)
+def test_malformed_config_value_is_a_config_error(cfg, tmp_path, capsys):
+    code, _ = run_cli("covering", cfg, tmp_path)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+FULL_CONFIG = {
+    "dimension": 2,
+    "p": 3.0,
+    "q": 2.0,
+    "a": 3.5,
+    "depth": 3,
+    "candidate_depth": 2,
+    "quadrature": {"nodes_per_axis": 6, "refinement_levels": 8, "abs_tol": 1e-7},
+    "fields": ["coord0", "step0"],
+    "sigmas": [0.1, 0.5, 2.0],
+    "p_grid": [2.5, 5.0],
+    "radius": 4.0,
+    "coverage_points": 5000,
+    "out_dir": "elsewhere",
+    "seed": 11,
+    "embed": {"pairs": [[5.0, 2.0]], "trials": 7, "margin": 0.1},
+    "subdivide": {
+        "a_start": 3.0,
+        "a_target": 0.5,
+        "center": [1.0, 0.5],
+        "side": 0.5,
+        "atom_q": 2.0,
+    },
+    "duality": {
+        "p": 1.25,
+        "q": 4.0,
+        "p_prime": 5.0,
+        "q_prime": 4.0 / 3.0,
+        "c0": 0.5,
+        "cubes": [{"center": [0.0, 0.0], "side": 0.4}],
+        "pairing_tol": 1e-6,
+        "max_exponent": 20,
+    },
+}
+
+
+@pytest.mark.parametrize("obj", [{}, FULL_CONFIG], ids=["defaults", "every-section"])
+def test_config_to_obj_parses_back_to_the_same_config(obj):
+    cfg = ExperimentConfig.from_obj(obj)
+    dumped = json.loads(json.dumps(cfg.to_obj()))
+    del dumped["a_value"], dumped["backend"]
+    assert ExperimentConfig.from_obj(dumped) == cfg
+
+
 def test_config_object_round_trip():
     cfg = ExperimentConfig.from_obj({"dimension": 2, "p": 3.0, "q": 2.0, "seed": 9})
     obj = cfg.to_obj()
@@ -250,6 +312,21 @@ def test_csv_reports_are_rectangular(tmp_path):
     assert rows[0] == ["field", "p", "q", "value", "family_size", "candidates"]
     assert len(rows) == 3
     assert all(len(r) == len(rows[0]) for r in rows)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, gaussjn.cli; print('scipy.optimize' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,5 +1,6 @@
 """Radius sequence, shell covering, and the contraction chain toward the origin."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from gaussjn.covering import (
     Covering,
+    Layer,
     build_covering,
     coverage_report,
     covering_admissibility,
@@ -192,6 +194,25 @@ def test_coverage_report_small(d):
     assert rep["shell_side_bounds_ok"]
     assert rep["center_bound_ok"]
     assert rep["cube_count"] == cov.cube_count()
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_coverage_report_passes_every_depth(d, depth):
+    rep = coverage_report(build_covering(depth, d), n_points=4000, seed=0)
+    assert rep["cardinality_sup_plateau"], rep["cardinality_ratios"]
+    assert rep["ok"], rep
+
+
+def test_coverage_report_flags_a_padded_last_layer():
+    cov = build_covering(6, 2)
+    last = cov.layers[-1]
+    padded = dataclasses.replace(
+        cov, layers=cov.layers[:-1] + (Layer(last.index, last.cubes + last.cubes),)
+    )
+    rep = coverage_report(padded, n_points=4000, seed=0)
+    assert not rep["cardinality_sup_plateau"], rep["cardinality_ratios"]
+    assert not rep["ok"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ import oracles
 from gaussjn.covering import Covering, Layer, build_covering, radius_sequence
 from gaussjn.fields import QuadratureSpec, corpus_by_id, oscillation
 from gaussjn.geometry import Cube, gaussian_measure
+import gaussjn.jnp as jnp_module
 from gaussjn.jnp import (
     CandidateSet,
     ForestNode,
+    OscCache,
     bmo_norm_estimate,
     jn_tail_fit,
     jnp_sum,
@@ -303,6 +305,23 @@ def test_bmo_estimate_dominates_jnp(cands1, spec):
         for p in (2.0, 4.0):
             est = maximize_jnp(f, cands1, p, 1.0, spec)
             assert est.value <= bmo.value + 1e-9, (fid, p)
+
+
+def test_bmo_and_jnp_share_one_oscillation_per_cube(cands1, spec, monkeypatch):
+    calls = []
+
+    def counted(f, cube, q, spec_):
+        calls.append((cube.center, cube.side))
+        return oscillation(f, cube, q, spec_)
+
+    monkeypatch.setattr(jnp_module, "oscillation", counted)
+    f = corpus_by_id(1)["radius_sq"]
+    cache = OscCache(f, 1.5, spec)
+    shared = bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.5, cache=cache)
+    est = maximize_jnp(f, cands1, 2.0, 1.5, spec, cache=cache)
+    assert len(calls) == len(set(calls)) == cands1.node_count()
+    assert shared == bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.5)
+    assert est == maximize_jnp(f, cands1, 2.0, 1.5, spec)
 
 
 def test_bmo_estimate_serializable(cands1, spec):
