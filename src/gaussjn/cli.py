@@ -91,12 +91,17 @@ def _section(cls, obj, name: str, convert: Mapping[str, Callable]):
 
 
 def _of_type(kind: type, what: str) -> Callable:
+    # bool is an int in Python, but true/false is never a JSON number
     def convert(value):
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise TypeError(f"must be {what}")
         return value
 
     return convert
+
+
+_INTEGER = _of_type(int, "an integer")
+_BOOL = _of_type(bool, "true or false")
 
 
 def _optional(convert: Callable) -> Callable:
@@ -104,6 +109,8 @@ def _optional(convert: Callable) -> Callable:
 
 
 def _floats(value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("must be a list of numbers")
     out = tuple(float(v) for v in value)
     if not all(math.isfinite(v) for v in out):
         raise ValueError("entries must be finite")
@@ -129,7 +136,7 @@ def _sigma_grid(obj) -> tuple[float, ...]:
     """Either an explicit increasing list or {start, stop, num, log}."""
     if isinstance(obj, dict):
         return _section(
-            _grid, obj, "sigmas", {"start": float, "stop": float, "num": int, "log": bool}
+            _grid, obj, "sigmas", {"start": float, "stop": float, "num": _INTEGER, "log": _BOOL}
         )
     grid = _floats(obj)
     _require(len(grid) >= 2, "sigmas: need at least two grid points")
@@ -167,7 +174,12 @@ class EmbedSection:
 def _pairs(value) -> tuple[tuple[float, float], ...]:
     if value is None:
         return EmbedSection.pairs
-    return tuple((float(p[0]), float(p[1])) for p in value)
+    if not isinstance(value, list):
+        raise TypeError("must be a list of [p, q] pairs")
+    pairs = tuple(_floats(pair) for pair in value)
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("each pair must be [p, q]")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -255,8 +267,6 @@ class DualitySection:
             raise ConfigError(f"duality cubes: {exc}") from exc
 
 
-_INTEGER = _of_type(int, "an integer")
-
 # one converter per config key; every default lives in the dataclasses
 _CONFIG_KEYS: dict[str, Callable] = {
     "dimension": _INTEGER,
@@ -269,7 +279,7 @@ _CONFIG_KEYS: dict[str, Callable] = {
         QuadratureSpec,
         obj,
         "quadrature",
-        {"nodes_per_axis": int, "refinement_levels": int, "abs_tol": float},
+        {"nodes_per_axis": _INTEGER, "refinement_levels": _INTEGER, "abs_tol": float},
     ),
     "fields": _field_ids,
     "sigmas": _sigma_grid,
@@ -279,7 +289,7 @@ _CONFIG_KEYS: dict[str, Callable] = {
     "out_dir": _of_type(str, "a string"),
     "seed": _INTEGER,
     "embed": lambda obj: _section(
-        EmbedSection, obj, "embed", {"pairs": _pairs, "trials": int, "margin": float}
+        EmbedSection, obj, "embed", {"pairs": _pairs, "trials": _INTEGER, "margin": float}
     ),
     "subdivide": lambda obj: _section(
         SubdivideSection,
@@ -305,7 +315,7 @@ _CONFIG_KEYS: dict[str, Callable] = {
             "c0": float,
             "cubes": _optional(_cubes),
             "pairing_tol": float,
-            "max_exponent": int,
+            "max_exponent": _INTEGER,
         },
     ),
 }

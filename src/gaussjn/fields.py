@@ -18,19 +18,33 @@ are divided by the exact one-dimensional Gauss measure of the axis
 interval, so every reported quantity is an average and tolerances are
 meaningful uniformly in the cube's location.  A level-L estimate is
 accepted when it agrees with level L-1 within ``abs_tol`` (Richardson-style
-acceptance); running out of levels raises :class:`QuadratureError`.
-Indicator integrands (distribution tails) use the same hierarchy with twice
-the refinement budget and share one node set across the whole sigma grid,
-which makes tail profiles monotone in sigma by construction.  All
-reductions go through the deterministic pairwise kernels.
+acceptance; the largest difference for tail profiles, and within
+``rel_tol`` of the value for weak norms); running out of levels raises
+:class:`QuadratureError`.  Indicator integrands (distribution tails) use
+the same hierarchy with twice the refinement budget and share one node set
+across the whole sigma grid, which makes tail profiles monotone in sigma by
+construction.  All reductions go through the deterministic pairwise kernels.
+
+One function, ``_drive``, runs every refinement.  Each cube's computation is
+a small program -- for an oscillation, the centering average and then the
+centered power average -- and ``_drive`` advances all pending cubes of a
+call one level per round: their rules are built in one vectorized pass per
+level, the field is evaluated once on the stacked nodes, and row-wise
+pairwise trees reduce each cube in the order a one-cube loop would, so every
+value is bit for bit that loop's.  A single cube is a batch of one.  Rules
+larger than ``SHARED_RULE_NODES`` are refined one cube at a time in input
+order, and a batch holds at most ``BATCH_NODES`` nodes, so large integrals
+keep the memory of one rule.  A failing cube stops the cubes after it, and
+the first failure in input order is raised, as a loop over the cubes would.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -230,6 +244,14 @@ def truncate(f: ScalarField, level: float) -> ScalarField:
 # quadrature engine
 # ---------------------------------------------------------------------------
 
+#: Most tensor nodes one batched field evaluation holds.
+BATCH_NODES = 1 << 15
+#: Largest rule a cube brings into a shared evaluation.  Its deeper levels
+#: are refined one cube at a time, in input order: they hold most of the
+#: cost, so a cube that fails there spares every cube after it that work,
+#: as a one-cube loop would, and large integrals keep that loop's memory.
+SHARED_RULE_NODES = 1 << 11
+
 
 @lru_cache(maxsize=64)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,55 +265,136 @@ def _axis_segments(lo: float, hi: float, cuts: Sequence[float]) -> list[tuple[fl
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
-def _axis_rule(
-    segments: Sequence[tuple[float, float]], level: int, order: int
+def _runs(keys: Sequence) -> Iterable[tuple[object, list[int]]]:
+    """Maximal runs of neighbouring equal keys as (key, indices), None keys skipped."""
+    for key, run in itertools.groupby(range(len(keys)), key=keys.__getitem__):
+        if key is not None:
+            yield key, list(run)
+
+
+class _Panels:
+    """A cube's axis intervals split at the breaks, as rows of segments.
+
+    Rows run axis by axis (``counts`` segments per axis); ``total`` holds,
+    on each row, the Gauss measure of the whole axis interval.
+    """
+
+    def __init__(self, cube: Cube, breaks: Mapping[int, Sequence[float]]) -> None:
+        self.cube = cube
+        self.counts: list[int] = []
+        self.a: list[float] = []
+        self.b: list[float] = []
+        self.total: list[float] = []
+        self.vanishing: int | None = None
+        for ax in range(cube.dim):
+            lo, hi = cube.lo[ax], cube.hi[ax]
+            segments = _axis_segments(lo, hi, breaks.get(ax, ()))
+            total = kernels.gauss1d(lo, hi)
+            if total <= 0.0 and self.vanishing is None:
+                self.vanishing = ax
+            self.counts.append(len(segments))
+            self.a.extend(a for a, _ in segments)
+            self.b.extend(b for _, b in segments)
+            self.total.extend([total] * len(segments))
+
+    def check(self, level: int, order: int) -> int:
+        """Tensor node count at this level; raises when the rule cannot be built."""
+        cube = self.cube
+        if self.vanishing is not None:
+            ax = self.vanishing
+            raise QuadratureError(
+                f"refinement level {level} has axis {ax} interval ({cube.lo[ax]}, {cube.hi[ax]}) "
+                f"of vanishing Gauss measure on cube center {cube.center} side {cube.side}"
+            )
+        count = math.prod(c * (order << level) for c in self.counts)
+        if count > MAX_TENSOR_NODES:
+            raise QuadratureError(
+                f"refinement level {level} would need {count} tensor nodes "
+                f"(cap {MAX_TENSOR_NODES}) on cube center {cube.center} side {cube.side}"
+            )
+        return count
+
+
+def _axis_rules(
+    a: np.ndarray, b: np.ndarray, total: np.ndarray, level: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and *normalized* gamma weights for one axis at one level."""
+    """Nodes and *normalized* gamma weights on the segments (a_i, b_i) at one level.
+
+    Row i holds segment i's 2^level panels of Gauss-Legendre nodes in order;
+    its weights are divided by sqrt(pi) and by the row's axis ``total``.
+    """
     gx, gw = _leggauss(order)
-    nodes = []
-    weights = []
-    for a, b in segments:
-        panels = 1 << level
-        width = (b - a) / panels
-        half = 0.5 * width
-        starts = a + width * np.arange(panels)
-        mids = starts + half
-        x = (mids[:, None] + half * gx[None, :]).ravel()
-        w = (half * gw)[None, :] * np.exp(-x * x).reshape(panels, order)
-        nodes.append(x)
-        weights.append(w.ravel() / _SQRT_PI)
-    x_all = np.concatenate(nodes)
-    w_all = np.concatenate(weights)
-    total = kernels.gauss1d(segments[0][0], segments[-1][1])
-    if total <= 0.0:
-        raise QuadratureError("axis interval has vanishing Gauss measure")
-    return x_all, w_all / total
+    panels = 1 << level
+    width = (b - a) / panels
+    half = 0.5 * width
+    mids = a[:, None] + width[:, None] * np.arange(panels) + half[:, None]
+    x = mids[:, :, None] + half[:, None, None] * gx
+    w = half[:, None, None] * gw * np.exp(-x * x)
+    w = w / _SQRT_PI / total[:, None, None]
+    return x.reshape(a.size, -1), w.reshape(a.size, -1)
+
+
+def _tensor(
+    axis_nodes: Sequence[np.ndarray], axis_weights: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    mesh = np.meshgrid(*axis_nodes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    w = axis_weights[0]
+    for ax in range(1, len(axis_weights)):
+        w = (w[:, None] * axis_weights[ax][None, :]).ravel()
+    return pts, w
+
+
+def _rules(
+    panels: Sequence[_Panels], levels: Sequence[int], order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked tensor rules of many cubes: (points, weights, nodes per cube).
+
+    Each cube's nodes form one block, in the order given.  The axis rules of
+    every run of equal levels are built in one vectorized pass.
+    """
+    d = panels[0].cube.dim
+    pts_parts: list[np.ndarray] = []
+    w_parts: list[np.ndarray] = []
+    sizes: list[int] = []
+    for level, ks in _runs(levels):
+        run = [panels[k] for k in ks]
+        x, w = _axis_rules(
+            np.array([v for p in run for v in p.a]),
+            np.array([v for p in run for v in p.b]),
+            np.array([v for p in run for v in p.total]),
+            level,
+            order,
+        )
+        if d == 1:
+            pts_parts.append(x.reshape(-1, 1))
+            w_parts.append(w.reshape(-1))
+            sizes.extend(p.counts[0] * x.shape[1] for p in run)
+        else:
+            row = 0
+            for p in run:
+                axis_x, axis_w = [], []
+                for c in p.counts:
+                    axis_x.append(x[row : row + c].ravel())
+                    axis_w.append(w[row : row + c].ravel())
+                    row += c
+                pk, wk = _tensor(axis_x, axis_w)
+                pts_parts.append(pk)
+                w_parts.append(wk)
+                sizes.append(wk.size)
+    sizes_arr = np.array(sizes, dtype=np.int64)
+    if len(pts_parts) == 1:
+        return pts_parts[0], w_parts[0], sizes_arr
+    return np.concatenate(pts_parts), np.concatenate(w_parts), sizes_arr
 
 
 def tensor_rule(
     cube: Cube, breaks: Mapping[int, Sequence[float]], level: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """All tensor nodes (n, d) and normalized weights (n,) for the cube."""
-    d = cube.dim
-    axis_nodes = []
-    axis_weights = []
-    count = 1
-    for ax in range(d):
-        segs = _axis_segments(cube.lo[ax], cube.hi[ax], breaks.get(ax, ()))
-        x, w = _axis_rule(segs, level, order)
-        axis_nodes.append(x)
-        axis_weights.append(w)
-        count *= x.size
-    if count > MAX_TENSOR_NODES:
-        raise QuadratureError(
-            f"refinement level {level} would need {count} tensor nodes (cap {MAX_TENSOR_NODES}) "
-            f"on cube center {cube.center} side {cube.side}"
-        )
-    mesh = np.meshgrid(*axis_nodes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = axis_weights[0]
-    for ax in range(1, d):
-        w = (w[:, None] * axis_weights[ax][None, :]).ravel()
+    panels = _Panels(cube, breaks)
+    panels.check(level, order)
+    pts, w, _ = _rules([panels], [level], order)
     return pts, w
 
 
@@ -305,8 +408,9 @@ def field_rule(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``tensor_rule`` for the quadrature ``what`` of field f.
 
-    A node-cap :class:`QuadratureError` is re-raised with the quadrature and
-    the field id in front of the cube, level and node count it names.
+    A :class:`QuadratureError` (node cap, vanishing measure) is re-raised
+    with the quadrature and the field id in front of the cube and level it
+    names.
     """
     try:
         return tensor_rule(cube, breaks, level, order)
@@ -321,6 +425,230 @@ def _not_converged(
         f"{what} of field {f.id} on cube center {cube.center} side {cube.side} "
         f"did not converge by refinement level {level} ({nodes} tensor nodes): {detail}"
     )
+
+
+class _Centered(NamedTuple):
+    """The transform v -> |v - center|^q, applied to many cubes in one pass."""
+
+    center: float
+    q: float
+
+
+class _Quad:
+    """One refinement ``_drive`` runs: the cube's rule, its reduction, its state.
+
+    Each level estimates ``reduce(transform(f), weights)`` on the cube's own
+    nodes; without ``reduce``, the self-normalized gamma average of
+    ``transform(f)``.  Levels 0..``top`` are tried in turn, and a level is
+    accepted when it differs from the previous one by at most
+    max(``tol``, ``rel_tol`` * |estimate|), by the largest entry for arrays.
+    """
+
+    def __init__(
+        self,
+        what: str,
+        cube: Cube,
+        breaks: Mapping[int, Sequence[float]],
+        top: int,
+        tol: float,
+        *,
+        transform: Callable[[np.ndarray], np.ndarray] | _Centered | None = None,
+        reduce: Callable[[np.ndarray, np.ndarray], object] | None = None,
+        rel_tol: float = 0.0,
+    ) -> None:
+        self.what = what
+        self.cube = cube
+        self.panels = _Panels(cube, breaks)
+        self.top = top
+        self.tol = tol
+        self.transform = transform
+        self.reduce = reduce
+        self.rel_tol = rel_tol
+        self.level = 0
+        self.prev: object = None
+        self.diff = math.inf
+        self.nodes = 0
+
+    def estimate(self, vals: np.ndarray, w: np.ndarray) -> object:
+        # rebinding vals frees the field values of a large rule before the
+        # reduction, when the caller keeps no reference to them
+        t = self.transform
+        if isinstance(t, _Centered):
+            vals = np.abs(vals - t.center) ** t.q
+        elif t is not None:
+            vals = t(vals)
+        if self.reduce is not None:
+            return self.reduce(vals, w)
+        return kernels.weighted_sum(vals, w) / kernels.pairwise_sum(w)
+
+    def accept(self, est: object, nodes: int) -> bool:
+        """Record the estimate of the current level; True when it is accepted."""
+        prev, self.prev = self.prev, est
+        self.nodes = nodes
+        self.level += 1
+        if prev is None:
+            return False
+        if isinstance(est, np.ndarray):
+            self.diff = float(np.max(np.abs(est - prev)))
+            return self.diff <= self.tol
+        self.diff = abs(est - prev)
+        return self.diff <= max(self.tol, self.rel_tol * abs(est))
+
+    def failure(self, f: ScalarField) -> QuadratureError:
+        # weak norms accept relative to their value, so only the difference is named
+        detail = f"last diff {self.diff:.3e}"
+        if not self.rel_tol:
+            detail += f" > {self.tol:.3e}"
+        return _not_converged(self.what, f, self.cube, self.level - 1, self.nodes, detail)
+
+
+def _exponent(quad: _Quad) -> float | None:
+    return quad.transform.q if isinstance(quad.transform, _Centered) else None
+
+
+def _batch_estimates(
+    quads: Sequence[_Quad], vals: np.ndarray, w: np.ndarray, sizes: np.ndarray
+) -> list:
+    """``_Quad.estimate`` of every request of one stacked evaluation.
+
+    Plain and centered means are reduced in passes over runs of neighbouring
+    requests: the centered powers of a run with one exponent, then row-wise
+    pairwise trees over a run of one node count, which add in the order of
+    the one-cube sums.  Any other request is estimated on its own slice.
+    """
+    ends = np.cumsum(sizes).tolist()
+    spans = [slice(end - n, end) for end, n in zip(ends, sizes.tolist())]
+    pooled = [q.reduce is None and (q.transform is None or _exponent(q) is not None) for q in quads]
+    out: list = [None] * len(quads)
+    for k, quad in enumerate(quads):
+        if not pooled[k]:
+            out[k] = quad.estimate(vals[spans[k]], w[spans[k]])
+    tv = vals
+    for q, run in _runs([_exponent(quad) if ok else None for quad, ok in zip(quads, pooled)]):
+        span = slice(spans[run[0]].start, spans[run[-1]].stop)
+        center = np.repeat([quads[k].transform.center for k in run], sizes[run[0] : run[-1] + 1])
+        tv = vals.copy() if tv is vals else tv
+        tv[span] = np.abs(vals[span] - center) ** q
+    prod = tv * w
+    for n, run in _runs([int(n) if ok else None for n, ok in zip(sizes, pooled)]):
+        span = slice(spans[run[0]].start, spans[run[-1]].stop)
+        num = kernels.pairwise_sum_rows(prod[span].reshape(len(run), n)).tolist()
+        den = kernels.pairwise_sum_rows(w[span].reshape(len(run), n)).tolist()
+        for k, a, b in zip(run, num, den):
+            out[k] = a / b
+    return out
+
+
+def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
+    """Run one-cube quadrature programs with shared, level-by-level refinement.
+
+    Each program is a generator: the one-cube computation written straight
+    through, which yields a ``_Quad`` whenever it needs a refined quantity,
+    receives the accepted estimate and finally returns its cube's result.
+    Every round advances each pending request by one level.  Requests whose
+    next rule has at most ``SHARED_RULE_NODES`` nodes have their rules built
+    together, one vectorized pass per level, and the field is evaluated once
+    per batch of at most ``BATCH_NODES`` nodes.  A request whose next rule
+    is larger is set aside; when no shared request is left, the set-aside
+    cubes are refined alone, in input order, each with its program's
+    remaining requests.  Either way each cube's estimates, and so its
+    result, are bit for bit those of refining it alone.
+
+    A failure at cube i (its program raising, a rule that cannot be built,
+    or no convergence by the last level) stops every cube after i; once the
+    cubes before i are done, the first failure in input order is raised.
+    """
+    results: list = [None] * len(programs)
+    pending: dict[int, _Quad] = {}
+    solo: set[int] = set()
+    # cubes from failed_at on are not refined further; error is their first failure
+    failed_at, error = len(programs), None
+
+    def fail(i: int, exc: Exception) -> None:
+        nonlocal failed_at, error
+        pending.pop(i, None)
+        if i < failed_at:
+            failed_at, error = i, exc
+
+    def advance(i: int, value: object = None) -> None:
+        try:
+            pending[i] = programs[i].send(value)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+        except Exception as exc:  # re-raised once the cubes before i are done
+            fail(i, exc)
+
+    def size(i: int) -> int | None:
+        quad = pending[i]
+        try:
+            return quad.panels.check(quad.level, order)
+        except QuadratureError as exc:
+            fail(i, QuadratureError(f"{quad.what} of field {f.id}: {exc}"))
+            return None
+
+    def step(batch: list[int]) -> None:
+        # neighbours share passes: the powers of one exponent, the axis rules
+        # of one level, the sums of one node count
+        batch.sort(
+            key=lambda i: (
+                _exponent(pending[i]) or 0.0,
+                pending[i].level,
+                math.prod(pending[i].panels.counts),
+            )
+        )
+        quads = [pending[i] for i in batch]
+        pts, w, sizes = _rules([q.panels for q in quads], [q.level for q in quads], order)
+        if len(quads) == 1:
+            ests = [quads[0].estimate(f(pts), w)]
+        else:
+            ests = _batch_estimates(quads, f(pts), w, sizes)
+        for i, quad, est, n in sorted(zip(batch, quads, ests, sizes.tolist()), key=lambda r: r[0]):
+            if i >= failed_at:
+                break
+            if quad.accept(est, n):
+                advance(i, est)
+            elif quad.level > quad.top:
+                fail(i, quad.failure(f))
+
+    for i in range(len(programs)):
+        if i < failed_at:
+            advance(i)
+    while True:
+        live = [i for i in sorted(pending) if i < failed_at]
+        if not live:
+            break
+        shared = [i for i in live if i not in solo]
+        if not shared:
+            i = live[0]
+            while i in pending and i < failed_at and size(i) is not None:
+                step([i])
+            continue
+        batches: list[list[int]] = [[]]
+        total = 0
+        for i in shared:
+            n = size(i)
+            if n is None:
+                break
+            if n > SHARED_RULE_NODES:
+                solo.add(i)
+                continue
+            if total + n > BATCH_NODES:
+                batches.append([])
+                total = 0
+            batches[-1].append(i)
+            total += n
+        for batch in batches:
+            batch = [i for i in batch if i < failed_at]
+            if batch:
+                step(batch)
+    if error is not None:
+        raise error
+    return results
+
+
+def _single(quad: _Quad) -> Generator:
+    return (yield quad)
 
 
 def average_gamma(
@@ -342,34 +670,50 @@ def average_gamma(
     """
     breaks = merge_breaks(f.breaks, extra_breaks or {})
     tol = spec.abs_tol if abs_tol is None else abs_tol
-    prev: float | None = None
-    last_diff = math.inf
-    for level in range(spec.refinement_levels + 1):
-        pts, w = field_rule("average", f, cube, breaks, level, spec.nodes_per_axis)
-        vals = f(pts)
-        if transform is not None:
-            vals = transform(vals)
-        est = kernels.weighted_sum(vals, w) / kernels.pairwise_sum(w)
-        if prev is not None:
-            last_diff = abs(est - prev)
-            if last_diff <= tol:
-                return est
-        prev = est
-    raise _not_converged(
-        "average", f, cube, level, w.size, f"last diff {last_diff:.3e} > {tol:.3e}"
-    )
+    quad = _Quad("average", cube, breaks, spec.refinement_levels, tol, transform=transform)
+    return _drive(f, [_single(quad)], spec.nodes_per_axis)[0]
+
+
+def _mean_steps(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> Generator:
+    if gaussian_measure(cube) <= 0.0:
+        raise ValueError("cube has vanishing Gauss measure")
+    breaks = merge_breaks(f.breaks)
+    return (yield _Quad("average", cube, breaks, spec.refinement_levels, spec.abs_tol))
 
 
 def gauss_average(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
     """f_Q = gamma(Q)^(-1) Int_Q f dgamma."""
-    if gaussian_measure(cube) <= 0.0:
-        raise ValueError("cube has vanishing Gauss measure")
-    return average_gamma(f, cube, spec)
+    return _drive(f, [_mean_steps(f, cube, spec)], spec.nodes_per_axis)[0]
 
 
 def integral_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
     """Int_Q f dgamma (unnormalized)."""
     return gauss_average(f, cube, spec) * gaussian_measure(cube)
+
+
+def _oscillation_steps(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> Generator:
+    center = yield from _mean_steps(f, cube, spec)
+    extra = level_set_breaks(f, center, np.zeros(1))
+    breaks = merge_breaks(f.breaks, extra)
+    mean_pow = yield _Quad(
+        "average", cube, breaks, spec.refinement_levels, spec.abs_tol,
+        transform=_Centered(center, q),
+    )
+    return mean_pow ** (1.0 / q)
+
+
+def oscillations(
+    f: ScalarField, cubes: Sequence[Cube], q: float, spec: QuadratureSpec
+) -> list[float]:
+    """``oscillation`` of f on every cube, all cubes refined together.
+
+    Each value is bit for bit the one-cube ``oscillation``; a failure is
+    the one the cube-by-cube loop would raise first.
+    """
+    if not q >= 1.0:
+        raise ValueError("oscillation exponent q must be >= 1")
+    programs = [_oscillation_steps(f, cube, q, spec) for cube in cubes]
+    return _drive(f, programs, spec.nodes_per_axis)
 
 
 def oscillation(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> float:
@@ -379,14 +723,7 @@ def oscillation(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> f
     the field can solve its level sets those positions are added to the
     panel breaks so the kink never crosses a panel.
     """
-    if not q >= 1.0:
-        raise ValueError("oscillation exponent q must be >= 1")
-    center = gauss_average(f, cube, spec)
-    extra = level_set_breaks(f, center, np.zeros(1))
-    mean_pow = average_gamma(
-        f, cube, spec, transform=lambda v: np.abs(v - center) ** q, extra_breaks=extra
-    )
-    return mean_pow ** (1.0 / q)
+    return oscillations(f, [cube], q, spec)[0]
 
 
 def lq_norm(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> float:
@@ -441,30 +778,40 @@ def level_set_breaks(
     return merge_breaks(*pieces) if pieces else {}
 
 
-def _tail_converge(
-    f: ScalarField,
-    cube: Cube,
-    sigmas: np.ndarray,
-    spec: QuadratureSpec,
-    center: float,
-) -> np.ndarray:
-    breaks = merge_breaks(f.breaks, level_set_breaks(f, center, sigmas))
+def _tail_steps(
+    f: ScalarField, cube: Cube, sig: np.ndarray, spec: QuadratureSpec, center: float | None
+) -> Generator:
+    c = (yield from _mean_steps(f, cube, spec)) if center is None else float(center)
+    breaks = merge_breaks(f.breaks, level_set_breaks(f, c, sig))
     gq = gaussian_measure(cube)
-    levels = 2 * spec.refinement_levels
-    prev: np.ndarray | None = None
-    last_diff = math.inf
-    for level in range(levels + 1):
-        pts, w = field_rule("tail profile", f, cube, breaks, level, spec.nodes_per_axis)
-        av = np.abs(f(pts) - center)
-        tails = kernels.tail_sums(av, w * gq, sigmas)
-        if prev is not None:
-            last_diff = float(np.max(np.abs(tails - prev)))
-            if last_diff <= spec.abs_tol:
-                return tails
-        prev = tails
-    raise _not_converged(
-        "tail profile", f, cube, level, w.size, f"last diff {last_diff:.3e} > {spec.abs_tol:.3e}"
+    tails = yield _Quad(
+        "tail profile", cube, breaks, 2 * spec.refinement_levels, spec.abs_tol,
+        transform=lambda v: np.abs(v - c),
+        reduce=lambda av, w: kernels.tail_sums(av, w * gq, sig),
     )
+    return DistributionProfile(
+        field_id=f.id, cube=cube, sigmas=tuple(sig.tolist()), tails=tuple(tails.tolist())
+    )
+
+
+def tail_profiles(
+    f: ScalarField,
+    cubes: Sequence[Cube],
+    sigmas: Sequence[float],
+    spec: QuadratureSpec,
+    *,
+    center: float | None = None,
+) -> list[DistributionProfile]:
+    """``tail_profile`` of f on every cube, all cubes refined together.
+
+    Each profile is bit for bit the one-cube ``tail_profile``; a failure is
+    the one the cube-by-cube loop would raise first.
+    """
+    sig = np.asarray(sorted(float(s) for s in sigmas), dtype=np.float64)
+    if sig.size == 0 or sig[0] < 0.0:
+        raise ValueError("sigma grid must be nonempty and nonnegative")
+    programs = [_tail_steps(f, cube, sig, spec, center) for cube in cubes]
+    return _drive(f, programs, spec.nodes_per_axis)
 
 
 def tail_profile(
@@ -484,14 +831,7 @@ def tail_profile(
     breaks, which makes one-dimensional profiles exact at the coarsest
     level.  Pass ``center=0.0`` for uncentered tails of |f|.
     """
-    sig = np.asarray(sorted(float(s) for s in sigmas), dtype=np.float64)
-    if sig.size == 0 or sig[0] < 0.0:
-        raise ValueError("sigma grid must be nonempty and nonnegative")
-    c = gauss_average(f, cube, spec) if center is None else float(center)
-    tails = _tail_converge(f, cube, sig, spec, c)
-    return DistributionProfile(
-        field_id=f.id, cube=cube, sigmas=tuple(sig.tolist()), tails=tuple(tails.tolist())
-    )
+    return tail_profiles(f, [cube], sigmas, spec, center=center)[0]
 
 
 def tail_measure(
@@ -541,18 +881,13 @@ def weak_lp_norm(
     if not p >= 1.0:
         raise ValueError("exponent p must be >= 1")
     gq = gaussian_measure(cube)
-    breaks = merge_breaks(f.breaks)
-    prev: float | None = None
-    last_diff = math.inf
-    for lv in range(2 * spec.refinement_levels + 1):
-        pts, w = field_rule("weak norm", f, cube, breaks, lv, spec.nodes_per_axis)
-        sup = _node_measure_weak_sup(np.abs(f(pts)), w * gq, p)
-        if prev is not None:
-            last_diff = abs(sup - prev)
-            if last_diff <= max(spec.abs_tol, rel_tol * abs(sup)):
-                return sup
-        prev = sup
-    raise _not_converged("weak norm", f, cube, lv, w.size, f"last diff {last_diff:.3e}")
+    quad = _Quad(
+        "weak norm", cube, merge_breaks(f.breaks), 2 * spec.refinement_levels, spec.abs_tol,
+        transform=np.abs,
+        reduce=lambda av, w: _node_measure_weak_sup(av, w * gq, p),
+        rel_tol=rel_tol,
+    )
+    return _drive(f, [_single(quad)], spec.nodes_per_axis)[0]
 
 
 def growth_tail_bound(a_coef: float, b_coef: float, radius: float, d: int) -> float:

@@ -29,7 +29,14 @@ import numpy as np
 
 from . import kernels
 from .covering import Covering
-from .fields import QuadratureSpec, ScalarField, gauss_average, l1_gamma_norm, oscillation, tail_profile
+from .fields import (
+    DistributionProfile,
+    QuadratureSpec,
+    ScalarField,
+    l1_gamma_norm,
+    oscillations,
+    tail_profiles,
+)
 from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
 
 
@@ -73,9 +80,8 @@ def jnp_sum(
     _check_exponents(p, q)
     if a is not None:
         validate_family(cubes, a)
-    total = math.fsum(
-        gaussian_measure(c) * oscillation(f, c, q, spec) ** p for c in cubes
-    )
+    oscs = oscillations(f, cubes, q, spec)
+    total = math.fsum(gaussian_measure(c) * osc**p for c, osc in zip(cubes, oscs))
     return total ** (1.0 / p)
 
 
@@ -240,12 +246,27 @@ class OscCache:
         self.spec = spec
         self._data: dict[tuple, tuple[float, float]] = {}
 
+    def fill(self, cubes: Iterable[Cube]) -> None:
+        """Compute every missing oscillation in one batched pass.
+
+        The cubes are refined together; a failure is the one that calling
+        ``stats`` on them in the given order would raise first.
+        """
+        missing: dict[tuple, Cube] = {}
+        for cube in cubes:
+            key = (cube.center, cube.side)
+            if key not in self._data:
+                missing.setdefault(key, cube)
+        oscs = oscillations(self.f, list(missing.values()), self.q, self.spec)
+        for (key, cube), osc in zip(missing.items(), oscs):
+            self._data[key] = (gaussian_measure(cube), osc)
+
     def stats(self, cube: Cube) -> tuple[float, float]:
         key = (cube.center, cube.side)
         hit = self._data.get(key)
         if hit is None:
-            hit = (gaussian_measure(cube), oscillation(self.f, cube, self.q, self.spec))
-            self._data[key] = hit
+            self.fill([cube])
+            hit = self._data[key]
         return hit
 
     def weight(self, cube: Cube, p: float) -> float:
@@ -265,6 +286,7 @@ def maximize_jnp(
     """Best oscillation sum over all antichains of the candidate forest."""
     _check_exponents(p, q)
     cache = cache or OscCache(f, q, spec)
+    cache.fill(candidates.cubes())
     total, picks = max_weight_antichain(
         candidates.roots, lambda node: cache.weight(node.cube, p)
     )
@@ -304,6 +326,7 @@ def maximize_jnp_pool(
         if not is_admissible(cube, a):
             raise ValueError(f"pool cube (center {cube.center}) is not admissible")
     cache = OscCache(f, q, spec)
+    cache.fill(cubes)
     order = sorted(range(len(cubes)), key=lambda i: -cache.weight(cubes[i], p))
     chosen: list[int] = []
     for i in order:
@@ -384,6 +407,7 @@ def bmo_norm_estimate(
     """
     cache = cache or OscCache(f, q, spec)
     l1_est, slack = l1_gamma_norm(f, d, radius, spec)
+    cache.fill(candidates.cubes())
     best = -math.inf
     best_cube: Cube | None = None
     for node in candidates.iter_nodes():
@@ -482,18 +506,21 @@ def jn_tail_fit(
     noise-dominated extreme tail.  ``khat`` is a caller-supplied oscillation
     functional estimate used only to normalize c_estimate.
     """
-    if not khat > 0.0:
-        raise ValueError("khat must be positive")
-    profile = tail_profile(f, cube, sigmas, spec)
-    gq = gaussian_measure(cube)
+    return tail_fit_sweep(f, [cube], p, spec, sigmas, khat, tail_floor=tail_floor)[0]
+
+
+def _tail_fit(
+    profile: DistributionProfile, p: float, khat: float, tail_floor: float
+) -> TailFitReport:
+    gq = gaussian_measure(profile.cube)
     sig = np.asarray(profile.sigmas)
     tails = np.asarray(profile.tails)
     mask = (tails > tail_floor) & (tails < 0.5 * gq)
     idx = np.nonzero(mask)[0]
     if idx.size < 2:
         return TailFitReport(
-            field_id=f.id,
-            cube=cube,
+            field_id=profile.field_id,
+            cube=profile.cube,
             p=p,
             khat=khat,
             sigmas=profile.sigmas,
@@ -509,8 +536,8 @@ def jn_tail_fit(
     slope = float(np.polyfit(xs, ys, 1)[0])
     c_est = float(np.max(sig[lo:hi] ** p * tails[lo:hi]) / khat**p)
     return TailFitReport(
-        field_id=f.id,
-        cube=cube,
+        field_id=profile.field_id,
+        cube=profile.cube,
         p=p,
         khat=khat,
         sigmas=profile.sigmas,
@@ -529,8 +556,13 @@ def tail_fit_sweep(
     spec: QuadratureSpec,
     sigmas: Sequence[float],
     khat: float,
-    **kwargs,
+    *,
+    tail_floor: float = 1e-6,
 ) -> list[TailFitReport]:
-    """Tail fits across a family of cubes; degenerate cubes are kept in the
-    report (flagged) so sweeps never hide them."""
-    return [jn_tail_fit(f, c, p, spec, sigmas, khat, **kwargs) for c in cubes]
+    """Tail fits across a family of cubes, their profiles refined together;
+    degenerate cubes are kept in the report (flagged) so sweeps never hide
+    them."""
+    if not khat > 0.0:
+        raise ValueError("khat must be positive")
+    profiles = tail_profiles(f, cubes, sigmas, spec)
+    return [_tail_fit(profile, p, khat, tail_floor) for profile in profiles]

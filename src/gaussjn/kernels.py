@@ -9,7 +9,8 @@ complement come from the libraries: the scalar ``erf``/``erfc`` are
 relative accuracy deep in the right tail, which ``gauss1d`` relies on.
 
 Every reduction uses one fixed pairwise tree, so sums are deterministic
-run-to-run.  ``BACKEND`` names the implementation in reports.
+run-to-run; ``pairwise_sum_rows`` runs the same tree on every row of a
+matrix at once.  ``BACKEND`` names the implementation in reports.
 
 Box geometry goes through one uniform-grid bucket index (``_BoxGrid``):
 each nonempty box is filed under every cell it meets, with the cell step
@@ -74,6 +75,27 @@ def weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
     v = np.asarray(values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
     return _tree_sum(v * w)
+
+
+def pairwise_sum_rows(values: np.ndarray) -> np.ndarray:
+    """Row sums of a (k, n) array, each with the tree of ``pairwise_sum``.
+
+    The passes pair the columns exactly as ``_tree_sum`` pairs the entries
+    of one row, so row i of the result equals ``pairwise_sum(values[i])``
+    bit for bit.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    n = a.shape[1]
+    if n == 0:
+        return np.zeros(a.shape[0])
+    while n > 1:
+        half = n // 2
+        merged = a[:, 0 : 2 * half : 2] + a[:, 1 : 2 * half : 2]
+        if n % 2 == 1:
+            merged = np.concatenate([merged, a[:, n - 1 : n]], axis=1)
+        a = merged
+        n = a.shape[1]
+    return a[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +297,7 @@ def warmup() -> None:
     erf_array(np.array([0.1, 2.5]))
     erfc_array(np.array([0.1, 2.5]))
     pairwise_sum(np.array([1.0, 2.0, 3.0]))
+    pairwise_sum_rows(np.ones((2, 3)))
     weighted_sum(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
     count_membership(pts, lo, hi)
     tail_sums(np.array([0.5, 1.5]), np.array([1.0, 1.0]), np.array([1.0]))

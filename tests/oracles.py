@@ -140,41 +140,54 @@ def step_weak_lp_mp(edges, values, lo, hi, axis: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def antichain_best_exhaustive(roots, weight_of) -> float:
-    """Maximum antichain weight by explicit enumeration of all node subsets.
+class ExhaustiveAntichains:
+    """Every antichain of a small forest, enumerated once as a bit table.
 
     Builds the ancestor relation, materializes every subset of the node set
-    as a bit table, masks out subsets containing an ancestor-descendant
-    pair, and maximizes the weight sum.  Exponential, only for small forests
-    (<= ~16 nodes); completely independent of the package's recursive DP.
+    as a bit table and keeps the subsets that contain no ancestor-descendant
+    pair.  ``best`` then maximizes a weight sum over the kept rows, so many
+    weight draws on one forest shape share the exponential enumeration.
+    Only for small forests (<= ~16 nodes); completely independent of the
+    package's recursive DP.
     """
-    nodes = []
-    parents = {}
-    stack = [(r, None) for r in roots]
-    while stack:
-        node, parent = stack.pop()
-        idx = len(nodes)
-        nodes.append(node)
-        parents[idx] = parent
-        for child in node.children:
-            stack.append((child, idx))
-    n = len(nodes)
-    if n == 0:
-        return 0.0
-    if n > 20:
-        raise ValueError("exhaustive oracle limited to 20 nodes")
-    anc = np.zeros((n, n), dtype=np.int64)  # anc[i, j] = 1 if i is a proper ancestor of j
-    for j in range(n):
-        i = parents[j]
-        while i is not None:
-            anc[i, j] = 1
-            i = parents[i]
-    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    chosen_anc = bits @ anc
-    valid = ~np.any((bits == 1) & (chosen_anc > 0), axis=1)
-    weights = np.array([float(weight_of(nd)) for nd in nodes])
-    totals = bits @ weights
-    return float(np.max(totals[valid]))
+
+    def __init__(self, roots) -> None:
+        nodes = []
+        parents = {}
+        stack = [(r, None) for r in roots]
+        while stack:
+            node, parent = stack.pop()
+            idx = len(nodes)
+            nodes.append(node)
+            parents[idx] = parent
+            for child in node.children:
+                stack.append((child, idx))
+        n = len(nodes)
+        if n > 20:
+            raise ValueError("exhaustive oracle limited to 20 nodes")
+        anc = np.zeros((n, n), dtype=np.int64)  # anc[i, j] = 1 if i is a proper ancestor of j
+        for j in range(n):
+            i = parents[j]
+            while i is not None:
+                anc[i, j] = 1
+                i = parents[i]
+        bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+        chosen_anc = bits @ anc
+        valid = ~np.any((bits == 1) & (chosen_anc > 0), axis=1)
+        self.nodes = nodes
+        self.antichains = bits[valid].astype(np.float64)
+
+    def best(self, weight_of) -> float:
+        """Maximum antichain weight sum (0.0 for an empty forest)."""
+        if not self.nodes:
+            return 0.0
+        weights = np.array([float(weight_of(nd)) for nd in self.nodes])
+        return float(np.max(self.antichains @ weights))
+
+
+def antichain_best_exhaustive(roots, weight_of) -> float:
+    """Maximum antichain weight by explicit enumeration of all node subsets."""
+    return ExhaustiveAntichains(roots).best(weight_of)
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +292,162 @@ def embedding_factor(p: float, q: float, gamma_q: float) -> float:
     """(p/(p-q))^(1/q) * gamma(Q)^(1/q - 1/p), computed at high precision."""
     p_, q_, g = mp.mpf(p), mp.mpf(q), mp.mpf(gamma_q)
     return float((p_ / (p_ - q_)) ** (1 / q_) * g ** (1 / q_ - 1 / p_))
+
+
+# ---------------------------------------------------------------------------
+# one-cube refinement loops (the quadrature before cubes were batched)
+# ---------------------------------------------------------------------------
+#
+# Each loop builds its rule segment by segment and refines one cube level by
+# level, with the package's acceptance rules and pairwise kernels.  The
+# batched refinement in ``gaussjn.fields`` must reproduce them bit for bit.
+
+
+SQRT_PI_FLOAT = math.sqrt(math.pi)
+
+
+def axis_rule_loop(segments, level: int, order: int):
+    """Nodes and normalized gamma weights for one axis, one segment at a time."""
+    from gaussjn import kernels
+    from gaussjn.fields import QuadratureError
+
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    nodes = []
+    weights = []
+    for a, b in segments:
+        panels = 1 << level
+        width = (b - a) / panels
+        half = 0.5 * width
+        starts = a + width * np.arange(panels)
+        mids = starts + half
+        x = (mids[:, None] + half * gx[None, :]).ravel()
+        w = (half * gw)[None, :] * np.exp(-x * x).reshape(panels, order)
+        nodes.append(x)
+        weights.append(w.ravel() / SQRT_PI_FLOAT)
+    total = kernels.gauss1d(segments[0][0], segments[-1][1])
+    if total <= 0.0:
+        raise QuadratureError("axis interval has vanishing Gauss measure")
+    return np.concatenate(nodes), np.concatenate(weights) / total
+
+
+def tensor_rule_loop(cube, breaks, level: int, order: int, what: str, field_id: str):
+    """Tensor nodes and weights of one cube, with the node cap of ``gaussjn.fields``."""
+    from gaussjn import fields
+
+    axis_nodes = []
+    axis_weights = []
+    count = 1
+    for ax in range(cube.dim):
+        lo, hi = cube.lo[ax], cube.hi[ax]
+        cuts = sorted(c for c in breaks.get(ax, ()) if lo < c < hi)
+        edges = [lo, *cuts, hi]
+        segments = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+        x, w = axis_rule_loop(segments, level, order)
+        axis_nodes.append(x)
+        axis_weights.append(w)
+        count *= x.size
+    if count > fields.MAX_TENSOR_NODES:
+        raise fields.QuadratureError(
+            f"{what} of field {field_id}: refinement level {level} would need {count} "
+            f"tensor nodes (cap {fields.MAX_TENSOR_NODES}) on cube center {cube.center} "
+            f"side {cube.side}"
+        )
+    mesh = np.meshgrid(*axis_nodes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    w = axis_weights[0]
+    for ax in range(1, cube.dim):
+        w = (w[:, None] * axis_weights[ax][None, :]).ravel()
+    return pts, w
+
+
+def _refine_loop(what, f, cube, breaks, top, order, estimate, accept, tol_text=""):
+    from gaussjn.fields import QuadratureError
+
+    prev = None
+    last_diff = math.inf
+    for level in range(top + 1):
+        pts, w = tensor_rule_loop(cube, breaks, level, order, what, f.id)
+        est = estimate(f(pts), w)
+        if prev is not None:
+            ok, last_diff = accept(est, prev)
+            if ok:
+                return est
+        prev = est
+    raise QuadratureError(
+        f"{what} of field {f.id} on cube center {cube.center} side {cube.side} "
+        f"did not converge by refinement level {level} ({w.size} tensor nodes): "
+        f"last diff {last_diff:.3e}{tol_text}"
+    )
+
+
+def average_loop(f, cube, spec, *, transform=None, extra_breaks=None):
+    """Gamma-normalized mean of transform(f) on one cube, refined alone."""
+    from gaussjn import kernels
+    from gaussjn.fields import merge_breaks
+
+    def estimate(vals, w):
+        if transform is not None:
+            vals = transform(vals)
+        return kernels.weighted_sum(vals, w) / kernels.pairwise_sum(w)
+
+    def accept(est, prev):
+        diff = abs(est - prev)
+        return diff <= spec.abs_tol, diff
+
+    breaks = merge_breaks(f.breaks, extra_breaks or {})
+    return _refine_loop(
+        "average", f, cube, breaks, spec.refinement_levels, spec.nodes_per_axis, estimate, accept,
+        f" > {spec.abs_tol:.3e}",
+    )
+
+
+def oscillation_loop(f, cube, q, spec):
+    """osc_q(f, Q): the centering average, then the centered power average."""
+    from gaussjn.fields import level_set_breaks
+
+    center = average_loop(f, cube, spec)
+    extra = level_set_breaks(f, center, np.zeros(1))
+    mean_pow = average_loop(
+        f, cube, spec, transform=lambda v: np.abs(v - center) ** q, extra_breaks=extra
+    )
+    return mean_pow ** (1.0 / q)
+
+
+def tail_profile_loop(f, cube, sigmas, spec, center=None):
+    """Tail masses gamma({|f - c| > sigma}) on one shared node hierarchy."""
+    from gaussjn import kernels
+    from gaussjn.fields import level_set_breaks, merge_breaks
+    from gaussjn.geometry import gaussian_measure
+
+    sig = np.asarray(sorted(float(s) for s in sigmas), dtype=np.float64)
+    c = average_loop(f, cube, spec) if center is None else float(center)
+    gq = gaussian_measure(cube)
+
+    def accept(est, prev):
+        diff = float(np.max(np.abs(est - prev)))
+        return diff <= spec.abs_tol, diff
+
+    breaks = merge_breaks(f.breaks, level_set_breaks(f, c, sig))
+    return _refine_loop(
+        "tail profile", f, cube, breaks, 2 * spec.refinement_levels, spec.nodes_per_axis,
+        lambda vals, w: kernels.tail_sums(np.abs(vals - c), w * gq, sig), accept,
+        f" > {spec.abs_tol:.3e}",
+    )
+
+
+def weak_norm_loop(f, cube, p, spec, rel_tol=1e-3):
+    """Exact weak sup against the node measure, refined until two levels agree."""
+    from gaussjn.fields import _node_measure_weak_sup, merge_breaks
+    from gaussjn.geometry import gaussian_measure
+
+    gq = gaussian_measure(cube)
+
+    def accept(est, prev):
+        diff = abs(est - prev)
+        return diff <= max(spec.abs_tol, rel_tol * abs(est)), diff
+
+    return _refine_loop(
+        "weak norm", f, cube, merge_breaks(f.breaks), 2 * spec.refinement_levels,
+        spec.nodes_per_axis, lambda vals, w: _node_measure_weak_sup(np.abs(vals), w * gq, p),
+        accept,
+    )

@@ -125,6 +125,23 @@ MALFORMED_CONFIGS = [
     {"subdivide": {"side": None}},
     {"sigmas": {"num": "a"}},
     {"duality": {"cubes": [{"center": [0.0], "side": "a"}]}},
+    # a string where a list of floats belongs is not read character by character
+    {"p_grid": "345"},
+    {"sigmas": "345"},
+    {"subdivide": {"center": "12"}},
+    {"duality": {"cubes": [{"center": "0", "side": 0.5}]}},
+    # true/false and non-integral numbers are not integers
+    {"dimension": True},
+    {"seed": False},
+    {"quadrature": {"nodes_per_axis": 8.9}},
+    {"quadrature": {"refinement_levels": True}},
+    {"embed": {"trials": 8.9}},
+    {"sigmas": {"num": 8.9}},
+    {"duality": {"max_exponent": True}},
+    # "false" is a string, not false
+    {"sigmas": {"log": "false"}},
+    # a pair has exactly two entries
+    {"embed": {"pairs": [[3, 2, 99]]}},
 ]
 
 

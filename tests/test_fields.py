@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import oracles
-from gaussjn import kernels
+from gaussjn import fields, kernels
+from gaussjn.covering import build_covering
 from gaussjn.fields import (
     QuadratureError,
     QuadratureSpec,
     ScalarField,
     StepField,
     abs_power_field,
+    average_gamma,
     corpus,
     corpus_by_id,
     corpus_manifest,
@@ -24,6 +26,7 @@ from gaussjn.fields import (
     lq_norm,
     make_random_step,
     oscillation,
+    oscillations,
     product_field,
     restrict_field,
     shift_field,
@@ -34,10 +37,12 @@ from gaussjn.fields import (
     step_weak_lp_norm,
     tail_measure,
     tail_profile,
+    tail_profiles,
     truncate,
     weak_lp_norm,
 )
 from gaussjn.geometry import Cube, gaussian_measure
+from gaussjn.jnp import make_candidates
 
 P1 = Cube((0.0,), 2.0)
 OFFSET = Cube((0.7,), 1.1)
@@ -467,3 +472,125 @@ def test_declared_kink_converges(spec):
     ref += oracles.gauss_quad_mp(lambda t: abs(t - 0.377), 0.377, 1.0)
     ref /= oracles.gauss1d_mp(-1.0, 1.0)
     assert gauss_average(f, P1, spec) == pytest.approx(ref, abs=1e-11)
+
+
+def test_vanishing_measure_error_names_cube_and_level(spec):
+    # gamma((39.9, 40.1)) underflows to zero: no rule can be normalized
+    with pytest.raises(
+        QuadratureError,
+        match=r"^average of field coord0: refinement level 0 has axis 0 interval "
+        r"\(39\.9\d*, 40\.1\d*\) of vanishing Gauss measure "
+        + re.escape("on cube center (40.0,) side 0.2") + "$",
+    ):
+        average_gamma(corpus_by_id(1)["coord0"], Cube((40.0,), 0.2), spec)
+
+
+# ---------------------------------------------------------------------------
+# batched refinement against the one-cube loop
+# ---------------------------------------------------------------------------
+
+BATCH_SPECS = {
+    1: QuadratureSpec(),
+    # d=2 curved kinks refine slowly; a coarse schedule keeps the loop cheap,
+    # and some quadratures then fail, so errors are compared too
+    2: QuadratureSpec(nodes_per_axis=4, refinement_levels=4, abs_tol=1e-4),
+}
+
+
+@pytest.fixture(scope="module")
+def forest_cubes():
+    """Every fourth cube of the benchmark's d=1 forest, and a small d=2 forest."""
+    return {
+        1: make_candidates(build_covering(8, 1), 3).cubes()[::4],
+        2: make_candidates(build_covering(1, 2), 1).cubes(),
+    }
+
+
+def _bits(value):
+    """A value with every float replaced by its exact hex form."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _outcome(fn):
+    try:
+        return ("value", _bits(fn()))
+    except QuadratureError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("budget", ["default", "split"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_refinement_matches_one_cube_loop_bitwise(d, budget, forest_cubes, monkeypatch):
+    if budget == "split":
+        # batches of a few cubes, and rules past level 1-2 refined alone
+        monkeypatch.setattr(fields, "BATCH_NODES", 600)
+        monkeypatch.setattr(fields, "SHARED_RULE_NODES", 200)
+    spec = BATCH_SPECS[d]
+    cubes = forest_cubes[d]
+    sig = (0.1, 0.5, 1.0, 2.0)
+    for f in corpus(d):
+        for cube in cubes[:3]:
+            assert _outcome(lambda: average_gamma(f, cube, spec, transform=np.abs)) == _outcome(
+                lambda: oracles.average_loop(f, cube, spec, transform=np.abs)
+            ), f.id
+        assert _outcome(lambda: oscillations(f, cubes, 1.25, spec)) == _outcome(
+            lambda: [oracles.oscillation_loop(f, c, 1.25, spec) for c in cubes]
+        ), f.id
+        got = _outcome(lambda: [p.tails for p in tail_profiles(f, cubes[:8], sig, spec)])
+        want = _outcome(
+            lambda: [tuple(oracles.tail_profile_loop(f, c, sig, spec).tolist()) for c in cubes[:8]]
+        )
+        assert got == want, f.id
+        for cube in cubes[:3]:
+            assert _outcome(lambda: weak_lp_norm(f, cube, 2.0, spec)) == _outcome(
+                lambda: oracles.weak_norm_loop(f, cube, 2.0, spec)
+            ), f.id
+
+
+@pytest.mark.parametrize(
+    "shared_rule_nodes, evaluated",
+    [
+        # all rules shared: the last cube stops at level 2, when the middle
+        # cube fails to build its level-3 rule
+        (None, [4 + 8 + 16 + 32, 8 + 16 + 32, 4 + 8 + 16]),
+        # rules above 8 nodes refined alone, in input order: the first
+        # cube's failure spares the others all their deeper levels
+        (8, [4 + 8 + 16 + 32, 8, 4 + 8]),
+    ],
+    ids=["shared", "alone"],
+)
+def test_batched_refinement_raises_the_first_failure_in_input_order(
+    shared_rule_nodes, evaluated, monkeypatch
+):
+    # four nodes per panel: a one-segment cube needs 4, 8, 16, 32, 64 nodes
+    # at levels 0-4, a cube split by the break at 1.5 twice that, so a cap of
+    # 40 stops the middle cube at level 3 and the others at level 4.  A loop
+    # over cubes raises the first cube's error; the batched refinement must
+    # too, and must not refine the cubes after a failure past it.
+    monkeypatch.setattr(fields, "MAX_TENSOR_NODES", 40)
+    if shared_rule_nodes is not None:
+        monkeypatch.setattr(fields, "SHARED_RULE_NODES", shared_rule_nodes)
+    seen = []
+
+    def fn(pts):
+        seen.append(pts[:, 0].copy())
+        return np.abs(np.sin(40.0 * pts[:, 0]))
+
+    f = ScalarField("ridges", fn, breaks={0: (1.5,)})
+    cubes = [Cube((0.3,), 0.5), Cube((1.5,), 0.5), Cube((-0.7,), 0.5)]
+    spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=6, abs_tol=1e-15)
+    with pytest.raises(
+        QuadratureError,
+        match="^" + re.escape(
+            "average of field ridges: refinement level 4 would need 64 tensor nodes (cap 40) "
+            "on cube center (0.3,) side 0.5"
+        ),
+    ):
+        oscillations(f, cubes, 1.5, spec)
+    xs = np.concatenate(seen)
+    inside = [int(np.sum((xs > c.lo[0]) & (xs < c.hi[0]))) for c in cubes]
+    assert inside == evaluated

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from gaussjn.covering import Covering, Layer, build_covering, radius_sequence
-from gaussjn.fields import QuadratureSpec, corpus_by_id, oscillation
+from gaussjn.fields import QuadratureSpec, corpus_by_id, oscillation, oscillations
 from gaussjn.geometry import Cube, gaussian_measure
 import gaussjn.jnp as jnp_module
 from gaussjn.jnp import (
@@ -310,11 +310,11 @@ def test_bmo_estimate_dominates_jnp(cands1, spec):
 def test_bmo_and_jnp_share_one_oscillation_per_cube(cands1, spec, monkeypatch):
     calls = []
 
-    def counted(f, cube, q, spec_):
-        calls.append((cube.center, cube.side))
-        return oscillation(f, cube, q, spec_)
+    def counted(f, cubes, q, spec_):
+        calls.extend((cube.center, cube.side) for cube in cubes)
+        return oscillations(f, cubes, q, spec_)
 
-    monkeypatch.setattr(jnp_module, "oscillation", counted)
+    monkeypatch.setattr(jnp_module, "oscillations", counted)
     f = corpus_by_id(1)["radius_sq"]
     cache = OscCache(f, 1.5, spec)
     shared = bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.5, cache=cache)
@@ -322,6 +322,22 @@ def test_bmo_and_jnp_share_one_oscillation_per_cube(cands1, spec, monkeypatch):
     assert len(calls) == len(set(calls)) == cands1.node_count()
     assert shared == bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.5)
     assert est == maximize_jnp(f, cands1, 2.0, 1.5, spec)
+
+
+def test_maximize_jnp_evaluates_the_field_once_per_refinement_round(spec):
+    # the 255-cube forest of the benchmark: each cube needs a centering
+    # average and a centered power average, each up to refinement_levels + 1
+    # levels; one field evaluation serves every cube pending in a round,
+    # where a loop over cubes made about 2000 of them
+    cands = make_candidates(build_covering(8, 1), 3)
+    assert cands.node_count() == 255
+    for fid in ("coord0", "radius_sq", "log_radial", "sign0"):
+        f = corpus_by_id(1)[fid]
+        calls = []
+        evaluate = f.fn
+        f.fn = lambda pts: calls.append(len(pts)) or evaluate(pts)
+        maximize_jnp(f, cands, 2.0, 1.25, spec)
+        assert 0 < len(calls) <= 2 * (spec.refinement_levels + 1) + 4, (fid, len(calls))
 
 
 def test_bmo_estimate_serializable(cands1, spec):

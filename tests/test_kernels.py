@@ -141,6 +141,17 @@ def test_pairwise_sum_empty_and_single():
     assert kernels.pairwise_sum(np.array([3.5])) == 3.5
 
 
+def test_pairwise_sum_rows_matches_pairwise_sum_bitwise():
+    # every row length up to 70 covers odd tails at several tree depths
+    rng = np.random.default_rng(17)
+    for n in range(71):
+        rows = rng.normal(size=(5, n)) * 10.0 ** rng.integers(-8, 8, size=(5, n))
+        got = kernels.pairwise_sum_rows(rows)
+        assert got.shape == (5,)
+        for row, value in zip(rows, got.tolist()):
+            assert value.hex() == kernels.pairwise_sum(row).hex(), n
+
+
 def test_weighted_sum_matches_product_pairwise():
     rng = np.random.default_rng(11)
     vals = rng.normal(size=4097)
