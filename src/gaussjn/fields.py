@@ -23,7 +23,9 @@ acceptance; the largest difference for tail profiles, and within
 :class:`QuadratureError`.  Indicator integrands (distribution tails) use
 the same hierarchy with twice the refinement budget and share one node set
 across the whole sigma grid, which makes tail profiles monotone in sigma by
-construction.  All reductions go through the deterministic pairwise kernels.
+construction.  Averages and tail masses are summed with the deterministic
+pairwise kernels; weak norms take exact suffix sums over the sorted node
+values.
 
 One function, ``_drive``, runs every refinement.  Each cube's computation is
 a small program -- for an oscillation, the centering average and then the
@@ -31,7 +33,9 @@ centered power average -- and ``_drive`` advances all pending cubes of a
 call one level per round: their rules are built in one vectorized pass per
 level, the field is evaluated once on the stacked nodes, and row-wise
 pairwise trees reduce each cube in the order a one-cube loop would, so every
-value is bit for bit that loop's.  A single cube is a batch of one.  Rules
+value is bit for bit that loop's.  The stacked nodes of a batch are the
+transpose of one (d, n) buffer, filled coordinate by coordinate, so every
+coordinate column is contiguous.  A single cube is a batch of one.  Rules
 larger than ``SHARED_RULE_NODES`` are refined one cube at a time in input
 order, and a batch holds at most ``BATCH_NODES`` nodes, so large integrals
 keep the memory of one rule.  A failing cube stops the cubes after it, and
@@ -95,7 +99,14 @@ class ScalarField:
     id:
         Stable identifier used in manifests and serialized reports.
     fn:
-        Vectorized evaluator mapping an (n, d) array to an (n,) array.
+        Vectorized evaluator mapping an (n, d) float64 array to an (n,)
+        array.  Quadrature nodes arrive column-major for d >= 2 (each
+        coordinate ``pts[:, k]`` is contiguous, so reductions along
+        ``axis=-1`` run over whole columns); other callers may pass
+        row-major arrays.  Index by axis and never rely on memory order:
+        the values must not depend on the layout.  (numpy adds up to seven
+        entries along ``axis=-1`` in the same order on either layout, so
+        the corpus fields meet this for d <= 7.)
     dim:
         Required dimension, or ``None`` when the formula works in any d.
     breaks:
@@ -335,14 +346,24 @@ def _axis_rules(
 
 
 def _tensor(
-    axis_nodes: Sequence[np.ndarray], axis_weights: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    mesh = np.meshgrid(*axis_nodes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    axis_nodes: Sequence[np.ndarray],
+    axis_weights: Sequence[np.ndarray],
+    cols: np.ndarray,
+    w_out: np.ndarray,
+) -> None:
+    """Write the tensor rule of the axis rules into its columns and weights.
+
+    Node i of the rule is the i-th multi-index in C order, axis 0 slowest:
+    ``cols`` (d, n) receives each coordinate as one contiguous row and
+    ``w_out`` (n,) the products of the axis weights, in that order.
+    """
+    sizes = [x.size for x in axis_nodes]
+    for ax, x in enumerate(axis_nodes):
+        cols[ax].reshape(math.prod(sizes[:ax]), sizes[ax], -1)[...] = x[:, None]
     w = axis_weights[0]
-    for ax in range(1, len(axis_weights)):
-        w = (w[:, None] * axis_weights[ax][None, :]).ravel()
-    return pts, w
+    for aw in axis_weights[1:-1]:
+        w = (w[:, None] * aw[None, :]).ravel()
+    np.multiply(w[:, None], axis_weights[-1][None, :], out=w_out.reshape(w.size, -1))
 
 
 def _rules(
@@ -351,12 +372,19 @@ def _rules(
     """Stacked tensor rules of many cubes: (points, weights, nodes per cube).
 
     Each cube's nodes form one block, in the order given.  The axis rules of
-    every run of equal levels are built in one vectorized pass.
+    every run of equal levels are built in one vectorized pass.  For d >= 2
+    the points are the transpose of one (d, n) buffer filled coordinate by
+    coordinate, so each column of the (n, d) array is contiguous.
     """
     d = panels[0].cube.dim
-    pts_parts: list[np.ndarray] = []
-    w_parts: list[np.ndarray] = []
-    sizes: list[int] = []
+    sizes = np.array(
+        [math.prod(c * (order << lv) for c in p.counts) for p, lv in zip(panels, levels)],
+        dtype=np.int64,
+    )
+    total = int(sizes.sum())
+    cols = np.empty((d, total))
+    w_all = np.empty(total)
+    off = 0
     for level, ks in _runs(levels):
         run = [panels[k] for k in ks]
         x, w = _axis_rules(
@@ -367,31 +395,31 @@ def _rules(
             order,
         )
         if d == 1:
-            pts_parts.append(x.reshape(-1, 1))
-            w_parts.append(w.reshape(-1))
-            sizes.extend(p.counts[0] * x.shape[1] for p in run)
-        else:
-            row = 0
-            for p in run:
-                axis_x, axis_w = [], []
-                for c in p.counts:
-                    axis_x.append(x[row : row + c].ravel())
-                    axis_w.append(w[row : row + c].ravel())
-                    row += c
-                pk, wk = _tensor(axis_x, axis_w)
-                pts_parts.append(pk)
-                w_parts.append(wk)
-                sizes.append(wk.size)
-    sizes_arr = np.array(sizes, dtype=np.int64)
-    if len(pts_parts) == 1:
-        return pts_parts[0], w_parts[0], sizes_arr
-    return np.concatenate(pts_parts), np.concatenate(w_parts), sizes_arr
+            cols[0, off : off + x.size] = x.ravel()
+            w_all[off : off + w.size] = w.ravel()
+            off += x.size
+            continue
+        row = 0
+        for k, p in zip(ks, run):
+            axis_x, axis_w = [], []
+            for c in p.counts:
+                axis_x.append(x[row : row + c].ravel())
+                axis_w.append(w[row : row + c].ravel())
+                row += c
+            end = off + int(sizes[k])
+            _tensor(axis_x, axis_w, cols[:, off:end], w_all[off:end])
+            off = end
+    return cols.T, w_all, sizes
 
 
 def tensor_rule(
     cube: Cube, breaks: Mapping[int, Sequence[float]], level: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All tensor nodes (n, d) and normalized weights (n,) for the cube."""
+    """All tensor nodes (n, d) and normalized weights (n,) for the cube.
+
+    The nodes run through the multi-indices in C order, axis 0 slowest; the
+    array is column-major.
+    """
     panels = _Panels(cube, breaks)
     panels.check(level, order)
     pts, w, _ = _rules([panels], [level], order)

@@ -171,7 +171,7 @@ def make_atom(
     # estimate suffices; a certified |b| integral hits curved kinks in d >= 2
     # and would fail quadrature for no benefit here.
     pts, wts = _node_grid(field, cube, spec, level=2)
-    scale = max(1.0, float(np.dot(wts, np.abs(field(pts)))))
+    scale = max(1.0, kernels.weighted_sum(np.abs(field(pts)), wts))
     if resid > mean_tol * scale:
         raise RuntimeError(
             f"atom mean {resid:.3e} exceeds tolerance {mean_tol:.1e} (relative to {scale:.3e})"
@@ -303,11 +303,10 @@ def hardy_norm_upper(element: HardyElement, spec: QuadratureSpec) -> float:
 
 @dataclass(frozen=True)
 class DualAtomReport:
-    """Both pairing candidates against the minimal-oscillation target."""
+    """The constructed atom's pairing against the minimal-oscillation target."""
 
     target: float
     construction_value: float
-    ascent_value: float
     achieved: float
     center: float
     q_atom: float
@@ -317,7 +316,6 @@ class DualAtomReport:
         return {
             "target": self.target,
             "construction_value": self.construction_value,
-            "ascent_value": self.ascent_value,
             "achieved": self.achieved,
             "center": self.center,
             "q_atom": self.q_atom,
@@ -380,21 +378,16 @@ def dual_atom(
     q_atom: float,
     spec: QuadratureSpec,
     *,
-    ascent_cells: int = 16,
-    ascent_iters: int = 40,
     min_ratio: float = 0.95,
 ) -> tuple[Atom, DualAtomReport]:
     """Atom of unit normalized L^{q_atom} size nearly attaining the dual norm.
 
     The normalized pairing (1/gamma) Int f b over unit-norm mean-zero atoms
     has supremum inf_c ||f - c||_{q'} (q' conjugate to q_atom).  The
-    construction b0 = |f - c*|^{q'-1} sgn(f - c*) at the optimal center c*
-    attains it exactly in exact arithmetic; a grid-projected coordinate
-    ascent over mean-zero piecewise-constant perturbations then polishes the
-    quadrature-level residue (for q_atom = 2 the construction is self-dual
-    and the ascent is a no-op).  Both candidate values are evaluated by
-    honest quadrature and reported; the better one must reach ``min_ratio``
-    of the target or the routine raises.
+    construction b0 = |f - c*|^{q'-1} sgn(f - c*) at the optimal center c*,
+    centered and normalized, attains it exactly in exact arithmetic.  Its
+    pairing is evaluated by honest quadrature and reported; it must reach
+    ``min_ratio`` of the target or the routine raises.
 
     For q_atom > 2 the seed involves fractional powers |h|^(q'-1) whose
     panel-edge singularity limits quadrature to algebraic convergence, so
@@ -424,7 +417,7 @@ def dual_atom(
         atom = make_atom(flat, cube, q_atom, spec)
         nrm = atom.normalized_norm(spec)
         scaled = _scale_atom(atom, 1.0 / nrm, spec)
-        report = DualAtomReport(0.0, 0.0, 0.0, 0.0, c_star, q_atom, q_osc)
+        report = DualAtomReport(0.0, 0.0, 0.0, c_star, q_atom, q_osc)
         return scaled, report
 
     mu = average_gamma(b0, cube, spec, abs_tol=tol)
@@ -446,26 +439,19 @@ def dual_atom(
         product_field(f, b_field), cube, spec, abs_tol=tol * max(1.0, target)
     )
 
-    ascent_value, ascent_atom = _dual_ascent(
-        f, cube, q_atom, spec, b_field, ascent_cells, ascent_iters, abs_tol=tol
-    )
-
-    achieved = max(construction_value, ascent_value)
-    if achieved < min_ratio * target:
+    if construction_value < min_ratio * target:
         raise RuntimeError(
-            f"dual atom reached {achieved:.6g}, below {min_ratio} * target {target:.6g}"
+            f"dual atom reached {construction_value:.6g}, below {min_ratio} * target {target:.6g}"
         )
-    best_atom = atom if construction_value >= ascent_value else ascent_atom
     report = DualAtomReport(
         target=target,
         construction_value=construction_value,
-        ascent_value=ascent_value,
-        achieved=achieved,
+        achieved=construction_value,
         center=c_star,
         q_atom=q_atom,
         q_osc=q_osc,
     )
-    return best_atom, report
+    return atom, report
 
 
 def _scale_atom(atom: Atom, factor: float, spec: QuadratureSpec) -> Atom:
@@ -478,111 +464,6 @@ def _scale_atom(atom: Atom, factor: float, spec: QuadratureSpec) -> Atom:
         description=field.description,
     )
     return Atom(field=scaled, cube=atom.cube, q=atom.q, base=atom.base, shift=atom.shift)
-
-
-def _dual_ascent(
-    f: ScalarField,
-    cube: Cube,
-    q_atom: float,
-    spec: QuadratureSpec,
-    b_field: ScalarField,
-    cells: int,
-    iters: int,
-    *,
-    abs_tol: float | None = None,
-) -> tuple[float, Atom]:
-    """Grid-projected ascent over mean-zero piecewise-constant perturbations.
-
-    Works on a fixed node grid (cheap vector arithmetic), then materializes
-    the perturbed atom as a genuine field and reports its honest quadrature
-    pairing, so grid error never inflates the returned value.
-    """
-    grid_level = 3 if cube.dim == 1 else (2 if cube.dim == 2 else 1)
-    pts, w = _node_grid(product_field(f, b_field), cube, spec, level=grid_level)
-    fv = f(pts)
-    bv = b_field(pts)
-    lo, hi = cube.lo[0], cube.hi[0]
-    edges = np.linspace(lo, hi, cells + 1)
-    cell_idx = np.clip(np.searchsorted(edges, pts[:, 0], side="right") - 1, 0, cells - 1)
-    cell_w = np.array([float(np.sum(w[cell_idx == k])) for k in range(cells)])
-    live = cell_w > 0.0
-
-    def project(vals: np.ndarray) -> np.ndarray:
-        # cell-average, then remove the weighted mean over live cells
-        cell_avg = np.zeros(cells)
-        for k in range(cells):
-            if live[k]:
-                cell_avg[k] = float(np.sum(w[cell_idx == k] * vals[cell_idx == k]) / cell_w[k])
-        mean = float(np.sum(cell_w * cell_avg))
-        cell_avg -= mean  # total normalized weight is 1
-        return cell_avg
-
-    def grid_norm(vals: np.ndarray) -> float:
-        return float(np.sum(w * np.abs(vals) ** q_atom) ** (1.0 / q_atom))
-
-    def grid_pair(vals: np.ndarray) -> float:
-        return float(np.sum(w * fv * vals))
-
-    best_theta = np.zeros(cells)
-    theta = np.zeros(cells)
-    best_val = grid_pair(bv / max(grid_norm(bv), 1e-300))
-    step = 0.25
-    for _ in range(iters):
-        direction = project(fv)
-        trial_theta = theta + step * direction
-        trial = bv + trial_theta[cell_idx]
-        trial -= float(np.sum(w * trial))
-        tn = grid_norm(trial)
-        if tn <= 0.0:
-            break
-        val = grid_pair(trial / tn)
-        if val > best_val + 1e-15:
-            best_val = val
-            theta = trial_theta
-            best_theta = trial_theta.copy()
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                break
-
-    if not np.any(best_theta != 0.0):
-        # ascent found nothing beyond the construction; report it honestly
-        atom = Atom(field=restrict_field(b_field, cube), cube=cube, q=q_atom)
-        honest = average_gamma(product_field(f, b_field), cube, spec, abs_tol=abs_tol)
-        return honest, atom
-
-    theta_vals = tuple(best_theta.tolist())
-    cell_edges = tuple(edges[1:-1].tolist())
-
-    def perturbed(ptsq: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(edges, ptsq[:, 0], side="right") - 1, 0, cells - 1)
-        return b_field(ptsq) + np.asarray(theta_vals)[idx]
-
-    pert = ScalarField(
-        f"dual-ascent({f.id})",
-        perturbed,
-        dim=b_field.dim,
-        breaks=merge_breaks(b_field.breaks, {0: cell_edges}),
-        description=f"ascent-polished dual atom for {f.id}",
-    )
-    mu = average_gamma(pert, cube, spec, abs_tol=abs_tol)
-    nrm = average_gamma(
-        shift_field(pert, mu),
-        cube,
-        spec,
-        transform=lambda v: np.abs(v) ** q_atom,
-        abs_tol=abs_tol,
-    ) ** (1.0 / q_atom)
-    final = ScalarField(
-        f"dual-final({f.id})",
-        lambda p_: (pert(p_) - mu) / nrm,
-        dim=pert.dim,
-        breaks=pert.breaks,
-        description=pert.description,
-    )
-    honest = average_gamma(product_field(f, final), cube, spec, abs_tol=abs_tol)
-    atom = Atom(field=restrict_field(final, cube), cube=cube, q=q_atom)
-    return honest, atom
 
 
 # ---------------------------------------------------------------------------

@@ -295,12 +295,73 @@ def embedding_factor(p: float, q: float, gamma_q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# unblocked pairwise reductions (the kernels before the tree was blocked)
+# ---------------------------------------------------------------------------
+#
+# Verbatim copies of the level-by-level passes over the whole array.  The
+# blocked kernels in ``gaussjn.kernels`` must reproduce them bit for bit.
+
+
+def _tree_sum(a: np.ndarray) -> float:
+    """Sum of a flat float64 array with a fixed pairwise tree: (0,1),(2,3),... per pass."""
+    n = a.size
+    if n == 0:
+        return 0.0
+    while n > 1:
+        half = n // 2
+        merged = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
+        if n % 2 == 1:
+            merged = np.append(merged, a[n - 1])
+        a = merged
+        n = a.size
+    return float(a[0])
+
+
+def pairwise_sum_rows(values: np.ndarray) -> np.ndarray:
+    """Row sums of a (k, n) array, each with the tree of ``pairwise_sum``.
+
+    The passes pair the columns exactly as ``_tree_sum`` pairs the entries
+    of one row, so row i of the result equals ``pairwise_sum(values[i])``
+    bit for bit.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    n = a.shape[1]
+    if n == 0:
+        return np.zeros(a.shape[0])
+    while n > 1:
+        half = n // 2
+        merged = a[:, 0 : 2 * half : 2] + a[:, 1 : 2 * half : 2]
+        if n % 2 == 1:
+            merged = np.concatenate([merged, a[:, n - 1 : n]], axis=1)
+        a = merged
+        n = a.shape[1]
+    return a[:, 0]
+
+
+def tail_sums(abs_values: np.ndarray, weights: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """gamma-mass of {|value| > sigma} for each sigma, shared node set.
+
+    abs_values, weights: (n,); sigmas: (s,).  Each sigma uses the same
+    pairwise tree over masked weights, so the result is monotone
+    nonincreasing in sigma by construction.
+    """
+    av = np.asarray(abs_values, dtype=np.float64).ravel()
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    sig = np.asarray(sigmas, dtype=np.float64).ravel()
+    out = np.empty(sig.size, dtype=np.float64)
+    for s in range(sig.size):
+        out[s] = _tree_sum(np.where(av > sig[s], w, 0.0))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # one-cube refinement loops (the quadrature before cubes were batched)
 # ---------------------------------------------------------------------------
 #
-# Each loop builds its rule segment by segment and refines one cube level by
-# level, with the package's acceptance rules and pairwise kernels.  The
-# batched refinement in ``gaussjn.fields`` must reproduce them bit for bit.
+# Each loop builds its rule segment by segment, as C-ordered meshgrid nodes,
+# and refines one cube level by level with the package's acceptance rules
+# and the unblocked reductions above.  The batched refinement in
+# ``gaussjn.fields`` must reproduce them bit for bit.
 
 
 SQRT_PI_FLOAT = math.sqrt(math.pi)
@@ -382,13 +443,12 @@ def _refine_loop(what, f, cube, breaks, top, order, estimate, accept, tol_text="
 
 def average_loop(f, cube, spec, *, transform=None, extra_breaks=None):
     """Gamma-normalized mean of transform(f) on one cube, refined alone."""
-    from gaussjn import kernels
     from gaussjn.fields import merge_breaks
 
     def estimate(vals, w):
         if transform is not None:
             vals = transform(vals)
-        return kernels.weighted_sum(vals, w) / kernels.pairwise_sum(w)
+        return _tree_sum(vals * w) / _tree_sum(w)
 
     def accept(est, prev):
         diff = abs(est - prev)
@@ -415,7 +475,6 @@ def oscillation_loop(f, cube, q, spec):
 
 def tail_profile_loop(f, cube, sigmas, spec, center=None):
     """Tail masses gamma({|f - c| > sigma}) on one shared node hierarchy."""
-    from gaussjn import kernels
     from gaussjn.fields import level_set_breaks, merge_breaks
     from gaussjn.geometry import gaussian_measure
 
@@ -430,7 +489,7 @@ def tail_profile_loop(f, cube, sigmas, spec, center=None):
     breaks = merge_breaks(f.breaks, level_set_breaks(f, c, sig))
     return _refine_loop(
         "tail profile", f, cube, breaks, 2 * spec.refinement_levels, spec.nodes_per_axis,
-        lambda vals, w: kernels.tail_sums(np.abs(vals - c), w * gq, sig), accept,
+        lambda vals, w: tail_sums(np.abs(vals - c), w * gq, sig), accept,
         f" > {spec.abs_tol:.3e}",
     )
 

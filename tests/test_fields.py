@@ -110,6 +110,47 @@ def test_truncate_clips_and_records_growth():
         truncate(f, 0.0)
 
 
+# ---------------------------------------------------------------------------
+# node layout
+# ---------------------------------------------------------------------------
+
+
+def _layout_fields(d):
+    """Every corpus field, alone and under every combinator, in dimension d."""
+    cube = Cube((0.2,) * d, 1.5)
+    by_id = corpus_by_id(d)
+    out = [product_field(by_id["radius_sq"], by_id["sign0"])]
+    for f in corpus(d):
+        out += [f, shift_field(f, 0.3), abs_power_field(f, 1.5), restrict_field(f, cube),
+                truncate(f, 2.0)]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fields_agree_bitwise_on_column_and_row_major_nodes(d):
+    rng = np.random.default_rng(d)
+    pts = rng.normal(scale=1.5, size=(4099, d))
+    # the origin, a point of the log_radial sphere, a corner of the cube
+    pts[:3] = 0.0
+    pts[1, 0] = 1.0
+    pts[2] = -0.55
+    rows, cols = np.ascontiguousarray(pts), np.asfortranarray(pts)
+    for f in _layout_fields(d):
+        assert f(rows).tobytes() == f(cols).tobytes(), f.id
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_rule_is_the_meshgrid_rule_in_column_major_order(d):
+    cube = Cube((0.3,) + (-0.4,) * (d - 1), 1.2)
+    breaks = {0: (0.1, 0.5), d - 1: (-0.5,)}
+    for level in (0, 2):
+        pts, w = fields.tensor_rule(cube, breaks, level, 3)
+        ref_pts, ref_w = oracles.tensor_rule_loop(cube, breaks, level, 3, "rule", "f")
+        assert pts.flags.f_contiguous
+        assert np.array_equal(pts, ref_pts)
+        assert np.array_equal(w, ref_w)
+
+
 def test_corpus_well_formed():
     for d in (1, 2):
         fields = corpus(d)
@@ -494,15 +535,18 @@ BATCH_SPECS = {
     # d=2 curved kinks refine slowly; a coarse schedule keeps the loop cheap,
     # and some quadratures then fail, so errors are compared too
     2: QuadratureSpec(nodes_per_axis=4, refinement_levels=4, abs_tol=1e-4),
+    # d=3: sums over three coordinates, on a still coarser schedule
+    3: QuadratureSpec(nodes_per_axis=3, refinement_levels=2, abs_tol=1e-3),
 }
 
 
 @pytest.fixture(scope="module")
 def forest_cubes():
-    """Every fourth cube of the benchmark's d=1 forest, and a small d=2 forest."""
+    """Every fourth cube of the benchmark's d=1 forest, a small d=2 forest, a few d=3 cubes."""
     return {
         1: make_candidates(build_covering(8, 1), 3).cubes()[::4],
         2: make_candidates(build_covering(1, 2), 1).cubes(),
+        3: make_candidates(build_covering(1, 3), 0).cubes()[::14],
     }
 
 
@@ -523,7 +567,7 @@ def _outcome(fn):
 
 
 @pytest.mark.parametrize("budget", ["default", "split"])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_batched_refinement_matches_one_cube_loop_bitwise(d, budget, forest_cubes, monkeypatch):
     if budget == "split":
         # batches of a few cubes, and rules past level 1-2 refined alone

@@ -10,9 +10,11 @@ from gaussjn import kernels
 from gaussjn.fields import (
     QuadratureSpec,
     StepField,
+    average_gamma,
     corpus_by_id,
     gauss_average,
     oscillation,
+    product_field,
 )
 from gaussjn.geometry import Cube, gaussian_measure, is_admissible
 from gaussjn.hardy import (
@@ -34,6 +36,7 @@ from gaussjn.hardy import (
     subdivide_atom,
     subdivision_depth,
     truncation_oscillation_check,
+    _partition_weight,
 )
 
 import oracles
@@ -203,13 +206,17 @@ def test_dual_atom_q2_attains_target(dual_q2, mspec):
     assert abs(rep.target - math.sqrt(m4 - m2 * m2)) < 1e-9
 
 
-def test_dual_atom_q4_fractional_construction(dual_q4):
+def test_dual_atom_q4_fractional_construction(corpus, dual_q4, mspec):
     atom, rep = dual_q4
     assert atom.q == 4.0
     assert abs(rep.target - 0.228084332) < 1e-7
     assert abs(rep.achieved - 0.228084354) < 1e-7
     assert rep.achieved >= 0.999 * rep.target
-    assert rep.achieved == max(rep.construction_value, rep.ascent_value)
+    # the reported value is the honest quadrature of the returned atom's
+    # pairing, at the tolerance dual_atom uses for it
+    tol = max(mspec.abs_tol, 1e-7) * max(1.0, rep.target)
+    pair = average_gamma(product_field(corpus["radius_sq"], atom.field), P1, mspec, abs_tol=tol)
+    assert rep.achieved == rep.construction_value == pair
 
 
 def test_dual_atom_on_step_field(dual_sign):
@@ -226,7 +233,8 @@ def test_dual_atom_report_serializes(dual_q2):
     _, rep = dual_q2
     obj = rep.to_obj()
     json.dumps(obj)
-    assert set(obj) >= {"target", "achieved", "construction_value", "ascent_value"}
+    assert set(obj) == {"target", "construction_value", "achieved", "center", "q_atom", "q_osc"}
+    assert obj["achieved"] == obj["construction_value"] == rep.achieved
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +328,24 @@ def test_subdivide_atom_deep_cascade(corpus, mspec):
     resid = np.max(np.abs(rec - orig)) / max(1.0, np.max(np.abs(orig)))
     assert resid < 1e-12
     assert worst_mean < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cascade_closures_agree_bitwise_on_column_and_row_major_nodes(d):
+    # quadrature hands the closures column-major nodes in d >= 2; they must
+    # give what they give on row-major ones
+    spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=6, abs_tol=1e-7)
+    start = Cube((0.9,) + (0.0,) * (d - 1), 1.0)
+    atom0 = make_atom(corpus_by_id(d)["radius_sq"], start, 3.0, spec)
+    res = subdivide_atom(atom0, 2.0, 0.7, spec)
+    assert res.max_depth == 2
+    rng = np.random.default_rng(d)
+    pts = start.lo_array() + start.side * rng.uniform(size=(3001, d))
+    pts[0] = start.center
+    rows, cols = np.ascontiguousarray(pts), np.asfortranarray(pts)
+    corner_weights = [_partition_weight(start, bits) for bits in np.ndindex(*(2,) * d)]
+    for fn in [atom0.field, *corner_weights, *(a.field for a in res.atoms)]:
+        assert fn(rows).tobytes() == fn(cols).tobytes()
 
 
 def test_subdivide_atom_rejects_inadmissible_start(corpus, mspec):

@@ -176,6 +176,65 @@ def test_summation_backends_agree():
 
 
 # ---------------------------------------------------------------------------
+# blocked reductions against the unblocked tree
+# ---------------------------------------------------------------------------
+
+BLOCK = kernels._BLOCK
+# empty, tiny and odd sizes, one entry either side of a block, whole blocks
+# and a short last one, and many blocks
+BLOCK_SIZES = [0, 1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 1_000_003]
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _spread(rng, shape):
+    """Normal draws over 16 decades, so that any other order of additions shows."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_sums_match_unblocked_tree_bitwise(n):
+    rng = np.random.default_rng(n)
+    xs = _spread(rng, n)
+    ws = rng.uniform(size=n)
+    assert _hex(kernels.pairwise_sum(xs)) == _hex(oracles._tree_sum(xs))
+    assert _hex(kernels.weighted_sum(xs, ws)) == _hex(oracles._tree_sum(xs * ws))
+    rows = _spread(rng, (3, n))
+    assert _hex(kernels.pairwise_sum_rows(rows)) == _hex(oracles.pairwise_sum_rows(rows))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_tail_sums_match_unblocked_tree_bitwise(n):
+    rng = np.random.default_rng(n + 1)
+    av = np.abs(rng.normal(size=n))
+    av[::7] = av[:1]
+    w = rng.uniform(size=n) * 10.0 ** rng.integers(-8, 1, size=n)
+    w[::13] = 0.0
+    # unsorted and repeated sigmas, some equal to node values (the mask is
+    # strict), zero, and one above every value
+    sig = np.concatenate([[0.0, 2.5, 0.7, 0.7], av[:6], [np.inf]])
+    assert _hex(kernels.tail_sums(av, w, sig)) == _hex(oracles.tail_sums(av, w, sig))
+
+
+def test_blocked_reductions_on_views_match_unblocked_tree_bitwise():
+    rng = np.random.default_rng(5)
+    base = _spread(rng, (2 * BLOCK + 3, 3))
+    for view in (base[:, 1], base[::-1, 2], base.T):
+        assert not view.flags.c_contiguous
+        flat = np.ascontiguousarray(view).ravel()
+        assert _hex(kernels.pairwise_sum(view)) == _hex(oracles._tree_sum(flat))
+        assert _hex(kernels.weighted_sum(view, view)) == _hex(oracles._tree_sum(flat * flat))
+    # (k, n) matrices with rows longer and shorter than a block
+    for rows in (base.T, base[::-1].T, _spread(rng, (BLOCK - 5, 4)).T, base[:40].T):
+        assert _hex(kernels.pairwise_sum_rows(rows)) == _hex(oracles.pairwise_sum_rows(rows))
+    av, w = np.abs(base[::-1, 0]), np.abs(base[:, 1])
+    sig = np.array([0.0, 1e-3, float(av[5]), 1.0])
+    assert _hex(kernels.tail_sums(av, w, sig)) == _hex(oracles.tail_sums(av, w, sig))
+
+
+# ---------------------------------------------------------------------------
 # membership counting and tail sums
 # ---------------------------------------------------------------------------
 
