@@ -35,20 +35,27 @@ level, the field is evaluated once on the stacked nodes, and row-wise
 pairwise trees reduce each cube in the order a one-cube loop would, so every
 value is bit for bit that loop's.  The stacked nodes of a batch are the
 transpose of one (d, n) buffer, filled coordinate by coordinate, so every
-coordinate column is contiguous.  A single cube is a batch of one.  Rules
-larger than ``SHARED_RULE_NODES`` are refined one cube at a time in input
-order, and a batch holds at most ``BATCH_NODES`` nodes, so large integrals
-keep the memory of one rule.  A failing cube stops the cubes after it, and
-the first failure in input order is raised, as a loop over the cubes would.
+coordinate column is contiguous.  A single cube is a batch of one.  A batch
+holds at most ``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES``
+are refined one cube at a time in input order, and such a solo level is
+streamed: only its per-axis rules are built, and the tensor rule is produced,
+evaluated and reduced one aligned block of ``kernels._BLOCK`` nodes at a
+time, in buffers reused from block to block.  Aligned blocks are whole
+subtrees of the pairwise tree, so the block sums, added with that tree, are
+bit for bit the sums over the whole rule, while the memory of a solo level
+is O(block) (plus its axis rules and, for weak norms, two values per node),
+not O(rule).  A failing cube stops the cubes after it, and the first failure
+in input order is raised, as a loop over the cubes would.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +64,10 @@ from .geometry import Cube, gaussian_measure
 
 _SQRT_PI = math.sqrt(math.pi)
 
-#: Hard cap on tensor nodes per refinement level.
+#: Hard cap on tensor nodes per refinement level.  Large levels are streamed
+#: in blocks, so the cap bounds the time a level takes, not its memory.  It is
+#: also what stops the d=2 ``jn-tail`` and ``duality`` runs, so raising it
+#: would change their outcomes.
 MAX_TENSOR_NODES = 20_000_000
 
 
@@ -104,9 +114,9 @@ class ScalarField:
         coordinate ``pts[:, k]`` is contiguous, so reductions along
         ``axis=-1`` run over whole columns); other callers may pass
         row-major arrays.  Index by axis and never rely on memory order:
-        the values must not depend on the layout.  (numpy adds up to seven
-        entries along ``axis=-1`` in the same order on either layout, so
-        the corpus fields meet this for d <= 7.)
+        the values must not depend on the layout.  (numpy sums eight or
+        more entries along ``axis=-1`` in a layout-dependent order, so the
+        corpus fields add their coordinates column by column instead.)
     dim:
         Required dimension, or ``None`` when the formula works in any d.
     breaks:
@@ -371,7 +381,7 @@ def _rules(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked tensor rules of many cubes: (points, weights, nodes per cube).
 
-    Each cube's nodes form one block, in the order given.  The axis rules of
+    Each cube's nodes form one run, in the order given.  The axis rules of
     every run of equal levels are built in one vectorized pass.  For d >= 2
     the points are the transpose of one (d, n) buffer filled coordinate by
     coordinate, so each column of the (n, d) array is contiguous.
@@ -410,6 +420,57 @@ def _rules(
             _tensor(axis_x, axis_w, cols[:, off:end], w_all[off:end])
             off = end
     return cols.T, w_all, sizes
+
+
+#: Node and weight buffers that the last finished streamed level left, per
+#: thread.  Fresh buffers of a block's size come from the operating system
+#: page by page, at every level; a level takes the spare when it fits and
+#: gives its buffers back when it ends, so a quadrature started from inside
+#: a field evaluation allocates its own.
+_spare = threading.local()
+
+
+def _blocks(panels: _Panels, level: int, order: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One cube's tensor rule at one level, as the (points, weights) of its blocks.
+
+    Block j holds nodes [j B, (j+1) B) of the C-order rule, B =
+    ``kernels._BLOCK``, bit for bit those of ``tensor_rule``.  Only the axis
+    rules are built whole: a block writes the axis-0 rows it touches into
+    buffers reused from block to block (and, through ``_spare``, from level
+    to level), so each block is valid only until the next one is produced.
+    """
+    x, w = _axis_rules(
+        np.array(panels.a), np.array(panels.b), np.array(panels.total), level, order
+    )
+    bounds = np.cumsum([0, *panels.counts]).tolist()
+    axis_x = [x[lo:hi].ravel() for lo, hi in zip(bounds, bounds[1:])]
+    axis_w = [w[lo:hi].ravel() for lo, hi in zip(bounds, bounds[1:])]
+    n = math.prod(a.size for a in axis_x)
+    step = kernels._BLOCK
+    if len(axis_x) == 1:
+        for s in range(0, n, step):
+            yield axis_x[0][s : s + step, None], axis_w[0][s : s + step]
+        return
+    row = n // axis_x[0].size
+    # a block of at most B nodes spans at most B // row + 2 rows
+    cap = min(n, (step // row + 2) * row)
+    cols, w_buf = getattr(_spare, "buffers", None) or (np.empty((0, 0)), np.empty(0))
+    _spare.buffers = None
+    if cols.shape[0] != len(axis_x) or w_buf.size < cap:
+        cols, w_buf = np.empty((len(axis_x), cap)), np.empty(cap)
+    try:
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            r0, r1 = s // row, -(-e // row)
+            m = (r1 - r0) * row
+            _tensor(
+                [axis_x[0][r0:r1], *axis_x[1:]], [axis_w[0][r0:r1], *axis_w[1:]],
+                cols[:, :m], w_buf[:m],
+            )
+            a = s - r0 * row
+            yield cols[:, a : a + e - s].T, w_buf[a : a + e - s]
+    finally:
+        _spare.buffers = cols, w_buf
 
 
 def tensor_rule(
@@ -462,14 +523,30 @@ class _Centered(NamedTuple):
     q: float
 
 
+class _Tails(NamedTuple):
+    """Reduce to the masses gamma({v > sigma}) of the transformed values v, per sigma."""
+
+    sigmas: np.ndarray
+    gq: float
+
+
+class _Weak(NamedTuple):
+    """Reduce to sup_sigma sigma * gamma({v > sigma})^(1/p) against the node measure."""
+
+    p: float
+    gq: float
+
+
 class _Quad:
     """One refinement ``_drive`` runs: the cube's rule, its reduction, its state.
 
-    Each level estimates ``reduce(transform(f), weights)`` on the cube's own
-    nodes; without ``reduce``, the self-normalized gamma average of
-    ``transform(f)``.  Levels 0..``top`` are tried in turn, and a level is
-    accepted when it differs from the previous one by at most
-    max(``tol``, ``rel_tol`` * |estimate|), by the largest entry for arrays.
+    Each level reduces ``transform(f)`` on the cube's own nodes, as the
+    ``reduction`` declares: the self-normalized gamma average (``None``),
+    tail masses (:class:`_Tails`) or a weak norm (:class:`_Weak`), with the
+    normalized weights scaled by gamma(Q) for the last two.  Levels
+    0..``top`` are tried in turn, and a level is accepted when it differs
+    from the previous one by at most max(``tol``, ``rel_tol`` * |estimate|),
+    by the largest entry for arrays.
     """
 
     def __init__(
@@ -481,7 +558,7 @@ class _Quad:
         tol: float,
         *,
         transform: Callable[[np.ndarray], np.ndarray] | _Centered | None = None,
-        reduce: Callable[[np.ndarray, np.ndarray], object] | None = None,
+        reduction: _Tails | _Weak | None = None,
         rel_tol: float = 0.0,
     ) -> None:
         self.what = what
@@ -490,24 +567,45 @@ class _Quad:
         self.top = top
         self.tol = tol
         self.transform = transform
-        self.reduce = reduce
+        self.reduction = reduction
         self.rel_tol = rel_tol
         self.level = 0
         self.prev: object = None
         self.diff = math.inf
         self.nodes = 0
 
-    def estimate(self, vals: np.ndarray, w: np.ndarray) -> object:
-        # rebinding vals frees the field values of a large rule before the
-        # reduction, when the caller keeps no reference to them
-        t = self.transform
-        if isinstance(t, _Centered):
-            vals = np.abs(vals - t.center) ** t.q
-        elif t is not None:
-            vals = t(vals)
-        if self.reduce is not None:
-            return self.reduce(vals, w)
-        return kernels.weighted_sum(vals, w) / kernels.pairwise_sum(w)
+    def estimate(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int) -> object:
+        """The level's estimate from the field values and weights of its n nodes.
+
+        ``blocks`` hands them out in node order, in aligned pieces of
+        ``kernels._BLOCK`` nodes (the last may be short).  Each piece is
+        reduced with the public kernels and the block heads are added with
+        the same pairwise tree; aligned blocks are subtrees of that tree, so
+        the estimate is bit for bit that of reducing all n nodes at once.
+        """
+        t, r = self.transform, self.reduction
+        heads: list = []
+        if isinstance(r, _Weak):
+            av, wg = np.empty(n), np.empty(n)
+        start = 0
+        for vals, w in blocks:
+            if isinstance(t, _Centered):
+                vals = np.abs(vals - t.center) ** t.q
+            elif t is not None:
+                vals = t(vals)
+            if r is None:
+                heads.append((kernels.weighted_sum(vals, w), kernels.pairwise_sum(w)))
+            elif isinstance(r, _Tails):
+                heads.append(kernels.tail_sums(vals, w * r.gq, r.sigmas))
+            else:
+                stop = start + w.size
+                av[start:stop] = vals
+                np.multiply(w, r.gq, out=wg[start:stop])
+                start = stop
+        if isinstance(r, _Weak):
+            return _node_measure_weak_sup(av, wg, r.p)
+        sums = kernels.pairwise_sum_rows(np.array(heads).T)
+        return sums if isinstance(r, _Tails) else float(sums[0]) / float(sums[1])
 
     def accept(self, est: object, nodes: int) -> bool:
         """Record the estimate of the current level; True when it is accepted."""
@@ -546,11 +644,13 @@ def _batch_estimates(
     """
     ends = np.cumsum(sizes).tolist()
     spans = [slice(end - n, end) for end, n in zip(ends, sizes.tolist())]
-    pooled = [q.reduce is None and (q.transform is None or _exponent(q) is not None) for q in quads]
+    pooled = [
+        q.reduction is None and (q.transform is None or _exponent(q) is not None) for q in quads
+    ]
     out: list = [None] * len(quads)
     for k, quad in enumerate(quads):
         if not pooled[k]:
-            out[k] = quad.estimate(vals[spans[k]], w[spans[k]])
+            out[k] = quad.estimate([(vals[spans[k]], w[spans[k]])], int(sizes[k]))
     tv = vals
     for q, run in _runs([_exponent(quad) if ok else None for quad, ok in zip(quads, pooled)]):
         span = slice(spans[run[0]].start, spans[run[-1]].stop)
@@ -579,8 +679,10 @@ def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
     per batch of at most ``BATCH_NODES`` nodes.  A request whose next rule
     is larger is set aside; when no shared request is left, the set-aside
     cubes are refined alone, in input order, each with its program's
-    remaining requests.  Either way each cube's estimates, and so its
-    result, are bit for bit those of refining it alone.
+    remaining requests, and each of their levels is streamed block by
+    block from ``_blocks`` into ``_Quad.estimate``.  Either way each cube's
+    estimates, and so its result, are bit for bit those of refining it
+    alone.
 
     A failure at cube i (its program raising, a rule that cannot be built,
     or no convergence by the last level) stops every cube after i; once the
@@ -615,6 +717,12 @@ def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
             fail(i, QuadratureError(f"{quad.what} of field {f.id}: {exc}"))
             return None
 
+    def settle(i: int, quad: _Quad, est: object, n: int) -> None:
+        if quad.accept(est, n):
+            advance(i, est)
+        elif quad.level > quad.top:
+            fail(i, quad.failure(f))
+
     def step(batch: list[int]) -> None:
         # neighbours share passes: the powers of one exponent, the axis rules
         # of one level, the sums of one node count
@@ -628,16 +736,18 @@ def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
         quads = [pending[i] for i in batch]
         pts, w, sizes = _rules([q.panels for q in quads], [q.level for q in quads], order)
         if len(quads) == 1:
-            ests = [quads[0].estimate(f(pts), w)]
+            ests = [quads[0].estimate([(f(pts), w)], w.size)]
         else:
             ests = _batch_estimates(quads, f(pts), w, sizes)
         for i, quad, est, n in sorted(zip(batch, quads, ests, sizes.tolist()), key=lambda r: r[0]):
             if i >= failed_at:
                 break
-            if quad.accept(est, n):
-                advance(i, est)
-            elif quad.level > quad.top:
-                fail(i, quad.failure(f))
+            settle(i, quad, est, n)
+
+    def stream(i: int, n: int) -> None:
+        quad = pending[i]
+        blocks = _blocks(quad.panels, quad.level, order)
+        settle(i, quad, quad.estimate(((f(pts), w) for pts, w in blocks), n), n)
 
     for i in range(len(programs)):
         if i < failed_at:
@@ -649,8 +759,8 @@ def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
         shared = [i for i in live if i not in solo]
         if not shared:
             i = live[0]
-            while i in pending and i < failed_at and size(i) is not None:
-                step([i])
+            while i in pending and i < failed_at and (n := size(i)) is not None:
+                stream(i, n)
             continue
         batches: list[list[int]] = [[]]
         total = 0
@@ -811,11 +921,10 @@ def _tail_steps(
 ) -> Generator:
     c = (yield from _mean_steps(f, cube, spec)) if center is None else float(center)
     breaks = merge_breaks(f.breaks, level_set_breaks(f, c, sig))
-    gq = gaussian_measure(cube)
     tails = yield _Quad(
         "tail profile", cube, breaks, 2 * spec.refinement_levels, spec.abs_tol,
         transform=lambda v: np.abs(v - c),
-        reduce=lambda av, w: kernels.tail_sums(av, w * gq, sig),
+        reduction=_Tails(sig, gaussian_measure(cube)),
     )
     return DistributionProfile(
         field_id=f.id, cube=cube, sigmas=tuple(sig.tolist()), tails=tuple(tails.tolist())
@@ -908,11 +1017,10 @@ def weak_lp_norm(
     """
     if not p >= 1.0:
         raise ValueError("exponent p must be >= 1")
-    gq = gaussian_measure(cube)
     quad = _Quad(
         "weak norm", cube, merge_breaks(f.breaks), 2 * spec.refinement_levels, spec.abs_tol,
         transform=np.abs,
-        reduce=lambda av, w: _node_measure_weak_sup(av, w * gq, p),
+        reduction=_Weak(p, gaussian_measure(cube)),
         rel_tol=rel_tol,
     )
     return _drive(f, [_single(quad)], spec.nodes_per_axis)[0]
@@ -1123,10 +1231,22 @@ def _coord_field(axis: int = 0) -> ScalarField:
     )
 
 
+def _sum_sq(pts: np.ndarray) -> np.ndarray:
+    """|x|^2 of each point, its squares added column by column from the left.
+
+    The order of the additions does not depend on the memory layout, which
+    that of ``np.sum(..., axis=-1)`` does from eight columns on.
+    """
+    out = pts[:, 0] * pts[:, 0]
+    for k in range(1, pts.shape[1]):
+        out += pts[:, k] * pts[:, k]
+    return out
+
+
 def _radius_sq_field(d: int) -> ScalarField:
     return ScalarField(
         "radius_sq",
-        lambda pts: np.sum(pts * pts, axis=-1),
+        _sum_sq,
         dim=d,
         description="squared Euclidean norm |x|^2",
         growth=(0.0, 1.0),
@@ -1158,7 +1278,7 @@ def _step_demo_field(d: int) -> StepField:
 
 def _log_radial_field(d: int) -> ScalarField:
     def fn(pts: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(pts, axis=-1)
+        r = np.sqrt(_sum_sq(pts))
         return np.log(np.maximum(r, 1.0))
 
     return ScalarField(
@@ -1175,7 +1295,7 @@ def _log_radial_field(d: int) -> ScalarField:
 
 def _exp_half_sq_field(d: int) -> ScalarField:
     def fn(pts: np.ndarray) -> np.ndarray:
-        return np.exp(0.5 * np.sum(pts * pts, axis=-1))
+        return np.exp(0.5 * _sum_sq(pts))
 
     def tail(R: float, dd: int) -> float:
         # exact: Int exp(|x|^2/2) dgamma = 2^(d/2); inside (-R,R)^d the axis

@@ -18,7 +18,9 @@ entries is a whole subtree, summed while it is in cache, and the same tree
 then runs over the block heads.  The additions and their order are those
 of the level-by-level passes, so every sum is bit for bit the same; only
 the memory traffic changes.  ``tail_sums`` masks one block for every sigma
-at once.  ``BACKEND`` names the implementation in reports.
+at once.  The buffers of a whole block are kept between calls, because the
+quadrature driver streams large rules through the kernels one block per
+call.  ``BACKEND`` names the implementation in reports.
 
 Box geometry goes through one uniform-grid bucket index (``_BoxGrid``):
 each nonempty box is filed under every cell it meets, with the cell step
@@ -33,6 +35,8 @@ would, at O((n + m) log m) cost for coverings instead of O(n m) and O(m^2).
 from __future__ import annotations
 
 import math
+import threading
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -86,6 +90,29 @@ def _tree_passes(a: np.ndarray) -> np.ndarray:
     return a[..., 0]
 
 
+class _Kept(threading.local):
+    """Buffers of one whole block, kept between kernel calls, per thread.
+
+    A streamed quadrature rule reduces one block per kernel call, and fresh
+    buffers of a block's size come from the operating system page by page
+    on every call.  ``passes(rows)`` holds the pass buffers of a rows +
+    (``_BLOCK``,) block, ``masks(rows)`` the mask and masked weights of
+    ``tail_sums``; the buffers of at most 8 row shapes each are kept.  Only
+    arrays of a whole block or more use them, so smaller sums keep nothing.
+    """
+
+    def __init__(self) -> None:
+        self.passes = lru_cache(maxsize=8)(
+            lambda rows: [np.empty(rows + (_BLOCK >> k,)) for k in range(1, _BLOCK.bit_length())]
+        )
+        self.masks = lru_cache(maxsize=8)(
+            lambda rows: (np.empty((rows, _BLOCK), dtype=bool), np.empty((rows, _BLOCK)))
+        )
+
+
+_kept = _Kept()
+
+
 def _blocked(rows: tuple[int, ...], n: int, block: Callable[[slice], np.ndarray]) -> np.ndarray:
     """Sums along the last axis of a rows + (n,) array that ``block`` hands out.
 
@@ -95,11 +122,12 @@ def _blocked(rows: tuple[int, ...], n: int, block: Callable[[slice], np.ndarray]
     of ``_BLOCK`` entries is a whole subtree, reduced here while it is in
     cache, and a short last block is reduced as the tree reduces it on its
     own.  The tree over the block heads then finishes the sum, so every sum
-    is bit for bit that of the unblocked passes.
+    is bit for bit that of the unblocked passes, and no result is a view of
+    a kept buffer.
     """
     full, rest = divmod(n, _BLOCK)
     heads = np.empty(rows + (full + (rest > 0),))
-    bufs = [np.empty(rows + (_BLOCK >> k,)) for k in range(1, _BLOCK.bit_length())]
+    bufs = _kept.passes(rows) if full else []
     for j in range(full):
         x = block(slice(j * _BLOCK, (j + 1) * _BLOCK))
         for buf in bufs:
@@ -112,8 +140,11 @@ def _blocked(rows: tuple[int, ...], n: int, block: Callable[[slice], np.ndarray]
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:
-    """Sums along the last axis with the fixed pairwise tree."""
-    if a.shape[-1] <= _BLOCK:
+    """Sums along the last axis with the fixed pairwise tree.
+
+    From one whole block on, the passes run in the kept buffers of ``_blocked``.
+    """
+    if a.shape[-1] < _BLOCK:
         return _tree_passes(a)
     return _blocked(a.shape[:-1], a.shape[-1], lambda span: a[..., span])
 
@@ -315,16 +346,16 @@ def tail_sums(abs_values: np.ndarray, weights: np.ndarray, sigmas: np.ndarray) -
     w = np.asarray(weights, dtype=np.float64).ravel()
     sig = np.asarray(sigmas, dtype=np.float64).ravel()[:, None]
     n = av.size
-    mask = np.empty((sig.size, min(n, _BLOCK)), dtype=bool)
-    vals = np.empty(mask.shape)
+    if n < _BLOCK:
+        mask, vals = np.empty((sig.size, n), dtype=bool), np.empty((sig.size, n))
+    else:
+        mask, vals = _kept.masks(sig.size)
 
     def masked(span: slice) -> np.ndarray:
         cols = span.stop - span.start
         np.greater(av[span], sig, out=mask[:, :cols])
         return np.multiply(w[span], mask[:, :cols], out=vals[:, :cols])
 
-    if n <= _BLOCK:
-        return _tree_passes(masked(slice(0, n)))
     return _blocked((sig.size,), n, masked)
 
 

@@ -126,7 +126,7 @@ def _layout_fields(d):
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
 def test_fields_agree_bitwise_on_column_and_row_major_nodes(d):
     rng = np.random.default_rng(d)
     pts = rng.normal(scale=1.5, size=(4099, d))
@@ -137,6 +137,16 @@ def test_fields_agree_bitwise_on_column_and_row_major_nodes(d):
     rows, cols = np.ascontiguousarray(pts), np.asfortranarray(pts)
     for f in _layout_fields(d):
         assert f(rows).tobytes() == f(cols).tobytes(), f.id
+    if d >= 8:
+        # numpy sums eight or more entries of a contiguous row in another
+        # order than a column-major array's, so a sum along axis=-1 moved
+        # this oscillation (column-major nodes) off the row-major loop's
+        f = corpus_by_id(d)["log_radial"]
+        cube = Cube((0.96, 0.37, 0.3, 0.38, -0.22, -0.73, 0.44, 0.05, -0.5)[:d], 0.97)
+        spec = QuadratureSpec(nodes_per_axis=2, refinement_levels=1, abs_tol=1.0)
+        assert oscillation(f, cube, 1.5, spec).hex() == oracles.oscillation_loop(
+            f, cube, 1.5, spec
+        ).hex()
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -526,6 +536,13 @@ def test_vanishing_measure_error_names_cube_and_level(spec):
         average_gamma(corpus_by_id(1)["coord0"], Cube((40.0,), 0.2), spec)
 
 
+def test_error_messages_are_the_same_on_streamed_levels(spec, monkeypatch):
+    # every level refined alone, so streamed in blocks
+    monkeypatch.setattr(fields, "SHARED_RULE_NODES", 0)
+    test_node_cap_error_names_field_and_cube(monkeypatch)
+    test_vanishing_measure_error_names_cube_and_level(spec)
+
+
 # ---------------------------------------------------------------------------
 # batched refinement against the one-cube loop
 # ---------------------------------------------------------------------------
@@ -638,3 +655,128 @@ def test_batched_refinement_raises_the_first_failure_in_input_order(
     xs = np.concatenate(seen)
     inside = [int(np.sum((xs > c.lo[0]) & (xs < c.hi[0]))) for c in cubes]
     assert inside == evaluated
+
+
+# ---------------------------------------------------------------------------
+# streamed levels against the materialized rule
+# ---------------------------------------------------------------------------
+
+# (d, nodes per axis, segments per axis), with the level-0 and level-1 rule
+# sizes against one block of kernels._BLOCK = 65,536 nodes: below, at, and
+# above it with a partial last block.  Rows of 2 and 3 segments are not
+# powers of two, so blocks start and end inside tensor rows.
+STREAMED = [
+    (1, 32, (75,)),  # 2,400 and 4,800
+    (1, 64, (512,)),  # 32,768 and 65,536
+    (1, 64, (563,)),  # 36,032 and 72,064
+    (2, 64, (1, 1)),  # 4,096 and 16,384
+    (2, 128, (1, 1)),  # 16,384 and 65,536
+    (2, 48, (3, 3)),  # 20,736 and 82,944
+    (2, 60, (2, 3)),  # 21,600 and 86,400
+    (3, 16, (2, 1, 1)),  # 8,192 and 65,536
+    (3, 12, (3, 2, 1)),  # 10,368 and 82,944, rows of 1,152
+    (3, 15, (3, 2, 2)),  # 40,500 and 324,000
+]
+
+
+def _split(f, cube, segments):
+    """f with extra breaks cutting each axis of the cube into the given segments."""
+    extra = {
+        ax: tuple(cube.lo[ax] + cube.side * (k - 0.25) / s for k in range(1, s))
+        for ax, s in enumerate(segments)
+    }
+    return ScalarField(
+        f.id, f.fn, dim=f.dim, breaks=fields.merge_breaks(f.breaks, extra),
+        level_breaks=f.level_breaks,
+    )
+
+
+@pytest.mark.parametrize("d, order, segments", STREAMED)
+def test_streamed_levels_match_the_materialized_rule_bitwise(d, order, segments):
+    # a tolerance no difference exceeds accepts every quadrature at level 1,
+    # after levels 0 and 1 have each been refined alone and streamed
+    spec = QuadratureSpec(nodes_per_axis=order, refinement_levels=1, abs_tol=1e300)
+    assert math.prod(order * s for s in segments) > fields.SHARED_RULE_NODES
+    cube = Cube((0.3, -0.2, 0.1)[:d], 2.4)
+    for base in (_rsq(d), corpus_by_id(d)["log_radial"]):
+        f = _split(base, cube, segments)
+        assert _outcome(lambda: average_gamma(f, cube, spec)) == _outcome(
+            lambda: oracles.average_loop(f, cube, spec)
+        ), f.id
+        assert _outcome(lambda: oscillation(f, cube, 1.25, spec)) == _outcome(
+            lambda: oracles.oscillation_loop(f, cube, 1.25, spec)
+        ), f.id
+        # sigmas equal to node values of the level-1 rule test the strict >
+        pts, _ = oracles.tensor_rule_loop(cube, f.breaks, 1, order, "rule", f.id)
+        values = f(pts)
+        rng = np.random.default_rng(d)
+        for sig, center in (
+            (rng.choice(values, 10), 0.0),
+            (rng.choice(values, 25), 0.0),
+            (np.linspace(0.0, 2.0, 10), None),
+        ):
+            got = _outcome(lambda: tail_profile(f, cube, sig, spec, center=center).tails)
+            want = _outcome(
+                lambda: tuple(oracles.tail_profile_loop(f, cube, sig, spec, center).tolist())
+            )
+            assert got == want, f.id
+        assert _outcome(lambda: weak_lp_norm(f, cube, 2.0, spec)) == _outcome(
+            lambda: oracles.weak_norm_loop(f, cube, 2.0, spec)
+        ), f.id
+    # the field sees every node of both levels, at most one block at a time
+    f = _split(_rsq(d), cube, segments)
+    sizes = []
+    counted = ScalarField(f.id, lambda p: sizes.append(p.shape[0]) or f(p), breaks=f.breaks)
+    average_gamma(counted, cube, spec)
+    level_nodes = [math.prod((order << lv) * s for s in segments) for lv in (0, 1)]
+    assert max(sizes) == min(level_nodes[1], kernels._BLOCK)
+    assert sum(sizes) == sum(level_nodes)
+
+
+def test_streamed_level_inside_a_field_evaluation_keeps_its_own_buffers():
+    # each evaluation of the outer field first streams a quadrature of its
+    # own, between two blocks of the outer level
+    spec = QuadratureSpec(nodes_per_axis=128, refinement_levels=1, abs_tol=1e300)
+    f = _rsq(2)
+
+    def fn(pts):
+        average_gamma(f, Cube((-0.4, 0.2), 1.0), spec)
+        return f(pts)
+
+    outer = ScalarField("nested", fn, dim=2)
+    cube = Cube((0.3, -0.2), 2.4)
+    want = oracles.average_loop(f, cube, spec).hex()
+    # the first run leaves spare buffers that fit every level of the second
+    assert average_gamma(outer, cube, spec).hex() == want
+    assert average_gamma(outer, cube, spec).hex() == want
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # |f - f_Q|^1.5 kinks on a circle, so the power average refines to
+        # its last level, 2048 x 2048 nodes
+        lambda f, cube: oscillation(
+            f, cube, 1.5, QuadratureSpec(refinement_levels=8, abs_tol=1e-300)
+        ),
+        # tails refine to twice the level budget
+        lambda f, cube: tail_profile(
+            f, cube, [0.1, 0.5, 1.0, 2.0], QuadratureSpec(refinement_levels=4, abs_tol=1e-300),
+            center=0.0,
+        ),
+    ],
+    ids=["oscillation", "tail profile"],
+)
+def test_streamed_levels_keep_block_memory(run):
+    import tracemalloc
+
+    f, cube = _rsq(2), Cube((0.3, 0.3), 2.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=r"level 8 \(4194304 tensor nodes\)"):
+            run(f, cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one rule of 4,194,304 nodes is 96 MiB of nodes and weights alone
+    assert peak < 16 * 2**20

@@ -234,6 +234,42 @@ def test_blocked_reductions_on_views_match_unblocked_tree_bitwise():
     assert _hex(kernels.tail_sums(av, w, sig)) == _hex(oracles.tail_sums(av, w, sig))
 
 
+def test_kept_block_buffers_are_never_returned_nor_shared_between_threads():
+    import sys
+    import threading
+
+    rng = np.random.default_rng(9)
+    sig = np.array([0.0, 1e-3, 1.0])
+    cases = [(np.abs(_spread(rng, n)), np.abs(_spread(rng, n))) for n in [BLOCK, BLOCK + 5] * 2]
+    want = [
+        (_hex(oracles.tail_sums(av, w, sig)), _hex(oracles._tree_sum(av * w))) for av, w in cases
+    ]
+    # a later call with the same shapes reuses the buffers, not the results
+    first = kernels.tail_sums(*cases[0], sig), kernels.weighted_sum(*cases[0])
+    kernels.tail_sums(*cases[2], sig), kernels.weighted_sum(*cases[2])
+    assert (_hex(first[0]), _hex(first[1])) == want[0]
+    got = [None] * len(cases)
+
+    def work(k):
+        for _ in range(5):
+            got[k] = _hex(kernels.tail_sums(*cases[k], sig)), _hex(kernels.weighted_sum(*cases[k]))
+            if got[k] != want[k]:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # membership counting and tail sums
 # ---------------------------------------------------------------------------
