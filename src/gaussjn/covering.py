@@ -29,7 +29,15 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .geometry import Ball, Cube, is_admissible, m_weight
+from .geometry import (
+    Ball,
+    Cube,
+    admissible_mask,
+    center_norms,
+    cube_arrays,
+    m_weight,
+    m_weight_points,
+)
 
 #: Admissibility parameter guaranteed for every covering cube in dimension d.
 def covering_admissibility(d: int) -> float:
@@ -340,30 +348,29 @@ def coverage_report(covering: Covering, n_points: int = 100_000, seed: int = 0) 
     d = covering.d
     a_par = covering.admissibility
     pairs = covering.all_cubes()
-    lo = np.array([q.lo for _, q in pairs])
-    hi = np.array([q.hi for _, q in pairs])
+    layer_of = np.array([idx for idx, _ in pairs])
+    centers, sides = cube_arrays([q for _, q in pairs])
+    half = (0.5 * sides)[:, None]
 
     pts = low_discrepancy_points(covering, n_points, seed)
-    counts = kernels.count_membership(pts, lo, hi)
+    counts = kernels.count_membership(pts, centers - half, centers + half)
     covered_fraction = float(np.mean(counts >= 1))
     max_overlap = int(counts.max())
 
-    admissible_all = all(is_admissible(q, a_par) for _, q in pairs)
+    mw = m_weight_points(centers)
+    admissible_all = bool(np.all(admissible_mask(centers, sides, a_par)))
+    shell = layer_of >= 2
+    iv_ok = bool(np.all((mw[shell] <= sides[shell]) & (sides[shell] <= a_par * mw[shell])))
 
-    iv_ok = True
-    center_bound_m = 0.0
-    center_bound_ok = True
-    for idx, q in pairs:
-        if idx >= 2:
-            mw = m_weight(q.center)
-            if not (mw <= q.side <= a_par * mw):
-                iv_ok = False
-        if idx >= 1:
-            norm = q.center_norm()
-            ratio = max(math.sqrt(idx) / norm, norm / idx ** (d / 2.0))
-            center_bound_m = max(center_bound_m, ratio)
-            if not (math.sqrt(idx) / 4.0 <= norm <= 4.0 * idx ** (d / 2.0)):
-                center_bound_ok = False
+    # per-layer constants with Python's sqrt and pow, repeated over each layer's cubes
+    shells = [layer for layer in covering.layers if layer.index >= 1]
+    sizes = [len(layer) for layer in shells]
+    root_k = np.repeat([math.sqrt(layer.index) for layer in shells], sizes)
+    pow_k = np.repeat([layer.index ** (d / 2.0) for layer in shells], sizes)
+    norm = center_norms(centers[layer_of >= 1])
+    ratio = np.maximum(root_k / norm, norm / pow_k)
+    center_bound_m = float(np.max(ratio, initial=0.0))
+    center_bound_ok = bool(np.all((root_k / 4.0 <= norm) & (norm <= 4.0 * pow_k)))
 
     card = {layer.index: len(layer) for layer in covering.layers if layer.index >= 1}
     ratios = {k: card[k] / k ** (d - 1) for k in sorted(card)}

@@ -990,10 +990,12 @@ def _node_measure_weak_sup(av: np.ndarray, wg: np.ndarray, p: float) -> float:
     if float(np.max(av)) <= 0.0:
         return 0.0
     order = np.argsort(av)
-    sv = av[order]
     suffix = np.cumsum(wg[order][::-1])[::-1]
-    levels_v, first = np.unique(sv, return_index=True)
-    scores = levels_v * np.maximum(suffix[first], 0.0) ** (1.0 / p)
+    sv = av[order]
+    del order  # one n-sized array fewer alive while the runs are found
+    # the first index of each run of equal sorted values
+    first = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    scores = sv[first] * np.maximum(suffix[first], 0.0) ** (1.0 / p)
     return float(np.max(scores))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,12 +40,45 @@ BOUNDARY_REL_TOL = 1e-12
 
 
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if len(out) == 0:
+    out = tuple(map(float, values))
+    if not out:
         raise ValueError("dimension must be >= 1")
-    if not all(math.isfinite(v) for v in out):
+    if not all(map(math.isfinite, out)):
         raise ValueError("coordinates must be finite")
     return out
+
+
+def center_norms(centers: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``centers`` (n, d), or of one point (d,).
+
+    Each row's norm is the square root of its dot product with itself, the
+    reduction ``np.linalg.norm`` applies to a single vector; the batched
+    matmul hands every row to that same dot product, so a norm taken over
+    many rows equals the norm of each row alone, bit for bit.
+    (``np.linalg.norm(axis=-1)`` and ``einsum`` sum in another order.)
+    """
+    c = np.asarray(centers, dtype=np.float64, order="C")
+    c = c.reshape(-1, 1, c.shape[-1])
+    return np.sqrt(np.matmul(c, c.transpose(0, 2, 1)).reshape(-1))
+
+
+@lru_cache(maxsize=None)
+def _child_signs(d: int) -> np.ndarray:
+    signs = np.array(list(np.ndindex(*(2,) * d)), dtype=np.float64) * 2.0 - 1.0
+    signs.flags.writeable = False
+    return signs
+
+
+def child_offsets(d: int, side: float | np.ndarray) -> np.ndarray:
+    """Center offsets (+-side/4 per axis) of the 2^d dyadic children.
+
+    ``side`` is one side or an array of them; the result has shape
+    ``side.shape + (2^d, d)``.  Children come in ``np.ndindex`` order of
+    their (low, high) half along each axis, the order of
+    :meth:`Cube.dyadic_children`.
+    """
+    h = 0.25 * np.asarray(side, dtype=np.float64)
+    return _child_signs(d) * h[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -55,10 +89,11 @@ class Cube:
     side: float
 
     def __post_init__(self) -> None:
+        side = float(self.side)
         object.__setattr__(self, "center", _as_float_tuple(self.center))
-        object.__setattr__(self, "side", float(self.side))
-        if not (math.isfinite(self.side) and self.side > 0.0):
-            raise ValueError(f"cube side must be positive and finite, got {self.side}")
+        object.__setattr__(self, "side", side)
+        if not (math.isfinite(side) and side > 0.0):
+            raise ValueError(f"cube side must be positive and finite, got {side}")
 
     @property
     def dim(self) -> int:
@@ -84,7 +119,7 @@ class Cube:
         return self.center_array() + 0.5 * self.side
 
     def center_norm(self) -> float:
-        return float(np.linalg.norm(self.center_array()))
+        return float(center_norms(self.center)[0])
 
     def contains_point(self, x: Sequence[float]) -> bool:
         xs = np.asarray(x, dtype=np.float64)
@@ -106,12 +141,9 @@ class Cube:
 
     def dyadic_children(self) -> tuple["Cube", ...]:
         """The 2^d half-side cubes tiling this cube (up to a null set)."""
-        h = 0.25 * self.side
-        kids = []
-        for signs in np.ndindex(*(2,) * self.dim):
-            off = np.array([h if s else -h for s in signs])
-            kids.append(Cube(tuple(self.center_array() + off), 0.5 * self.side))
-        return tuple(kids)
+        centers = self.center_array() + child_offsets(self.dim, self.side)
+        half = 0.5 * self.side
+        return tuple(Cube(c, half) for c in centers.tolist())
 
 
 @dataclass(frozen=True)
@@ -135,27 +167,43 @@ class Ball:
         return np.asarray(self.center, dtype=np.float64)
 
     def center_norm(self) -> float:
-        return float(np.linalg.norm(self.center_array()))
+        return float(center_norms(self.center)[0])
+
+
+def cube_arrays(cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (n, d) and sides (n,) of the cubes; ``centers -+ sides/2``
+    are their ``lo`` and ``hi`` corners bit for bit."""
+    centers = np.array([q.center for q in cubes], dtype=np.float64)
+    return centers, np.array([q.side for q in cubes], dtype=np.float64)
 
 
 def m_weight(x: Sequence[float]) -> float:
     """Admissibility weight m(x) = min(1, 1/|x|), with m(0) = 1."""
-    r = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
+    r = float(center_norms(x)[0])
     return 1.0 if r <= 1.0 else 1.0 / r
 
 
 def m_weight_points(pts: np.ndarray) -> np.ndarray:
-    """Vectorized m over rows of pts (n, d)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    r = np.linalg.norm(pts, axis=-1)
+    """Vectorized m over rows of pts (n, d); each entry equals ``m_weight`` of its row."""
+    r = center_norms(pts)
     return np.where(r <= 1.0, 1.0, 1.0 / np.maximum(r, 1.0))
+
+
+def _check_scale(a: float) -> None:
+    if not (a > 0.0):
+        raise ValueError(f"admissibility parameter must be positive, got {a}")
 
 
 def is_admissible(cube: Cube, a: float) -> bool:
     """Exact membership test for the family Q_a: l_Q <= a * m(c_Q)."""
-    if not (a > 0.0):
-        raise ValueError(f"admissibility parameter must be positive, got {a}")
+    _check_scale(a)
     return cube.side <= a * m_weight(cube.center)
+
+
+def admissible_mask(centers: np.ndarray, sides: float | np.ndarray, a: float) -> np.ndarray:
+    """``is_admissible`` of many cubes at once: rows of centers (n, d), sides (n,) or one side."""
+    _check_scale(a)
+    return np.asarray(sides, dtype=np.float64) <= a * m_weight_points(centers)
 
 
 def lebesgue_measure(cube: Cube) -> float:

@@ -37,7 +37,15 @@ from .fields import (
     oscillations,
     tail_profiles,
 )
-from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
+from .geometry import (
+    Cube,
+    admissible_mask,
+    child_offsets,
+    cube_arrays,
+    cubes_disjoint,
+    gaussian_measure,
+    is_admissible,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +112,44 @@ class ForestNode:
             yield from child.iter_nodes()
 
 
-def _grow(cube: Cube, depth: int, budget: int, a: float) -> ForestNode | None:
-    if not is_admissible(cube, a):
-        return None
-    if budget == 0:
-        return ForestNode(cube, depth, ())
-    kids = []
-    for child in cube.dyadic_children():
-        node = _grow(child, depth + 1, budget - 1, a)
-        if node is not None:
-            kids.append(node)
-    return ForestNode(cube, depth, tuple(kids))
+def grow_forest(roots: Sequence[Cube], depth: int, a: float) -> tuple[ForestNode, ...]:
+    """Dyadic trees ``depth`` levels deep under ``roots``, admissible at scale ``a``.
+
+    A cube that is not admissible is dropped together with its subtree.  The
+    forest grows one level at a time on arrays: the 2^d children of every
+    kept cube of a level are one (m * 2^d, d) center array, and one mask
+    keeps the admissible ones.  The nodes are then built bottom-up, each
+    parent's children in ``Cube.dyadic_children`` order, so the preorder of
+    the result is that of growing each root depth-first.
+    """
+    if not roots:
+        return ()
+    d = roots[0].dim
+    centers, sides = cube_arrays(roots)
+    keep = admissible_mask(centers, sides, a)
+    # the kept cubes of each level, and for levels >= 1 the index of each one's parent
+    levels = [(centers[keep], sides[keep])]
+    parents = []
+    for _ in range(depth):
+        centers, sides = levels[-1]
+        kids = (centers[:, None, :] + child_offsets(d, sides)).reshape(-1, d)
+        kid_sides = np.repeat(0.5 * sides, 2**d)
+        keep = admissible_mask(kids, kid_sides, a)
+        levels.append((kids[keep], kid_sides[keep]))
+        parents.append(np.flatnonzero(keep) >> d)
+    below: list[ForestNode] = []
+    for level in range(depth, -1, -1):
+        centers, sides = levels[level]
+        if level == depth:
+            groups = [()] * len(sides)
+        else:
+            ends = np.cumsum(np.bincount(parents[level], minlength=len(sides))).tolist()
+            groups = [tuple(below[s:e]) for s, e in zip([0] + ends, ends)]
+        below = [
+            ForestNode(Cube(c, s), level, kids)
+            for c, s, kids in zip(centers.tolist(), sides.tolist(), groups)
+        ]
+    return tuple(below)
 
 
 @dataclass(frozen=True)
@@ -156,22 +191,17 @@ def make_candidates(covering: Covering, depth: int) -> CandidateSet:
         raise ValueError("depth must be nonnegative")
     a = covering.admissibility
     cubes = [cube for _layer, cube in covering.all_cubes()]
+    centers, sides = cube_arrays(cubes)
+    half = (0.5 * sides)[:, None]
     # only cubes filed in a grid cell with this one can overlap it
-    neighbours = kernels.earlier_neighbours(
-        np.array([q.lo for q in cubes]), np.array([q.hi for q in cubes])
-    )
+    neighbours = kernels.earlier_neighbours(centers - half, centers + half)
     is_kept = [False] * len(cubes)
     kept: list[Cube] = []
     for i, cube in enumerate(cubes):
         if all(cubes_disjoint(cube, cubes[j]) for j in neighbours[i].tolist() if is_kept[j]):
             is_kept[i] = True
             kept.append(cube)
-    roots = []
-    for cube in kept:
-        node = _grow(cube, 0, depth, a)
-        if node is not None:
-            roots.append(node)
-    return CandidateSet(tuple(roots), a, depth)
+    return CandidateSet(grow_forest(kept, depth, a), a, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from gaussjn.geometry import cubes_disjoint
+from gaussjn.geometry import Cube, cubes_disjoint
 
 mp.mp.dps = 40
 
@@ -284,6 +284,127 @@ def first_fit_disjoint_brute(cubes) -> list:
 
 
 # ---------------------------------------------------------------------------
+# per-cube geometry (the loops before forests and covering checks ran on arrays)
+# ---------------------------------------------------------------------------
+
+
+def m_weight_rowwise(x) -> float:
+    """m(x) = min(1, 1/|x|) from ``np.linalg.norm`` of the one vector x."""
+    r = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
+    return 1.0 if r <= 1.0 else 1.0 / r
+
+
+def is_admissible_rowwise(cube, a: float) -> bool:
+    return cube.side <= a * m_weight_rowwise(cube.center)
+
+
+def dyadic_children_loop(cube) -> tuple:
+    """The 2^d half-side children, one offset vector per np.ndindex sign pattern."""
+    h = 0.25 * cube.side
+    kids = []
+    for signs in np.ndindex(*(2,) * cube.dim):
+        off = np.array([h if s else -h for s in signs])
+        kids.append(Cube(tuple(cube.center_array() + off), 0.5 * cube.side))
+    return tuple(kids)
+
+
+def grow_recursive(cube, depth: int, budget: int, a: float):
+    """Depth-first dyadic tree under ``cube``; an inadmissible cube drops its subtree."""
+    from gaussjn.jnp import ForestNode
+
+    if not is_admissible_rowwise(cube, a):
+        return None
+    if budget == 0:
+        return ForestNode(cube, depth, ())
+    kids = []
+    for child in dyadic_children_loop(cube):
+        node = grow_recursive(child, depth + 1, budget - 1, a)
+        if node is not None:
+            kids.append(node)
+    return ForestNode(cube, depth, tuple(kids))
+
+
+def grow_forest_recursive(roots, depth: int, a: float) -> tuple:
+    nodes = (grow_recursive(cube, 0, depth, a) for cube in roots)
+    return tuple(node for node in nodes if node is not None)
+
+
+def make_candidates_recursive(covering, depth: int) -> tuple:
+    """Roots of ``make_candidates`` by the O(m^2) first fit, each grown depth-first."""
+    roots = first_fit_disjoint_brute([q for _, q in covering.all_cubes()])
+    return grow_forest_recursive(roots, depth, covering.admissibility)
+
+
+def coverage_report_loop(covering, n_points: int, seed: int) -> dict:
+    """``coverage_report`` with a point-by-box membership count and per-cube checks."""
+    from gaussjn.covering import low_discrepancy_points
+
+    d = covering.d
+    a_par = covering.admissibility
+    pairs = covering.all_cubes()
+    pts = low_discrepancy_points(covering, n_points, seed)
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for _, q in pairs:
+        counts += np.all((pts > np.array(q.lo)) & (pts < np.array(q.hi)), axis=1)
+    covered_fraction = float(np.mean(counts >= 1))
+    max_overlap = int(counts.max())
+
+    admissible_all = all(is_admissible_rowwise(q, a_par) for _, q in pairs)
+    iv_ok = True
+    center_bound_m = 0.0
+    center_bound_ok = True
+    for idx, q in pairs:
+        if idx >= 2:
+            mw = m_weight_rowwise(q.center)
+            if not (mw <= q.side <= a_par * mw):
+                iv_ok = False
+        if idx >= 1:
+            norm = float(np.linalg.norm(np.asarray(q.center)))
+            ratio = max(math.sqrt(idx) / norm, norm / idx ** (d / 2.0))
+            center_bound_m = max(center_bound_m, ratio)
+            if not (math.sqrt(idx) / 4.0 <= norm <= 4.0 * idx ** (d / 2.0)):
+                center_bound_ok = False
+
+    card = {layer.index: len(layer) for layer in covering.layers if layer.index >= 1}
+    ratios = {k: card[k] / k ** (d - 1) for k in sorted(card)}
+    running_sup = []
+    sup = 0.0
+    for k in sorted(ratios):
+        sup = max(sup, ratios[k])
+        running_sup.append(sup)
+    if len(running_sup) >= 4:
+        plateau_ok = running_sup[-1] == running_sup[-3]
+    else:
+        plateau_ok = True
+    ok = (
+        covered_fraction == 1.0
+        and max_overlap <= 3**d
+        and admissible_all
+        and iv_ok
+        and center_bound_ok
+        and plateau_ok
+    )
+    return {
+        "d": d,
+        "depth": covering.depth,
+        "n_points": int(n_points),
+        "seed": int(seed),
+        "cube_count": covering.cube_count(),
+        "covered_fraction": covered_fraction,
+        "max_overlap": max_overlap,
+        "overlap_limit": 3**d,
+        "admissible_all": admissible_all,
+        "shell_side_bounds_ok": iv_ok,
+        "center_bound_ok": center_bound_ok,
+        "center_bound_constant": center_bound_m,
+        "layer_cardinalities": {str(k): card[k] for k in sorted(card)},
+        "cardinality_ratios": {str(k): ratios[k] for k in sorted(ratios)},
+        "cardinality_sup_plateau": plateau_ok,
+        "ok": ok,
+    }
+
+
+# ---------------------------------------------------------------------------
 # weak-type embedding constant
 # ---------------------------------------------------------------------------
 
@@ -510,3 +631,14 @@ def weak_norm_loop(f, cube, p, spec, rel_tol=1e-3):
         spec.nodes_per_axis, lambda vals, w: _node_measure_weak_sup(np.abs(vals), w * gq, p),
         accept,
     )
+
+
+def node_measure_weak_sup_unique(av: np.ndarray, wg: np.ndarray, p: float) -> float:
+    """The weak sup with ``np.unique`` picking the first index of each value."""
+    if float(np.max(av)) <= 0.0:
+        return 0.0
+    order = np.argsort(av)
+    sv = av[order]
+    suffix = np.cumsum(wg[order][::-1])[::-1]
+    levels_v, first = np.unique(sv, return_index=True)
+    return float(np.max(levels_v * np.maximum(suffix[first], 0.0) ** (1.0 / p)))

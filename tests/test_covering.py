@@ -1,6 +1,7 @@
 """Radius sequence, shell covering, and the contraction chain toward the origin."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -213,6 +214,51 @@ def test_coverage_report_flags_a_padded_last_layer():
     rep = coverage_report(padded, n_points=4000, seed=0)
     assert not rep["cardinality_sup_plateau"], rep["cardinality_ratios"]
     assert not rep["ok"]
+
+
+@pytest.mark.parametrize("d, depths", [(1, (1, 3, 8)), (2, (1, 2, 5)), (3, (1, 2, 3))])
+def test_coverage_report_matches_per_cube_oracle(d, depths):
+    for depth in depths:
+        cov = build_covering(depth, d)
+        rep = coverage_report(cov, n_points=2000, seed=depth)
+        ref = oracles.coverage_report_loop(cov, n_points=2000, seed=depth)
+        assert rep == ref
+        assert json.dumps(rep) == json.dumps(ref)
+
+
+def _tamper(cov, layer, pos, cube):
+    layers = list(cov.layers)
+    cubes = layers[layer].cubes
+    layers[layer] = Layer(layer, cubes[:pos] + (cube,) + cubes[pos + 1 :])
+    return dataclasses.replace(cov, layers=tuple(layers))
+
+
+def test_coverage_report_flags_a_tampered_covering_like_oracle():
+    cov = build_covering(4, 2)
+    one, two, three = (cov.layers[k].cubes for k in (1, 2, 3))
+    # each tampering trips exactly one check: a layer-1 side above a * m(c)
+    # (layer 1 is outside the shell-side check), a layer-2 side below m(c),
+    # and a layer-3 center moved 10x out with its side rescaled into the
+    # shell-side bounds
+    grown = Cube(one[3].center, 2.0)
+    shrunk = Cube(two[5].center, 0.25 * two[5].side)
+    far = tuple(10.0 * c for c in three[0].center)
+    moved = Cube(far, 1.5 * m_weight(far))
+    cases = [
+        (_tamper(cov, 1, 3, grown), ("admissible_all",)),
+        (_tamper(cov, 2, 5, shrunk), ("shell_side_bounds_ok",)),
+        (_tamper(cov, 3, 0, moved), ("center_bound_ok",)),
+        (
+            _tamper(_tamper(_tamper(cov, 1, 3, grown), 2, 5, shrunk), 3, 0, moved),
+            ("admissible_all", "shell_side_bounds_ok", "center_bound_ok"),
+        ),
+    ]
+    for tampered, tripped in cases:
+        rep = coverage_report(tampered, n_points=4000, seed=0)
+        for key in ("admissible_all", "shell_side_bounds_ok", "center_bound_ok"):
+            assert rep[key] == (key not in tripped), (tripped, key)
+        assert not rep["ok"]
+        assert json.dumps(rep) == json.dumps(oracles.coverage_report_loop(tampered, 4000, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,22 @@ def test_weak_lp_continuous_certified_lower_bound(spec):
     assert abs(tighter - exact) < abs(got - exact) + 1e-12
 
 
+def test_node_measure_weak_sup_matches_unique_oracle():
+    # rounded values give long runs of ties (and -0.0 next to 0.0); the
+    # first index of each run must pick the same suffix sums as np.unique
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        n = int(rng.integers(1, 2000))
+        av = np.abs(np.round(rng.normal(size=n), int(rng.integers(0, 4))))
+        if trial % 5 == 0:
+            av[rng.integers(0, n, size=n // 3)] = -0.0
+        wg = rng.random(n)
+        p = float(rng.choice([1.0, 1.5, 2.0, 3.7]))
+        got = fields._node_measure_weak_sup(av, wg, p)
+        assert got.hex() == oracles.node_measure_weak_sup_unique(av, wg, p).hex()
+    assert fields._node_measure_weak_sup(np.zeros(4), np.ones(4), 2.0) == 0.0
+
+
 def test_weak_lp_rejects_bad_exponent(spec):
     with pytest.raises(ValueError):
         weak_lp_norm(_rsq(), P1, 0.5, spec)

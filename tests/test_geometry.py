@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gaussjn.covering import build_covering
 from gaussjn.geometry import (
     Ball,
     Cube,
+    admissible_mask,
+    center_norms,
+    child_offsets,
     comparability_ratio,
     cubes_disjoint,
     gaussian_measure,
@@ -33,6 +37,10 @@ def cube_strategy(draw, d=None):
     return Cube(center, draw(sides))
 
 
+def _bits(values) -> list:
+    return [float(v).hex() for v in np.asarray(values, dtype=np.float64).ravel()]
+
+
 # ---------------------------------------------------------------------------
 # construction and containment
 # ---------------------------------------------------------------------------
@@ -47,6 +55,16 @@ def test_cube_rejects_bad_side():
         Cube((0.0,), math.inf)
     with pytest.raises(ValueError):
         Ball((0.0,), 0.0)
+
+
+def test_cube_rejects_bad_center():
+    for center in [(), (math.nan,), (0.0, math.inf), (-math.inf, 1.0)]:
+        with pytest.raises(ValueError):
+            Cube(center, 1.0)
+    with pytest.raises(ValueError):
+        Cube((0.0,), math.nan)
+    q = Cube(np.array([1, 2]), np.float32(0.5))
+    assert q.center == (1.0, 2.0) and type(q.center[0]) is float and type(q.side) is float
 
 
 def test_cube_corners():
@@ -71,6 +89,18 @@ def test_cube_contains_itself_and_children(q):
     for kid in q.dyadic_children():
         assert q.contains_cube(kid)
         assert not kid.contains_cube(q)
+
+
+@given(cube_strategy())
+@settings(max_examples=100, deadline=None)
+def test_dyadic_children_match_offset_loop(q):
+    kids = q.dyadic_children()
+    ref = oracles.dyadic_children_loop(q)
+    assert [(_bits(k.center), k.side) for k in kids] == [(_bits(k.center), k.side) for k in ref]
+    # the forest levels use the same offsets, broadcast over many sides
+    many = child_offsets(q.dim, np.array([q.side, 2.0 * q.side]))
+    assert many.shape == (2, 2**q.dim, q.dim)
+    assert _bits(many[0]) == _bits(child_offsets(q.dim, q.side))
 
 
 @given(cube_strategy())
@@ -124,9 +154,41 @@ def test_m_weight_definition(x):
     assert 0.0 < m_weight(x) <= 1.0
 
 
+def _weight_rows():
+    rng = np.random.default_rng(11)
+    for d in range(1, 5):
+        yield np.array([q.center for _, q in build_covering(4 if d < 4 else 2, d).all_cubes()])
+    for d in range(1, 6):
+        scale = rng.choice([0.3, 3.0, 30.0], size=(10_000, 1))
+        yield rng.normal(size=(10_000, d)) * scale
+
+
 def test_m_weight_points_vectorized():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.5, 0.0]])
     np.testing.assert_allclose(m_weight_points(pts), [1.0, 0.2, 1.0], rtol=1e-15)
+    # bit for bit the row-wise np.linalg.norm of the scalar m, on covering
+    # centers (d = 1-4) and random points (d = 1-5)
+    for rows in _weight_rows():
+        norms = [np.linalg.norm(row) for row in rows]
+        assert _bits(center_norms(rows)) == _bits(norms)
+        assert _bits(m_weight_points(rows)) == _bits([oracles.m_weight_rowwise(r) for r in rows])
+        for row in rows[:200]:
+            assert m_weight(row) == oracles.m_weight_rowwise(row)
+            assert Cube(tuple(row), 1.0).center_norm() == np.linalg.norm(row)
+
+
+def test_admissible_mask_matches_is_admissible():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        centers = rng.normal(size=(2000, d)) * 4.0
+        sides = rng.uniform(0.01, 3.0, size=2000)
+        mask = admissible_mask(centers, sides, 2.0)
+        assert 0 < mask.sum() < mask.size
+        cubes = [Cube(tuple(c), s) for c, s in zip(centers, sides)]
+        assert mask.tolist() == [is_admissible(q, 2.0) for q in cubes]
+        assert mask.tolist() == [oracles.is_admissible_rowwise(q, 2.0) for q in cubes]
+    with pytest.raises(ValueError):
+        admissible_mask(centers, sides, 0.0)
 
 
 def test_is_admissible_boundary_is_exact():

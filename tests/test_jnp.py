@@ -17,6 +17,7 @@ from gaussjn.jnp import (
     ForestNode,
     OscCache,
     bmo_norm_estimate,
+    grow_forest,
     jn_tail_fit,
     jnp_sum,
     make_candidates,
@@ -197,6 +198,49 @@ def test_make_candidates_2d_roots_disjoint():
         for qj in roots[:i]:
             assert cubes_disjoint(qi, qj)
     assert len(roots) >= 5  # thinning keeps a nontrivial disjoint subfamily
+
+
+def _preorder(roots):
+    """Every node as (depth, center bits, side bits, child count), in preorder."""
+    return [
+        (n.depth, tuple(map(float.hex, n.cube.center)), n.cube.side.hex(), len(n.children))
+        for r in roots
+        for n in r.iter_nodes()
+    ]
+
+
+@pytest.mark.parametrize("cdepth", [0, 1, 2, 3])
+@pytest.mark.parametrize("d, depth", [(1, 8), (2, 2), (3, 1)])
+def test_make_candidates_matches_recursive_oracle(d, depth, cdepth):
+    cov = build_covering(depth, d)
+    cands = make_candidates(cov, cdepth)
+    ref = oracles.make_candidates_recursive(cov, cdepth)
+    assert _preorder(cands.roots) == _preorder(ref)
+    assert cands.node_count() == sum(1 for r in ref for _ in r.iter_nodes())
+
+
+@pytest.mark.parametrize("a", [4.0, 6.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grow_forest_drops_inadmissible_subtrees_like_oracle(d, a):
+    # large cubes near the origin: at these scales some roots and some
+    # children are not admissible, so whole subtrees are dropped
+    rest = (0.0,) * (d - 1)
+    roots = [
+        Cube((0.0, *rest), 6.0),
+        Cube((1.0, *rest), 4.0),
+        Cube((-40.0,) * d, 0.5),
+        Cube((1.5,) * d, 2.0),
+    ]
+    forest = grow_forest(roots, 3, a)
+    assert _preorder(forest) == _preorder(oracles.grow_forest_recursive(roots, 3, a))
+    full = len(roots) * sum(2 ** (d * k) for k in range(4))
+    assert 0 < sum(1 for r in forest for _ in r.iter_nodes()) < full
+    if a == 4.0 and d >= 2:  # the cube at (1, 0, ...) keeps only its inner children
+        kept = {r.cube.center: r for r in forest}
+        assert 0 < len(kept[(1.0, *rest)].children) < 2**d
+    assert grow_forest([], 2, a) == ()
+    with pytest.raises(ValueError):
+        grow_forest(roots, 1, 0.0)
 
 
 # ---------------------------------------------------------------------------
