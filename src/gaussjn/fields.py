@@ -27,6 +27,19 @@ construction.  Averages and tail masses are summed with the deterministic
 pairwise kernels; weak norms take exact suffix sums over the sorted node
 values.
 
+Panels are graded toward known kinks.  For a fractional q, |f - f_Q|^q has
+an endpoint singularity on the level set {f = f_Q}, which ``level_breaks``
+puts on panel edges where the field can solve it, and uniform refinement
+converges there only like 2^(-(q+1)L).  Oscillations therefore pass those
+positions as ``kinks``: at level L >= 1 the end panel of a segment that
+touches a kink is cut at 2^-j of its width from the kink, j = L..1, into
+L + 1 panels that halve toward it (geometric grading, as in hp finite
+elements), so the segment has order * (2^L + L) nodes per graded end.  All
+other panels, and every rule without kinks, are the uniform ones bit for
+bit.  Tails and weak norms are not graded: their breaks are jumps, with a
+smooth integrand on each panel, and an integer q makes |f - f_Q|^q a
+polynomial in f on either side of the level set.
+
 One function, ``_drive``, runs every refinement.  Each cube's computation is
 a small program -- for an oscillation, the centering average and then the
 centered power average -- and ``_drive`` advances all pending cubes of a
@@ -297,12 +310,22 @@ class _Panels:
     """A cube's axis intervals split at the breaks, as rows of segments.
 
     Rows run axis by axis (``counts`` segments per axis); ``total`` holds,
-    on each row, the Gauss measure of the whole axis interval.
+    on each row, the Gauss measure of the whole axis interval.  A segment
+    end that lies on one of the ``kinks`` (which must also be breaks) is
+    graded: ``ends`` lists (row, left end graded, right end graded) for
+    each row with such an end, and ``graded`` counts them per axis.
     """
 
-    def __init__(self, cube: Cube, breaks: Mapping[int, Sequence[float]]) -> None:
+    def __init__(
+        self,
+        cube: Cube,
+        breaks: Mapping[int, Sequence[float]],
+        kinks: Mapping[int, Sequence[float]] | None = None,
+    ) -> None:
         self.cube = cube
         self.counts: list[int] = []
+        self.graded = [0] * cube.dim
+        self.ends: list[tuple[int, bool, bool]] = []
         self.a: list[float] = []
         self.b: list[float] = []
         self.total: list[float] = []
@@ -313,10 +336,31 @@ class _Panels:
             total = kernels.gauss1d(lo, hi)
             if total <= 0.0 and self.vanishing is None:
                 self.vanishing = ax
+            # segment edges are the break values themselves, so equality is exact
+            if kinks and (on_kink := {k for k in kinks.get(ax, ()) if lo < k < hi}):
+                for row, (a, b) in enumerate(segments, len(self.a)):
+                    left, right = a in on_kink, b in on_kink
+                    if left or right:
+                        self.ends.append((row, left, right))
+                        self.graded[ax] += left + right
             self.counts.append(len(segments))
             self.a.extend(a for a, _ in segments)
             self.b.extend(b for _, b in segments)
             self.total.extend([total] * len(segments))
+        self.cells = math.prod(self.counts)
+
+    def axis_nodes(self, level: int, order: int) -> list[int]:
+        """Nodes of each axis rule at this level.
+
+        That is order * 2^level per segment, plus order * level per graded end.
+        """
+        return [order * ((c << level) + level * g) for c, g in zip(self.counts, self.graded)]
+
+    def nodes(self, level: int, order: int) -> int:
+        """Tensor nodes of the cube's rule at this level."""
+        if self.ends:
+            return math.prod(self.axis_nodes(level, order))
+        return self.cells * (order << level) ** len(self.counts)
 
     def check(self, level: int, order: int) -> int:
         """Tensor node count at this level; raises when the rule cannot be built."""
@@ -327,7 +371,7 @@ class _Panels:
                 f"refinement level {level} has axis {ax} interval ({cube.lo[ax]}, {cube.hi[ax]}) "
                 f"of vanishing Gauss measure on cube center {cube.center} side {cube.side}"
             )
-        count = math.prod(c * (order << level) for c in self.counts)
+        count = self.nodes(level, order)
         if count > MAX_TENSOR_NODES:
             raise QuadratureError(
                 f"refinement level {level} would need {count} tensor nodes "
@@ -355,6 +399,77 @@ def _axis_rules(
     return x.reshape(a.size, -1), w.reshape(a.size, -1)
 
 
+@lru_cache(maxsize=64)
+def _grading(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The panels of a segment at one level, for each pattern of graded ends.
+
+    Pattern g = left + 2 * right says which ends lie on a kink.  Panel k of
+    the 2^level uniform panels spans [a + k h, a + (k+1) h]; a graded end
+    panel is cut at 2^-j of its width from the kink, j = level..1, into
+    level + 1 panels that halve toward it.  Returns the panels of patterns
+    0-3 end to end -- per panel, whether it is measured from b instead of
+    a, the offset of its left edge and its width, in units of h -- and the
+    index of each pattern's first panel, with the panel count last.
+    Uniform panels get offset k and width 1, so their nodes are bit for bit
+    those of ``_axis_rules``.  Needs level >= 1, where the two end panels
+    are distinct.
+    """
+    # 0, 2^-level, ..., 1/2, 1: the cuts of a left end panel
+    cuts = np.concatenate(([0.0], 2.0 ** -np.arange(level, -1, -1)))
+    parts = []
+    for left, right in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        k = np.arange(left, (1 << level) - right, dtype=np.float64)
+        parts.append((np.zeros(k.size, dtype=bool), k, np.ones(k.size)))
+        if left:
+            parts.insert(-1, (np.zeros(level + 1, dtype=bool), cuts[:-1], np.diff(cuts)))
+        if right:
+            parts.append((np.ones(level + 1, dtype=bool), -cuts[:0:-1], np.diff(cuts)[::-1]))
+    from_b, off, size = (np.concatenate(col) for col in zip(*parts))
+    panels = (1 << level) + level * np.array([0, 1, 1, 2])
+    return from_b, off, size, np.concatenate(([0], np.cumsum(panels)))
+
+
+def _axis_rows(
+    run: Sequence[_Panels], level: int, order: int
+) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+    """The axis rules of every row of the run's cubes at one level, end to end.
+
+    Returns the nodes, the weights and the offset of each row's first node,
+    with the node count last.  A run without a graded row is one
+    ``_axis_rules`` pass.  Otherwise every row's panels
+    are gathered from the ``_grading`` templates and built in one
+    vectorized pass, with the arithmetic of ``_axis_rules``, so the rows
+    and panels that are not graded keep its nodes and weights bit for bit.
+    """
+    a = np.array([v for p in run for v in p.a])
+    b = np.array([v for p in run for v in p.b])
+    total = np.array([v for p in run for v in p.total])
+    if not level or not any(p.ends for p in run):
+        x, w = _axis_rules(a, b, total, level, order)
+        return x.ravel(), w.ravel(), range(0, x.size + 1, x.shape[1])
+    pattern = np.zeros(a.size, dtype=np.int64)
+    first = 0
+    for p in run:
+        for row, left, right in p.ends:
+            pattern[first + row] = left + 2 * right
+        first += len(p.a)
+    from_b, off, size, start = _grading(level)
+    panels = start[pattern + 1] - start[pattern]
+    row = np.repeat(np.arange(a.size), panels)
+    ends = np.cumsum(panels)
+    # panel j of a row is entry start[pattern] + j of the templates
+    tpl = np.arange(ends[-1]) - np.repeat(ends - panels - start[pattern], panels)
+    gx, gw = _leggauss(order)
+    width = ((b - a) / (1 << level))[row]
+    lo = np.where(from_b[tpl], b[row], a[row]) + width * off[tpl]
+    half = 0.5 * (width * size[tpl])
+    mids = lo + half
+    x = mids[:, None] + half[:, None] * gx
+    w = half[:, None] * gw * np.exp(-x * x)
+    w = w / _SQRT_PI / total[row][:, None]
+    return x.ravel(), w.ravel(), [0, *(order * ends).tolist()]
+
+
 def _tensor(
     axis_nodes: Sequence[np.ndarray],
     axis_weights: Sequence[np.ndarray],
@@ -377,44 +492,36 @@ def _tensor(
 
 
 def _rules(
-    panels: Sequence[_Panels], levels: Sequence[int], order: int
+    panels: Sequence[_Panels], levels: Sequence[int], sizes: Sequence[int], order: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked tensor rules of many cubes: (points, weights, nodes per cube).
 
-    Each cube's nodes form one run, in the order given.  The axis rules of
+    ``sizes`` holds each cube's ``_Panels.nodes`` at its level.  Each
+    cube's nodes form one run, in the order given.  The axis rules of
     every run of equal levels are built in one vectorized pass.  For d >= 2
     the points are the transpose of one (d, n) buffer filled coordinate by
     coordinate, so each column of the (n, d) array is contiguous.
     """
     d = panels[0].cube.dim
-    sizes = np.array(
-        [math.prod(c * (order << lv) for c in p.counts) for p, lv in zip(panels, levels)],
-        dtype=np.int64,
-    )
+    sizes = np.array(sizes, dtype=np.int64)
     total = int(sizes.sum())
     cols = np.empty((d, total))
     w_all = np.empty(total)
     off = 0
     for level, ks in _runs(levels):
         run = [panels[k] for k in ks]
-        x, w = _axis_rules(
-            np.array([v for p in run for v in p.a]),
-            np.array([v for p in run for v in p.b]),
-            np.array([v for p in run for v in p.total]),
-            level,
-            order,
-        )
+        x, w, starts = _axis_rows(run, level, order)
         if d == 1:
-            cols[0, off : off + x.size] = x.ravel()
-            w_all[off : off + w.size] = w.ravel()
+            cols[0, off : off + x.size] = x
+            w_all[off : off + w.size] = w
             off += x.size
             continue
         row = 0
         for k, p in zip(ks, run):
             axis_x, axis_w = [], []
             for c in p.counts:
-                axis_x.append(x[row : row + c].ravel())
-                axis_w.append(w[row : row + c].ravel())
+                axis_x.append(x[starts[row] : starts[row + c]])
+                axis_w.append(w[starts[row] : starts[row + c]])
                 row += c
             end = off + int(sizes[k])
             _tensor(axis_x, axis_w, cols[:, off:end], w_all[off:end])
@@ -434,17 +541,15 @@ def _blocks(panels: _Panels, level: int, order: int) -> Iterator[tuple[np.ndarra
     """One cube's tensor rule at one level, as the (points, weights) of its blocks.
 
     Block j holds nodes [j B, (j+1) B) of the C-order rule, B =
-    ``kernels._BLOCK``, bit for bit those of ``tensor_rule``.  Only the axis
+    ``kernels._BLOCK``, bit for bit those of ``_rules``.  Only the axis
     rules are built whole: a block writes the axis-0 rows it touches into
     buffers reused from block to block (and, through ``_spare``, from level
     to level), so each block is valid only until the next one is produced.
     """
-    x, w = _axis_rules(
-        np.array(panels.a), np.array(panels.b), np.array(panels.total), level, order
-    )
-    bounds = np.cumsum([0, *panels.counts]).tolist()
-    axis_x = [x[lo:hi].ravel() for lo, hi in zip(bounds, bounds[1:])]
-    axis_w = [w[lo:hi].ravel() for lo, hi in zip(bounds, bounds[1:])]
+    x, w, starts = _axis_rows([panels], level, order)
+    bounds = [starts[row] for row in np.cumsum([0, *panels.counts]).tolist()]
+    axis_x = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    axis_w = [w[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     n = math.prod(a.size for a in axis_x)
     step = kernels._BLOCK
     if len(axis_x) == 1:
@@ -482,8 +587,7 @@ def tensor_rule(
     array is column-major.
     """
     panels = _Panels(cube, breaks)
-    panels.check(level, order)
-    pts, w, _ = _rules([panels], [level], order)
+    pts, w, _ = _rules([panels], [level], [panels.check(level, order)], order)
     return pts, w
 
 
@@ -546,7 +650,8 @@ class _Quad:
     normalized weights scaled by gamma(Q) for the last two.  Levels
     0..``top`` are tried in turn, and a level is accepted when it differs
     from the previous one by at most max(``tol``, ``rel_tol`` * |estimate|),
-    by the largest entry for arrays.
+    by the largest entry for arrays.  Panels are graded toward the
+    ``kinks``, which must also be among the ``breaks``.
     """
 
     def __init__(
@@ -560,10 +665,11 @@ class _Quad:
         transform: Callable[[np.ndarray], np.ndarray] | _Centered | None = None,
         reduction: _Tails | _Weak | None = None,
         rel_tol: float = 0.0,
+        kinks: Mapping[int, Sequence[float]] | None = None,
     ) -> None:
         self.what = what
         self.cube = cube
-        self.panels = _Panels(cube, breaks)
+        self.panels = _Panels(cube, breaks, kinks)
         self.top = top
         self.tol = tol
         self.transform = transform
@@ -690,6 +796,8 @@ def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
     """
     results: list = [None] * len(programs)
     pending: dict[int, _Quad] = {}
+    # node count of each pending request's current level, set by size()
+    sizes: dict[int, int] = {}
     solo: set[int] = set()
     # cubes from failed_at on are not refined further; error is their first failure
     failed_at, error = len(programs), None
@@ -712,7 +820,8 @@ def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
     def size(i: int) -> int | None:
         quad = pending[i]
         try:
-            return quad.panels.check(quad.level, order)
+            sizes[i] = quad.panels.check(quad.level, order)
+            return sizes[i]
         except QuadratureError as exc:
             fail(i, QuadratureError(f"{quad.what} of field {f.id}: {exc}"))
             return None
@@ -726,20 +835,16 @@ def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
     def step(batch: list[int]) -> None:
         # neighbours share passes: the powers of one exponent, the axis rules
         # of one level, the sums of one node count
-        batch.sort(
-            key=lambda i: (
-                _exponent(pending[i]) or 0.0,
-                pending[i].level,
-                math.prod(pending[i].panels.counts),
-            )
-        )
+        batch.sort(key=lambda i: (_exponent(pending[i]) or 0.0, pending[i].level, sizes[i]))
         quads = [pending[i] for i in batch]
-        pts, w, sizes = _rules([q.panels for q in quads], [q.level for q in quads], order)
+        pts, w, ns = _rules(
+            [q.panels for q in quads], [q.level for q in quads], [sizes[i] for i in batch], order
+        )
         if len(quads) == 1:
             ests = [quads[0].estimate([(f(pts), w)], w.size)]
         else:
-            ests = _batch_estimates(quads, f(pts), w, sizes)
-        for i, quad, est, n in sorted(zip(batch, quads, ests, sizes.tolist()), key=lambda r: r[0]):
+            ests = _batch_estimates(quads, f(pts), w, ns)
+        for i, quad, est, n in sorted(zip(batch, quads, ests, ns.tolist()), key=lambda r: r[0]):
             if i >= failed_at:
                 break
             settle(i, quad, est, n)
@@ -833,9 +938,12 @@ def _oscillation_steps(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpe
     center = yield from _mean_steps(f, cube, spec)
     extra = level_set_breaks(f, center, np.zeros(1))
     breaks = merge_breaks(f.breaks, extra)
+    # |v|^q is a polynomial on either side of v = 0 for integer q; for any
+    # other q the zero set is an endpoint singularity of each panel beside it
+    kinks = {} if float(q).is_integer() else extra
     mean_pow = yield _Quad(
         "average", cube, breaks, spec.refinement_levels, spec.abs_tol,
-        transform=_Centered(center, q),
+        transform=_Centered(center, q), kinks=kinks,
     )
     return mean_pow ** (1.0 / q)
 
@@ -859,7 +967,8 @@ def oscillation(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> f
 
     The integrand |f - f_Q|^q has a kink on the level set {f = f_Q}; when
     the field can solve its level sets those positions are added to the
-    panel breaks so the kink never crosses a panel.
+    panel breaks so the kink never crosses a panel, and for a fractional q
+    the panels beside it are graded toward it.
     """
     return oscillations(f, [cube], q, spec)[0]
 

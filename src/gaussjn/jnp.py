@@ -209,13 +209,26 @@ def make_candidates(covering: Covering, depth: int) -> CandidateSet:
 # ---------------------------------------------------------------------------
 
 
+#: Relative margin by which a node's children must beat it to replace it.
+#: Weights are oscillation powers, certified only to the quadrature
+#: tolerance, and some decisions are exact ties: for radius_sq the central
+#: cube (-1, 1) and its two halves weigh the same by symmetry.  The winner
+#: of a closer decision would depend on the last bits of the quadrature, so
+#: it counts as a tie.
+TIE_MARGIN = 1e-6
+
+
 def max_weight_antichain(
     roots: Sequence[ForestNode], weight_of: Callable[[ForestNode], float]
 ) -> tuple[float, tuple[ForestNode, ...]]:
-    """Exact maximum-weight antichain of a forest (weights must be >= 0).
+    """Maximum-weight antichain of a forest (weights must be >= 0).
 
-    best(node) = max(weight(node), sum of best over children); ties prefer
-    the node itself, which keeps selections shallow and deterministic.
+    best(node) = max(weight(node), sum of best over children), where the
+    children win only when their sum exceeds weight(node) * (1 +
+    ``TIE_MARGIN``): near-ties prefer the node itself, which keeps
+    selections shallow and deterministic.  The total is therefore exact up
+    to a factor (1 + ``TIE_MARGIN``) per forest level, and the family is an
+    antichain either way.
     """
 
     def best(node: ForestNode) -> tuple[float, tuple[ForestNode, ...]]:
@@ -226,7 +239,7 @@ def max_weight_antichain(
             return w, (node,)
         totals = [best(c) for c in node.children]
         child_total = math.fsum(t for t, _ in totals)
-        if w >= child_total:
+        if child_total <= w * (1.0 + TIE_MARGIN):
             return w, (node,)
         chosen: list[ForestNode] = []
         for _, picks in totals:

@@ -74,6 +74,25 @@ def gauss_quad_mp(fn, a: float, b: float) -> float:
     return float(g)
 
 
+def oscillation_mp(fn, a: float, b: float, q: float, level_set) -> float:
+    """osc_q(fn, (a, b)) against gamma_1, with the mean kept at 40 digits.
+
+    ``level_set(c)`` lists the points where fn = c; |fn - c|^q is integrated
+    piece by piece between those inside (a, b), so tanh-sinh quadrature meets
+    its singularities only at piece ends.
+    """
+    a, b = mp.mpf(a), mp.mpf(b)
+
+    def dens(t):
+        return mp.e ** (-(t**2))
+
+    mass = mp.quad(dens, [a, b])
+    c = mp.quad(lambda t: fn(t) * dens(t), [a, b]) / mass
+    cuts = sorted(t for t in level_set(c) if a < t < b)
+    mean = mp.quad(lambda t: abs(fn(t) - c) ** q * dens(t), [a, *cuts, b]) / mass
+    return float(mean ** (1 / mp.mpf(q)))
+
+
 # ---------------------------------------------------------------------------
 # radius recurrence at high precision
 # ---------------------------------------------------------------------------
@@ -488,15 +507,51 @@ def tail_sums(abs_values: np.ndarray, weights: np.ndarray, sigmas: np.ndarray) -
 SQRT_PI_FLOAT = math.sqrt(math.pi)
 
 
-def axis_rule_loop(segments, level: int, order: int):
-    """Nodes and normalized gamma weights for one axis, one segment at a time."""
+def _panel_spans(a, b, level: int, left: bool, right: bool):
+    """(start, width) of each panel of one segment, left to right.
+
+    The 2^level uniform panels, except that at level >= 1 a panel with a
+    flagged end on a kink is cut at 2^-j of its width from that end,
+    j = level..1.
+    """
+    panels = 1 << level
+    width = (b - a) / panels
+    spans = []
+    for k in range(panels):
+        if level and k == 0 and left:
+            spans.append((a, width * 2.0**-level))
+            spans += [(a + width * 2.0**-j, width * 2.0**-j) for j in range(level, 0, -1)]
+        elif level and k == panels - 1 and right:
+            spans += [(b - width * 2.0 ** (1 - j), width * 2.0**-j) for j in range(1, level + 1)]
+            spans.append((b - width * 2.0**-level, width * 2.0**-level))
+        else:
+            spans.append((a + width * k, width))
+    return spans
+
+
+def axis_rule_loop(segments, level: int, order: int, graded=None):
+    """Nodes and normalized gamma weights for one axis, one segment at a time.
+
+    ``graded`` holds, per segment, whether its (left, right) end is a kink.
+    A segment without one is built with the uniform formula; a graded one
+    panel by panel from ``_panel_spans``.
+    """
     from gaussjn import kernels
     from gaussjn.fields import QuadratureError
 
     gx, gw = np.polynomial.legendre.leggauss(order)
     nodes = []
     weights = []
-    for a, b in segments:
+    for (a, b), (left, right) in zip(segments, graded or [(False, False)] * len(segments)):
+        if level and (left or right):
+            spans = _panel_spans(a, b, level, left, right)
+            halves = np.array([0.5 * h for _, h in spans])
+            mids = np.array([s + 0.5 * h for s, h in spans])
+            x = (mids[:, None] + halves[:, None] * gx[None, :]).ravel()
+            w = (halves[:, None] * gw[None, :]) * np.exp(-x * x).reshape(len(spans), order)
+            nodes.append(x)
+            weights.append(w.ravel() / SQRT_PI_FLOAT)
+            continue
         panels = 1 << level
         width = (b - a) / panels
         half = 0.5 * width
@@ -512,8 +567,11 @@ def axis_rule_loop(segments, level: int, order: int):
     return np.concatenate(nodes), np.concatenate(weights) / total
 
 
-def tensor_rule_loop(cube, breaks, level: int, order: int, what: str, field_id: str):
-    """Tensor nodes and weights of one cube, with the node cap of ``gaussjn.fields``."""
+def tensor_rule_loop(cube, breaks, level: int, order: int, what: str, field_id: str, kinks=None):
+    """Tensor nodes and weights of one cube, with the node cap of ``gaussjn.fields``.
+
+    Segment ends on one of the ``kinks`` (which are also breaks) are graded.
+    """
     from gaussjn import fields
 
     axis_nodes = []
@@ -524,7 +582,9 @@ def tensor_rule_loop(cube, breaks, level: int, order: int, what: str, field_id: 
         cuts = sorted(c for c in breaks.get(ax, ()) if lo < c < hi)
         edges = [lo, *cuts, hi]
         segments = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-        x, w = axis_rule_loop(segments, level, order)
+        on_kink = set((kinks or {}).get(ax, ())) & set(cuts)
+        graded = [(a in on_kink, b in on_kink) for a, b in segments]
+        x, w = axis_rule_loop(segments, level, order, graded)
         axis_nodes.append(x)
         axis_weights.append(w)
         count *= x.size
@@ -542,13 +602,13 @@ def tensor_rule_loop(cube, breaks, level: int, order: int, what: str, field_id: 
     return pts, w
 
 
-def _refine_loop(what, f, cube, breaks, top, order, estimate, accept, tol_text=""):
+def _refine_loop(what, f, cube, breaks, top, order, estimate, accept, tol_text="", kinks=None):
     from gaussjn.fields import QuadratureError
 
     prev = None
     last_diff = math.inf
     for level in range(top + 1):
-        pts, w = tensor_rule_loop(cube, breaks, level, order, what, f.id)
+        pts, w = tensor_rule_loop(cube, breaks, level, order, what, f.id, kinks)
         est = estimate(f(pts), w)
         if prev is not None:
             ok, last_diff = accept(est, prev)
@@ -562,8 +622,11 @@ def _refine_loop(what, f, cube, breaks, top, order, estimate, accept, tol_text="
     )
 
 
-def average_loop(f, cube, spec, *, transform=None, extra_breaks=None):
-    """Gamma-normalized mean of transform(f) on one cube, refined alone."""
+def average_loop(f, cube, spec, *, transform=None, extra_breaks=None, kinks=None):
+    """Gamma-normalized mean of transform(f) on one cube, refined alone.
+
+    ``kinks`` are breaks toward which the panels are graded.
+    """
     from gaussjn.fields import merge_breaks
 
     def estimate(vals, w):
@@ -578,18 +641,23 @@ def average_loop(f, cube, spec, *, transform=None, extra_breaks=None):
     breaks = merge_breaks(f.breaks, extra_breaks or {})
     return _refine_loop(
         "average", f, cube, breaks, spec.refinement_levels, spec.nodes_per_axis, estimate, accept,
-        f" > {spec.abs_tol:.3e}",
+        f" > {spec.abs_tol:.3e}", kinks,
     )
 
 
 def oscillation_loop(f, cube, q, spec):
-    """osc_q(f, Q): the centering average, then the centered power average."""
+    """osc_q(f, Q): the centering average, then the centered power average.
+
+    For a fractional q the panels of the power average are graded toward
+    the zero set of f - f_Q.
+    """
     from gaussjn.fields import level_set_breaks
 
     center = average_loop(f, cube, spec)
     extra = level_set_breaks(f, center, np.zeros(1))
     mean_pow = average_loop(
-        f, cube, spec, transform=lambda v: np.abs(v - center) ** q, extra_breaks=extra
+        f, cube, spec, transform=lambda v: np.abs(v - center) ** q, extra_breaks=extra,
+        kinks=None if float(q).is_integer() else extra,
     )
     return mean_pow ** (1.0 / q)
 

@@ -796,3 +796,170 @@ def test_streamed_levels_keep_block_memory(run):
         tracemalloc.stop()
     # one rule of 4,194,304 nodes is 96 MiB of nodes and weights alone
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# panels graded toward the kinks of |f - f_Q|^q
+# ---------------------------------------------------------------------------
+
+# the cube of the benchmark's d=1 forest where uniform panels ran out of
+# levels for exp_half_sq at q = 1.25: 16,384 nodes at level 10, last diff
+# 1.4e-9 > 1e-9
+FAR_CUBE = Cube((3.398918978342922,), 0.30818278427205104)
+
+
+def _counted(f, sizes):
+    """f, recording the node count of every evaluation in ``sizes``."""
+    return ScalarField(
+        f.id, lambda p: sizes.append(p.shape[0]) or f(p), dim=f.dim, breaks=f.breaks,
+        level_breaks=f.level_breaks,
+    )
+
+
+def _osc_mp(fid, cube, q):
+    mp = oracles.mp
+    fn, level_set = {
+        "coord0": (lambda t: t, lambda c: [c]),
+        "radius_sq": (lambda t: t * t, lambda c: [mp.sqrt(c), -mp.sqrt(c)]),
+        "exp_half_sq": (
+            lambda t: mp.e ** (t * t / 2),
+            lambda c: [mp.sqrt(2 * mp.log(c)), -mp.sqrt(2 * mp.log(c))],
+        ),
+    }[fid]
+    return oracles.oscillation_mp(fn, cube.lo[0], cube.hi[0], q, level_set)
+
+
+@pytest.mark.parametrize("q", [1.25, 1.5])
+def test_graded_oscillation_certifies_the_far_exp_half_sq_cube(q, spec):
+    sizes = []
+    got = oscillation(_counted(corpus_by_id(1)["exp_half_sq"], sizes), FAR_CUBE, q, spec)
+    assert got == pytest.approx(_osc_mp("exp_half_sq", FAR_CUBE, q), rel=1e-12)
+    # the kink splits the cube in two segments, each graded at one end: the
+    # power average certifies at level 6 with 2 * 8 * (2^6 + 6) nodes
+    assert max(sizes) == 1120
+
+
+@pytest.mark.parametrize("fid", ["coord0", "radius_sq"])
+@pytest.mark.parametrize("cube", [P1, OFFSET, Cube((-2.3,), 0.5)], ids=["P1", "OFFSET", "left"])
+def test_fractional_oscillation_converges_within_a_node_budget(fid, cube, spec):
+    # uniform panels needed levels 7-8 here (1,024-3,072 nodes), converging
+    # only like 2^(-(q+1) L) at the kink; graded ones certify by level 4
+    sizes = []
+    got = oscillation(_counted(corpus_by_id(1)[fid], sizes), cube, 1.25, spec)
+    assert max(sizes) <= 512
+    assert got == pytest.approx(_osc_mp(fid, cube, 1.25), abs=1e-10)
+
+
+def _graded_rule(cube, breaks, kinks, level, order):
+    panels = fields._Panels(cube, fields.merge_breaks(breaks, kinks), kinks)
+    pts, w, _ = fields._rules([panels], [level], [panels.nodes(level, order)], order)
+    return panels, pts, w
+
+
+@pytest.mark.parametrize("level", [1, 2, 5])
+def test_graded_rule_properties(level):
+    cube = Cube((0.3,), 1.8)
+    breaks, kinks = {0: (-0.35,)}, {0: (0.1, 0.512, 7.0)}  # 7.0 lies outside the cube
+    order = 6
+    panels, pts, w = _graded_rule(cube, breaks, kinks, level, order)
+    x = pts[:, 0]
+    # segments (-0.6, -0.35), (-0.35, 0.1), (0.1, 0.512), (0.512, 1.2): four
+    # ends lie on the two kinks inside the cube
+    assert panels.counts == [4] and panels.graded == [4]
+    assert x.size == order * (4 * 2**level + 4 * level) == panels.nodes(level, order)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.all(w > 0.0)
+    assert abs(kernels.pairwise_sum(w) - 1.0) <= 1e-14
+    edges = [cube.lo[0], -0.35, 0.1, 0.512, cube.hi[0]]
+    gmax = np.polynomial.legendre.leggauss(order)[0][-1]
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+        left, right = k > 1, 0 < k < 3  # which ends lie on a kink
+        seg = x[(x > a) & (x < b)]
+        # every node lies strictly inside its segment, so the kinks are panel edges
+        assert seg.size == order * (2**level + level * (left + right))
+        # the panels, read off their outermost nodes, tile the segment; the
+        # one at a kink is cut into panels that halve toward it
+        pan = seg.reshape(-1, order)
+        width = (pan[:, -1] - pan[:, 0]) / gmax
+        lo = 0.5 * (pan[:, -1] + pan[:, 0]) - 0.5 * width
+        assert np.allclose(np.r_[lo, lo[-1] + width[-1]], np.r_[lo, b], rtol=0, atol=1e-14)
+        assert np.allclose(lo[1:], lo[:-1] + width[:-1], rtol=0, atol=1e-14)
+        assert lo[0] == pytest.approx(a, abs=1e-14)
+        h = (b - a) / 2**level
+        halving = h * 2.0 ** -np.r_[level, np.arange(level, 0, -1)]
+        want = np.r_[halving if left else [], [h] * (2**level - left - right),
+                     halving[::-1] if right else []]
+        assert np.allclose(width, want, rtol=1e-12, atol=0)
+
+
+def test_graded_rule_keeps_the_uniform_rule_elsewhere():
+    # rows without a kink are bit for bit the uniform rule, and so are the
+    # uniform panels of a graded row
+    cube, order = Cube((0.3, -0.4), 1.2), 3
+    breaks = {0: (0.1, 0.5), 1: (-0.5,)}
+    for level in (0, 1, 3):
+        ref_pts, ref_w = oracles.tensor_rule_loop(cube, breaks, level, order, "rule", "f")
+        for kinks in ({}, {0: (7.0,)}, {1: (0.5,)}):
+            _, pts, w = _graded_rule(cube, breaks, kinks, level, order)
+            assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+        segments = [(cube.lo[0], 0.1), (0.1, 0.5), (0.5, cube.hi[0])]
+        x, w = oracles.axis_rule_loop(segments, level, order)
+        panels = fields._Panels(cube, breaks, {0: (0.1,)})
+        gx, gw, _ = fields._axis_rows([panels], level, order)
+        # axis 0 of the graded cube: the first segment's panels away from the
+        # kink at 0.1 and the whole third segment are unchanged
+        n, m = panels.axis_nodes(level, order)[0], order * 2**level
+        assert n == order * (3 * 2**level + 2 * level)
+        for got, want in ((gx, x), (gw, w)):
+            assert np.array_equal(got[: m - order], want[: m - order])
+            assert np.array_equal(got[n - m : n], want[-m:])
+
+
+@pytest.mark.parametrize("budget", ["default", "split"])
+def test_graded_coord0_in_d2_matches_one_cube_loop_bitwise(budget, monkeypatch):
+    # the level set of coord0 is a line, so d=2 rows are graded on axis 0
+    # only; with the split budget the deeper levels are streamed in blocks
+    if budget == "split":
+        monkeypatch.setattr(fields, "BATCH_NODES", 600)
+        monkeypatch.setattr(fields, "SHARED_RULE_NODES", 200)
+    f = corpus_by_id(2)["coord0"]
+    spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=6, abs_tol=1e-8)
+    cubes = make_candidates(build_covering(1, 2), 1).cubes()[::3]
+    for q in (1.25, 1.5):
+        sizes = []
+        got = _outcome(lambda: oscillations(_counted(f, sizes), cubes, q, spec))
+        assert got == _outcome(lambda: [oracles.oscillation_loop(f, c, q, spec) for c in cubes])
+        assert got[0] == "value"
+    # at level 2, a kink inside the cube splits axis 0 into two segments
+    # graded at one end each: 4 * (2 * 2^2 + 2 * 2) nodes, against 4 * 2^2
+    # on axis 1
+    panels = fields._Panels(cubes[0], {0: (0.05,)}, {0: (0.05,)})
+    assert panels.axis_nodes(2, 4) == [48, 16]
+
+
+# field evaluations, and evaluator calls, of every oscillation on the 255
+# cubes of the benchmark's d=1 forest (covering depth 8, candidate depth 3);
+# with uniform panels radius_sq took 422,928 / 19 at q = 1.25 and
+# exp_half_sq failed at level 10
+FOREST_EVALS = {
+    1.25: {
+        "const_one": (12240, 4), "coord0": (92248, 8), "radius_sq": (132240, 10),
+        "sign0": (12288, 4), "step0": (12432, 4), "log_radial": (60944, 7),
+        "exp_half_sq": (477104, 56),
+    },
+    1.5: {
+        "const_one": (12240, 4), "coord0": (59672, 7), "radius_sq": (97968, 9),
+        "sign0": (12288, 4), "step0": (12432, 4), "log_radial": (42256, 6),
+        "exp_half_sq": (391456, 36),
+    },
+}
+
+
+@pytest.mark.parametrize("q", sorted(FOREST_EVALS))
+def test_forest_oscillation_evaluation_counts(q, spec):
+    cubes = make_candidates(build_covering(8, 1), 3).cubes()
+    assert len(cubes) == 255
+    for f in corpus(1):
+        sizes = []
+        oscillations(_counted(f, sizes), cubes, q, spec)
+        assert (sum(sizes), len(sizes)) == FOREST_EVALS[q][f.id], f.id

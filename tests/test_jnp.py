@@ -146,6 +146,32 @@ def test_dp_tie_prefers_shallow_node():
     assert family == (root,)
 
 
+def test_dp_near_tie_keeps_the_node():
+    # the central cube (-1, 1) and its halves tie exactly for radius_sq; the
+    # quadrature decides such a tie only by its last bits
+    (root,) = build_forest([((), ())])
+    for eps in (1e-9, -1e-9, 0.0):
+        w = {id(n): 0.5 * (1.0 + eps) if n.children == () else 1.0 for n in root.iter_nodes()}
+        total, family = max_weight_antichain([root], lambda n: w[id(n)])
+        assert family == (root,) and total == 1.0
+    # a real win still replaces the node
+    w = {id(n): 0.5 * (1.0 + 1e-3) if n.children == () else 1.0 for n in root.iter_nodes()}
+    total, family = max_weight_antichain([root], lambda n: w[id(n)])
+    assert family == root.children and total == 1.0 + 1e-3
+
+
+def test_central_cube_keeps_its_tie_with_its_halves(spec):
+    # osc on (-1, 1) equals osc on (0, 1) by symmetry, and gamma doubles
+    roots = grow_forest([Cube((0.0,), 2.0)], 1, 2.0)
+    for q in (1.25, 1.5):
+        cache = OscCache(_rsq(), q, spec)
+        weight = {id(n): cache.weight(n.cube, 2.0) for n in roots[0].iter_nodes()}
+        halves = sum(weight[id(c)] for c in roots[0].children)
+        assert halves == pytest.approx(weight[id(roots[0])], rel=1e-8)
+        _, family = max_weight_antichain(roots, lambda n: weight[id(n)])
+        assert family == roots
+
+
 def test_dp_rejects_negative_weights():
     roots = build_forest([()])
     with pytest.raises(ValueError):
@@ -292,7 +318,17 @@ def test_maximize_jnp_sign_reference(cands1, spec):
 
 def test_maximize_jnp_radius_sq_reference(cands1, spec):
     est = maximize_jnp(_rsq(), cands1, 2.0, 1.5, spec)
-    assert est.value == pytest.approx(0.3210070958281939, abs=1e-12)
+    assert est.value == pytest.approx(0.3210070959239856, abs=1e-12)
+    # the same family at 40 digits: 0.32100709592707488
+    mp = oracles.mp
+    total = mp.mpf(0)
+    for cube in est.family:
+        a, b = cube.lo[0], cube.hi[0]
+        osc = oracles.oscillation_mp(
+            lambda t: t * t, a, b, 1.5, lambda c: [mp.sqrt(c), -mp.sqrt(c)]
+        )
+        total += mp.mpf(oracles.gauss1d_mp(a, b)) * mp.mpf(osc) ** 2
+    assert est.value == pytest.approx(float(mp.sqrt(total)), abs=1e-11)
 
 
 def test_maximize_jnp_to_obj_serializable(cands1, spec):
