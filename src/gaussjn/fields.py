@@ -360,6 +360,8 @@ class _Panels:
         """Tensor nodes of the cube's rule at this level."""
         if self.ends:
             return math.prod(self.axis_nodes(level, order))
+        # a quarter of the cost of the product: _drive counts every
+        # request of a batch once per round
         return self.cells * (order << level) ** len(self.counts)
 
     def check(self, level: int, order: int) -> int:
@@ -380,25 +382,6 @@ class _Panels:
         return count
 
 
-def _axis_rules(
-    a: np.ndarray, b: np.ndarray, total: np.ndarray, level: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and *normalized* gamma weights on the segments (a_i, b_i) at one level.
-
-    Row i holds segment i's 2^level panels of Gauss-Legendre nodes in order;
-    its weights are divided by sqrt(pi) and by the row's axis ``total``.
-    """
-    gx, gw = _leggauss(order)
-    panels = 1 << level
-    width = (b - a) / panels
-    half = 0.5 * width
-    mids = a[:, None] + width[:, None] * np.arange(panels) + half[:, None]
-    x = mids[:, :, None] + half[:, None, None] * gx
-    w = half[:, None, None] * gw * np.exp(-x * x)
-    w = w / _SQRT_PI / total[:, None, None]
-    return x.reshape(a.size, -1), w.reshape(a.size, -1)
-
-
 @lru_cache(maxsize=64)
 def _grading(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The panels of a segment at one level, for each pattern of graded ends.
@@ -410,9 +393,8 @@ def _grading(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     0-3 end to end -- per panel, whether it is measured from b instead of
     a, the offset of its left edge and its width, in units of h -- and the
     index of each pattern's first panel, with the panel count last.
-    Uniform panels get offset k and width 1, so their nodes are bit for bit
-    those of ``_axis_rules``.  Needs level >= 1, where the two end panels
-    are distinct.
+    At level 0 nothing is graded and only pattern 0, the one uniform
+    panel, is used.
     """
     # 0, 2^-level, ..., 1/2, 1: the cuts of a left end panel
     cuts = np.concatenate(([0.0], 2.0 ** -np.arange(level, -1, -1)))
@@ -435,24 +417,23 @@ def _axis_rows(
     """The axis rules of every row of the run's cubes at one level, end to end.
 
     Returns the nodes, the weights and the offset of each row's first node,
-    with the node count last.  A run without a graded row is one
-    ``_axis_rules`` pass.  Otherwise every row's panels
-    are gathered from the ``_grading`` templates and built in one
-    vectorized pass, with the arithmetic of ``_axis_rules``, so the rows
-    and panels that are not graded keep its nodes and weights bit for bit.
+    with the node count last.  Every row's panels are gathered from the
+    ``_grading`` templates and built in one vectorized pass.  The weights
+    are the gamma weights of the panels' Gauss-Legendre nodes, divided by
+    sqrt(pi) and by the row's axis ``total``.  A uniform panel k of width h
+    has midpoint (a + k h) + h / 2, so the rows and panels that are not
+    graded have the nodes and weights of uniform dyadic panels bit for bit.
     """
     a = np.array([v for p in run for v in p.a])
     b = np.array([v for p in run for v in p.b])
     total = np.array([v for p in run for v in p.total])
-    if not level or not any(p.ends for p in run):
-        x, w = _axis_rules(a, b, total, level, order)
-        return x.ravel(), w.ravel(), range(0, x.size + 1, x.shape[1])
     pattern = np.zeros(a.size, dtype=np.int64)
-    first = 0
-    for p in run:
-        for row, left, right in p.ends:
-            pattern[first + row] = left + 2 * right
-        first += len(p.a)
+    if level:
+        first = 0
+        for p in run:
+            for row, left, right in p.ends:
+                pattern[first + row] = left + 2 * right
+            first += len(p.a)
     from_b, off, size, start = _grading(level)
     panels = start[pattern + 1] - start[pattern]
     row = np.repeat(np.arange(a.size), panels)
@@ -796,7 +777,8 @@ def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
     """
     results: list = [None] * len(programs)
     pending: dict[int, _Quad] = {}
-    # node count of each pending request's current level, set by size()
+    # node count of each pending request's current level, set by size();
+    # counted once per round, since the batch sort and _rules both need it
     sizes: dict[int, int] = {}
     solo: set[int] = set()
     # cubes from failed_at on are not refined further; error is their first failure

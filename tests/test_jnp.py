@@ -108,21 +108,43 @@ def quantized_weights(rng, nodes):
     }
 
 
-def test_dp_equals_exhaustive_on_small_forests():
+def test_dp_equals_exhaustive_on_small_forests(monkeypatch):
     rng = np.random.default_rng(101)
     forests = oracles.all_binary_forests(8)
     assert len(forests) == 37  # 1+1+2+2+4+5+10+12 full-binary forests
     for forest in forests:
         roots = build_forest([shape for _, _, shape in forest])
         nodes = [n for r in roots for n in r.iter_nodes()]
+        slack = (1.0 + jnp_module.TIE_MARGIN) ** max(n.depth for n in nodes)
         for _ in range(5):
             w = quantized_weights(rng, nodes)
             weight_of = lambda n: w[id(n)]
             total, family = max_weight_antichain(roots, weight_of)
             ref = oracles.antichain_best_exhaustive(roots, weight_of)
-            assert total == ref  # exact: all sums are dyadic rationals
+            # near-ties keep the node: at most a factor (1 + TIE_MARGIN) per level short
+            assert ref / slack <= total <= ref
             # the reported family attains the reported total
             assert math.fsum(weight_of(n) for n in family) == total
+            with monkeypatch.context() as m:
+                m.setattr(jnp_module, "TIE_MARGIN", 0.0)
+                exact, _ = max_weight_antichain(roots, weight_of)
+            assert exact == ref  # exact: all sums are dyadic rationals
+
+
+def test_dp_stays_within_the_margin_of_the_exhaustive_optimum(monkeypatch):
+    # children ahead of a weight-1 node by one quantum 2^-20 < TIE_MARGIN:
+    # the node is kept, one quantum below the exhaustive optimum
+    (root,) = build_forest([((), ())])
+    left, right = root.children
+    w = {id(root): 1.0, id(left): 0.5, id(right): 0.5 + 2.0**-20}
+    weight_of = lambda n: w[id(n)]
+    ref = oracles.antichain_best_exhaustive([root], weight_of)
+    assert ref == 1.0 + 2.0**-20
+    total, family = max_weight_antichain([root], weight_of)
+    assert family == (root,) and total == 1.0
+    assert ref / (1.0 + jnp_module.TIE_MARGIN) <= total < ref
+    monkeypatch.setattr(jnp_module, "TIE_MARGIN", 0.0)
+    assert max_weight_antichain([root], weight_of) == (ref, root.children)
 
 
 def test_dp_family_is_antichain():
