@@ -312,8 +312,9 @@ class _Panels:
     Rows run axis by axis (``counts`` segments per axis); ``total`` holds,
     on each row, the Gauss measure of the whole axis interval.  A segment
     end that lies on one of the ``kinks`` (which must also be breaks) is
-    graded: ``ends`` lists (row, left end graded, right end graded) for
-    each row with such an end, and ``graded`` counts them per axis.
+    graded: ``pattern`` holds, on each row, left + 2 * right for the
+    graded ends (left, right) of its segment, and ``graded`` counts them
+    per axis.
     """
 
     def __init__(
@@ -325,7 +326,7 @@ class _Panels:
         self.cube = cube
         self.counts: list[int] = []
         self.graded = [0] * cube.dim
-        self.ends: list[tuple[int, bool, bool]] = []
+        self.pattern: list[int] = []
         self.a: list[float] = []
         self.b: list[float] = []
         self.total: list[float] = []
@@ -338,11 +339,12 @@ class _Panels:
                 self.vanishing = ax
             # segment edges are the break values themselves, so equality is exact
             if kinks and (on_kink := {k for k in kinks.get(ax, ()) if lo < k < hi}):
-                for row, (a, b) in enumerate(segments, len(self.a)):
+                for a, b in segments:
                     left, right = a in on_kink, b in on_kink
-                    if left or right:
-                        self.ends.append((row, left, right))
-                        self.graded[ax] += left + right
+                    self.pattern.append(left + 2 * right)
+                    self.graded[ax] += left + right
+            else:
+                self.pattern.extend([0] * len(segments))
             self.counts.append(len(segments))
             self.a.extend(a for a, _ in segments)
             self.b.extend(b for _, b in segments)
@@ -358,7 +360,7 @@ class _Panels:
 
     def nodes(self, level: int, order: int) -> int:
         """Tensor nodes of the cube's rule at this level."""
-        if self.ends:
+        if any(self.graded):
             return math.prod(self.axis_nodes(level, order))
         # a quarter of the cost of the product: _drive counts every
         # request of a batch once per round
@@ -427,27 +429,33 @@ def _axis_rows(
     a = np.array([v for p in run for v in p.a])
     b = np.array([v for p in run for v in p.b])
     total = np.array([v for p in run for v in p.total])
-    pattern = np.zeros(a.size, dtype=np.int64)
     if level:
-        first = 0
-        for p in run:
-            for row, left, right in p.ends:
-                pattern[first + row] = left + 2 * right
-            first += len(p.a)
+        pattern = np.array([g for p in run for g in p.pattern])
+    else:
+        pattern = np.zeros(a.size, dtype=np.int64)
     from_b, off, size, start = _grading(level)
-    panels = start[pattern + 1] - start[pattern]
+    first = start[pattern]
+    panels = start[pattern + 1] - first
     row = np.repeat(np.arange(a.size), panels)
     ends = np.cumsum(panels)
-    # panel j of a row is entry start[pattern] + j of the templates
-    tpl = np.arange(ends[-1]) - np.repeat(ends - panels - start[pattern], panels)
+    # panel j of a row is entry first + j of the templates
+    tpl = np.arange(ends[-1]) - np.repeat(ends - panels - first, panels)
     gx, gw = _leggauss(order)
     width = ((b - a) / (1 << level))[row]
     lo = np.where(from_b[tpl], b[row], a[row]) + width * off[tpl]
     half = 0.5 * (width * size[tpl])
     mids = lo + half
-    x = mids[:, None] + half[:, None] * gx
-    w = half[:, None] * gw * np.exp(-x * x)
-    w = w / _SQRT_PI / total[row][:, None]
+    # mids + half gx and half gw exp(-x^2) / sqrt(pi) / total, in place:
+    # large runs spend half their time allocating temporaries otherwise
+    x = half[:, None] * gx
+    x += mids[:, None]
+    e = x * x
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    w = half[:, None] * gw
+    w *= e
+    w /= _SQRT_PI
+    w /= total[row][:, None]
     return x.ravel(), w.ravel(), [0, *(order * ends).tolist()]
 
 
