@@ -56,6 +56,18 @@ from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
 from .jnp import jnp_sum
 
 
+#: Largest residual mean of an atom, relative to max(1, its L^1 size).
+ATOM_MEAN_TOL = 1e-10
+#: Samples per axis of a serialized non-step atom in d = 1, 2 and >= 3.
+ATOM_SAMPLES_PER_AXIS = (33, 17, 9)
+#: Share of the target oscillation a dual atom's pairing must reach.
+DUAL_MIN_RATIO = 0.95
+#: Additive slack of the Hoelder checks, per atom.
+HOLDER_ABS_TOL = 1e-8
+#: C1 of the headline bound (1 + C1) * khat * norm_upper.
+HEADLINE_CONSTANT = 1.0
+
+
 def conjugate_exponent(r: float) -> float:
     """r' with 1/r + 1/r' = 1 (r > 1)."""
     if not r > 1.0:
@@ -106,7 +118,7 @@ class Atom:
     def mean(self, spec: QuadratureSpec) -> float:
         return average_gamma(self.field, self.cube, spec)
 
-    def to_obj(self, spec: QuadratureSpec, *, sample_grid: int = 33) -> dict:
+    def to_obj(self, spec: QuadratureSpec) -> dict:
         obj: dict = {
             "cube": {"center": list(self.cube.center), "side": self.cube.side},
             "q": self.q,
@@ -127,7 +139,7 @@ class Atom:
             obj["values"] = vals
         else:
             d = self.cube.dim
-            per_axis = sample_grid if d == 1 else (17 if d == 2 else 9)
+            per_axis = ATOM_SAMPLES_PER_AXIS[min(d, 3) - 1]
             axes = [
                 np.linspace(self.cube.lo[ax], self.cube.hi[ax], per_axis)
                 for ax in range(d)
@@ -144,19 +156,12 @@ class Atom:
         return obj
 
 
-def make_atom(
-    f: ScalarField,
-    cube: Cube,
-    q: float,
-    spec: QuadratureSpec,
-    *,
-    mean_tol: float = 1e-10,
-) -> Atom:
+def make_atom(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> Atom:
     """Atom b = (f - f_Q - delta) chi_Q, re-centered to kill the mean.
 
     The first centering uses the quadrature mean; the residual mean delta
     (quadrature-level) is subtracted again so the final relative mean is
-    below ``mean_tol``.  Raises if the residual refuses to drop, which
+    below ``ATOM_MEAN_TOL``.  Raises if the residual refuses to drop, which
     would indicate an integration failure rather than a modeling problem.
     """
     if not q >= 1.0:
@@ -172,9 +177,9 @@ def make_atom(
     # and would fail quadrature for no benefit here.
     pts, wts = _node_grid(field, cube, spec, level=2)
     scale = max(1.0, kernels.weighted_sum(np.abs(field(pts)), wts))
-    if resid > mean_tol * scale:
+    if resid > ATOM_MEAN_TOL * scale:
         raise RuntimeError(
-            f"atom mean {resid:.3e} exceeds tolerance {mean_tol:.1e} (relative to {scale:.3e})"
+            f"atom mean {resid:.3e} exceeds tolerance {ATOM_MEAN_TOL:.1e} (relative to {scale:.3e})"
         )
     return atom
 
@@ -246,14 +251,13 @@ def make_polymer(
     spec: QuadratureSpec,
     *,
     a: float | None = None,
-    mean_tol: float = 1e-10,
 ) -> Polymer:
     """Polymer whose atoms are the centered restrictions of f to the cubes."""
     if a is not None:
         for c in cubes:
             if not is_admissible(c, a):
                 raise ValueError(f"cube centered {c.center} is not admissible at scale {a}")
-    atoms = tuple(make_atom(f, c, q, spec, mean_tol=mean_tol) for c in cubes)
+    atoms = tuple(make_atom(f, c, q, spec) for c in cubes)
     return Polymer(atoms=atoms, p=p, q=q)
 
 
@@ -373,12 +377,7 @@ def _node_grid(
 
 
 def dual_atom(
-    f: ScalarField,
-    cube: Cube,
-    q_atom: float,
-    spec: QuadratureSpec,
-    *,
-    min_ratio: float = 0.95,
+    f: ScalarField, cube: Cube, q_atom: float, spec: QuadratureSpec
 ) -> tuple[Atom, DualAtomReport]:
     """Atom of unit normalized L^{q_atom} size nearly attaining the dual norm.
 
@@ -387,7 +386,7 @@ def dual_atom(
     construction b0 = |f - c*|^{q'-1} sgn(f - c*) at the optimal center c*,
     centered and normalized, attains it exactly in exact arithmetic.  Its
     pairing is evaluated by honest quadrature and reported; it must reach
-    ``min_ratio`` of the target or the routine raises.
+    ``DUAL_MIN_RATIO`` of the target or the routine raises.
 
     For q_atom > 2 the seed involves fractional powers |h|^(q'-1) whose
     panel-edge singularity limits quadrature to algebraic convergence, so
@@ -439,9 +438,10 @@ def dual_atom(
         product_field(f, b_field), cube, spec, abs_tol=tol * max(1.0, target)
     )
 
-    if construction_value < min_ratio * target:
+    if construction_value < DUAL_MIN_RATIO * target:
         raise RuntimeError(
-            f"dual atom reached {construction_value:.6g}, below {min_ratio} * target {target:.6g}"
+            f"dual atom reached {construction_value:.6g},"
+            f" below {DUAL_MIN_RATIO} * target {target:.6g}"
         )
     report = DualAtomReport(
         target=target,
@@ -786,10 +786,8 @@ class HolderCheck:
         }
 
 
-def holder_check(
-    f: ScalarField, atom: Atom, spec: QuadratureSpec, *, abs_tol: float = 1e-8
-) -> HolderCheck:
-    """|Int_Q f b| <= gamma(Q) osc_{q'}(f, Q) ||b||_{q, normalized} + abs_tol.
+def holder_check(f: ScalarField, atom: Atom, spec: QuadratureSpec) -> HolderCheck:
+    """|Int_Q f b| <= gamma(Q) osc_{q'}(f, Q) ||b||_{q, normalized} + HOLDER_ABS_TOL.
 
     Because the atom has zero mean, f can be recentered at f_Q on the left,
     which is exactly what makes the oscillation appear on the right.
@@ -798,7 +796,7 @@ def holder_check(
     gamma_q = gaussian_measure(atom.cube)
     lhs = abs(average_gamma(product_field(f, atom.field), atom.cube, spec) * gamma_q)
     rhs = gamma_q * oscillation(f, atom.cube, q_osc, spec) * atom.normalized_norm(spec)
-    return HolderCheck(lhs=lhs, rhs=rhs, cube=atom.cube, ok=lhs <= rhs + abs_tol)
+    return HolderCheck(lhs=lhs, rhs=rhs, cube=atom.cube, ok=lhs <= rhs + HOLDER_ABS_TOL)
 
 
 @dataclass(frozen=True)
@@ -827,14 +825,7 @@ class DualityReport:
         }
 
 
-def duality_check(
-    f: ScalarField,
-    element: HardyElement,
-    spec: QuadratureSpec,
-    *,
-    abs_tol: float = 1e-8,
-    headline_constant: float = 1.0,
-) -> DualityReport:
+def duality_check(f: ScalarField, element: HardyElement, spec: QuadratureSpec) -> DualityReport:
     """Per-atom and aggregated Hoelder bounds for the pairing of f and g.
 
     Aggregated step: for each polymer, Hoelder with exponents (p', p) over
@@ -845,7 +836,7 @@ def duality_check(
     and the family-level constant khat is the worst per-polymer oscillation
     sum, giving sum_ij |Int f b_ij| <= khat * sum_i ||g_i||.  The headline
     bound (1 + C1) * khat * norm_upper with the documented normalization
-    C1 = headline_constant also covers the constant term pathway.
+    C1 = ``HEADLINE_CONSTANT`` also covers the constant term pathway.
     """
     checks: list[HolderCheck] = []
     khat = 0.0
@@ -860,14 +851,14 @@ def duality_check(
         pn = polymer_norm(poly, spec)
         poly_lhs = 0.0
         for a in poly.atoms:
-            chk = holder_check(f, a, spec, abs_tol=abs_tol)
+            chk = holder_check(f, a, spec)
             checks.append(chk)
             poly_lhs += chk.lhs
         lhs_total += poly_lhs
         rhs_total += js * pn
     norm_upper = hardy_norm_upper(element, spec)
-    headline = (1.0 + headline_constant) * khat * norm_upper
-    ok = all(c.ok for c in checks) and lhs_total <= rhs_total + abs_tol * max(
+    headline = (1.0 + HEADLINE_CONSTANT) * khat * norm_upper
+    ok = all(c.ok for c in checks) and lhs_total <= rhs_total + HOLDER_ABS_TOL * max(
         1, element.atom_count()
     )
     return DualityReport(
@@ -876,7 +867,7 @@ def duality_check(
         aggregated_rhs=rhs_total,
         khat_family=khat,
         norm_upper=norm_upper,
-        headline_constant=headline_constant,
+        headline_constant=HEADLINE_CONSTANT,
         headline_bound=headline,
         ok=ok,
     )

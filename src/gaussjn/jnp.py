@@ -22,8 +22,8 @@ every family sum, so the two estimates are directly comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,32 +98,50 @@ def jnp_sum(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForestNode:
-    """One cube in a dyadic subdivision forest."""
+@dataclass(frozen=True, eq=False)
+class CandidateSet:
+    """Forest of admissible cubes closed under the antichain DP.
 
-    cube: Cube
-    depth: int
-    children: tuple["ForestNode", ...]
+    Node i is the cube with center ``centers[i]`` and side ``sides[i]``;
+    ``parent[i]`` is the index of its parent, -1 for a root.  Nodes are in
+    preorder: each node precedes its subtree, and children follow in
+    ``Cube.dyadic_children`` order.  Every node is admissible at scale ``a``
+    and children are the dyadic halves of their parent, so any antichain of
+    the forest is a valid disjoint family.
+    """
 
-    def iter_nodes(self) -> Iterable["ForestNode"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+    centers: np.ndarray
+    sides: np.ndarray
+    parent: np.ndarray
+    a: float
+    _cubes: tuple[Cube, ...] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def roots(self) -> np.ndarray:
+        return np.flatnonzero(self.parent < 0)
+
+    def node_count(self) -> int:
+        return len(self.sides)
+
+    def cubes(self) -> tuple[Cube, ...]:
+        """The nodes as validated cubes, in preorder, built on first use."""
+        if self._cubes is None:
+            cubes = tuple(map(Cube, self.centers.tolist(), self.sides.tolist()))
+            object.__setattr__(self, "_cubes", cubes)
+        return self._cubes
 
 
-def grow_forest(roots: Sequence[Cube], depth: int, a: float) -> tuple[ForestNode, ...]:
+def grow_forest(roots: Sequence[Cube], depth: int, a: float) -> CandidateSet:
     """Dyadic trees ``depth`` levels deep under ``roots``, admissible at scale ``a``.
 
     A cube that is not admissible is dropped together with its subtree.  The
     forest grows one level at a time on arrays: the 2^d children of every
     kept cube of a level are one (m * 2^d, d) center array, and one mask
-    keeps the admissible ones.  The nodes are then built bottom-up, each
-    parent's children in ``Cube.dyadic_children`` order, so the preorder of
-    the result is that of growing each root depth-first.
+    keeps the admissible ones.  The levels are then laid out in preorder,
+    so the result is that of growing each root depth-first.
     """
     if not roots:
-        return ()
+        return CandidateSet(np.empty((0, 0)), np.empty(0), np.empty(0, dtype=np.intp), a)
     d = roots[0].dim
     centers, sides = cube_arrays(roots)
     keep = admissible_mask(centers, sides, a)
@@ -137,43 +155,24 @@ def grow_forest(roots: Sequence[Cube], depth: int, a: float) -> tuple[ForestNode
         keep = admissible_mask(kids, kid_sides, a)
         levels.append((kids[keep], kid_sides[keep]))
         parents.append(np.flatnonzero(keep) >> d)
-    below: list[ForestNode] = []
-    for level in range(depth, -1, -1):
-        centers, sides = levels[level]
-        if level == depth:
-            groups = [()] * len(sides)
-        else:
-            ends = np.cumsum(np.bincount(parents[level], minlength=len(sides))).tolist()
-            groups = [tuple(below[s:e]) for s, e in zip([0] + ends, ends)]
-        below = [
-            ForestNode(Cube(c, s), level, kids)
-            for c, s, kids in zip(centers.tolist(), sides.tolist(), groups)
-        ]
-    return tuple(below)
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Forest of admissible cubes closed under the antichain DP.
-
-    Every node is admissible at scale ``a`` and children are the dyadic
-    halves of their parent, so any antichain of the forest is a valid
-    disjoint family.
-    """
-
-    roots: tuple[ForestNode, ...]
-    a: float
-    depth: int
-
-    def iter_nodes(self) -> Iterable[ForestNode]:
-        for r in self.roots:
-            yield from r.iter_nodes()
-
-    def node_count(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
-
-    def cubes(self) -> list[Cube]:
-        return [n.cube for n in self.iter_nodes()]
+    # a subtree is one run of the preorder: its root, then its children's
+    # runs in order, so each node sits one past its parent plus the sizes
+    # of its earlier siblings' subtrees
+    sizes = [np.ones(len(s), dtype=np.intp) for _, s in levels]
+    for level in range(depth, 0, -1):
+        np.add.at(sizes[level - 1], parents[level - 1], sizes[level])
+    at = [np.cumsum(sizes[0]) - sizes[0]]
+    for level in range(1, depth + 1):
+        up = parents[level - 1]
+        run = np.cumsum(sizes[level]) - sizes[level]
+        at.append(at[-1][up] + 1 + run - run[np.searchsorted(up, up)])
+    n = int(sizes[0].sum())
+    centers, sides, parent = np.empty((n, d)), np.empty(n), np.full(n, -1, dtype=np.intp)
+    for level, ((c, s), here) in enumerate(zip(levels, at)):
+        centers[here], sides[here] = c, s
+        if level:
+            parent[here] = at[level - 1][parents[level - 1]]
+    return CandidateSet(centers, sides, parent, a)
 
 
 def make_candidates(covering: Covering, depth: int) -> CandidateSet:
@@ -201,7 +200,7 @@ def make_candidates(covering: Covering, depth: int) -> CandidateSet:
         if all(cubes_disjoint(cube, cubes[j]) for j in neighbours[i].tolist() if is_kept[j]):
             is_kept[i] = True
             kept.append(cube)
-    return CandidateSet(grow_forest(kept, depth, a), a, depth)
+    return grow_forest(kept, depth, a)
 
 
 # ---------------------------------------------------------------------------
@@ -209,49 +208,50 @@ def make_candidates(covering: Covering, depth: int) -> CandidateSet:
 # ---------------------------------------------------------------------------
 
 
-#: Relative margin by which a node's children must beat it to replace it.
-#: Weights are oscillation powers, certified only to the quadrature
-#: tolerance, and some decisions are exact ties: for radius_sq the central
-#: cube (-1, 1) and its two halves weigh the same by symmetry.  The winner
-#: of a closer decision would depend on the last bits of the quadrature, so
-#: it counts as a tie.
+#: Relative margin by which a node's children must beat it to replace it,
+#: and by which the largest oscillation must beat a cube to pass it over as
+#: the BMO ``argmax_cube``.  Weights are oscillation powers, certified only
+#: to the quadrature tolerance, and some decisions are exact ties: for
+#: radius_sq the central cube (-1, 1) and its two halves weigh the same by
+#: symmetry, and mirror cubes oscillate the same.  The winner of a closer
+#: decision would depend on the last bits of the quadrature, so it counts
+#: as a tie.
 TIE_MARGIN = 1e-6
 
 
 def max_weight_antichain(
-    roots: Sequence[ForestNode], weight_of: Callable[[ForestNode], float]
-) -> tuple[float, tuple[ForestNode, ...]]:
-    """Maximum-weight antichain of a forest (weights must be >= 0).
+    parent: Sequence[int], weights: Sequence[float]
+) -> tuple[float, tuple[int, ...]]:
+    """Maximum-weight antichain of a preorder forest (weights must be >= 0).
 
+    ``parent[i]`` is the parent of node i (-1 for a root) and precedes it.
     best(node) = max(weight(node), sum of best over children), where the
     children win only when their sum exceeds weight(node) * (1 +
     ``TIE_MARGIN``): near-ties prefer the node itself, which keeps
     selections shallow and deterministic.  The total is therefore exact up
-    to a factor (1 + ``TIE_MARGIN``) per forest level, and the family is an
-    antichain either way.
+    to a factor (1 + ``TIE_MARGIN``) per forest level, and the family, the
+    indices of its nodes in preorder, is an antichain either way.
     """
-
-    def best(node: ForestNode) -> tuple[float, tuple[ForestNode, ...]]:
-        w = float(weight_of(node))
-        if w < 0.0:
-            raise ValueError("antichain weights must be nonnegative")
-        if not node.children:
-            return w, (node,)
-        totals = [best(c) for c in node.children]
-        child_total = math.fsum(t for t, _ in totals)
-        if child_total <= w * (1.0 + TIE_MARGIN):
-            return w, (node,)
-        chosen: list[ForestNode] = []
-        for _, picks in totals:
-            chosen.extend(picks)
-        return child_total, tuple(chosen)
-
-    results = [best(r) for r in roots]
-    total = math.fsum(t for t, _ in results)
-    family: list[ForestNode] = []
-    for _, picks in results:
-        family.extend(picks)
-    return total, tuple(family)
+    w = [float(x) for x in weights]
+    if any(x < 0.0 for x in w):
+        raise ValueError("antichain weights must be nonnegative")
+    parent = np.asarray(parent, dtype=np.intp).tolist()
+    # a reverse pass settles each node after its subtree: below[i] collects the
+    # best values of i's children (below[-1] the roots'), in any order for fsum
+    below: list[list[float]] = [[] for _ in range(len(w) + 1)]
+    best, keeps = w[:], [True] * len(w)
+    for i in range(len(w) - 1, -1, -1):
+        if below[i]:
+            child_total = math.fsum(below[i])
+            if child_total > w[i] * (1.0 + TIE_MARGIN):
+                best[i], keeps[i] = child_total, False
+        below[parent[i]].append(best[i])
+    # a node is picked when it keeps itself and no ancestor kept itself
+    blocked = [False] * len(w)
+    for i, up in enumerate(parent):
+        blocked[i] = up >= 0 and (blocked[up] or keeps[up])
+    family = tuple(i for i, k in enumerate(keeps) if k and not blocked[i])
+    return math.fsum(below[-1]), family
 
 
 @dataclass(frozen=True)
@@ -329,11 +329,10 @@ def maximize_jnp(
     """Best oscillation sum over all antichains of the candidate forest."""
     _check_exponents(p, q)
     cache = cache or OscCache(f, q, spec)
-    cache.fill(candidates.cubes())
-    total, picks = max_weight_antichain(
-        candidates.roots, lambda node: cache.weight(node.cube, p)
-    )
-    family = tuple(n.cube for n in picks)
+    cubes = candidates.cubes()
+    cache.fill(cubes)
+    total, picks = max_weight_antichain(candidates.parent, [cache.weight(c, p) for c in cubes])
+    family = tuple(cubes[i] for i in picks)
     validate_family(family, candidates.a)
     weights = tuple(cache.weight(c, p) for c in family)
     return JnpEstimate(
@@ -347,6 +346,10 @@ def maximize_jnp(
     )
 
 
+#: Most improvement passes of the greedy swap heuristic.
+MAX_SWAP_PASSES = 50
+
+
 def maximize_jnp_pool(
     f: ScalarField,
     cubes: Sequence[Cube],
@@ -354,8 +357,6 @@ def maximize_jnp_pool(
     q: float,
     spec: QuadratureSpec,
     a: float,
-    *,
-    max_passes: int = 50,
 ) -> JnpEstimate:
     """Greedy-plus-swaps heuristic for an unstructured (overlapping) pool.
 
@@ -375,7 +376,7 @@ def maximize_jnp_pool(
     for i in order:
         if all(cubes_disjoint(cubes[i], cubes[j]) for j in chosen):
             chosen.append(i)
-    for _ in range(max_passes):
+    for _ in range(MAX_SWAP_PASSES):
         improved = False
         for i in order:
             if i in chosen:
@@ -450,16 +451,15 @@ def bmo_norm_estimate(
     """
     cache = cache or OscCache(f, q, spec)
     l1_est, slack = l1_gamma_norm(f, d, radius, spec)
-    cache.fill(candidates.cubes())
-    best = -math.inf
-    best_cube: Cube | None = None
-    for node in candidates.iter_nodes():
-        _, osc = cache.stats(node.cube)
-        if osc > best:
-            best = osc
-            best_cube = node.cube
-    if best_cube is None:
+    cubes = candidates.cubes()
+    cache.fill(cubes)
+    if not cubes:
         raise ValueError("candidate set is empty")
+    oscs = [cache.stats(c)[1] for c in cubes]
+    best = max(oscs)
+    # mirror cubes tie up to the last bits of the quadrature: the pick is the
+    # first cube in pool order that no cube beats by more than TIE_MARGIN
+    best_cube = next(c for c, osc in zip(cubes, oscs) if osc * (1.0 + TIE_MARGIN) >= best)
     return BmoEstimate(
         value=l1_est + best,
         l1_term=l1_est,
@@ -494,6 +494,10 @@ def p_limit_scan(
 # ---------------------------------------------------------------------------
 # distribution tail exponent fit
 # ---------------------------------------------------------------------------
+
+
+#: Tails at or below this mass are left out of the fit window as noise.
+TAIL_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -539,26 +543,22 @@ def jn_tail_fit(
     spec: QuadratureSpec,
     sigmas: Sequence[float],
     khat: float,
-    *,
-    tail_floor: float = 1e-6,
 ) -> TailFitReport:
     """Fit the decay exponent of gamma({|f - f_Q| > sigma}) on one cube.
 
     The fit window keeps grid points whose tails lie strictly between
-    ``tail_floor`` and gamma(Q)/2, discarding the saturated head and the
+    ``TAIL_FLOOR`` and gamma(Q)/2, discarding the saturated head and the
     noise-dominated extreme tail.  ``khat`` is a caller-supplied oscillation
     functional estimate used only to normalize c_estimate.
     """
-    return tail_fit_sweep(f, [cube], p, spec, sigmas, khat, tail_floor=tail_floor)[0]
+    return tail_fit_sweep(f, [cube], p, spec, sigmas, khat)[0]
 
 
-def _tail_fit(
-    profile: DistributionProfile, p: float, khat: float, tail_floor: float
-) -> TailFitReport:
+def _tail_fit(profile: DistributionProfile, p: float, khat: float) -> TailFitReport:
     gq = gaussian_measure(profile.cube)
     sig = np.asarray(profile.sigmas)
     tails = np.asarray(profile.tails)
-    mask = (tails > tail_floor) & (tails < 0.5 * gq)
+    mask = (tails > TAIL_FLOOR) & (tails < 0.5 * gq)
     idx = np.nonzero(mask)[0]
     if idx.size < 2:
         return TailFitReport(
@@ -599,8 +599,6 @@ def tail_fit_sweep(
     spec: QuadratureSpec,
     sigmas: Sequence[float],
     khat: float,
-    *,
-    tail_floor: float = 1e-6,
 ) -> list[TailFitReport]:
     """Tail fits across a family of cubes, their profiles refined together;
     degenerate cubes are kept in the report (flagged) so sweeps never hide
@@ -608,4 +606,4 @@ def tail_fit_sweep(
     if not khat > 0.0:
         raise ValueError("khat must be positive")
     profiles = tail_profiles(f, cubes, sigmas, spec)
-    return [_tail_fit(profile, p, khat, tail_floor) for profile in profiles]
+    return [_tail_fit(profile, p, khat) for profile in profiles]

@@ -155,58 +155,95 @@ def step_weak_lp_mp(edges, values, lo, hi, axis: int, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive antichain optimum (vectorized subset enumeration)
+# antichain optimum: exhaustive subset enumeration and the recursive DP
 # ---------------------------------------------------------------------------
 
 
 class ExhaustiveAntichains:
     """Every antichain of a small forest, enumerated once as a bit table.
 
-    Builds the ancestor relation, materializes every subset of the node set
-    as a bit table and keeps the subsets that contain no ancestor-descendant
-    pair.  ``best`` then maximizes a weight sum over the kept rows, so many
-    weight draws on one forest shape share the exponential enumeration.
-    Only for small forests (<= ~16 nodes); completely independent of the
-    package's recursive DP.
+    Builds the ancestor relation from the parent indices (-1 for a root),
+    materializes every subset of the node set as a bit table and keeps the
+    subsets that contain no ancestor-descendant pair.  ``best`` then
+    maximizes a weight sum over the kept rows, so many weight draws on one
+    forest shape share the exponential enumeration.  Only for small forests
+    (<= ~16 nodes); completely independent of any dynamic program.
     """
 
-    def __init__(self, roots) -> None:
-        nodes = []
-        parents = {}
-        stack = [(r, None) for r in roots]
-        while stack:
-            node, parent = stack.pop()
-            idx = len(nodes)
-            nodes.append(node)
-            parents[idx] = parent
-            for child in node.children:
-                stack.append((child, idx))
-        n = len(nodes)
+    def __init__(self, parent) -> None:
+        n = len(parent)
         if n > 20:
             raise ValueError("exhaustive oracle limited to 20 nodes")
         anc = np.zeros((n, n), dtype=np.int64)  # anc[i, j] = 1 if i is a proper ancestor of j
         for j in range(n):
-            i = parents[j]
-            while i is not None:
+            i = parent[j]
+            while i >= 0:
                 anc[i, j] = 1
-                i = parents[i]
+                i = parent[i]
         bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
         chosen_anc = bits @ anc
         valid = ~np.any((bits == 1) & (chosen_anc > 0), axis=1)
-        self.nodes = nodes
         self.antichains = bits[valid].astype(np.float64)
 
-    def best(self, weight_of) -> float:
-        """Maximum antichain weight sum (0.0 for an empty forest)."""
-        if not self.nodes:
-            return 0.0
-        weights = np.array([float(weight_of(nd)) for nd in self.nodes])
-        return float(np.max(self.antichains @ weights))
+    def best(self, weights) -> float:
+        """Maximum antichain weight sum, weights indexed by node (0.0 for an empty forest)."""
+        return float(np.max(self.antichains @ np.asarray(weights, dtype=np.float64)))
 
 
-def antichain_best_exhaustive(roots, weight_of) -> float:
+def antichain_best_exhaustive(parent, weights) -> float:
     """Maximum antichain weight by explicit enumeration of all node subsets."""
-    return ExhaustiveAntichains(roots).best(weight_of)
+    return ExhaustiveAntichains(parent).best(weights)
+
+
+def antichain_dp_recursive(parent, weights, margin: float) -> tuple:
+    """The antichain DP as a recursion over child lists: (total, family).
+
+    best(node) = max(weight(node), sum of best over children), the children
+    winning only when their ``math.fsum`` exceeds weight(node) * (1 +
+    margin); the family lists the picked node indices in preorder.
+    """
+    children = [[] for _ in parent]
+    roots = []
+    for i, up in enumerate(parent):
+        (children[up] if up >= 0 else roots).append(i)
+
+    def best(i):
+        w = float(weights[i])
+        if w < 0.0:
+            raise ValueError("antichain weights must be nonnegative")
+        if not children[i]:
+            return w, (i,)
+        totals = [best(c) for c in children[i]]
+        child_total = math.fsum(t for t, _ in totals)
+        if child_total <= w * (1.0 + margin):
+            return w, (i,)
+        return child_total, tuple(j for _, picks in totals for j in picks)
+
+    results = [best(r) for r in roots]
+    return math.fsum(t for t, _ in results), tuple(j for _, picks in results for j in picks)
+
+
+def forest_parent(shapes) -> list:
+    """Preorder parent indices (-1 for a root) of a forest of nested-tuple shapes."""
+    parent = []
+
+    def visit(shape, up):
+        here = len(parent)
+        parent.append(up)
+        for child in shape:
+            visit(child, here)
+
+    for shape in shapes:
+        visit(shape, -1)
+    return parent
+
+
+def node_depths(parent) -> list:
+    """Depth of every node of a preorder parent array."""
+    depth = []
+    for up in parent:
+        depth.append(0 if up < 0 else depth[up] + 1)
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -327,28 +364,28 @@ def dyadic_children_loop(cube) -> tuple:
     return tuple(kids)
 
 
-def grow_recursive(cube, depth: int, budget: int, a: float):
-    """Depth-first dyadic tree under ``cube``; an inadmissible cube drops its subtree."""
-    from gaussjn.jnp import ForestNode
-
+def grow_recursive(cube, up: int, budget: int, a: float, out: list) -> None:
+    """Depth-first dyadic tree under ``cube``, appended to ``out`` as
+    (parent index, cube) pairs in preorder; an inadmissible cube drops its
+    subtree."""
     if not is_admissible_rowwise(cube, a):
-        return None
-    if budget == 0:
-        return ForestNode(cube, depth, ())
-    kids = []
-    for child in dyadic_children_loop(cube):
-        node = grow_recursive(child, depth + 1, budget - 1, a)
-        if node is not None:
-            kids.append(node)
-    return ForestNode(cube, depth, tuple(kids))
+        return
+    here = len(out)
+    out.append((up, cube))
+    if budget:
+        for child in dyadic_children_loop(cube):
+            grow_recursive(child, here, budget - 1, a, out)
 
 
-def grow_forest_recursive(roots, depth: int, a: float) -> tuple:
-    nodes = (grow_recursive(cube, 0, depth, a) for cube in roots)
-    return tuple(node for node in nodes if node is not None)
+def grow_forest_recursive(roots, depth: int, a: float) -> list:
+    """(parent index, cube) of every node of the forest, in preorder (-1 for a root)."""
+    out = []
+    for cube in roots:
+        grow_recursive(cube, -1, depth, a, out)
+    return out
 
 
-def make_candidates_recursive(covering, depth: int) -> tuple:
+def make_candidates_recursive(covering, depth: int) -> list:
     """Roots of ``make_candidates`` by the O(m^2) first fit, each grown depth-first."""
     roots = first_fit_disjoint_brute([q for _, q in covering.all_cubes()])
     return grow_forest_recursive(roots, depth, covering.admissibility)

@@ -49,7 +49,6 @@ from gaussjn.hardy import (
 from gaussjn import jnp
 from gaussjn.jnp import (
     CandidateSet,
-    ForestNode,
     bmo_norm_estimate,
     make_candidates,
     max_weight_antichain,
@@ -58,17 +57,6 @@ from gaussjn.jnp import (
 )
 
 SEED = 20240819
-
-
-def _build_forest(shapes):
-    counter = itertools.count()
-
-    def build(shape, depth):
-        cube = Cube((float(next(counter)),), 1.0)
-        kids = tuple(build(s, depth + 1) for s in shape)
-        return ForestNode(cube, depth, kids)
-
-    return tuple(build(s, 0) for s in shapes)
 
 
 def _random_disjoint_cubes(rng, n, a=2.0):
@@ -247,24 +235,20 @@ def test_criterion_06_antichain_dp_equals_exhaustive(monkeypatch):
     rng = np.random.default_rng(SEED)
     instances = 0
     for forest in forests:
-        roots = _build_forest([shape for _, _, shape in forest])
-        nodes = [n for r in roots for n in r.iter_nodes()]
-        assert len(nodes) <= 12
+        parent = oracles.forest_parent([shape for _, _, shape in forest])
+        assert len(parent) <= 12
         # the subset table depends only on the shape: enumerate it once
-        table = oracles.ExhaustiveAntichains(roots)
-        slack = (1.0 + jnp.TIE_MARGIN) ** max(n.depth for n in nodes)
+        table = oracles.ExhaustiveAntichains(parent)
+        slack = (1.0 + jnp.TIE_MARGIN) ** max(oracles.node_depths(parent))
         for _ in range(50):
-            weights = {
-                id(n): float(rng.integers(0, (1 << 20) + 1)) / float(1 << 20)
-                for n in nodes
-            }
-            total, family = max_weight_antichain(roots, lambda n: weights[id(n)])
-            exhaustive = table.best(lambda n: weights[id(n)])
+            weights = [float(rng.integers(0, (1 << 20) + 1)) / float(1 << 20) for _ in parent]
+            total, family = max_weight_antichain(parent, weights)
+            exhaustive = table.best(weights)
             assert exhaustive / slack <= total <= exhaustive
-            assert total == math.fsum(weights[id(n)] for n in family)
+            assert total == math.fsum(weights[i] for i in family)
             with monkeypatch.context() as m:
                 m.setattr(jnp, "TIE_MARGIN", 0.0)
-                exact, _ = max_weight_antichain(roots, lambda n: weights[id(n)])
+                exact, _ = max_weight_antichain(parent, weights)
             assert exact == exhaustive
             instances += 1
     assert instances == 282 * 50
@@ -330,7 +314,7 @@ def test_criterion_08_bmo_dominates_and_limit_behaviour():
 
     # single-cube suite: value = gamma(Q)^(1/p) * oscillation exactly
     cube = Cube((0.25,), 1.5)
-    single = CandidateSet((ForestNode(cube, 0, ()),), 2.0, 0)
+    single = CandidateSet(np.array([cube.center]), np.array([cube.side]), np.array([-1]), 2.0)
     f = corpus["radius_sq"]
     osc = oscillation(f, cube, 1.0, spec)
     gq = gaussian_measure(cube)
@@ -421,7 +405,7 @@ def test_criterion_10_duality_chain_suite():
         polymer = make_polymer(f, cubes, 1.5, 3.0, spec, a=2.0)
         total_atoms += len(polymer.atoms)
         element = HardyElement(c0=0.0, polymers=(polymer,))
-        report = duality_check(f, element, spec, abs_tol=1e-8)
+        report = duality_check(f, element, spec)
         assert all(check.ok for check in report.atom_checks)
         assert report.ok
         assert polymer_lp_norm(polymer, spec) <= polymer_norm(polymer, spec) + 1e-12

@@ -14,7 +14,6 @@ from gaussjn.geometry import Cube, gaussian_measure
 import gaussjn.jnp as jnp_module
 from gaussjn.jnp import (
     CandidateSet,
-    ForestNode,
     OscCache,
     bmo_norm_estimate,
     grow_forest,
@@ -89,23 +88,9 @@ def test_jnp_sum_rejects_bad_exponents(spec):
 # ---------------------------------------------------------------------------
 
 
-def build_forest(shapes):
-    """Materialize abstract tree shapes as nodes with distinct dummy cubes."""
-    counter = itertools.count()
-
-    def build(shape, depth):
-        cube = Cube((float(next(counter)),), 1.0)
-        kids = tuple(build(s, depth + 1) for s in shape)
-        return ForestNode(cube, depth, kids)
-
-    return tuple(build(s, 0) for s in shapes)
-
-
-def quantized_weights(rng, nodes):
+def quantized_weights(rng, n):
     """Dyadic-rational weights: all subset sums are exact in double precision."""
-    return {
-        id(n): float(rng.integers(0, (1 << 20) + 1)) / float(1 << 20) for n in nodes
-    }
+    return [float(rng.integers(0, (1 << 20) + 1)) / float(1 << 20) for _ in range(n)]
 
 
 def test_dp_equals_exhaustive_on_small_forests(monkeypatch):
@@ -113,97 +98,139 @@ def test_dp_equals_exhaustive_on_small_forests(monkeypatch):
     forests = oracles.all_binary_forests(8)
     assert len(forests) == 37  # 1+1+2+2+4+5+10+12 full-binary forests
     for forest in forests:
-        roots = build_forest([shape for _, _, shape in forest])
-        nodes = [n for r in roots for n in r.iter_nodes()]
-        slack = (1.0 + jnp_module.TIE_MARGIN) ** max(n.depth for n in nodes)
+        parent = oracles.forest_parent([shape for _, _, shape in forest])
+        slack = (1.0 + jnp_module.TIE_MARGIN) ** max(oracles.node_depths(parent))
         for _ in range(5):
-            w = quantized_weights(rng, nodes)
-            weight_of = lambda n: w[id(n)]
-            total, family = max_weight_antichain(roots, weight_of)
-            ref = oracles.antichain_best_exhaustive(roots, weight_of)
+            w = quantized_weights(rng, len(parent))
+            total, family = max_weight_antichain(parent, w)
+            ref = oracles.antichain_best_exhaustive(parent, w)
             # near-ties keep the node: at most a factor (1 + TIE_MARGIN) per level short
             assert ref / slack <= total <= ref
             # the reported family attains the reported total
-            assert math.fsum(weight_of(n) for n in family) == total
+            assert math.fsum(w[i] for i in family) == total
             with monkeypatch.context() as m:
                 m.setattr(jnp_module, "TIE_MARGIN", 0.0)
-                exact, _ = max_weight_antichain(roots, weight_of)
+                exact, _ = max_weight_antichain(parent, w)
             assert exact == ref  # exact: all sums are dyadic rationals
 
 
 def test_dp_stays_within_the_margin_of_the_exhaustive_optimum(monkeypatch):
     # children ahead of a weight-1 node by one quantum 2^-20 < TIE_MARGIN:
     # the node is kept, one quantum below the exhaustive optimum
-    (root,) = build_forest([((), ())])
-    left, right = root.children
-    w = {id(root): 1.0, id(left): 0.5, id(right): 0.5 + 2.0**-20}
-    weight_of = lambda n: w[id(n)]
-    ref = oracles.antichain_best_exhaustive([root], weight_of)
+    parent = oracles.forest_parent([((), ())])
+    w = [1.0, 0.5, 0.5 + 2.0**-20]
+    ref = oracles.antichain_best_exhaustive(parent, w)
     assert ref == 1.0 + 2.0**-20
-    total, family = max_weight_antichain([root], weight_of)
-    assert family == (root,) and total == 1.0
+    total, family = max_weight_antichain(parent, w)
+    assert family == (0,) and total == 1.0
     assert ref / (1.0 + jnp_module.TIE_MARGIN) <= total < ref
     monkeypatch.setattr(jnp_module, "TIE_MARGIN", 0.0)
-    assert max_weight_antichain([root], weight_of) == (ref, root.children)
+    assert max_weight_antichain(parent, w) == (ref, (1, 2))
 
 
 def test_dp_family_is_antichain():
     rng = np.random.default_rng(103)
-    roots = build_forest([(((), ()), ((), ())), ((), ())])
-    nodes = [n for r in roots for n in r.iter_nodes()]
-    w = quantized_weights(rng, nodes)
-    _, family = max_weight_antichain(roots, lambda n: w[id(n)])
+    parent = oracles.forest_parent([(((), ()), ((), ())), ((), ())])
+    w = quantized_weights(rng, len(parent))
+    _, family = max_weight_antichain(parent, w)
     # no member may be an ancestor of another
-    descendants = {id(n): {id(m) for m in n.iter_nodes()} - {id(n)} for n in nodes}
-    for a in family:
-        for b in family:
-            assert id(b) not in descendants[id(a)]
+    for b in family:
+        a = parent[b]
+        while a >= 0:
+            assert a not in family
+            a = parent[a]
 
 
 def test_dp_tie_prefers_shallow_node():
-    (root,) = build_forest([((), ())])
-    w = {id(n): 0.5 if n.children == () else 1.0 for n in root.iter_nodes()}
-    total, family = max_weight_antichain([root], lambda n: w[id(n)])
+    parent = oracles.forest_parent([((), ())])
+    total, family = max_weight_antichain(parent, [1.0, 0.5, 0.5])
     assert total == 1.0
-    assert family == (root,)
+    assert family == (0,)
 
 
 def test_dp_near_tie_keeps_the_node():
     # the central cube (-1, 1) and its halves tie exactly for radius_sq; the
     # quadrature decides such a tie only by its last bits
-    (root,) = build_forest([((), ())])
+    parent = oracles.forest_parent([((), ())])
     for eps in (1e-9, -1e-9, 0.0):
-        w = {id(n): 0.5 * (1.0 + eps) if n.children == () else 1.0 for n in root.iter_nodes()}
-        total, family = max_weight_antichain([root], lambda n: w[id(n)])
-        assert family == (root,) and total == 1.0
+        total, family = max_weight_antichain(parent, [1.0] + [0.5 * (1.0 + eps)] * 2)
+        assert family == (0,) and total == 1.0
     # a real win still replaces the node
-    w = {id(n): 0.5 * (1.0 + 1e-3) if n.children == () else 1.0 for n in root.iter_nodes()}
-    total, family = max_weight_antichain([root], lambda n: w[id(n)])
-    assert family == root.children and total == 1.0 + 1e-3
+    total, family = max_weight_antichain(parent, [1.0] + [0.5 * (1.0 + 1e-3)] * 2)
+    assert family == (1, 2) and total == 1.0 + 1e-3
 
 
 def test_central_cube_keeps_its_tie_with_its_halves(spec):
     # osc on (-1, 1) equals osc on (0, 1) by symmetry, and gamma doubles
-    roots = grow_forest([Cube((0.0,), 2.0)], 1, 2.0)
+    forest = grow_forest([Cube((0.0,), 2.0)], 1, 2.0)
+    assert forest.parent.tolist() == [-1, 0, 0]
     for q in (1.25, 1.5):
         cache = OscCache(_rsq(), q, spec)
-        weight = {id(n): cache.weight(n.cube, 2.0) for n in roots[0].iter_nodes()}
-        halves = sum(weight[id(c)] for c in roots[0].children)
-        assert halves == pytest.approx(weight[id(roots[0])], rel=1e-8)
-        _, family = max_weight_antichain(roots, lambda n: weight[id(n)])
-        assert family == roots
+        weight = [cache.weight(c, 2.0) for c in forest.cubes()]
+        assert weight[1] + weight[2] == pytest.approx(weight[0], rel=1e-8)
+        _, family = max_weight_antichain(forest.parent, weight)
+        assert family == (0,)
 
 
 def test_dp_rejects_negative_weights():
-    roots = build_forest([()])
     with pytest.raises(ValueError):
-        max_weight_antichain(roots, lambda n: -0.5)
+        max_weight_antichain([-1], [-0.5])
 
 
 def test_exhaustive_oracle_rejects_oversized_forest():
-    roots = build_forest([()] * 21)
     with pytest.raises(ValueError):
-        oracles.antichain_best_exhaustive(roots, lambda _: 1.0)
+        oracles.antichain_best_exhaustive([-1] * 21, [1.0] * 21)
+
+
+def _random_forest(rng, d, n_roots, depth):
+    """Preorder parent indices of random trees with 0 to 2^d children per node."""
+    parent = []
+
+    def grow(up, budget):
+        here = len(parent)
+        parent.append(up)
+        if budget:
+            for _ in range(int(rng.integers(0, 2**d + 1))):
+                grow(here, budget - 1)
+
+    for _ in range(n_roots):
+        grow(-1, depth)
+    return parent
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_array_dp_matches_recursive_oracle_bit_for_bit(d, monkeypatch):
+    # planted near-ties: an internal node weighs its children's sum, or that
+    # sum divided by (1 + TIE_MARGIN), up to a few ulps or a small relative
+    # change, so both sides of the margin rule are exercised
+    rng = np.random.default_rng(20 + d)
+    margin = jnp_module.TIE_MARGIN
+    factors = [1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-3]
+    planted = moved = 0
+    for trial in range(100):
+        parent = _random_forest(rng, d, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+        children = [[] for _ in parent]
+        for i, up in enumerate(parent):
+            if up >= 0:
+                children[up].append(i)
+        w = rng.uniform(0.0, 1.0, len(parent)) ** 3
+        for i in range(len(parent) - 1, -1, -1):
+            if children[i] and rng.random() < 0.6:
+                below = math.fsum(w[c] for c in children[i])
+                w[i] = below * factors[int(rng.integers(len(factors)))]
+                if rng.random() < 0.5:
+                    w[i] /= 1.0 + margin
+                planted += 1
+        families = []
+        for m in (margin, 0.0):
+            monkeypatch.setattr(jnp_module, "TIE_MARGIN", m)
+            total, family = max_weight_antichain(np.array(parent), w)
+            ref_total, ref_family = oracles.antichain_dp_recursive(parent, w, m)
+            assert total.hex() == ref_total.hex() and family == ref_family, (d, trial, m)
+            families.append(family)
+        moved += families[0] != families[1]
+    # the planted ties decide families: the margin changes some of them
+    assert planted > 100 and moved > 10
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +244,25 @@ def test_make_candidates_structure(cov1, cands1):
     # roots pairwise disjoint, all nodes admissible, children live in parents
     from gaussjn.geometry import cubes_disjoint, is_admissible
 
-    roots = [r.cube for r in cands1.roots]
+    cubes = cands1.cubes()
+    roots = [cubes[i] for i in cands1.roots]
     for i, qi in enumerate(roots):
         for qj in roots[:i]:
             assert cubes_disjoint(qi, qj)
-    for node in cands1.iter_nodes():
-        assert is_admissible(node.cube, cands1.a)
-        for child in node.children:
-            assert node.cube.contains_cube(child.cube)
-            assert child.cube.side == pytest.approx(0.5 * node.cube.side, rel=1e-15)
-    assert cands1.node_count() == len(cands1.cubes())
+    for i, cube in enumerate(cubes):
+        assert is_admissible(cube, cands1.a)
+        up = cands1.parent[i]
+        assert up < i
+        if up >= 0:
+            assert cubes[up].contains_cube(cube)
+            assert cube.side == pytest.approx(0.5 * cubes[up].side, rel=1e-15)
+    assert cands1.node_count() == len(cubes) == len(cands1.centers) == len(cands1.parent)
+    assert cands1.cubes() is cubes  # built once
 
 
 def test_make_candidates_depth_zero(cov1):
     flat = make_candidates(cov1, 0)
-    assert all(not r.children for r in flat.roots)
+    assert np.all(flat.parent == -1)
     with pytest.raises(ValueError):
         make_candidates(cov1, -1)
 
@@ -241,20 +272,35 @@ def test_make_candidates_2d_roots_disjoint():
 
     cov = build_covering(2, 2)
     cands = make_candidates(cov, 1)
-    roots = [r.cube for r in cands.roots]
+    roots = [cands.cubes()[i] for i in cands.roots]
     for i, qi in enumerate(roots):
         for qj in roots[:i]:
             assert cubes_disjoint(qi, qj)
     assert len(roots) >= 5  # thinning keeps a nontrivial disjoint subfamily
 
 
-def _preorder(roots):
-    """Every node as (depth, center bits, side bits, child count), in preorder."""
-    return [
-        (n.depth, tuple(map(float.hex, n.cube.center)), n.cube.side.hex(), len(n.children))
-        for r in roots
-        for n in r.iter_nodes()
-    ]
+def test_make_candidates_builds_no_cube_per_node(monkeypatch):
+    # the forest stays arrays: the only cubes are the covering's own, and
+    # cubes() builds the nodes once, on first use
+    cov = build_covering(2, 3)
+    built = []
+    validate = Cube.__post_init__
+    monkeypatch.setattr(Cube, "__post_init__", lambda self: built.append(1) or validate(self))
+    cands = make_candidates(cov, 2)
+    assert cands.node_count() == 39785 and len(cands.roots) == 545
+    assert len(built) == 0
+    cands.cubes()
+    cands.cubes()
+    assert len(built) == 39785
+
+
+def _preorder(pairs):
+    """Every node as (parent index, center bits, side bits), in preorder."""
+    return [(up, tuple(map(float.hex, q.center)), q.side.hex()) for up, q in pairs]
+
+
+def _forest_pairs(cands):
+    return zip(cands.parent.tolist(), cands.cubes())
 
 
 @pytest.mark.parametrize("cdepth", [0, 1, 2, 3])
@@ -263,8 +309,11 @@ def test_make_candidates_matches_recursive_oracle(d, depth, cdepth):
     cov = build_covering(depth, d)
     cands = make_candidates(cov, cdepth)
     ref = oracles.make_candidates_recursive(cov, cdepth)
-    assert _preorder(cands.roots) == _preorder(ref)
-    assert cands.node_count() == sum(1 for r in ref for _ in r.iter_nodes())
+    assert _preorder(_forest_pairs(cands)) == _preorder(ref)
+    assert cands.node_count() == len(ref)
+    assert len(cands.roots) == sum(up < 0 for up, _ in ref)
+    # depths and child counts follow from the parents
+    assert max(oracles.node_depths(cands.parent.tolist())) == cdepth
 
 
 @pytest.mark.parametrize("a", [4.0, 6.0])
@@ -280,13 +329,15 @@ def test_grow_forest_drops_inadmissible_subtrees_like_oracle(d, a):
         Cube((1.5,) * d, 2.0),
     ]
     forest = grow_forest(roots, 3, a)
-    assert _preorder(forest) == _preorder(oracles.grow_forest_recursive(roots, 3, a))
+    ref = oracles.grow_forest_recursive(roots, 3, a)
+    assert _preorder(_forest_pairs(forest)) == _preorder(ref)
     full = len(roots) * sum(2 ** (d * k) for k in range(4))
-    assert 0 < sum(1 for r in forest for _ in r.iter_nodes()) < full
+    assert 0 < forest.node_count() < full
     if a == 4.0 and d >= 2:  # the cube at (1, 0, ...) keeps only its inner children
-        kept = {r.cube.center: r for r in forest}
-        assert 0 < len(kept[(1.0, *rest)].children) < 2**d
-    assert grow_forest([], 2, a) == ()
+        (at,) = [i for i in forest.roots if forest.cubes()[i].center == (1.0, *rest)]
+        assert 0 < np.count_nonzero(forest.parent == at) < 2**d
+    empty = grow_forest([], 2, a)
+    assert empty.node_count() == 0 and len(empty.roots) == 0 and empty.cubes() == ()
     with pytest.raises(ValueError):
         grow_forest(roots, 1, 0.0)
 
@@ -297,7 +348,7 @@ def test_grow_forest_drops_inadmissible_subtrees_like_oracle(d, a):
 
 
 def _root_keys(cands):
-    return [(r.cube.center, r.cube.side) for r in cands.roots]
+    return [(cands.cubes()[i].center, cands.cubes()[i].side) for i in cands.roots]
 
 
 def test_make_candidates_roots_match_first_fit_oracle():
@@ -381,8 +432,7 @@ def test_p_limit_scan_nondecreasing(cands1, spec):
 def test_single_cube_value_closed_form(spec):
     # with one admissible cube the functional is gamma(Q)^(1/p) * osc_q
     cube = Cube((0.0,), 1.0)
-    node = ForestNode(cube, 0, ())
-    cands = CandidateSet((node,), a=2.0, depth=0)
+    cands = CandidateSet(np.array([cube.center]), np.array([cube.side]), np.array([-1]), a=2.0)
     f = _rsq()
     for p in (2.0, 4.0, 8.0):
         est = maximize_jnp(f, cands, p, 1.5, spec)
@@ -401,12 +451,42 @@ def test_bmo_estimate_dominates_jnp(cands1, spec):
         bmo = bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.0)
         assert bmo.value == bmo.l1_term + bmo.sup_term
         assert bmo.sup_term == pytest.approx(
-            max(oscillation(f, n.cube, 1.0, spec) for n in cands1.iter_nodes()),
+            max(oscillation(f, c, 1.0, spec) for c in cands1.cubes()),
             rel=1e-12,
         )
         for p in (2.0, 4.0):
             est = maximize_jnp(f, cands1, p, 1.0, spec)
             assert est.value <= bmo.value + 1e-9, (fid, p)
+
+
+class _FixedOscillations(OscCache):
+    """A cache that serves given oscillations, keyed by cube center."""
+
+    def __init__(self, f, spec, oscs):
+        super().__init__(f, 1.0, spec)
+        self.oscs = oscs
+
+    def fill(self, cubes):
+        pass
+
+    def stats(self, cube):
+        return gaussian_measure(cube), self.oscs[cube.center]
+
+
+def test_bmo_argmax_keeps_the_first_of_a_near_tie(spec):
+    # mirror cubes oscillate the same up to the last bits of the quadrature:
+    # the first in pool order stays the pick unless beaten by more than
+    # TIE_MARGIN, while sup_term is always the exact maximum
+    cubes = [Cube((1.5,), 0.5), Cube((-1.5,), 0.5)]
+    centers = np.array([c.center for c in cubes])
+    pool = CandidateSet(centers, np.array([0.5, 0.5]), np.array([-1, -1]), 2.0)
+    f = _sign()
+    for later, pick in ((1.0 + 1e-9, 0), (1.0, 0), (1.0 - 1e-9, 0), (1.0 + 1e-3, 1)):
+        oscs = {(1.5,): 0.7, (-1.5,): 0.7 * later}
+        bmo = bmo_norm_estimate(f, pool, 1, 6.0, spec, cache=_FixedOscillations(f, spec, oscs))
+        assert bmo.argmax_cube == cubes[pick]
+        assert bmo.sup_term == max(oscs.values())
+        assert bmo.value == bmo.l1_term + max(oscs.values())
 
 
 def test_bmo_and_jnp_share_one_oscillation_per_cube(cands1, spec, monkeypatch):
