@@ -331,16 +331,16 @@ def maximize_jnp(
     cache = cache or OscCache(f, q, spec)
     cubes = candidates.cubes()
     cache.fill(cubes)
-    total, picks = max_weight_antichain(candidates.parent, [cache.weight(c, p) for c in cubes])
+    weights = [cache.weight(c, p) for c in cubes]
+    total, picks = max_weight_antichain(candidates.parent, weights)
     family = tuple(cubes[i] for i in picks)
     validate_family(family, candidates.a)
-    weights = tuple(cache.weight(c, p) for c in family)
     return JnpEstimate(
         value=total ** (1.0 / p),
         p=p,
         q=q,
         family=family,
-        contributions=weights,
+        contributions=tuple(weights[i] for i in picks),
         method="antichain-dp",
         candidates=candidates.node_count(),
     )
