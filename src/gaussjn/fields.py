@@ -40,16 +40,18 @@ bit.  Tails and weak norms are not graded: their breaks are jumps, with a
 smooth integrand on each panel, and an integer q makes |f - f_Q|^q a
 polynomial in f on either side of the level set.
 
-One function, ``_drive``, runs every refinement.  Each cube's computation is
-a small program -- for an oscillation, the centering average and then the
-centered power average -- and ``_drive`` advances all pending cubes of a
-call one level per round: their rules are built in one vectorized pass per
-level, the field is evaluated once on the stacked nodes, and row-wise
-pairwise trees reduce each cube in the order a one-cube loop would, so every
-value is bit for bit that loop's.  The stacked nodes of a batch are the
-transpose of one (d, n) buffer, filled coordinate by coordinate, so every
-coordinate column is contiguous.  A single cube is a batch of one.  A batch
-holds at most ``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES``
+One function, ``_drive``, runs every refinement on one table of arrays per
+call.  Each cube runs phases (for an oscillation, the centering average,
+then the centered power average) as a row of arrays; its panels are rows of
+a ``_Table``, cut per phase for all cubes entering it in a round, their
+level-set breaks solved in one call.  A round advances all pending cubes
+one level: node counts, cap and acceptance are vectorized steps, rules are
+built in one pass per level, the field is evaluated once on the stacked
+nodes, and row-wise pairwise trees reduce each cube bit for bit as a one-cube
+loop would.  The stacked nodes of a batch are the transpose of one (d, n)
+buffer, filled coordinate by coordinate, so every coordinate column is
+contiguous.  A single cube is a table of one.  A batch holds at most
+``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES``
 are refined one cube at a time in input order, and such a solo level is
 streamed: only its per-axis rules are built, and the tensor rule is produced,
 evaluated and reduced one aligned block of ``kernels._BLOCK`` nodes at a
@@ -63,17 +65,16 @@ in input order is raised, as a loop over the cubes would.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
-from .geometry import Cube, gaussian_measure
+from .geometry import Cube, cube_arrays, gaussian_measure
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -140,8 +141,10 @@ class ScalarField:
         Optional callable (R, d) -> exact upper bound for the integral of
         |f| against gamma outside the box (-R, R)^d.
     level_breaks:
-        Optional callable mapping a level value c to extra axis breaks of
-        the set {|f| = c}; used to keep truncated fields panel-aligned.
+        Optional solver for the level sets {|f| = c}: it maps an array of n
+        levels c to axis -> (n, k) arrays of break positions, NaN (or any
+        non-finite value) where a level has no solution.  Used to keep
+        truncated fields and the kinks of |f - c|^q panel-aligned.
     """
 
     def __init__(
@@ -155,7 +158,7 @@ class ScalarField:
         singular_set: str | None = None,
         growth: tuple[float, float] | None = None,
         tail_bound: Callable[[float, int], float] | None = None,
-        level_breaks: Callable[[float], Mapping[int, Sequence[float]]] | None = None,
+        level_breaks: Callable[[np.ndarray], Mapping[int, np.ndarray]] | None = None,
     ) -> None:
         self.id = str(id)
         self.fn = fn
@@ -260,14 +263,11 @@ def truncate(f: ScalarField, level: float) -> ScalarField:
     n = float(level)
     if not n > 0.0:
         raise ValueError("truncation level must be positive")
-    extra: Mapping[int, Sequence[float]] = {}
-    if f.level_breaks is not None:
-        extra = f.level_breaks(n)
     return ScalarField(
         f"{f.id}|trunc:{n!r}",
         lambda pts: np.clip(f(pts), -n, n),
         dim=f.dim,
-        breaks=merge_breaks(f.breaks, extra),
+        breaks=merge_breaks(f.breaks, level_set_breaks(f, n, np.zeros(1))),
         description=f"{f.id} truncated at {n}",
         singular_set=f.singular_set,
         growth=(n, 0.0),
@@ -293,95 +293,210 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _axis_segments(lo: float, hi: float, cuts: Sequence[float]) -> list[tuple[float, float]]:
-    interior = sorted(c for c in cuts if lo < c < hi)
-    edges = [lo, *interior, hi]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+class _Table:
+    """The panel rows of a call's cubes: each cube's axis intervals split at its breaks.
 
-
-def _runs(keys: Sequence) -> Iterable[tuple[object, list[int]]]:
-    """Maximal runs of neighbouring equal keys as (key, indices), None keys skipped."""
-    for key, run in itertools.groupby(range(len(keys)), key=keys.__getitem__):
-        if key is not None:
-            yield key, list(run)
-
-
-class _Panels:
-    """A cube's axis intervals split at the breaks, as rows of segments.
-
-    Rows run axis by axis (``counts`` segments per axis); ``total`` holds,
-    on each row, the Gauss measure of the whole axis interval.  A segment
-    end that lies on one of the ``kinks`` (which must also be breaks) is
-    graded: ``pattern`` holds, on each row, left + 2 * right for the
-    graded ends (left, right) of its segment, and ``graded`` counts them
-    per axis.
+    ``totals`` (m, d) are the axis measures, ``gq`` their products, ``vanish``
+    each cube's first axis of measure 0 (-1: none; None if no cube has one).
+    ``cut`` appends rows, cube by cube and axis by axis, to ``data``: segment
+    (a, b), axis total, pattern (left + 2 * right for the graded kink ends).
+    ``first``/``rows`` locate each cube's rows, ``counts``/``graded`` count them.
     """
 
-    def __init__(
-        self,
-        cube: Cube,
-        breaks: Mapping[int, Sequence[float]],
-        kinks: Mapping[int, Sequence[float]] | None = None,
-    ) -> None:
-        self.cube = cube
-        self.counts: list[int] = []
-        self.graded = [0] * cube.dim
-        self.pattern: list[int] = []
-        self.a: list[float] = []
-        self.b: list[float] = []
-        self.total: list[float] = []
-        self.vanishing: int | None = None
-        for ax in range(cube.dim):
-            lo, hi = cube.lo[ax], cube.hi[ax]
-            segments = _axis_segments(lo, hi, breaks.get(ax, ()))
-            total = kernels.gauss1d(lo, hi)
-            if total <= 0.0 and self.vanishing is None:
-                self.vanishing = ax
-            # segment edges are the break values themselves, so equality is exact
-            if kinks and (on_kink := {k for k in kinks.get(ax, ()) if lo < k < hi}):
-                for a, b in segments:
-                    left, right = a in on_kink, b in on_kink
-                    self.pattern.append(left + 2 * right)
-                    self.graded[ax] += left + right
-            else:
-                self.pattern.extend([0] * len(segments))
-            self.counts.append(len(segments))
-            self.a.extend(a for a, _ in segments)
-            self.b.extend(b for _, b in segments)
-            self.total.extend([total] * len(segments))
-        self.cells = math.prod(self.counts)
+    def __init__(self, cubes: Sequence[Cube]) -> None:
+        self.cubes = cubes
+        centers, sides = cube_arrays(cubes)
+        h = 0.5 * sides[:, None]
+        self.lo, self.hi = centers - h, centers + h
+        m, d = self.lo.shape
+        lo, hi = self.lo.ravel().tolist(), self.hi.ravel().tolist()
+        totals = [kernels.gauss1d(a, b) for a, b in zip(lo, hi)]
+        self.totals = np.array(totals).reshape(m, d)
+        # multiplied axis by axis, as gaussian_measure does
+        self.gq = self.totals[:, 0].copy()
+        for ax in range(1, d):
+            self.gq *= self.totals[:, ax]
+        bad = self.totals <= 0.0
+        self.vanish = np.where(bad.any(axis=1), bad.argmax(axis=1), -1) if min(totals) <= 0 else None
+        self.data = np.empty((0, 4))
+        self.first, self.rows = np.zeros((2, m), dtype=np.int64)
+        self.segments = np.zeros((m, 2, d), dtype=np.int64)
+        self.counts, self.graded = self.segments[:, 0], self.segments[:, 1]
 
-    def axis_nodes(self, level: int, order: int) -> list[int]:
-        """Nodes of each axis rule at this level.
+    def cut(self, idx: np.ndarray | slice, breaks: Sequence[Mapping], kinks: Mapping | None = None):
+        """New rows for the cubes ``idx`` (an index array or slice), split at the ``breaks``.
 
-        That is order * 2^level per segment, plus order * level per graded end.
+        Each mapping, and ``kinks``, gives an axis positions shared by all
+        cubes or a NaN-padded (len(idx), k) array of them.  Segment edges are
+        the break values, so an end lies on a kink (also a break) by equality.
         """
-        return [order * ((c << level) + level * g) for c, g in zip(self.counts, self.graded)]
+        lo, hi = self.lo[idx], self.hi[idx]
+        k, d = lo.shape
+        e = _lines(k, d, breaks, lo, hi)
+        rows = np.empty((k * d, e.shape[1] - 1, 4))
+        rows[:, :, 0], rows[:, :, 1], rows[:, :, 3] = e[:, :-1], e[:, 1:], 0.0
+        rows[:, :, 2] = self.totals[idx].reshape(-1, 1)
+        segments = np.zeros((k, 2, d), dtype=np.int64)
+        valid = True if e.shape[1] == 2 else e[:, 1:] == e[:, 1:]
+        segments[:, 0] = np.count_nonzero(valid, axis=1).reshape(k, d) if e.shape[1] > 2 else 1
+        if kinks:
+            a, b, kk = rows[:, :, 0], rows[:, :, 1], _lines(k, d, [kinks])[:, None, :]
+            left = valid & (a > e[:, :1]) & (a[:, :, None] == kk).any(axis=2)
+            right = valid & (b < hi.reshape(-1, 1)) & (b[:, :, None] == kk).any(axis=2)
+            rows[:, :, 3] = left + 2 * right
+            segments[:, 1] = (left.sum(axis=1) + right.sum(axis=1)).reshape(k, d)
+        self.segments[idx] = segments
+        self.rows[idx] = count = segments[:, 0].sum(axis=1)
+        self.first[idx] = len(self.data) + count.cumsum() - count
+        rows = rows.reshape(-1, 4) if e.shape[1] == 2 else rows[valid]
+        self.data = np.concatenate((self.data, rows)) if len(self.data) else rows
 
-    def nodes(self, level: int, order: int) -> int:
-        """Tensor nodes of the cube's rule at this level."""
-        if any(self.graded):
-            return math.prod(self.axis_nodes(level, order))
-        # a quarter of the cost of the product: _drive counts every
-        # request of a batch once per round
-        return self.cells * (order << level) ** len(self.counts)
+    def axis_nodes(self, idx: np.ndarray | slice, levels: np.ndarray, order: int) -> np.ndarray:
+        """Nodes (k, d) of each axis rule: order * 2^level per segment, order * level per graded end."""
+        segments, lv = self.segments[idx], levels[:, None]
+        nodes = (segments[:, 0] << lv) + lv * segments[:, 1]
+        nodes *= order
+        return nodes
 
-    def check(self, level: int, order: int) -> int:
-        """Tensor node count at this level; raises when the rule cannot be built."""
-        cube = self.cube
-        if self.vanishing is not None:
-            ax = self.vanishing
-            raise QuadratureError(
-                f"refinement level {level} has axis {ax} interval ({cube.lo[ax]}, {cube.hi[ax]}) "
-                f"of vanishing Gauss measure on cube center {cube.center} side {cube.side}"
-            )
-        count = self.nodes(level, order)
-        if count > MAX_TENSOR_NODES:
-            raise QuadratureError(
-                f"refinement level {level} would need {count} tensor nodes "
-                f"(cap {MAX_TENSOR_NODES}) on cube center {cube.center} side {cube.side}"
-            )
-        return count
+    def sizes(self, idx: np.ndarray | slice, levels: np.ndarray, order: int) -> np.ndarray:
+        """Tensor nodes of each cube's rule, or -1 where ``why`` says it cannot be built."""
+        # as floats the products are exact up to 2^53, far above the cap
+        sizes = self.axis_nodes(idx, levels, order).prod(axis=1, dtype=np.float64)
+        bad = sizes > MAX_TENSOR_NODES
+        if self.vanish is not None:
+            bad |= self.vanish[idx] >= 0
+        sizes[bad] = -1.0
+        return sizes.astype(np.int64)
+
+    def why(self, i: int, level: int, order: int) -> str:
+        cube, ax = self.cubes[i], -1 if self.vanish is None else int(self.vanish[i])
+        n = math.prod(self.axis_nodes(np.array([i]), np.array([level]), order)[0].tolist())
+        why = f"has axis {ax} interval ({cube.lo[ax]}, {cube.hi[ax]}) of vanishing Gauss measure"
+        why = why if ax >= 0 else f"would need {n} tensor nodes (cap {MAX_TENSOR_NODES})"
+        return f"refinement level {level} {why} on cube center {cube.center} side {cube.side}"
+
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        """The current rows (r, 4) of the cubes ``idx``, in that order."""
+        rows = self.rows[idx]
+        if rows.size == 1:
+            return self.data[self.first[idx[0]] :][: rows[0]]
+        ends = rows.cumsum()
+        return self.data[np.arange(ends[-1]) + (self.first[idx] - ends + rows).repeat(rows)]
+
+    def rules(
+        self, idx: np.ndarray, levels: np.ndarray, sizes: np.ndarray, order: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked tensor rules (points, weights) of the cubes ``idx`` with ``sizes`` nodes.
+
+        Each cube's nodes form one run; the axis rules of each run of equal
+        levels are built in one pass.  For d >= 2 the points are the
+        transpose of one (d, n) buffer, so each coordinate is contiguous.
+        """
+        bounds = [0, *sizes.cumsum().tolist()]
+        d = self.lo.shape[1]
+        cols, w_all = np.empty((d, bounds[-1])), np.empty(bounds[-1])
+        for s, e in _runs(levels):
+            x, w, starts = _axis_rows(self.gather(idx[s:e]), int(levels[s]), order)
+            if d == 1:
+                cols[0, bounds[s] : bounds[e]], w_all[bounds[s] : bounds[e]] = x, w
+                continue
+            row = 0
+            for k, counts in enumerate(self.counts[idx[s:e]].tolist(), s):
+                axis_x, axis_w = [], []
+                for c in counts:
+                    axis_x.append(x[starts[row] : starts[row + c]])
+                    axis_w.append(w[starts[row] : starts[row + c]])
+                    row += c
+                span = slice(bounds[k], bounds[k + 1])
+                _tensor(axis_x, axis_w, cols[:, span], w_all[span])
+        return cols.T, w_all
+
+    def blocks(self, i: int, level: int, order: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Cube i's tensor rule at one level, as the (points, weights) of its blocks.
+
+        Block j holds nodes [j B, (j+1) B) of the C-order rule, B =
+        ``kernels._BLOCK``, bit for bit those of ``rules``.  Only the axis
+        rules are built whole: a block writes the axis-0 rows it touches into
+        buffers reused from block to block (and, through ``_spare``, from
+        level to level), valid until the next block.
+        """
+        x, w, starts = _axis_rows(self.gather(np.array([i])), level, order)
+        bounds = [starts[row] for row in np.cumsum([0, *self.counts[i].tolist()]).tolist()]
+        axis_x = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        axis_w = [w[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        n = math.prod(a.size for a in axis_x)
+        step = kernels._BLOCK
+        if len(axis_x) == 1:
+            for s in range(0, n, step):
+                yield axis_x[0][s : s + step, None], axis_w[0][s : s + step]
+            return
+        row = n // axis_x[0].size
+        # a block of at most B nodes spans at most B // row + 2 rows
+        cap = min(n, (step // row + 2) * row)
+        cols, w_buf = getattr(_spare, "buffers", None) or (np.empty((0, 0)), np.empty(0))
+        _spare.buffers = None
+        if cols.shape[0] != len(axis_x) or w_buf.size < cap:
+            cols, w_buf = np.empty((len(axis_x), cap)), np.empty(cap)
+        try:
+            for s in range(0, n, step):
+                e = min(s + step, n)
+                r0, r1 = s // row, -(-e // row)
+                m = (r1 - r0) * row
+                _tensor(
+                    [axis_x[0][r0:r1], *axis_x[1:]], [axis_w[0][r0:r1], *axis_w[1:]],
+                    cols[:, :m], w_buf[:m],
+                )
+                a = s - r0 * row
+                yield cols[:, a : a + e - s].T, w_buf[a : a + e - s]
+        finally:
+            _spare.buffers = cols, w_buf
+
+
+def _lines(
+    k: int, d: int, mappings: Sequence[Mapping], lo: np.ndarray | None = None,
+    hi: np.ndarray | None = None,
+) -> np.ndarray:
+    """The positions the mappings give k cubes on d axes, one NaN-padded line per cube and axis.
+
+    Given the corners lo and hi (k, d), a line holds segment edges: lo, the
+    positions strictly between lo and hi, ascending and distinct, and hi.
+    """
+    # positions shared by all cubes are a sequence, per-cube ones a (k, j) array
+    widths = [
+        {ax: v.shape[-1] if isinstance(v, np.ndarray) else len(v) for ax, v in mp.items() if ax < d}
+        for mp in mappings
+    ]
+    pad = int(lo is not None)
+    out = np.full((k, d, sum(max(w.values(), default=0) for w in widths) + 2 * pad), np.nan)
+    fill = [pad] * d
+    for mp, w in zip(mappings, widths):
+        for ax, j in w.items():
+            out[:, ax, fill[ax] : fill[ax] + j] = mp[ax]
+            fill[ax] += j
+    if not pad:
+        return out.reshape(k * d, -1)
+    out[:, :, 0], out[:, :, -1] = lo, hi
+    out = out.reshape(k * d, -1)
+    if out.shape[1] == 2:
+        return out
+    cuts = out[:, 1:-1]
+    outside = ~((cuts > out[:, :1]) & (cuts < out[:, -1:]))
+    if np.count_nonzero(outside) == outside.size:
+        return out[:, :: out.shape[1] - 1]
+    cuts[outside] = np.nan
+    _ascending(out[:, 1:])
+    return out
+
+
+def _runs(*keys: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal run of neighbouring positions equal in every key."""
+    if keys[0].size < 2:
+        return [(0, keys[0].size)]
+    change = keys[0][1:] != keys[0][:-1]
+    for key in keys[1:]:
+        change |= key[1:] != key[:-1]
+    bounds = [0, *(change.nonzero()[0] + 1).tolist(), keys[0].size]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 @lru_cache(maxsize=64)
@@ -413,37 +528,44 @@ def _grading(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return from_b, off, size, np.concatenate(([0], np.cumsum(panels)))
 
 
-def _axis_rows(
-    run: Sequence[_Panels], level: int, order: int
-) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
-    """The axis rules of every row of the run's cubes at one level, end to end.
-
-    Returns the nodes, the weights and the offset of each row's first node,
-    with the node count last.  Every row's panels are gathered from the
-    ``_grading`` templates and built in one vectorized pass.  The weights
-    are the gamma weights of the panels' Gauss-Legendre nodes, divided by
-    sqrt(pi) and by the row's axis ``total``.  A uniform panel k of width h
-    has midpoint (a + k h) + h / 2, so the rows and panels that are not
-    graded have the nodes and weights of uniform dyadic panels bit for bit.
-    """
-    a = np.array([v for p in run for v in p.a])
-    b = np.array([v for p in run for v in p.b])
-    total = np.array([v for p in run for v in p.total])
-    if level:
-        pattern = np.array([g for p in run for g in p.pattern])
-    else:
-        pattern = np.zeros(a.size, dtype=np.int64)
+def _layout(level: int, order: int, pattern: bytes) -> tuple:
+    """Each panel's row, its left edge's column (0: a, 1: b), offset and width, for rows
+    with these end patterns (float64 bytes); and each row's first node, the count last."""
+    pat = np.frombuffer(pattern).astype(np.int64)
     from_b, off, size, start = _grading(level)
-    first = start[pattern]
-    panels = start[pattern + 1] - first
-    row = np.repeat(np.arange(a.size), panels)
+    first = start[pat]
+    panels = start[pat + 1] - first
     ends = np.cumsum(panels)
     # panel j of a row is entry first + j of the templates
     tpl = np.arange(ends[-1]) - np.repeat(ends - panels - first, panels)
+    row = np.repeat(np.arange(pat.size), panels)
+    return row, from_b[tpl].astype(np.int64), off[tpl], size[tpl], [0, *(order * ends).tolist()]
+
+
+#: Layouts of runs of at most this many uniform panels are kept (128 of them,
+#: a few MiB): most of a one-cube level's fixed cost.
+_KEPT_PANELS = 512
+_kept_layout = lru_cache(maxsize=128)(_layout)
+
+
+def _axis_rows(
+    rows: np.ndarray, level: int, order: int
+) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+    """The axis rules of the ``_Table`` rows (a, b, total, pattern) at one level, end to end.
+
+    Returns the nodes, the weights and each row's first node, the count
+    last.  All panels come in one pass from the ``_grading`` templates
+    (pattern 0 at level 0); weights are gamma weights over sqrt(pi) and the
+    row's ``total``.  A uniform panel k of width h has midpoint (a + k h) +
+    h / 2, bit for bit that of uniform dyadic panels.
+    """
+    key = rows[:, 3].tobytes() if level else bytes(8 * len(rows))
+    layout = _kept_layout if len(rows) << level <= _KEPT_PANELS else _layout
+    row, side, off, size, starts = layout(level, order, key)
     gx, gw = _leggauss(order)
-    width = ((b - a) / (1 << level))[row]
-    lo = np.where(from_b[tpl], b[row], a[row]) + width * off[tpl]
-    half = 0.5 * (width * size[tpl])
+    width = ((rows[:, 1] - rows[:, 0]) / (1 << level))[row]
+    lo = rows[row, side] + width * off
+    half = 0.5 * (width * size)
     mids = lo + half
     # mids + half gx and half gw exp(-x^2) / sqrt(pi) / total, in place:
     # large runs spend half their time allocating temporaries otherwise
@@ -455,8 +577,8 @@ def _axis_rows(
     w = half[:, None] * gw
     w *= e
     w /= _SQRT_PI
-    w /= total[row][:, None]
-    return x.ravel(), w.ravel(), [0, *(order * ends).tolist()]
+    w /= rows[row, 2][:, None]
+    return x.ravel(), w.ravel(), starts
 
 
 def _tensor(
@@ -480,91 +602,12 @@ def _tensor(
     np.multiply(w[:, None], axis_weights[-1][None, :], out=w_out.reshape(w.size, -1))
 
 
-def _rules(
-    panels: Sequence[_Panels], levels: Sequence[int], sizes: Sequence[int], order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked tensor rules of many cubes: (points, weights, nodes per cube).
-
-    ``sizes`` holds each cube's ``_Panels.nodes`` at its level.  Each
-    cube's nodes form one run, in the order given.  The axis rules of
-    every run of equal levels are built in one vectorized pass.  For d >= 2
-    the points are the transpose of one (d, n) buffer filled coordinate by
-    coordinate, so each column of the (n, d) array is contiguous.
-    """
-    d = panels[0].cube.dim
-    sizes = np.array(sizes, dtype=np.int64)
-    total = int(sizes.sum())
-    cols = np.empty((d, total))
-    w_all = np.empty(total)
-    off = 0
-    for level, ks in _runs(levels):
-        run = [panels[k] for k in ks]
-        x, w, starts = _axis_rows(run, level, order)
-        if d == 1:
-            cols[0, off : off + x.size] = x
-            w_all[off : off + w.size] = w
-            off += x.size
-            continue
-        row = 0
-        for k, p in zip(ks, run):
-            axis_x, axis_w = [], []
-            for c in p.counts:
-                axis_x.append(x[starts[row] : starts[row + c]])
-                axis_w.append(w[starts[row] : starts[row + c]])
-                row += c
-            end = off + int(sizes[k])
-            _tensor(axis_x, axis_w, cols[:, off:end], w_all[off:end])
-            off = end
-    return cols.T, w_all, sizes
-
-
 #: Node and weight buffers that the last finished streamed level left, per
 #: thread.  Fresh buffers of a block's size come from the operating system
 #: page by page, at every level; a level takes the spare when it fits and
 #: gives its buffers back when it ends, so a quadrature started from inside
 #: a field evaluation allocates its own.
 _spare = threading.local()
-
-
-def _blocks(panels: _Panels, level: int, order: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One cube's tensor rule at one level, as the (points, weights) of its blocks.
-
-    Block j holds nodes [j B, (j+1) B) of the C-order rule, B =
-    ``kernels._BLOCK``, bit for bit those of ``_rules``.  Only the axis
-    rules are built whole: a block writes the axis-0 rows it touches into
-    buffers reused from block to block (and, through ``_spare``, from level
-    to level), so each block is valid only until the next one is produced.
-    """
-    x, w, starts = _axis_rows([panels], level, order)
-    bounds = [starts[row] for row in np.cumsum([0, *panels.counts]).tolist()]
-    axis_x = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    axis_w = [w[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    n = math.prod(a.size for a in axis_x)
-    step = kernels._BLOCK
-    if len(axis_x) == 1:
-        for s in range(0, n, step):
-            yield axis_x[0][s : s + step, None], axis_w[0][s : s + step]
-        return
-    row = n // axis_x[0].size
-    # a block of at most B nodes spans at most B // row + 2 rows
-    cap = min(n, (step // row + 2) * row)
-    cols, w_buf = getattr(_spare, "buffers", None) or (np.empty((0, 0)), np.empty(0))
-    _spare.buffers = None
-    if cols.shape[0] != len(axis_x) or w_buf.size < cap:
-        cols, w_buf = np.empty((len(axis_x), cap)), np.empty(cap)
-    try:
-        for s in range(0, n, step):
-            e = min(s + step, n)
-            r0, r1 = s // row, -(-e // row)
-            m = (r1 - r0) * row
-            _tensor(
-                [axis_x[0][r0:r1], *axis_x[1:]], [axis_w[0][r0:r1], *axis_w[1:]],
-                cols[:, :m], w_buf[:m],
-            )
-            a = s - r0 * row
-            yield cols[:, a : a + e - s].T, w_buf[a : a + e - s]
-    finally:
-        _spare.buffers = cols, w_buf
 
 
 def tensor_rule(
@@ -575,9 +618,12 @@ def tensor_rule(
     The nodes run through the multi-indices in C order, axis 0 slowest; the
     array is column-major.
     """
-    panels = _Panels(cube, breaks)
-    pts, w, _ = _rules([panels], [level], [panels.check(level, order)], order)
-    return pts, w
+    table, idx, levels = _Table([cube]), np.zeros(1, dtype=np.int64), np.array([level])
+    table.cut(idx, [breaks])
+    sizes = table.sizes(idx, levels, order)
+    if sizes[0] < 0:
+        raise QuadratureError(table.why(0, level, order))
+    return table.rules(idx, levels, sizes, order)
 
 
 def field_rule(
@@ -600,288 +646,244 @@ def field_rule(
         raise QuadratureError(f"{what} of field {f.id}: {exc}") from exc
 
 
-def _not_converged(
-    what: str, f: ScalarField, cube: Cube, level: int, nodes: int, detail: str
-) -> QuadratureError:
-    return QuadratureError(
-        f"{what} of field {f.id} on cube center {cube.center} side {cube.side} "
-        f"did not converge by refinement level {level} ({nodes} tensor nodes): {detail}"
-    )
+class _Phase(NamedTuple):
+    """One quadrature of every cube of a call, refined by ``_drive`` through levels 0..``top``.
 
-
-class _Centered(NamedTuple):
-    """The transform v -> |v - center|^q, applied to many cubes in one pass."""
-
-    center: float
-    q: float
-
-
-class _Tails(NamedTuple):
-    """Reduce to the masses gamma({v > sigma}) of the transformed values v, per sigma."""
-
-    sigmas: np.ndarray
-    gq: float
-
-
-class _Weak(NamedTuple):
-    """Reduce to sup_sigma sigma * gamma({v > sigma})^(1/p) against the node measure."""
-
-    p: float
-    gq: float
-
-
-class _Quad:
-    """One refinement ``_drive`` runs: the cube's rule, its reduction, its state.
-
-    Each level reduces ``transform(f)`` on the cube's own nodes, as the
-    ``reduction`` declares: the self-normalized gamma average (``None``),
-    tail masses (:class:`_Tails`) or a weak norm (:class:`_Weak`), with the
-    normalized weights scaled by gamma(Q) for the last two.  Levels
-    0..``top`` are tried in turn, and a level is accepted when it differs
-    from the previous one by at most max(``tol``, ``rel_tol`` * |estimate|),
-    by the largest entry for arrays.  Panels are graded toward the
-    ``kinks``, which must also be among the ``breaks``.
+    A level is accepted within max(``tol``, ``rel_tol`` * |estimate|) of the
+    one before (the largest entry for tails).  It reduces the field values v
+    to the gamma average of ``transform``(v), v or |v - c|^``q``, the tails
+    gamma({|v - c| > sigma}) of ``sigmas`` or the weak norm of |v| for ``p``
+    (c: the cube's center).  Panels are cut at the field's breaks, ``breaks``
+    and {|f - c| = sigma} for the ``level_sets``, graded toward the last with
+    ``kinks``.  ``checked`` refuses cubes of vanishing Gauss measure.
     """
 
-    def __init__(
-        self,
-        what: str,
-        cube: Cube,
-        breaks: Mapping[int, Sequence[float]],
-        top: int,
-        tol: float,
-        *,
-        transform: Callable[[np.ndarray], np.ndarray] | _Centered | None = None,
-        reduction: _Tails | _Weak | None = None,
-        rel_tol: float = 0.0,
-        kinks: Mapping[int, Sequence[float]] | None = None,
-    ) -> None:
-        self.what = what
-        self.cube = cube
-        self.panels = _Panels(cube, breaks, kinks)
-        self.top = top
-        self.tol = tol
-        self.transform = transform
-        self.reduction = reduction
-        self.rel_tol = rel_tol
-        self.level = 0
-        self.prev: object = None
-        self.diff = math.inf
-        self.nodes = 0
-
-    def estimate(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int) -> object:
-        """The level's estimate from the field values and weights of its n nodes.
-
-        ``blocks`` hands them out in node order, in aligned pieces of
-        ``kernels._BLOCK`` nodes (the last may be short).  Each piece is
-        reduced with the public kernels and the block heads are added with
-        the same pairwise tree; aligned blocks are subtrees of that tree, so
-        the estimate is bit for bit that of reducing all n nodes at once.
-        """
-        t, r = self.transform, self.reduction
-        heads: list = []
-        if isinstance(r, _Weak):
-            av, wg = np.empty(n), np.empty(n)
-        start = 0
-        for vals, w in blocks:
-            if isinstance(t, _Centered):
-                vals = np.abs(vals - t.center) ** t.q
-            elif t is not None:
-                vals = t(vals)
-            if r is None:
-                heads.append((kernels.weighted_sum(vals, w), kernels.pairwise_sum(w)))
-            elif isinstance(r, _Tails):
-                heads.append(kernels.tail_sums(vals, w * r.gq, r.sigmas))
-            else:
-                stop = start + w.size
-                av[start:stop] = vals
-                np.multiply(w, r.gq, out=wg[start:stop])
-                start = stop
-        if isinstance(r, _Weak):
-            return _node_measure_weak_sup(av, wg, r.p)
-        sums = kernels.pairwise_sum_rows(np.array(heads).T)
-        return sums if isinstance(r, _Tails) else float(sums[0]) / float(sums[1])
-
-    def accept(self, est: object, nodes: int) -> bool:
-        """Record the estimate of the current level; True when it is accepted."""
-        prev, self.prev = self.prev, est
-        self.nodes = nodes
-        self.level += 1
-        if prev is None:
-            return False
-        if isinstance(est, np.ndarray):
-            self.diff = float(np.max(np.abs(est - prev)))
-            return self.diff <= self.tol
-        self.diff = abs(est - prev)
-        return self.diff <= max(self.tol, self.rel_tol * abs(est))
-
-    def failure(self, f: ScalarField) -> QuadratureError:
-        # weak norms accept relative to their value, so only the difference is named
-        detail = f"last diff {self.diff:.3e}"
-        if not self.rel_tol:
-            detail += f" > {self.tol:.3e}"
-        return _not_converged(self.what, f, self.cube, self.level - 1, self.nodes, detail)
+    what: str
+    top: int
+    tol: float
+    transform: Callable[[np.ndarray], np.ndarray] | None = None
+    q: float | None = None
+    sigmas: np.ndarray | None = None
+    p: float | None = None
+    rel_tol: float = 0.0
+    breaks: Mapping[int, Sequence[float]] | None = None
+    level_sets: np.ndarray | None = None
+    kinks: bool = False
+    checked: bool = False
 
 
-def _exponent(quad: _Quad) -> float | None:
-    return quad.transform.q if isinstance(quad.transform, _Centered) else None
+def _mean(spec: QuadratureSpec) -> _Phase:
+    return _Phase("average", spec.refinement_levels, spec.abs_tol, checked=True)
+
+
+def _estimate(
+    phase: _Phase, c: float, gq: float, blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int
+) -> object:
+    """One cube's estimate from the field values and weights of its n nodes.
+
+    ``blocks`` hands them out in node order, in aligned pieces of
+    ``kernels._BLOCK`` nodes.  The pieces' sums are added with the same
+    pairwise tree; aligned blocks are subtrees of that tree, so the
+    estimate is bit for bit that of reducing all n nodes at once.
+    """
+    heads, start = [], 0
+    if phase.p is not None:
+        av, wg = np.empty(n), np.empty(n)
+    for vals, w in blocks:
+        if phase.sigmas is not None:
+            heads.append(kernels.tail_sums(np.abs(vals - c), w * gq, phase.sigmas))
+        elif phase.p is not None:
+            stop = start + w.size
+            np.abs(vals, out=av[start:stop])
+            np.multiply(w, gq, out=wg[start:stop])
+            start = stop
+        else:
+            if phase.q is not None:
+                vals = np.abs(vals - c) ** phase.q
+            elif phase.transform is not None:
+                vals = phase.transform(vals)
+            heads.append((kernels.weighted_sum(vals, w), kernels.pairwise_sum(w)))
+    if phase.p is not None:
+        return _node_measure_weak_sup(av, wg, phase.p)
+    sums = kernels.pairwise_sum_rows(np.array(heads).T)
+    return sums if phase.sigmas is not None else float(sums[0]) / float(sums[1])
 
 
 def _batch_estimates(
-    quads: Sequence[_Quad], vals: np.ndarray, w: np.ndarray, sizes: np.ndarray
-) -> list:
-    """``_Quad.estimate`` of every request of one stacked evaluation.
+    phases: Sequence[_Phase], ph: np.ndarray, idx: np.ndarray, center: np.ndarray,
+    gq: np.ndarray, vals: np.ndarray, w: np.ndarray, sizes: np.ndarray, width: int,
+) -> np.ndarray:
+    """The estimates (k, width) of the k requests, in phases ``ph`` of cubes ``idx``, of one evaluation.
 
-    Plain and centered means are reduced in passes over runs of neighbouring
-    requests: the centered powers of a run with one exponent, then row-wise
-    pairwise trees over a run of one node count, which add in the order of
-    the one-cube sums.  Any other request is estimated on its own slice.
+    Plain and centered means are reduced over runs of neighbouring requests:
+    the powers of a run of one exponent, then row-wise pairwise trees over a
+    run of one node count, adding in the order of the one-cube sums; other
+    requests alone.  Row k holds a tail profile, or one value in every entry.
     """
-    ends = np.cumsum(sizes).tolist()
-    spans = [slice(end - n, end) for end, n in zip(ends, sizes.tolist())]
-    pooled = [
-        q.reduction is None and (q.transform is None or _exponent(q) is not None) for q in quads
-    ]
-    out: list = [None] * len(quads)
-    for k, quad in enumerate(quads):
-        if not pooled[k]:
-            out[k] = quad.estimate([(vals[spans[k]], w[spans[k]])], int(sizes[k]))
+    bounds = [0, *sizes.cumsum().tolist()]
+    kinds = [(p.sigmas is None and p.p is None and p.transform is None, p.q or 0.0) for p in phases]
+    pooled, q = (np.array(col)[ph] for col in zip(*kinds))
+    out = np.empty((sizes.size, width))
     tv = vals
-    for q, run in _runs([_exponent(quad) if ok else None for quad, ok in zip(quads, pooled)]):
-        span = slice(spans[run[0]].start, spans[run[-1]].stop)
-        center = np.repeat([quads[k].transform.center for k in run], sizes[run[0] : run[-1] + 1])
-        tv = vals.copy() if tv is vals else tv
-        tv[span] = np.abs(vals[span] - center) ** q
-    prod = tv * w
-    for n, run in _runs([int(n) if ok else None for n, ok in zip(sizes, pooled)]):
-        span = slice(spans[run[0]].start, spans[run[-1]].stop)
-        num = kernels.pairwise_sum_rows(prod[span].reshape(len(run), n)).tolist()
-        den = kernels.pairwise_sum_rows(w[span].reshape(len(run), n)).tolist()
-        for k, a, b in zip(run, num, den):
-            out[k] = a / b
+    for s, e in _runs(q, pooled):
+        span = slice(bounds[s], bounds[e])
+        if not pooled[s]:
+            for k in range(s, e):
+                part, i = slice(bounds[k], bounds[k + 1]), idx[k]
+                out[k] = _estimate(phases[ph[k]], center[i], gq[i], [(vals[part], w[part])], sizes[k])
+        elif q[s]:
+            tv = vals.copy() if tv is vals else tv
+            tv[span] = np.abs(vals[span] - center[idx[s:e]].repeat(sizes[s:e])) ** phases[ph[s]].q
+    for s, e in _runs(sizes, pooled):
+        span, shape = slice(bounds[s], bounds[e]), (e - s, int(sizes[s]))
+        if pooled[s]:
+            num = kernels.pairwise_sum_rows((tv[span] * w[span]).reshape(shape))
+            out[s:e] = (num / kernels.pairwise_sum_rows(w[span].reshape(shape)))[:, None]
     return out
 
 
-def _drive(f: ScalarField, programs: Sequence[Generator], order: int) -> list:
-    """Run one-cube quadrature programs with shared, level-by-level refinement.
+def _drive(
+    f: ScalarField,
+    cubes: Sequence[Cube],
+    phases: Sequence[_Phase],
+    order: int,
+    center: float | None = None,
+) -> np.ndarray:
+    """Refine the phases of a call on every cube; the last phase's estimates, a row per cube.
 
-    Each program is a generator: the one-cube computation written straight
-    through, which yields a ``_Quad`` whenever it needs a refined quantity,
-    receives the accepted estimate and finally returns its cube's result.
-    Every round advances each pending request by one level.  Requests whose
-    next rule has at most ``SHARED_RULE_NODES`` nodes have their rules built
-    together, one vectorized pass per level, and the field is evaluated once
-    per batch of at most ``BATCH_NODES`` nodes.  A request whose next rule
-    is larger is set aside; when no shared request is left, the set-aside
-    cubes are refined alone, in input order, each with its program's
-    remaining requests, and each of their levels is streamed block by
-    block from ``_blocks`` into ``_Quad.estimate``.  Either way each cube's
-    estimates, and so its result, are bit for bit those of refining it
-    alone.
-
-    A failure at cube i (its program raising, a rule that cannot be built,
-    or no convergence by the last level) stops every cube after i; once the
-    cubes before i are done, the first failure in input order is raised.
+    Each phase is centered at the estimate of the one before (or ``center``).
+    A round advances each pending request one level; rules of at most
+    ``SHARED_RULE_NODES`` nodes are built together and evaluated in batches
+    of at most ``BATCH_NODES``.  Larger ones are set aside, then refined
+    alone in input order through their remaining phases, each level streamed
+    from ``_Table.blocks`` into ``_estimate``.  Either way each estimate is
+    bit for bit that of refining the cube alone.  A failure at cube i stops
+    the cubes after it; once those before it are done it is raised.
     """
-    results: list = [None] * len(programs)
-    pending: dict[int, _Quad] = {}
-    # node count of each pending request's current level, set by size();
-    # counted once per round, since the batch sort and _rules both need it
-    sizes: dict[int, int] = {}
-    solo: set[int] = set()
+    m = len(cubes)
+    width = max(1 if p.sigmas is None else p.sigmas.size for p in phases)
+    if not m:
+        return np.zeros((0, width))
+    table = _Table(cubes)
+    top, tol, rel, expo = np.array([(p.top, p.tol, p.rel_tol, p.q or 0.0) for p in phases]).T
+    relative = any(p.rel_tol for p in phases)
+    # per cube: its request's phase, level and node count (-1 when the rule
+    # cannot be built), its center, and the request's last estimate (NaN
+    # before its first level)
+    phase, level, nodes = np.zeros((3, m), dtype=np.int64)
+    center = np.full(m, np.nan if center is None else float(center))
+    last = np.empty((m, width))
+    # pending requests, and those still refined in shared rounds
+    pending, shared = np.ones((2, m), dtype=bool)
     # cubes from failed_at on are not refined further; error is their first failure
-    failed_at, error = len(programs), None
+    failed_at, error = m, None
 
-    def fail(i: int, exc: Exception) -> None:
+    def fail(i: int, exc: Exception | None = None) -> None:
         nonlocal failed_at, error
-        pending.pop(i, None)
+        pending[i] = shared[i] = False
+        # without exc, cube i's next rule cannot be built
+        what = f"{phases[phase[i]].what} of field {f.id}: "
+        exc = exc or QuadratureError(what + table.why(i, int(level[i]), order))
         if i < failed_at:
             failed_at, error = i, exc
 
-    def advance(i: int, value: object = None) -> None:
-        try:
-            pending[i] = programs[i].send(value)
-        except StopIteration as stop:
-            pending.pop(i, None)
-            results[i] = stop.value
-        except Exception as exc:  # re-raised once the cubes before i are done
-            fail(i, exc)
+    def enter(idx: np.ndarray | slice, k: int) -> None:
+        p = phases[k]
+        kinks = {} if p.level_sets is None else level_set_breaks(f, center[idx], p.level_sets)
+        table.cut(idx, [f.breaks, p.breaks or {}, kinks], kinks if p.kinks else None)
+        phase[idx], level[idx], last[idx] = k, 0, np.nan
+        nodes[idx] = table.sizes(idx, level[idx], order)
 
-    def size(i: int) -> int | None:
-        quad = pending[i]
-        try:
-            sizes[i] = quad.panels.check(quad.level, order)
-            return sizes[i]
-        except QuadratureError as exc:
-            fail(i, QuadratureError(f"{quad.what} of field {f.id}: {exc}"))
-            return None
+    def settle(idx: np.ndarray, new: np.ndarray, n: np.ndarray) -> None:
+        # idx ascending; the first failure stops the requests after it
+        ph, lv = phase[idx], level[idx]
+        lv += 1
+        d = np.abs(new - last[idx])
+        d = d.max(axis=1) if width > 1 else d[:, 0]
+        ok = d <= (np.fmax(tol[ph], rel[ph] * np.abs(new[:, 0])) if relative else tol[ph])
+        bad = lv > top[ph]
+        bad &= ~ok
+        stop = int(bad.argmax()) + 1 if np.count_nonzero(bad) else idx.size
+        done = idx[:stop]
+        level[done], last[done] = lv[:stop], new[:stop]
+        accepted = np.count_nonzero(ok[:stop])
+        if accepted < stop:
+            nodes[done] = table.sizes(done, lv[:stop], order)
+        if stop and bad[stop - 1]:
+            i, p, j = int(done[-1]), phases[ph[stop - 1]], stop - 1
+            # weak norms accept relative to their value, so only the difference is named
+            fail(i, QuadratureError(
+                f"{p.what} of field {f.id} on cube center {cubes[i].center} side {cubes[i].side} "
+                f"did not converge by refinement level {lv[j] - 1} ({n[j]} tensor nodes): "
+                f"last diff {d[j]:.3e}" + ("" if p.rel_tol else f" > {p.tol:.3e}")
+            ))
+        if accepted:
+            done = done[ok[:stop]]
+            nxt = phase[done] + 1
+            end = done[nxt == len(phases)]
+            pending[end] = shared[end] = False
+            for k in range(1, len(phases)):
+                if (go := done[nxt == k]).size:
+                    center[go] = last[go, 0]
+                    enter(go, k)
 
-    def settle(i: int, quad: _Quad, est: object, n: int) -> None:
-        if quad.accept(est, n):
-            advance(i, est)
-        elif quad.level > quad.top:
-            fail(i, quad.failure(f))
+    def step(batch: np.ndarray, n: np.ndarray) -> None:
+        # neighbours share the passes of one exponent, one level, one node count
+        if batch.size == 1:
+            # a batch of one is reduced as a streamed level, in one block
+            i = batch[0]
+            pts, w = table.rules(batch, level[batch], n, order)
+            est = _estimate(phases[phase[i]], center[i], table.gq[i], [(f(pts), w)], int(n[0]))
+            return settle(batch, np.full((1, width), est), n)
+        perm = np.lexsort((n, level[batch], expo[phase[batch]]))
+        idx, ns = batch[perm], n[perm]
+        pts, w = table.rules(idx, level[idx], ns, order)
+        new = np.empty((batch.size, width))
+        new[perm] = _batch_estimates(phases, phase[idx], idx, center, table.gq, f(pts), w, ns, width)
+        settle(batch, new, n)
 
-    def step(batch: list[int]) -> None:
-        # neighbours share passes: the powers of one exponent, the axis rules
-        # of one level, the sums of one node count
-        batch.sort(key=lambda i: (_exponent(pending[i]) or 0.0, pending[i].level, sizes[i]))
-        quads = [pending[i] for i in batch]
-        pts, w, ns = _rules(
-            [q.panels for q in quads], [q.level for q in quads], [sizes[i] for i in batch], order
-        )
-        if len(quads) == 1:
-            ests = [quads[0].estimate([(f(pts), w)], w.size)]
-        else:
-            ests = _batch_estimates(quads, f(pts), w, ns)
-        for i, quad, est, n in sorted(zip(batch, quads, ests, ns.tolist()), key=lambda r: r[0]):
-            if i >= failed_at:
-                break
-            settle(i, quad, est, n)
+    def stream(i: int) -> None:
+        blocks = ((f(pts), w) for pts, w in table.blocks(i, int(level[i]), order))
+        est = _estimate(phases[phase[i]], center[i], table.gq[i], blocks, int(nodes[i]))
+        settle(np.array([i]), np.full((1, width), est), nodes[i : i + 1].copy())
 
-    def stream(i: int, n: int) -> None:
-        quad = pending[i]
-        blocks = _blocks(quad.panels, quad.level, order)
-        settle(i, quad, quad.estimate(((f(pts), w) for pts, w in blocks), n), n)
-
-    for i in range(len(programs)):
-        if i < failed_at:
-            advance(i)
+    if phases[0].checked and np.count_nonzero(table.gq <= 0.0):
+        fail(int((table.gq <= 0.0).argmax()), ValueError("cube has vanishing Gauss measure"))
+    pending[failed_at:] = shared[failed_at:] = False
+    if failed_at:
+        enter(slice(0, failed_at), 0)
     while True:
-        live = [i for i in sorted(pending) if i < failed_at]
-        if not live:
-            break
-        shared = [i for i in live if i not in solo]
-        if not shared:
-            i = live[0]
-            while i in pending and i < failed_at and (n := size(i)) is not None:
-                stream(i, n)
-            continue
-        batches: list[list[int]] = [[]]
-        total = 0
-        for i in shared:
-            n = size(i)
-            if n is None:
+        idx = shared[:failed_at].nonzero()[0]
+        if not idx.size:
+            live = pending[:failed_at].nonzero()[0]
+            if not live.size:
                 break
-            if n > SHARED_RULE_NODES:
-                solo.add(i)
-                continue
-            if total + n > BATCH_NODES:
-                batches.append([])
-                total = 0
-            batches[-1].append(i)
-            total += n
-        for batch in batches:
-            batch = [i for i in batch if i < failed_at]
-            if batch:
-                step(batch)
+            i = int(live[0])
+            while pending[i] and i < failed_at:
+                stream(i) if nodes[i] >= 0 else fail(i)
+            continue
+        n = nodes[idx]
+        if n.min() < 0:
+            j = int((n < 0).argmax())
+            fail(int(idx[j]))
+            idx, n = idx[:j], n[:j]
+        if n.size and n.max() > SHARED_RULE_NODES:
+            big = n > SHARED_RULE_NODES
+            shared[idx[big]] = False
+            idx, n = idx[~big], n[~big]
+        # greedy batches of at most BATCH_NODES nodes, in input order
+        cum, s = n.cumsum(), 0
+        while s < idx.size:
+            base, e = (cum[s - 1] if s else 0), idx.size
+            if cum[-1] - base > BATCH_NODES:
+                e = max(int(cum.searchsorted(base + BATCH_NODES, "right")), s + 1)
+            if idx[s] < failed_at:
+                keep = idx[s:e] < failed_at
+                step(idx[s:e][keep], n[s:e][keep])
+            s = e
     if error is not None:
         raise error
-    return results
-
-
-def _single(quad: _Quad) -> Generator:
-    return (yield quad)
+    return last
 
 
 def average_gamma(
@@ -901,41 +903,19 @@ def average_gamma(
     one up to rounding), so a field that is identically 1 averages to
     exactly 1.0 and centered oscillations of constants vanish exactly.
     """
-    breaks = merge_breaks(f.breaks, extra_breaks or {})
     tol = spec.abs_tol if abs_tol is None else abs_tol
-    quad = _Quad("average", cube, breaks, spec.refinement_levels, tol, transform=transform)
-    return _drive(f, [_single(quad)], spec.nodes_per_axis)[0]
-
-
-def _mean_steps(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> Generator:
-    if gaussian_measure(cube) <= 0.0:
-        raise ValueError("cube has vanishing Gauss measure")
-    breaks = merge_breaks(f.breaks)
-    return (yield _Quad("average", cube, breaks, spec.refinement_levels, spec.abs_tol))
+    phase = _Phase("average", spec.refinement_levels, tol, transform, breaks=extra_breaks)
+    return float(_drive(f, [cube], [phase], spec.nodes_per_axis)[0, 0])
 
 
 def gauss_average(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
     """f_Q = gamma(Q)^(-1) Int_Q f dgamma."""
-    return _drive(f, [_mean_steps(f, cube, spec)], spec.nodes_per_axis)[0]
+    return float(_drive(f, [cube], [_mean(spec)], spec.nodes_per_axis)[0, 0])
 
 
 def integral_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
     """Int_Q f dgamma (unnormalized)."""
     return gauss_average(f, cube, spec) * gaussian_measure(cube)
-
-
-def _oscillation_steps(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> Generator:
-    center = yield from _mean_steps(f, cube, spec)
-    extra = level_set_breaks(f, center, np.zeros(1))
-    breaks = merge_breaks(f.breaks, extra)
-    # |v|^q is a polynomial on either side of v = 0 for integer q; for any
-    # other q the zero set is an endpoint singularity of each panel beside it
-    kinks = {} if float(q).is_integer() else extra
-    mean_pow = yield _Quad(
-        "average", cube, breaks, spec.refinement_levels, spec.abs_tol,
-        transform=_Centered(center, q), kinks=kinks,
-    )
-    return mean_pow ** (1.0 / q)
 
 
 def oscillations(
@@ -948,8 +928,14 @@ def oscillations(
     """
     if not q >= 1.0:
         raise ValueError("oscillation exponent q must be >= 1")
-    programs = [_oscillation_steps(f, cube, q, spec) for cube in cubes]
-    return _drive(f, programs, spec.nodes_per_axis)
+    # |v|^q is a polynomial on either side of v = 0 for integer q; for any
+    # other q the zero set is an endpoint singularity of each panel beside it
+    power = _Phase(
+        "average", spec.refinement_levels, spec.abs_tol, q=q, level_sets=np.zeros(1),
+        kinks=not float(q).is_integer(),
+    )
+    means = _drive(f, cubes, [_mean(spec), power], spec.nodes_per_axis)[:, 0]
+    return [v ** (1.0 / q) for v in means.tolist()]
 
 
 def oscillation(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> float:
@@ -992,42 +978,35 @@ class DistributionProfile:
         return list(zip(self.sigmas, self.tails))
 
 
-def level_set_breaks(
-    f: ScalarField, center: float, sigmas: np.ndarray
-) -> dict[int, tuple[float, ...]]:
+def _ascending(rows: np.ndarray) -> np.ndarray:
+    """Sort each row in place, ascending and distinct (the first of equal entries kept), NaN last."""
+    rows.sort(axis=1, kind="stable")
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.nan
+    rows.sort(axis=1, kind="stable")
+    return rows
+
+
+def level_set_breaks(f: ScalarField, center: float | np.ndarray, sigmas: np.ndarray) -> dict:
     """Axis positions of {|f - center| = sigma} when the field can solve them.
 
     ``level_breaks`` answers for {|f| = v}, a superset of {f = v}; extra cut
     positions only refine panels, never hurt.  Unsolvable levels are skipped.
+    One center maps each axis to a tuple of positions, ascending and
+    distinct; an array of m centers, solved in one call, to an (m, k) array
+    holding them the same way per row, NaN-padded.
     """
     if f.level_breaks is None:
         return {}
-    pieces = []
-    for s in sigmas:
-        for v in (abs(center + s), abs(center - s)):
-            try:
-                mp_ = f.level_breaks(float(v))
-            except (ValueError, OverflowError):
-                continue
-            pieces.append(
-                {ax: tuple(b for b in bs if math.isfinite(b)) for ax, bs in mp_.items()}
-            )
-    return merge_breaks(*pieces) if pieces else {}
-
-
-def _tail_steps(
-    f: ScalarField, cube: Cube, sig: np.ndarray, spec: QuadratureSpec, center: float | None
-) -> Generator:
-    c = (yield from _mean_steps(f, cube, spec)) if center is None else float(center)
-    breaks = merge_breaks(f.breaks, level_set_breaks(f, c, sig))
-    tails = yield _Quad(
-        "tail profile", cube, breaks, 2 * spec.refinement_levels, spec.abs_tol,
-        transform=lambda v: np.abs(v - c),
-        reduction=_Tails(sig, gaussian_measure(cube)),
-    )
-    return DistributionProfile(
-        field_id=f.id, cube=cube, sigmas=tuple(sig.tolist()), tails=tuple(tails.tolist())
-    )
+    c = np.asarray(center, dtype=np.float64).reshape(-1, 1)
+    # per center, |c + s| and |c - s| for each sigma in turn
+    levels = np.abs(np.stack((c + sigmas, c - sigmas), axis=2)).reshape(c.size, -1)
+    out = {}
+    for ax, b in f.level_breaks(levels.ravel()).items():
+        b = np.where(np.isfinite(b), b, np.nan).reshape(c.size, -1)
+        out[ax] = _ascending(b)
+    if np.ndim(center):
+        return out
+    return {ax: t for ax, b in out.items() if (t := tuple(b[0, b[0] == b[0]].tolist()))}
 
 
 def tail_profiles(
@@ -1046,8 +1025,16 @@ def tail_profiles(
     sig = np.asarray(sorted(float(s) for s in sigmas), dtype=np.float64)
     if sig.size == 0 or sig[0] < 0.0:
         raise ValueError("sigma grid must be nonempty and nonnegative")
-    programs = [_tail_steps(f, cube, sig, spec, center) for cube in cubes]
-    return _drive(f, programs, spec.nodes_per_axis)
+    tails = _Phase(
+        "tail profile", 2 * spec.refinement_levels, spec.abs_tol, sigmas=sig, level_sets=sig
+    )
+    phases = [tails] if center is not None else [_mean(spec), tails]
+    rows = _drive(f, cubes, phases, spec.nodes_per_axis, center)
+    sig_t = tuple(sig.tolist())
+    return [
+        DistributionProfile(field_id=f.id, cube=cube, sigmas=sig_t, tails=tuple(row.tolist()))
+        for cube, row in zip(cubes, rows)
+    ]
 
 
 def tail_profile(
@@ -1118,13 +1105,8 @@ def weak_lp_norm(
     """
     if not p >= 1.0:
         raise ValueError("exponent p must be >= 1")
-    quad = _Quad(
-        "weak norm", cube, merge_breaks(f.breaks), 2 * spec.refinement_levels, spec.abs_tol,
-        transform=np.abs,
-        reduction=_Weak(p, gaussian_measure(cube)),
-        rel_tol=rel_tol,
-    )
-    return _drive(f, [_single(quad)], spec.nodes_per_axis)[0]
+    weak = _Phase("weak norm", 2 * spec.refinement_levels, spec.abs_tol, p=p, rel_tol=rel_tol)
+    return float(_drive(f, [cube], [weak], spec.nodes_per_axis)[0, 0])
 
 
 def growth_tail_bound(a_coef: float, b_coef: float, radius: float, d: int) -> float:
@@ -1328,8 +1310,25 @@ def _coord_field(axis: int = 0) -> ScalarField:
         lambda pts: pts[:, axis].copy(),
         description=f"coordinate x_{axis + 1}",
         growth=(1.0, 1.0),
-        level_breaks=lambda c: {axis: (-c, c)},
+        level_breaks=lambda c: {axis: np.stack((-c, c), axis=1)},
     )
+
+
+def _symmetric(r: np.ndarray) -> dict[int, np.ndarray]:
+    """Axis-0 breaks -r and r of the levels of a d=1 even field."""
+    return {0: np.stack((-r, r), axis=1)}
+
+
+def _solve(fn: Callable[[float], float], levels: np.ndarray) -> np.ndarray:
+    """fn of each level, NaN where it raises: one ``math`` call per value, since numpy's
+    exp and log differ from ``math``'s in the last bit on some values."""
+    out = []
+    for v in levels.tolist():
+        try:
+            out.append(fn(v))
+        except (ValueError, OverflowError):
+            out.append(math.nan)
+    return np.array(out)
 
 
 def _sum_sq(pts: np.ndarray) -> np.ndarray:
@@ -1351,7 +1350,7 @@ def _radius_sq_field(d: int) -> ScalarField:
         dim=d,
         description="squared Euclidean norm |x|^2",
         growth=(0.0, 1.0),
-        level_breaks=(lambda c: {0: (-math.sqrt(c), math.sqrt(c))}) if d == 1 else None,
+        level_breaks=(lambda c: _symmetric(np.sqrt(c))) if d == 1 else None,
     )
 
 
@@ -1390,7 +1389,7 @@ def _log_radial_field(d: int) -> ScalarField:
         description="log(1/m(x)) = log max(1, |x|)",
         singular_set="sphere |x| = 1 (gradient kink)",
         growth=(1.0, 1.0),
-        level_breaks=(lambda c: {0: (-math.exp(c), math.exp(c))}) if d == 1 else None,
+        level_breaks=(lambda c: _symmetric(_solve(math.exp, c))) if d == 1 else None,
     )
 
 
@@ -1413,7 +1412,7 @@ def _exp_half_sq_field(d: int) -> ScalarField:
         growth=None,
         tail_bound=tail,
         level_breaks=(
-            (lambda c: {0: (-math.sqrt(2.0 * math.log(c)), math.sqrt(2.0 * math.log(c)))})
+            (lambda c: _symmetric(_solve(lambda v: math.sqrt(2.0 * math.log(v)), c)))
             if d == 1
             else None
         ),

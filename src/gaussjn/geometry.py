@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,12 +99,13 @@ class Cube:
     def dim(self) -> int:
         return len(self.center)
 
-    @property
+    # corners are kept after first use; not fields, so not in equality or hashing
+    @cached_property
     def lo(self) -> tuple[float, ...]:
         h = 0.5 * self.side
         return tuple(c - h for c in self.center)
 
-    @property
+    @cached_property
     def hi(self) -> tuple[float, ...]:
         h = 0.5 * self.side
         return tuple(c + h for c in self.center)

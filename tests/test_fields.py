@@ -850,10 +850,21 @@ def test_fractional_oscillation_converges_within_a_node_budget(fid, cube, spec):
     assert got == pytest.approx(_osc_mp(fid, cube, 1.25), abs=1e-10)
 
 
+ONE = np.zeros(1, dtype=np.int64)
+
+
+def _table(cube, breaks, kinks=None):
+    """The panel table of one cube, cut at the breaks and graded toward the kinks."""
+    table = fields._Table([cube])
+    table.cut(ONE, [breaks], kinks)
+    return table
+
+
 def _graded_rule(cube, breaks, kinks, level, order):
-    panels = fields._Panels(cube, fields.merge_breaks(breaks, kinks), kinks)
-    pts, w, _ = fields._rules([panels], [level], [panels.nodes(level, order)], order)
-    return panels, pts, w
+    table = _table(cube, fields.merge_breaks(breaks, kinks), kinks)
+    nodes = table.sizes(ONE, np.array([level]), order)
+    pts, w = table.rules(ONE, np.array([level]), nodes, order)
+    return table, pts, w
 
 
 @pytest.mark.parametrize("level", [1, 2, 5])
@@ -861,12 +872,13 @@ def test_graded_rule_properties(level):
     cube = Cube((0.3,), 1.8)
     breaks, kinks = {0: (-0.35,)}, {0: (0.1, 0.512, 7.0)}  # 7.0 lies outside the cube
     order = 6
-    panels, pts, w = _graded_rule(cube, breaks, kinks, level, order)
+    table, pts, w = _graded_rule(cube, breaks, kinks, level, order)
     x = pts[:, 0]
     # segments (-0.6, -0.35), (-0.35, 0.1), (0.1, 0.512), (0.512, 1.2): four
     # ends lie on the two kinks inside the cube
-    assert panels.counts == [4] and panels.graded == [4]
-    assert x.size == order * (4 * 2**level + 4 * level) == panels.nodes(level, order)
+    assert table.counts.tolist() == [[4]] and table.graded.tolist() == [[4]]
+    assert x.size == order * (4 * 2**level + 4 * level)
+    assert table.axis_nodes(ONE, np.array([level]), order).tolist() == [[x.size]]
     assert np.all(np.diff(x) > 0.0)
     assert np.all(w > 0.0)
     assert abs(kernels.pairwise_sum(w) - 1.0) <= 1e-14
@@ -904,11 +916,11 @@ def test_graded_rule_keeps_the_uniform_rule_elsewhere():
             assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
         segments = [(cube.lo[0], 0.1), (0.1, 0.5), (0.5, cube.hi[0])]
         x, w = oracles.axis_rule_loop(segments, level, order)
-        panels = fields._Panels(cube, breaks, {0: (0.1,)})
-        gx, gw, _ = fields._axis_rows([panels], level, order)
+        table = _table(cube, breaks, {0: (0.1,)})
+        gx, gw, _ = fields._axis_rows(table.gather(ONE), level, order)
         # axis 0 of the graded cube: the first segment's panels away from the
         # kink at 0.1 and the whole third segment are unchanged
-        n, m = panels.axis_nodes(level, order)[0], order * 2**level
+        n, m = table.axis_nodes(ONE, np.array([level]), order)[0, 0], order * 2**level
         assert n == order * (3 * 2**level + 2 * level)
         for got, want in ((gx, x), (gw, w)):
             assert np.array_equal(got[: m - order], want[: m - order])
@@ -933,8 +945,8 @@ def test_graded_coord0_in_d2_matches_one_cube_loop_bitwise(budget, monkeypatch):
     # at level 2, a kink inside the cube splits axis 0 into two segments
     # graded at one end each: 4 * (2 * 2^2 + 2 * 2) nodes, against 4 * 2^2
     # on axis 1
-    panels = fields._Panels(cubes[0], {0: (0.05,)}, {0: (0.05,)})
-    assert panels.axis_nodes(2, 4) == [48, 16]
+    table = _table(cubes[0], {0: (0.05,)}, {0: (0.05,)})
+    assert table.axis_nodes(ONE, np.array([2]), 4).tolist() == [[48, 16]]
 
 
 # field evaluations, and evaluator calls, of every oscillation on the 255
@@ -963,3 +975,75 @@ def test_forest_oscillation_evaluation_counts(q, spec):
         sizes = []
         oscillations(_counted(f, sizes), cubes, q, spec)
         assert (sum(sizes), len(sizes)) == FOREST_EVALS[q][f.id], f.id
+
+
+def test_oscillations_measure_each_cube_axis_once(spec, monkeypatch):
+    # the two phases of an oscillation, the centering average and the power
+    # average, share one table of axis measures
+    cubes = make_candidates(build_covering(8, 1), 3).cubes()
+    gauss1d, calls = kernels.gauss1d, []
+
+    def counted(alpha, beta):
+        calls.append((alpha, beta))
+        return gauss1d(alpha, beta)
+
+    monkeypatch.setattr(kernels, "gauss1d", counted)
+    for f in corpus(1):
+        calls.clear()
+        oscillations(f, cubes, 1.25, spec)
+        assert len(calls) <= len(cubes), f.id
+
+
+# ---------------------------------------------------------------------------
+# level-set breaks of many centers
+# ---------------------------------------------------------------------------
+
+# the level-set solvers of the d=1 corpus fields: {|f| = v} is {-r, r}
+LEVEL_SOLVERS = {
+    "coord0": lambda v: v,
+    "radius_sq": math.sqrt,
+    "log_radial": math.exp,
+    "exp_half_sq": lambda v: math.sqrt(2.0 * math.log(v)),
+}
+
+
+def _level_set_reference(fid, center, sigmas):
+    """The breaks of {|f - center| = sigma}, one math call per level.
+
+    Unsolvable levels are skipped, and of equal positions the first one is
+    kept, as a set keeps it.
+    """
+    seen = {}
+    for s in sigmas.tolist():
+        for v in (abs(center + s), abs(center - s)):
+            try:
+                r = LEVEL_SOLVERS[fid](v)
+            except (ValueError, OverflowError):
+                continue
+            for b in (-r, r):
+                if math.isfinite(b):
+                    seen.setdefault(b, b)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("fid", sorted(LEVEL_SOLVERS))
+def test_level_set_breaks_of_many_centers_equal_the_one_center_calls(fid):
+    f = corpus_by_id(1)[fid]
+    rng = np.random.default_rng(20261019)
+    # 0, 1 and the centers in (0, 1] give exp_half_sq levels it cannot solve;
+    # log_radial overflows far out
+    centers = np.concatenate(
+        ([0.0, 1.0, -1.0, 0.5, 800.0], rng.uniform(-4.0, 4.0, 40), rng.uniform(0.0, 1.0, 10))
+    )
+    for sigmas in (np.zeros(1), np.array([0.0, 0.25, 1.0, 2.5]), np.sort(rng.uniform(0, 3, 25))):
+        rows = fields.level_set_breaks(f, centers, sigmas)
+        assert list(rows) == [0] and rows[0].shape[0] == centers.size
+        for c, row in zip(centers.tolist(), rows[0]):
+            got = [b.hex() for b in row[np.isfinite(row)].tolist()]
+            one = fields.level_set_breaks(f, c, sigmas).get(0, ())
+            assert got == [b.hex() for b in one], (fid, c)
+            assert got == [b.hex() for b in _level_set_reference(fid, c, sigmas)], (fid, c)
+    # exp_half_sq >= 1 everywhere: no level below 1 has a solution
+    if fid == "exp_half_sq":
+        assert fields.level_set_breaks(f, 0.5, np.zeros(1)) == {}
+        assert np.isnan(fields.level_set_breaks(f, np.array([0.0, 0.5]), np.zeros(1))[0]).all()
