@@ -296,11 +296,11 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 class _Table:
     """The panel rows of a call's cubes: each cube's axis intervals split at its breaks.
 
-    ``totals`` (m, d) are the axis measures, ``gq`` their products, ``vanish``
-    each cube's first axis of measure 0 (-1: none; None if no cube has one).
+    ``totals`` (m, d) are the axis measures, ``gq`` their products and
+    ``empty`` marks the cubes with an axis of measure 0 (None: no cube has one).
     ``cut`` appends rows, cube by cube and axis by axis, to ``data``: segment
     (a, b), axis total, pattern (left + 2 * right for the graded kink ends).
-    ``first``/``rows`` locate each cube's rows, ``counts``/``graded`` count them.
+    ``first``/``rows`` locate its rows, ``counts``/``graded`` its segments and graded ends.
     """
 
     def __init__(self, cubes: Sequence[Cube]) -> None:
@@ -316,8 +316,7 @@ class _Table:
         self.gq = self.totals[:, 0].copy()
         for ax in range(1, d):
             self.gq *= self.totals[:, ax]
-        bad = self.totals <= 0.0
-        self.vanish = np.where(bad.any(axis=1), bad.argmax(axis=1), -1) if min(totals) <= 0 else None
+        self.empty = (self.totals <= 0.0).any(axis=1) if min(totals) <= 0.0 else None
         self.data = np.empty((0, 4))
         self.first, self.rows = np.zeros((2, m), dtype=np.int64)
         self.segments = np.zeros((m, 2, d), dtype=np.int64)
@@ -352,7 +351,7 @@ class _Table:
         self.data = np.concatenate((self.data, rows)) if len(self.data) else rows
 
     def axis_nodes(self, idx: np.ndarray | slice, levels: np.ndarray, order: int) -> np.ndarray:
-        """Nodes (k, d) of each axis rule: order * 2^level per segment, order * level per graded end."""
+        """Nodes (k, d) per axis rule: order * (2^level per segment + level per graded end)."""
         segments, lv = self.segments[idx], levels[:, None]
         nodes = (segments[:, 0] << lv) + lv * segments[:, 1]
         nodes *= order
@@ -363,13 +362,14 @@ class _Table:
         # as floats the products are exact up to 2^53, far above the cap
         sizes = self.axis_nodes(idx, levels, order).prod(axis=1, dtype=np.float64)
         bad = sizes > MAX_TENSOR_NODES
-        if self.vanish is not None:
-            bad |= self.vanish[idx] >= 0
+        if self.empty is not None:
+            bad |= self.empty[idx]
         sizes[bad] = -1.0
         return sizes.astype(np.int64)
 
     def why(self, i: int, level: int, order: int) -> str:
-        cube, ax = self.cubes[i], -1 if self.vanish is None else int(self.vanish[i])
+        cube, bad = self.cubes[i], self.totals[i] <= 0.0
+        ax = int(bad.argmax()) if bad.any() else -1
         n = math.prod(self.axis_nodes(np.array([i]), np.array([level]), order)[0].tolist())
         why = f"has axis {ax} interval ({cube.lo[ax]}, {cube.hi[ax]}) of vanishing Gauss measure"
         why = why if ax >= 0 else f"would need {n} tensor nodes (cap {MAX_TENSOR_NODES})"
@@ -473,11 +473,10 @@ def _lines(
         for ax, j in w.items():
             out[:, ax, fill[ax] : fill[ax] + j] = mp[ax]
             fill[ax] += j
-    if not pad:
-        return out.reshape(k * d, -1)
-    out[:, :, 0], out[:, :, -1] = lo, hi
+    if pad:
+        out[:, :, 0], out[:, :, -1] = lo, hi
     out = out.reshape(k * d, -1)
-    if out.shape[1] == 2:
+    if not pad or out.shape[1] == 2:
         return out
     cuts = out[:, 1:-1]
     outside = ~((cuts > out[:, :1]) & (cuts < out[:, -1:]))
@@ -713,7 +712,7 @@ def _batch_estimates(
     phases: Sequence[_Phase], ph: np.ndarray, idx: np.ndarray, center: np.ndarray,
     gq: np.ndarray, vals: np.ndarray, w: np.ndarray, sizes: np.ndarray, width: int,
 ) -> np.ndarray:
-    """The estimates (k, width) of the k requests, in phases ``ph`` of cubes ``idx``, of one evaluation.
+    """Estimates (k, width) of k requests (phases ``ph``, cubes ``idx``) from one evaluation.
 
     Plain and centered means are reduced over runs of neighbouring requests:
     the powers of a run of one exponent, then row-wise pairwise trees over a
@@ -730,7 +729,8 @@ def _batch_estimates(
         if not pooled[s]:
             for k in range(s, e):
                 part, i = slice(bounds[k], bounds[k + 1]), idx[k]
-                out[k] = _estimate(phases[ph[k]], center[i], gq[i], [(vals[part], w[part])], sizes[k])
+                blocks = [(vals[part], w[part])]
+                out[k] = _estimate(phases[ph[k]], center[i], gq[i], blocks, sizes[k])
         elif q[s]:
             tv = vals.copy() if tv is vals else tv
             tv[span] = np.abs(vals[span] - center[idx[s:e]].repeat(sizes[s:e])) ** phases[ph[s]].q
@@ -801,8 +801,7 @@ def _drive(
         d = np.abs(new - last[idx])
         d = d.max(axis=1) if width > 1 else d[:, 0]
         ok = d <= (np.fmax(tol[ph], rel[ph] * np.abs(new[:, 0])) if relative else tol[ph])
-        bad = lv > top[ph]
-        bad &= ~ok
+        bad = (lv > top[ph]) & ~ok
         stop = int(bad.argmax()) + 1 if np.count_nonzero(bad) else idx.size
         done = idx[:stop]
         level[done], last[done] = lv[:stop], new[:stop]
@@ -839,7 +838,8 @@ def _drive(
         idx, ns = batch[perm], n[perm]
         pts, w = table.rules(idx, level[idx], ns, order)
         new = np.empty((batch.size, width))
-        new[perm] = _batch_estimates(phases, phase[idx], idx, center, table.gq, f(pts), w, ns, width)
+        vals = f(pts)
+        new[perm] = _batch_estimates(phases, phase[idx], idx, center, table.gq, vals, w, ns, width)
         settle(batch, new, n)
 
     def stream(i: int) -> None:
@@ -979,7 +979,7 @@ class DistributionProfile:
 
 
 def _ascending(rows: np.ndarray) -> np.ndarray:
-    """Sort each row in place, ascending and distinct (the first of equal entries kept), NaN last."""
+    """Sort each row in place, ascending and distinct (first of equals kept), NaN last."""
     rows.sort(axis=1, kind="stable")
     rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.nan
     rows.sort(axis=1, kind="stable")
