@@ -41,26 +41,24 @@ smooth integrand on each panel, and an integer q makes |f - f_Q|^q a
 polynomial in f on either side of the level set.
 
 One function, ``_drive``, runs every refinement on one table of arrays per
-call.  Each cube runs phases (for an oscillation, the centering average,
-then the centered power average) as a row of arrays; its panels are rows of
-a ``_Table``, cut per phase for all cubes entering it in a round, their
-level-set breaks solved in one call.  A round advances all pending cubes
-one level: node counts, cap and acceptance are vectorized steps, rules are
-built in one pass per level, the field is evaluated once on the stacked
-nodes, and row-wise pairwise trees reduce each cube bit for bit as a one-cube
-loop would.  The stacked nodes of a batch are the transpose of one (d, n)
-buffer, filled coordinate by coordinate, so every coordinate column is
-contiguous.  A single cube is a table of one.  A batch holds at most
-``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES``
-are refined one cube at a time in input order, and such a solo level is
-streamed: only its per-axis rules are built, and the tensor rule is produced,
-evaluated and reduced one aligned block of ``kernels._BLOCK`` nodes at a
-time, in buffers reused from block to block.  Aligned blocks are whole
-subtrees of the pairwise tree, so the block sums, added with that tree, are
-bit for bit the sums over the whole rule, while the memory of a solo level
-is O(block) (plus its axis rules and, for weak norms, two values per node),
-not O(rule).  A failing cube stops the cubes after it, and the first failure
-in input order is raised, as a loop over the cubes would.
+call; a single cube is a table of one.  Each cube runs phases (for an
+oscillation, the centering average, then the centered power average) as a
+row of arrays.  Its panels are rows of a ``_Table``, cut for all cubes that
+enter a phase in a round, with their level-set breaks solved in one call and
+the node counts of all the phase's levels counted at once.  A round advances
+every pending cube one level: acceptance is one vectorized step, rules are
+built in one pass per level, the field is evaluated once on the stacked nodes
+(the transpose of one (d, n) buffer, so each coordinate is contiguous), and
+row-wise pairwise trees reduce each cube bit for bit as a one-cube loop
+would.  A batch holds at most ``BATCH_NODES`` nodes.  Rules larger than
+``SHARED_RULE_NODES`` are refined one cube at a time in input order and
+streamed one aligned block of ``kernels._BLOCK`` nodes at a time, in reused
+buffers: aligned blocks are whole subtrees of the pairwise tree, so the sums
+are bit for bit those over the whole rule, in O(block) memory (plus the axis
+rules and, for weak norms, two values per node).  A failing cube stops the
+cubes after it, and the first failure in input order is raised, as a loop
+over the cubes would.  The cubes of a call may have a field each, with the
+same breaks (``average_gammas``).
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .geometry import Cube, cube_arrays, gaussian_measure
+from .geometry import Cube, gaussian_measure
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -305,21 +303,15 @@ class _Table:
 
     def __init__(self, cubes: Sequence[Cube]) -> None:
         self.cubes = cubes
-        centers, sides = cube_arrays(cubes)
-        h = 0.5 * sides[:, None]
-        self.lo, self.hi = centers - h, centers + h
-        m, d = self.lo.shape
-        lo, hi = self.lo.ravel().tolist(), self.hi.ravel().tolist()
-        totals = [kernels.gauss1d(a, b) for a, b in zip(lo, hi)]
-        self.totals = np.array(totals).reshape(m, d)
+        lo, hi = [q.lo for q in cubes], [q.hi for q in cubes]
+        totals = [[kernels.gauss1d(a, b) for a, b in zip(*ends)] for ends in zip(lo, hi)]
+        (self.lo, self.hi), self.totals = np.array([lo, hi]), np.array(totals)
         # multiplied axis by axis, as gaussian_measure does
-        self.gq = self.totals[:, 0].copy()
-        for ax in range(1, d):
-            self.gq *= self.totals[:, ax]
-        self.empty = (self.totals <= 0.0).any(axis=1) if min(totals) <= 0.0 else None
+        self.gq = np.array([math.prod(t) for t in totals])
+        self.empty = (self.totals <= 0.0).any(axis=1) if min(map(min, totals)) <= 0.0 else None
         self.data = np.empty((0, 4))
-        self.first, self.rows = np.zeros((2, m), dtype=np.int64)
-        self.segments = np.zeros((m, 2, d), dtype=np.int64)
+        self.first, self.rows = np.zeros((2, len(cubes)), dtype=np.int64)
+        self.segments = np.zeros((len(cubes), 2, self.lo.shape[1]), dtype=np.int64)
         self.counts, self.graded = self.segments[:, 0], self.segments[:, 1]
 
     def cut(self, idx: np.ndarray | slice, breaks: Sequence[Mapping], kinks: Mapping | None = None):
@@ -337,7 +329,7 @@ class _Table:
         rows[:, :, 2] = self.totals[idx].reshape(-1, 1)
         segments = np.zeros((k, 2, d), dtype=np.int64)
         valid = True if e.shape[1] == 2 else e[:, 1:] == e[:, 1:]
-        segments[:, 0] = np.count_nonzero(valid, axis=1).reshape(k, d) if e.shape[1] > 2 else 1
+        segments[:, 0] = valid.sum(axis=1).reshape(k, d) if e.shape[1] > 2 else 1
         if kinks:
             a, b, kk = rows[:, :, 0], rows[:, :, 1], _lines(k, d, [kinks])[:, None, :]
             left = valid & (a > e[:, :1]) & (a[:, :, None] == kk).any(axis=2)
@@ -350,27 +342,26 @@ class _Table:
         rows = rows.reshape(-1, 4) if e.shape[1] == 2 else rows[valid]
         self.data = np.concatenate((self.data, rows)) if len(self.data) else rows
 
-    def axis_nodes(self, idx: np.ndarray | slice, levels: np.ndarray, order: int) -> np.ndarray:
-        """Nodes (k, d) per axis rule: order * (2^level per segment + level per graded end)."""
-        segments, lv = self.segments[idx], levels[:, None]
-        nodes = (segments[:, 0] << lv) + lv * segments[:, 1]
+    def axis_nodes(self, idx: np.ndarray | slice, top: int, order: int) -> np.ndarray:
+        """Nodes (k, top + 1, d) per axis rule at levels 0..top, as floats exact to 2^53."""
+        lv, segments = np.arange(top + 1.0)[:, None], self.segments[idx]
+        nodes = segments[:, :1] * np.exp2(lv) + lv * segments[:, 1:]
         nodes *= order
         return nodes
 
-    def sizes(self, idx: np.ndarray | slice, levels: np.ndarray, order: int) -> np.ndarray:
-        """Tensor nodes of each cube's rule, or -1 where ``why`` says it cannot be built."""
-        # as floats the products are exact up to 2^53, far above the cap
-        sizes = self.axis_nodes(idx, levels, order).prod(axis=1, dtype=np.float64)
+    def sizes(self, idx: np.ndarray | slice, top: int, order: int) -> np.ndarray:
+        """Tensor nodes (k, top + 1) at levels 0..top, -1 where ``why`` has the reason."""
+        sizes = self.axis_nodes(idx, top, order).prod(axis=2)
         bad = sizes > MAX_TENSOR_NODES
         if self.empty is not None:
-            bad |= self.empty[idx]
+            bad |= self.empty[idx][:, None]
         sizes[bad] = -1.0
         return sizes.astype(np.int64)
 
     def why(self, i: int, level: int, order: int) -> str:
         cube, bad = self.cubes[i], self.totals[i] <= 0.0
         ax = int(bad.argmax()) if bad.any() else -1
-        n = math.prod(self.axis_nodes(np.array([i]), np.array([level]), order)[0].tolist())
+        n = math.prod(int(x) for x in self.axis_nodes(np.array([i]), level, order)[0, level])
         why = f"has axis {ax} interval ({cube.lo[ax]}, {cube.hi[ax]}) of vanishing Gauss measure"
         why = why if ax >= 0 else f"would need {n} tensor nodes (cap {MAX_TENSOR_NODES})"
         return f"refinement level {level} {why} on cube center {cube.center} side {cube.side}"
@@ -507,8 +498,8 @@ def _grading(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     panel is cut at 2^-j of its width from the kink, j = level..1, into
     level + 1 panels that halve toward it.  Returns the panels of patterns
     0-3 end to end -- per panel, whether it is measured from b instead of
-    a, the offset of its left edge and its width, in units of h -- and the
-    index of each pattern's first panel, with the panel count last.
+    a (1) or not (0), the offset of its left edge and its width, in units of
+    h -- and the index of each pattern's first panel, with the panel count last.
     At level 0 nothing is graded and only pattern 0, the one uniform
     panel, is used.
     """
@@ -517,34 +508,14 @@ def _grading(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     parts = []
     for left, right in ((0, 0), (1, 0), (0, 1), (1, 1)):
         k = np.arange(left, (1 << level) - right, dtype=np.float64)
-        parts.append((np.zeros(k.size, dtype=bool), k, np.ones(k.size)))
+        parts.append((np.zeros(k.size, dtype=np.int64), k, np.ones(k.size)))
         if left:
-            parts.insert(-1, (np.zeros(level + 1, dtype=bool), cuts[:-1], np.diff(cuts)))
+            parts.insert(-1, (np.zeros(level + 1, dtype=np.int64), cuts[:-1], np.diff(cuts)))
         if right:
-            parts.append((np.ones(level + 1, dtype=bool), -cuts[:0:-1], np.diff(cuts)[::-1]))
+            parts.append((np.ones(level + 1, dtype=np.int64), -cuts[:0:-1], np.diff(cuts)[::-1]))
     from_b, off, size = (np.concatenate(col) for col in zip(*parts))
     panels = (1 << level) + level * np.array([0, 1, 1, 2])
     return from_b, off, size, np.concatenate(([0], np.cumsum(panels)))
-
-
-def _layout(level: int, order: int, pattern: bytes) -> tuple:
-    """Each panel's row, its left edge's column (0: a, 1: b), offset and width, for rows
-    with these end patterns (float64 bytes); and each row's first node, the count last."""
-    pat = np.frombuffer(pattern).astype(np.int64)
-    from_b, off, size, start = _grading(level)
-    first = start[pat]
-    panels = start[pat + 1] - first
-    ends = np.cumsum(panels)
-    # panel j of a row is entry first + j of the templates
-    tpl = np.arange(ends[-1]) - np.repeat(ends - panels - first, panels)
-    row = np.repeat(np.arange(pat.size), panels)
-    return row, from_b[tpl].astype(np.int64), off[tpl], size[tpl], [0, *(order * ends).tolist()]
-
-
-#: Layouts of runs of at most this many uniform panels are kept (128 of them,
-#: a few MiB): most of a one-cube level's fixed cost.
-_KEPT_PANELS = 512
-_kept_layout = lru_cache(maxsize=128)(_layout)
 
 
 def _axis_rows(
@@ -558,13 +529,18 @@ def _axis_rows(
     row's ``total``.  A uniform panel k of width h has midpoint (a + k h) +
     h / 2, bit for bit that of uniform dyadic panels.
     """
-    key = rows[:, 3].tobytes() if level else bytes(8 * len(rows))
-    layout = _kept_layout if len(rows) << level <= _KEPT_PANELS else _layout
-    row, side, off, size, starts = layout(level, order, key)
+    from_b, off, size, start = _grading(level)
+    pattern = rows[:, 3].astype(np.int64) if level else np.zeros(len(rows), dtype=np.int64)
+    first = start[pattern]
+    panels = start[pattern + 1] - first
+    row = np.repeat(np.arange(len(rows)), panels)
+    ends = np.cumsum(panels)
+    # panel j of a row is entry first + j of the templates
+    tpl = np.arange(ends[-1]) - np.repeat(ends - panels - first, panels)
     gx, gw = _leggauss(order)
     width = ((rows[:, 1] - rows[:, 0]) / (1 << level))[row]
-    lo = rows[row, side] + width * off
-    half = 0.5 * (width * size)
+    lo = rows[row, from_b[tpl]] + width * off[tpl]
+    half = 0.5 * (width * size[tpl])
     mids = lo + half
     # mids + half gx and half gw exp(-x^2) / sqrt(pi) / total, in place:
     # large runs spend half their time allocating temporaries otherwise
@@ -577,7 +553,7 @@ def _axis_rows(
     w *= e
     w /= _SQRT_PI
     w /= rows[row, 2][:, None]
-    return x.ravel(), w.ravel(), starts
+    return x.ravel(), w.ravel(), [0, *(order * ends).tolist()]
 
 
 def _tensor(
@@ -617,12 +593,12 @@ def tensor_rule(
     The nodes run through the multi-indices in C order, axis 0 slowest; the
     array is column-major.
     """
-    table, idx, levels = _Table([cube]), np.zeros(1, dtype=np.int64), np.array([level])
+    table, idx = _Table([cube]), np.zeros(1, dtype=np.int64)
     table.cut(idx, [breaks])
-    sizes = table.sizes(idx, levels, order)
+    sizes = table.sizes(idx, level, order)[:, level]
     if sizes[0] < 0:
         raise QuadratureError(table.why(0, level, order))
-    return table.rules(idx, levels, sizes, order)
+    return table.rules(idx, np.array([level]), sizes, order)
 
 
 def field_rule(
@@ -704,7 +680,7 @@ def _estimate(
             heads.append((kernels.weighted_sum(vals, w), kernels.pairwise_sum(w)))
     if phase.p is not None:
         return _node_measure_weak_sup(av, wg, phase.p)
-    sums = kernels.pairwise_sum_rows(np.array(heads).T)
+    sums = heads[0] if len(heads) == 1 else kernels.pairwise_sum_rows(np.array(heads).T)
     return sums if phase.sigmas is not None else float(sums[0]) / float(sums[1])
 
 
@@ -743,7 +719,7 @@ def _batch_estimates(
 
 
 def _drive(
-    f: ScalarField,
+    f: ScalarField | Sequence[ScalarField],
     cubes: Sequence[Cube],
     phases: Sequence[_Phase],
     order: int,
@@ -758,19 +734,23 @@ def _drive(
     alone in input order through their remaining phases, each level streamed
     from ``_Table.blocks`` into ``_estimate``.  Either way each estimate is
     bit for bit that of refining the cube alone.  A failure at cube i stops
-    the cubes after it; once those before it are done it is raised.
+    the cubes after it; once those before it are done it is raised.  ``f`` is
+    one field, or one per cube with the first one's breaks and level sets.
     """
     m = len(cubes)
     width = max(1 if p.sigmas is None else p.sigmas.size for p in phases)
     if not m:
         return np.zeros((0, width))
+    one = isinstance(f, ScalarField)
+    fs, f = ([f] * m, f) if one else (f, f[0])
     table = _Table(cubes)
     top, tol, rel, expo = np.array([(p.top, p.tol, p.rel_tol, p.q or 0.0) for p in phases]).T
     relative = any(p.rel_tol for p in phases)
-    # per cube: its request's phase, level and node count (-1 when the rule
-    # cannot be built), its center, and the request's last estimate (NaN
-    # before its first level)
-    phase, level, nodes = np.zeros((3, m), dtype=np.int64)
+    # per cube: its request's phase and level, the node counts of the phase's
+    # levels (-1 where the rule cannot be built), its center, and the
+    # request's last estimate (NaN before its first level)
+    phase, level = np.zeros((2, m), dtype=np.int64)
+    plan = np.full((m, max(p.top for p in phases) + 2), -1)
     center = np.full(m, np.nan if center is None else float(center))
     last = np.empty((m, width))
     # pending requests, and those still refined in shared rounds
@@ -782,7 +762,7 @@ def _drive(
         nonlocal failed_at, error
         pending[i] = shared[i] = False
         # without exc, cube i's next rule cannot be built
-        what = f"{phases[phase[i]].what} of field {f.id}: "
+        what = f"{phases[phase[i]].what} of field {fs[i].id}: "
         exc = exc or QuadratureError(what + table.why(i, int(level[i]), order))
         if i < failed_at:
             failed_at, error = i, exc
@@ -791,33 +771,30 @@ def _drive(
         p = phases[k]
         kinks = {} if p.level_sets is None else level_set_breaks(f, center[idx], p.level_sets)
         table.cut(idx, [f.breaks, p.breaks or {}, kinks], kinks if p.kinks else None)
+        plan[idx, : p.top + 1] = table.sizes(idx, p.top, order)
         phase[idx], level[idx], last[idx] = k, 0, np.nan
-        nodes[idx] = table.sizes(idx, level[idx], order)
 
     def settle(idx: np.ndarray, new: np.ndarray, n: np.ndarray) -> None:
-        # idx ascending; the first failure stops the requests after it
-        ph, lv = phase[idx], level[idx]
-        lv += 1
+        # idx ascending; the first failure stops the requests after it (never read again)
+        ph, lv = phase[idx], level[idx] + 1
         d = np.abs(new - last[idx])
         d = d.max(axis=1) if width > 1 else d[:, 0]
         ok = d <= (np.fmax(tol[ph], rel[ph] * np.abs(new[:, 0])) if relative else tol[ph])
-        bad = (lv > top[ph]) & ~ok
-        stop = int(bad.argmax()) + 1 if np.count_nonzero(bad) else idx.size
-        done = idx[:stop]
-        level[done], last[done] = lv[:stop], new[:stop]
-        accepted = np.count_nonzero(ok[:stop])
-        if accepted < stop:
-            nodes[done] = table.sizes(done, lv[:stop], order)
-        if stop and bad[stop - 1]:
-            i, p, j = int(done[-1]), phases[ph[stop - 1]], stop - 1
+        level[idx], last[idx] = lv, new
+        bad = lv > top[ph]
+        if np.count_nonzero(bad) and np.count_nonzero(bad := bad & ~ok):
+            j = int(bad.argmax())
+            i, p = int(idx[j]), phases[ph[j]]
             # weak norms accept relative to their value, so only the difference is named
             fail(i, QuadratureError(
-                f"{p.what} of field {f.id} on cube center {cubes[i].center} side {cubes[i].side} "
+                f"{p.what} of field {fs[i].id} on cube center {cubes[i].center} "
+                f"side {cubes[i].side} "
                 f"did not converge by refinement level {lv[j] - 1} ({n[j]} tensor nodes): "
                 f"last diff {d[j]:.3e}" + ("" if p.rel_tol else f" > {p.tol:.3e}")
             ))
-        if accepted:
-            done = done[ok[:stop]]
+            idx, ok = idx[:j], ok[:j]
+        if np.count_nonzero(ok):
+            done = idx[ok]
             nxt = phase[done] + 1
             end = done[nxt == len(phases)]
             pending[end] = shared[end] = False
@@ -832,20 +809,21 @@ def _drive(
             # a batch of one is reduced as a streamed level, in one block
             i = batch[0]
             pts, w = table.rules(batch, level[batch], n, order)
-            est = _estimate(phases[phase[i]], center[i], table.gq[i], [(f(pts), w)], int(n[0]))
+            est = _estimate(phases[phase[i]], center[i], table.gq[i], [(fs[i](pts), w)], int(n[0]))
             return settle(batch, np.full((1, width), est), n)
         perm = np.lexsort((n, level[batch], expo[phase[batch]]))
         idx, ns = batch[perm], n[perm]
         pts, w = table.rules(idx, level[idx], ns, order)
         new = np.empty((batch.size, width))
-        vals = f(pts)
+        vals = f(pts) if one else np.concatenate(
+            [fs[i](pts[e - k : e]) for i, k, e in zip(idx, ns, ns.cumsum().tolist())])
         new[perm] = _batch_estimates(phases, phase[idx], idx, center, table.gq, vals, w, ns, width)
         settle(batch, new, n)
 
-    def stream(i: int) -> None:
-        blocks = ((f(pts), w) for pts, w in table.blocks(i, int(level[i]), order))
-        est = _estimate(phases[phase[i]], center[i], table.gq[i], blocks, int(nodes[i]))
-        settle(np.array([i]), np.full((1, width), est), nodes[i : i + 1].copy())
+    def stream(i: int, n: int) -> None:
+        blocks = ((fs[i](pts), w) for pts, w in table.blocks(i, int(level[i]), order))
+        est = _estimate(phases[phase[i]], center[i], table.gq[i], blocks, n)
+        settle(np.array([i]), np.full((1, width), est), np.array([n]))
 
     if phases[0].checked and np.count_nonzero(table.gq <= 0.0):
         fail(int((table.gq <= 0.0).argmax()), ValueError("cube has vanishing Gauss measure"))
@@ -860,15 +838,14 @@ def _drive(
                 break
             i = int(live[0])
             while pending[i] and i < failed_at:
-                stream(i) if nodes[i] >= 0 else fail(i)
+                stream(i, n) if (n := int(plan[i, level[i]])) >= 0 else fail(i)
             continue
-        n = nodes[idx]
+        n = plan[idx, level[idx]]
         if n.min() < 0:
             j = int((n < 0).argmax())
             fail(int(idx[j]))
             idx, n = idx[:j], n[:j]
-        if n.size and n.max() > SHARED_RULE_NODES:
-            big = n > SHARED_RULE_NODES
+        if np.count_nonzero(big := n > SHARED_RULE_NODES):
             shared[idx[big]] = False
             idx, n = idx[~big], n[~big]
         # greedy batches of at most BATCH_NODES nodes, in input order
@@ -906,6 +883,15 @@ def average_gamma(
     tol = spec.abs_tol if abs_tol is None else abs_tol
     phase = _Phase("average", spec.refinement_levels, tol, transform, breaks=extra_breaks)
     return float(_drive(f, [cube], [phase], spec.nodes_per_axis)[0, 0])
+
+
+def average_gammas(fs: Sequence[ScalarField], cube: Cube, spec: QuadratureSpec) -> list[float]:
+    """``average_gamma`` of fields with the same breaks over the cube, refined together; bit
+    for bit the one-field values, and a failure is the one the loop would raise first."""
+    if any(g.breaks != fs[0].breaks for g in fs):
+        raise ValueError("the fields of one call must share their breaks")
+    phase = _Phase("average", spec.refinement_levels, spec.abs_tol)
+    return _drive(fs, [cube] * len(fs), [phase], spec.nodes_per_axis)[:, 0].tolist()
 
 
 def gauss_average(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:

@@ -41,6 +41,7 @@ from .fields import (
     ScalarField,
     StepField,
     average_gamma,
+    average_gammas,
     field_rule,
     gauss_average,
     l1_tail_bound,
@@ -600,7 +601,6 @@ def subdivide_atom(
         gamma_core = gaussian_measure(core)
         t1, t2 = _thirds_cells(cube)
         thirds_breaks = {ax: (float(t1[ax]), float(t2[ax])) for ax in range(d)}
-        lambdas: list[float] = []
         pieces: list[tuple[ScalarField, Cube]] = []
         for bits in np.ndindex(*(2,) * d):
             bits_t = tuple(int(b) for b in bits)
@@ -613,11 +613,10 @@ def subdivide_atom(
                 breaks=merge_breaks(v.breaks, thirds_breaks),
                 description=f"{v.id} times corner weight {bits_t}",
             )
-            lam = (
-                average_gamma(weighted, cube, spec) * gaussian_measure(cube) / gamma_core
-            )
-            lambdas.append(lam)
             pieces.append((weighted, corner))
+        # the corner weights share the cube and its breaks: one table
+        means = average_gammas([weighted for weighted, _ in pieces], cube, spec)
+        lambdas = [mean * gaussian_measure(cube) / gamma_core for mean in means]
 
         s = math.fsum(lambdas)
         lambdas = [lam - s / (1 << d) for lam in lambdas]

@@ -3,16 +3,16 @@
 Run from anywhere, with the tree to check as the script's own checkout::
 
     python3 tests/report_digests.py > digests.txt
-    python3 tests/report_digests.py --workload forest-d1 > forest.txt
 
-It runs every op of ``perfbench/workloads.pool(w)`` for each workload (all
-three by default), then each of the eight subcommands at the d=1 default
-config, in-process through ``gaussjn.cli.main``.  A ``make_candidates`` op
-calls the library, as the benchmark does, and prints its node and root
-counts instead of report files.  Each op prints one line with its exit code
-and first error line, then one line per report file with the file's sha256.
-Two trees therefore write byte-identical reports, with the same exit codes
-and error lines, exactly when ``diff`` of their outputs is empty.
+It takes no options.  It runs every op of ``perfbench/workloads.pool(w)``
+for each of the three workloads, then each of the eight subcommands at the
+d=1 default config, in-process through ``gaussjn.cli.main``.  A
+``make_candidates`` op calls the library, as the benchmark does, and prints
+its node and root counts instead of report files.  Each op prints one line
+with its exit code and first error line, then one line per report file with
+the file's sha256.  Two trees therefore write byte-identical reports, with
+the same exit codes and error lines, exactly when ``diff`` of their outputs
+is empty.
 
 The script reads ``perfbench/`` and writes nothing there (no bytecode
 either).  Reports go to a temporary directory that is removed at the end;
@@ -23,7 +23,6 @@ it.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -82,16 +81,7 @@ def _op_lines(op: dict, op_dir: Path) -> list[str]:
     return [f"  rc {rc} error {error!r}", *_digests(report)]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--workload", action="append", choices=workloads.WORKLOADS,
-        help="a benchmark pool to run (repeatable; default: all three)",
-    )
-    parser.add_argument(
-        "--no-defaults", action="store_true", help="skip the d=1 default subcommands"
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     # cli.main configures logging on its first call; bind it to the real
     # stderr first, so it never writes into one op's captured output
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
@@ -99,13 +89,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
         os.chdir(tmp)
         try:
-            for name in args.workload or workloads.WORKLOADS:
+            for name in workloads.WORKLOADS:
                 for k, op in enumerate(workloads.pool(name)):
                     op_dir = Path(name) / str(k)
                     op_dir.mkdir(parents=True)
                     print(f"{name} {workloads.op_key(op)} {op['call']}", flush=True)
                     print("\n".join(_op_lines(op, op_dir)), flush=True)
-            for sub in () if args.no_defaults else cli.SUBCOMMANDS:
+            for sub in cli.SUBCOMMANDS:
                 report = Path("defaults") / sub
                 rc, text = _run_cli([sub, "--out", str(report), "--verbosity", "0"])
                 error = "" if rc == 0 else _first_error(text)

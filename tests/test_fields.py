@@ -673,6 +673,42 @@ def test_batched_refinement_raises_the_first_failure_in_input_order(
     assert inside == evaluated
 
 
+@pytest.mark.parametrize("shared_rule_nodes", [None, 0])
+def test_average_gammas_match_the_one_field_loop_bitwise(shared_rule_nodes, monkeypatch):
+    # fields of one cube with the same breaks, refined together in shared
+    # rounds or (SHARED_RULE_NODES = 0) each streamed alone; they accept at
+    # different levels (the constant w0 first, so that w1 of the pair takes
+    # its last level alone), and every value is the one-field average bit for bit
+    if shared_rule_nodes is not None:
+        monkeypatch.setattr(fields, "SHARED_RULE_NODES", shared_rule_nodes)
+    cube, breaks = Cube((0.4, -0.3), 0.9), {0: (0.2, 0.5), 1: (-0.1,)}
+    fs = [
+        ScalarField(
+            f"w{k}", lambda pts, k=k: np.exp(k * pts[:, 0]) * np.cos(k * k * pts[:, 1]),
+            dim=2, breaks=breaks,
+        )
+        for k in range(4)
+    ]
+    spec = QuadratureSpec(nodes_per_axis=4, abs_tol=1e-10)
+    for group in (fs, fs[:2]):
+        want = [average_gamma(f, cube, spec) for f in group]
+        assert _bits(fields.average_gammas(group, cube, spec)) == _bits(want)
+
+
+def test_average_gammas_raise_the_first_failure_and_need_shared_breaks():
+    cube = Cube((0.3,), 0.5)
+    spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=3, abs_tol=1e-15)
+    fs = [
+        ScalarField(f"ridges{k}", lambda pts, k=k: np.abs(np.sin(k * 40.0 * pts[:, 0])))
+        for k in range(3)
+    ]
+    loop = _outcome(lambda: [average_gamma(f, cube, spec) for f in fs])
+    assert loop[0] == "error" and "ridges1" in loop[1]
+    assert _outcome(lambda: fields.average_gammas(fs, cube, spec)) == loop
+    with pytest.raises(ValueError, match="share their breaks"):
+        fields.average_gammas([fs[0], ScalarField("step", np.sign, breaks={0: (0.3,)})], cube, spec)
+
+
 # ---------------------------------------------------------------------------
 # streamed levels against the materialized rule
 # ---------------------------------------------------------------------------
@@ -862,7 +898,7 @@ def _table(cube, breaks, kinks=None):
 
 def _graded_rule(cube, breaks, kinks, level, order):
     table = _table(cube, fields.merge_breaks(breaks, kinks), kinks)
-    nodes = table.sizes(ONE, np.array([level]), order)
+    nodes = table.sizes(ONE, level, order)[:, level]
     pts, w = table.rules(ONE, np.array([level]), nodes, order)
     return table, pts, w
 
@@ -878,7 +914,7 @@ def test_graded_rule_properties(level):
     # ends lie on the two kinks inside the cube
     assert table.counts.tolist() == [[4]] and table.graded.tolist() == [[4]]
     assert x.size == order * (4 * 2**level + 4 * level)
-    assert table.axis_nodes(ONE, np.array([level]), order).tolist() == [[x.size]]
+    assert table.axis_nodes(ONE, level, order)[:, level].tolist() == [[x.size]]
     assert np.all(np.diff(x) > 0.0)
     assert np.all(w > 0.0)
     assert abs(kernels.pairwise_sum(w) - 1.0) <= 1e-14
@@ -920,7 +956,7 @@ def test_graded_rule_keeps_the_uniform_rule_elsewhere():
         gx, gw, _ = fields._axis_rows(table.gather(ONE), level, order)
         # axis 0 of the graded cube: the first segment's panels away from the
         # kink at 0.1 and the whole third segment are unchanged
-        n, m = table.axis_nodes(ONE, np.array([level]), order)[0, 0], order * 2**level
+        n, m = int(table.axis_nodes(ONE, level, order)[0, level, 0]), order * 2**level
         assert n == order * (3 * 2**level + 2 * level)
         for got, want in ((gx, x), (gw, w)):
             assert np.array_equal(got[: m - order], want[: m - order])
@@ -946,7 +982,7 @@ def test_graded_coord0_in_d2_matches_one_cube_loop_bitwise(budget, monkeypatch):
     # graded at one end each: 4 * (2 * 2^2 + 2 * 2) nodes, against 4 * 2^2
     # on axis 1
     table = _table(cubes[0], {0: (0.05,)}, {0: (0.05,)})
-    assert table.axis_nodes(ONE, np.array([2]), 4).tolist() == [[48, 16]]
+    assert table.axis_nodes(ONE, 2, 4)[:, 2].tolist() == [[48, 16]]
 
 
 # field evaluations, and evaluator calls, of every oscillation on the 255
