@@ -19,7 +19,7 @@ interval, so every reported quantity is an average and tolerances are
 meaningful uniformly in the cube's location.  A level-L estimate is
 accepted when it agrees with level L-1 within ``abs_tol`` (Richardson-style
 acceptance; the largest difference for tail profiles, and within
-``rel_tol`` of the value for weak norms); running out of levels raises
+``WEAK_REL_TOL`` of the value for weak norms); running out of levels raises
 :class:`QuadratureError`.  Indicator integrands (distribution tails) use
 the same hierarchy with twice the refinement budget and share one node set
 across the whole sigma grid, which makes tail profiles monotone in sigma by
@@ -41,24 +41,29 @@ smooth integrand on each panel, and an integer q makes |f - f_Q|^q a
 polynomial in f on either side of the level set.
 
 One function, ``_drive``, runs every refinement on one table of arrays per
-call; a single cube is a table of one.  Each cube runs phases (for an
-oscillation, the centering average, then the centered power average) as a
-row of arrays.  Its panels are rows of a ``_Table``, cut for all cubes that
-enter a phase in a round, with their level-set breaks solved in one call and
-the node counts of all the phase's levels counted at once.  A round advances
+call; a single cube is a table of one.  It knows four quadratures: the mean
+of f, the centered power average of |f - c|^r, the tail masses and the weak
+norm.  Each cube runs phases (for an oscillation, the centering average,
+then the centered power average at that center; for ``power_average``, the
+power average at a given center) as a row of arrays.  Its panels are rows of
+a ``_Table``, cut for all cubes that enter a phase in a round.  Entering a
+phase is the one place where level sets become panel breaks: those of all
+the entering cubes are solved in one call, and the node counts of all the
+phase's levels are counted at once; a cube with an axis of vanishing Gauss
+measure has no rule at any level and fails at level 0.  A round advances
 every pending cube one level: acceptance is one vectorized step, rules are
-built in one pass per level, the field is evaluated once on the stacked nodes
-(the transpose of one (d, n) buffer, so each coordinate is contiguous), and
-row-wise pairwise trees reduce each cube bit for bit as a one-cube loop
-would.  A batch holds at most ``BATCH_NODES`` nodes.  Rules larger than
-``SHARED_RULE_NODES`` are refined one cube at a time in input order and
-streamed one aligned block of ``kernels._BLOCK`` nodes at a time, in reused
-buffers: aligned blocks are whole subtrees of the pairwise tree, so the sums
-are bit for bit those over the whole rule, in O(block) memory (plus the axis
-rules and, for weak norms, two values per node).  A failing cube stops the
-cubes after it, and the first failure in input order is raised, as a loop
-over the cubes would.  The cubes of a call may have a field each, with the
-same breaks (``average_gammas``).
+built in one pass per level, the field is evaluated once on the stacked
+nodes (the transpose of one (d, n) buffer, so each coordinate is
+contiguous), and row-wise pairwise trees reduce each cube bit for bit as a
+one-cube loop would.  A batch holds at most ``BATCH_NODES`` nodes.  Rules
+larger than ``SHARED_RULE_NODES`` are refined one cube at a time in input
+order and streamed one aligned block of ``kernels._BLOCK`` nodes at a time,
+in reused buffers: aligned blocks are whole subtrees of the pairwise tree,
+so the sums are bit for bit those over the whole rule, in O(block) memory
+(plus the axis rules and, for weak norms, two values per node).  A failing
+cube stops the cubes after it, and the first failure in input order is
+raised, as a loop over the cubes would.  The cubes of a call may have a
+field each, with the same breaks (``average_gammas``).
 """
 
 from __future__ import annotations
@@ -190,8 +195,18 @@ def merge_breaks(*mappings: Mapping[int, Sequence[float]]) -> dict[int, tuple[fl
 
 
 def shift_field(f: ScalarField, c: float) -> ScalarField:
-    """f - c (breaks unchanged)."""
+    """f - c (breaks unchanged).
+
+    Its level sets come from f's: {|f - c| = v} lies in {|f| = |c + v|} and
+    {|f| = |c - v|}, solved side by side in one row per level.
+    """
     c = float(c)
+    solve = f.level_breaks
+
+    def level_breaks(v: np.ndarray) -> dict[int, np.ndarray]:
+        both = np.abs(np.stack((c + v, c - v), axis=1)).ravel()
+        return {ax: b.reshape(v.size, -1) for ax, b in solve(both).items()}
+
     return ScalarField(
         f"{f.id}|minus:{c!r}",
         lambda pts: f(pts) - c,
@@ -199,6 +214,7 @@ def shift_field(f: ScalarField, c: float) -> ScalarField:
         breaks=f.breaks,
         description=f"{f.id} shifted by {-c}",
         singular_set=f.singular_set,
+        level_breaks=None if solve is None else level_breaks,
     )
 
 
@@ -216,7 +232,7 @@ def abs_power_field(f: ScalarField, q: float) -> ScalarField:
 
 
 def restrict_field(f: ScalarField, cube: Cube) -> ScalarField:
-    """f * chi_Q: zero outside the open cube; cube faces become breaks."""
+    """f * chi_Q: zero outside the open cube; cube faces become breaks, level sets are f's."""
     face_breaks = {ax: (cube.lo[ax], cube.hi[ax]) for ax in range(cube.dim)}
     lo = cube.lo_array()
     hi = cube.hi_array()
@@ -235,6 +251,7 @@ def restrict_field(f: ScalarField, cube: Cube) -> ScalarField:
         breaks=merge_breaks(f.breaks, face_breaks),
         description=f"{f.id} restricted to a cube",
         singular_set=f.singular_set,
+        level_breaks=f.level_breaks,
     )
 
 
@@ -626,29 +643,32 @@ class _Phase(NamedTuple):
 
     A level is accepted within max(``tol``, ``rel_tol`` * |estimate|) of the
     one before (the largest entry for tails).  It reduces the field values v
-    to the gamma average of ``transform``(v), v or |v - c|^``q``, the tails
-    gamma({|v - c| > sigma}) of ``sigmas`` or the weak norm of |v| for ``p``
-    (c: the cube's center).  Panels are cut at the field's breaks, ``breaks``
-    and {|f - c| = sigma} for the ``level_sets``, graded toward the last with
-    ``kinks``.  ``checked`` refuses cubes of vanishing Gauss measure.
+    to the gamma average of v or |v - c|^``q``, the tails gamma({|v - c| >
+    sigma}) of ``sigmas`` or the weak norm of |v| for ``p`` (c: the cube's
+    center).  Panels are cut at the field's breaks and {|f - c| = sigma} for
+    the ``level_sets``, graded toward the latter with ``kinks``.
     """
 
     what: str
     top: int
     tol: float
-    transform: Callable[[np.ndarray], np.ndarray] | None = None
     q: float | None = None
     sigmas: np.ndarray | None = None
     p: float | None = None
     rel_tol: float = 0.0
-    breaks: Mapping[int, Sequence[float]] | None = None
     level_sets: np.ndarray | None = None
     kinks: bool = False
-    checked: bool = False
 
 
 def _mean(spec: QuadratureSpec) -> _Phase:
-    return _Phase("average", spec.refinement_levels, spec.abs_tol, checked=True)
+    return _Phase("average", spec.refinement_levels, spec.abs_tol)
+
+
+def _power(spec: QuadratureSpec, r: float, graded: bool = False) -> _Phase:
+    """The average of |v - c|^r, its panels cut at {f = c} (and graded toward it)."""
+    return _Phase(
+        "average", spec.refinement_levels, spec.abs_tol, q=r, level_sets=np.zeros(1), kinks=graded
+    )
 
 
 def _estimate(
@@ -675,8 +695,6 @@ def _estimate(
         else:
             if phase.q is not None:
                 vals = np.abs(vals - c) ** phase.q
-            elif phase.transform is not None:
-                vals = phase.transform(vals)
             heads.append((kernels.weighted_sum(vals, w), kernels.pairwise_sum(w)))
     if phase.p is not None:
         return _node_measure_weak_sup(av, wg, phase.p)
@@ -696,7 +714,7 @@ def _batch_estimates(
     requests alone.  Row k holds a tail profile, or one value in every entry.
     """
     bounds = [0, *sizes.cumsum().tolist()]
-    kinds = [(p.sigmas is None and p.p is None and p.transform is None, p.q or 0.0) for p in phases]
+    kinds = [(p.sigmas is None and p.p is None, p.q or 0.0) for p in phases]
     pooled, q = (np.array(col)[ph] for col in zip(*kinds))
     out = np.empty((sizes.size, width))
     tv = vals
@@ -770,7 +788,7 @@ def _drive(
     def enter(idx: np.ndarray | slice, k: int) -> None:
         p = phases[k]
         kinks = {} if p.level_sets is None else level_set_breaks(f, center[idx], p.level_sets)
-        table.cut(idx, [f.breaks, p.breaks or {}, kinks], kinks if p.kinks else None)
+        table.cut(idx, [f.breaks, kinks], kinks if p.kinks else None)
         plan[idx, : p.top + 1] = table.sizes(idx, p.top, order)
         phase[idx], level[idx], last[idx] = k, 0, np.nan
 
@@ -825,11 +843,7 @@ def _drive(
         est = _estimate(phases[phase[i]], center[i], table.gq[i], blocks, n)
         settle(np.array([i]), np.full((1, width), est), np.array([n]))
 
-    if phases[0].checked and np.count_nonzero(table.gq <= 0.0):
-        fail(int((table.gq <= 0.0).argmax()), ValueError("cube has vanishing Gauss measure"))
-    pending[failed_at:] = shared[failed_at:] = False
-    if failed_at:
-        enter(slice(0, failed_at), 0)
+    enter(slice(0, m), 0)
     while True:
         idx = shared[:failed_at].nonzero()[0]
         if not idx.size:
@@ -863,16 +877,8 @@ def _drive(
     return last
 
 
-def average_gamma(
-    f: ScalarField,
-    cube: Cube,
-    spec: QuadratureSpec,
-    *,
-    transform: Callable[[np.ndarray], np.ndarray] | None = None,
-    extra_breaks: Mapping[int, Sequence[float]] | None = None,
-    abs_tol: float | None = None,
-) -> float:
-    """Gamma-normalized mean of transform(f) over the cube.
+def average_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
+    """Gamma-normalized mean of f over the cube.
 
     Refines dyadically until two successive levels agree within the
     tolerance; raises :class:`QuadratureError` when the budget is exhausted.
@@ -880,9 +886,7 @@ def average_gamma(
     one up to rounding), so a field that is identically 1 averages to
     exactly 1.0 and centered oscillations of constants vanish exactly.
     """
-    tol = spec.abs_tol if abs_tol is None else abs_tol
-    phase = _Phase("average", spec.refinement_levels, tol, transform, breaks=extra_breaks)
-    return float(_drive(f, [cube], [phase], spec.nodes_per_axis)[0, 0])
+    return float(_drive(f, [cube], [_mean(spec)], spec.nodes_per_axis)[0, 0])
 
 
 def average_gammas(fs: Sequence[ScalarField], cube: Cube, spec: QuadratureSpec) -> list[float]:
@@ -890,13 +894,24 @@ def average_gammas(fs: Sequence[ScalarField], cube: Cube, spec: QuadratureSpec) 
     for bit the one-field values, and a failure is the one the loop would raise first."""
     if any(g.breaks != fs[0].breaks for g in fs):
         raise ValueError("the fields of one call must share their breaks")
-    phase = _Phase("average", spec.refinement_levels, spec.abs_tol)
-    return _drive(fs, [cube] * len(fs), [phase], spec.nodes_per_axis)[:, 0].tolist()
+    return _drive(fs, [cube] * len(fs), [_mean(spec)], spec.nodes_per_axis)[:, 0].tolist()
 
 
 def gauss_average(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
     """f_Q = gamma(Q)^(-1) Int_Q f dgamma."""
     return float(_drive(f, [cube], [_mean(spec)], spec.nodes_per_axis)[0, 0])
+
+
+def power_average(
+    f: ScalarField, cube: Cube, r: float, spec: QuadratureSpec, *, center: float = 0.0
+) -> float:
+    """Gamma-normalized mean of |f - center|^r over the cube.
+
+    The integrand kinks on the level set {f = center}; when the field can
+    solve its level sets those positions are panel breaks, so the kink
+    never crosses a panel.  Panels are not graded toward it.
+    """
+    return float(_drive(f, [cube], [_power(spec, r)], spec.nodes_per_axis, center)[0, 0])
 
 
 def integral_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
@@ -916,10 +931,7 @@ def oscillations(
         raise ValueError("oscillation exponent q must be >= 1")
     # |v|^q is a polynomial on either side of v = 0 for integer q; for any
     # other q the zero set is an endpoint singularity of each panel beside it
-    power = _Phase(
-        "average", spec.refinement_levels, spec.abs_tol, q=q, level_sets=np.zeros(1),
-        kinks=not float(q).is_integer(),
-    )
+    power = _power(spec, q, graded=not float(q).is_integer())
     means = _drive(f, cubes, [_mean(spec), power], spec.nodes_per_axis)[:, 0]
     return [v ** (1.0 / q) for v in means.tolist()]
 
@@ -939,11 +951,7 @@ def lq_norm(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> float
     """(Int_Q |f|^q dgamma)^(1/q) (unnormalized; kink at {f = 0} aligned)."""
     if not q >= 1.0:
         raise ValueError("exponent q must be >= 1")
-    extra = level_set_breaks(f, 0.0, np.zeros(1))
-    mean_pow = average_gamma(
-        f, cube, spec, transform=lambda v: np.abs(v) ** q, extra_breaks=extra
-    )
-    return (mean_pow * gaussian_measure(cube)) ** (1.0 / q)
+    return (power_average(f, cube, q, spec) * gaussian_measure(cube)) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1060,11 @@ def tail_measure(
     return tail_profile(f, cube, [sigma], spec, center=center).tails[0]
 
 
+#: Relative acceptance tolerance of weak norms: their supremum converges
+#: only as fast as the panels resolve the optimizing level.
+WEAK_REL_TOL = 1e-3
+
+
 def _node_measure_weak_sup(av: np.ndarray, wg: np.ndarray, p: float) -> float:
     """Exact sup_sigma sigma * tail(sigma)^(1/p) for a discrete node measure.
 
@@ -1071,19 +1084,12 @@ def _node_measure_weak_sup(av: np.ndarray, wg: np.ndarray, p: float) -> float:
     return float(np.max(scores))
 
 
-def weak_lp_norm(
-    f: ScalarField,
-    cube: Cube,
-    p: float,
-    spec: QuadratureSpec,
-    *,
-    rel_tol: float = 1e-3,
-) -> float:
+def weak_lp_norm(f: ScalarField, cube: Cube, p: float, spec: QuadratureSpec) -> float:
     """Weak norm sup_sigma sigma * gamma({|f| > sigma})^(1/p) on the cube.
 
     At each refinement level the supremum is computed exactly against the
     node measure (no sigma grid); the hierarchy deepens until two successive
-    levels agree within max(spec.abs_tol, rel_tol * value).  Step-like
+    levels agree within max(spec.abs_tol, ``WEAK_REL_TOL`` * value).  Step-like
     fields are panel-aligned, so their node measure reproduces the true cell
     masses and the result matches the closed form to summation accuracy;
     for continuous fields the value is an estimate whose error tracks the
@@ -1091,7 +1097,9 @@ def weak_lp_norm(
     """
     if not p >= 1.0:
         raise ValueError("exponent p must be >= 1")
-    weak = _Phase("weak norm", 2 * spec.refinement_levels, spec.abs_tol, p=p, rel_tol=rel_tol)
+    weak = _Phase(
+        "weak norm", 2 * spec.refinement_levels, spec.abs_tol, p=p, rel_tol=WEAK_REL_TOL
+    )
     return float(_drive(f, [cube], [weak], spec.nodes_per_axis)[0, 0])
 
 
@@ -1135,9 +1143,7 @@ def l1_gamma_norm(
     [estimate, estimate + tail_slack] up to quadrature tolerance.
     """
     box = Cube((0.0,) * d, 2.0 * float(radius))
-    extra = level_set_breaks(f, 0.0, np.zeros(1))
-    mean_abs = average_gamma(f, box, spec, transform=np.abs, extra_breaks=extra)
-    estimate = mean_abs * gaussian_measure(box)
+    estimate = power_average(f, box, 1.0, spec) * gaussian_measure(box)
     return estimate, l1_tail_bound(f, radius, d)
 
 

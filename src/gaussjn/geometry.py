@@ -219,33 +219,6 @@ def gaussian_measure(cube: Cube) -> float:
     return out
 
 
-def gauss1d_array(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Vectorized one-dimensional interval measures (same branches as gauss1d)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    out = np.zeros(np.broadcast(alpha, beta).shape, dtype=np.float64)
-    alpha, beta = np.broadcast_arrays(alpha, beta)
-    valid = beta > alpha
-    right = valid & (alpha >= 0.0)
-    left = valid & (beta <= 0.0)
-    mid = valid & ~right & ~left
-    if np.any(right):
-        out[right] = 0.5 * (kernels.erfc_array(alpha[right]) - kernels.erfc_array(beta[right]))
-    if np.any(left):
-        out[left] = 0.5 * (kernels.erfc_array(-beta[left]) - kernels.erfc_array(-alpha[left]))
-    if np.any(mid):
-        out[mid] = 0.5 * (kernels.erf_array(beta[mid]) - kernels.erf_array(alpha[mid]))
-    return out
-
-
-def gaussian_measure_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """gamma of many boxes at once; lo, hi of shape (m, d) -> (m,)."""
-    lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_2d(np.asarray(hi, dtype=np.float64))
-    factors = gauss1d_array(lo, hi)
-    return np.prod(factors, axis=1)
-
-
 def cubes_disjoint(q1: Cube, q2: Cube) -> bool:
     """Whether two open cubes are disjoint (shared faces count as disjoint).
 

@@ -30,7 +30,7 @@ of those inequalities explicitly computable:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ from .fields import (
     level_set_breaks,
     merge_breaks,
     oscillation,
+    power_average,
     product_field,
     restrict_field,
     shift_field,
@@ -96,25 +97,12 @@ class Atom:
     base: ScalarField | None = None
     shift: float = 0.0
 
-    def kink_breaks(self) -> dict:
-        """Panel cuts for the zero set of b (where |b|^r integrands kink)."""
-        if self.base is not None:
-            return level_set_breaks(self.base, self.shift, np.zeros(1))
-        return {}
-
     def normalized_norm(self, spec: QuadratureSpec, r: float | None = None) -> float:
         """((1/gamma(Q)) Int_Q |b|^r dgamma)^(1/r); r defaults to the atom's q."""
         rr = self.q if r is None else float(r)
         if not rr >= 1.0:
             raise ValueError("norm exponent must be >= 1")
-        mean_pow = average_gamma(
-            self.field,
-            self.cube,
-            spec,
-            transform=lambda v: np.abs(v) ** rr,
-            extra_breaks=self.kink_breaks(),
-        )
-        return mean_pow ** (1.0 / rr)
+        return power_average(self.field, self.cube, rr, spec) ** (1.0 / rr)
 
     def mean(self, spec: QuadratureSpec) -> float:
         return average_gamma(self.field, self.cube, spec)
@@ -168,7 +156,7 @@ def make_atom(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> Ato
     if not q >= 1.0:
         raise ValueError("atom exponent must be >= 1")
     c = gauss_average(f, cube, spec)
-    drift = average_gamma(f, cube, spec, transform=lambda v: v - c)
+    drift = average_gamma(shift_field(f, c), cube, spec)
     shift = c + drift
     field = restrict_field(shift_field(f, shift), cube)
     atom = Atom(field=field, cube=cube, q=float(q), base=f, shift=shift)
@@ -231,14 +219,7 @@ def polymer_lp_norm(poly: Polymer, spec: QuadratureSpec) -> float:
     pair of routines keeps both sides of that inequality computable.
     """
     total = math.fsum(
-        gaussian_measure(a.cube)
-        * average_gamma(
-            a.field,
-            a.cube,
-            spec,
-            transform=lambda v, _p=poly.p: np.abs(v) ** _p,
-            extra_breaks=a.kink_breaks(),
-        )
+        gaussian_measure(a.cube) * power_average(a.field, a.cube, poly.p, spec)
         for a in poly.atoms
     )
     return total ** (1.0 / poly.p)
@@ -329,12 +310,7 @@ class DualAtomReport:
 
 
 def min_centered_oscillation(
-    f: ScalarField,
-    cube: Cube,
-    q: float,
-    spec: QuadratureSpec,
-    *,
-    abs_tol: float | None = None,
+    f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec
 ) -> tuple[float, float]:
     """(value, argmin) of c -> ((1/gamma) Int_Q |f - c|^q)^(1/q).
 
@@ -353,16 +329,7 @@ def min_centered_oscillation(
         return 0.0, lo
 
     def objective(c: float) -> float:
-        extra = level_set_breaks(f, c, np.zeros(1))
-        mean_pow = average_gamma(
-            f,
-            cube,
-            spec,
-            transform=lambda v: np.abs(v - c) ** q,
-            extra_breaks=extra,
-            abs_tol=abs_tol,
-        )
-        return mean_pow ** (1.0 / q)
+        return power_average(f, cube, q, spec, center=c) ** (1.0 / q)
 
     res = optimize.minimize_scalar(
         objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
@@ -395,8 +362,8 @@ def dual_atom(
     inside the 5 percent acceptance margin.
     """
     q_osc = conjugate_exponent(q_atom)
-    tol = max(spec.abs_tol, 1e-7)
-    target, c_star = min_centered_oscillation(f, cube, q_osc, spec, abs_tol=tol)
+    loose = replace(spec, abs_tol=max(spec.abs_tol, 1e-7))
+    target, c_star = min_centered_oscillation(f, cube, q_osc, loose)
 
     kink = level_set_breaks(f, c_star, np.zeros(1))
 
@@ -420,11 +387,9 @@ def dual_atom(
         report = DualAtomReport(0.0, 0.0, 0.0, c_star, q_atom, q_osc)
         return scaled, report
 
-    mu = average_gamma(b0, cube, spec, abs_tol=tol)
+    mu = average_gamma(b0, cube, loose)
     centered = shift_field(b0, mu)
-    nrm = average_gamma(
-        centered, cube, spec, transform=lambda v: np.abs(v) ** q_atom, abs_tol=tol
-    ) ** (1.0 / q_atom)
+    nrm = power_average(centered, cube, q_atom, loose) ** (1.0 / q_atom)
     b_field = ScalarField(
         f"dual({f.id})",
         lambda pts: (b0(pts) - mu) / nrm,
@@ -436,7 +401,7 @@ def dual_atom(
         field=restrict_field(b_field, cube), cube=cube, q=float(q_atom), base=None, shift=0.0
     )
     construction_value = average_gamma(
-        product_field(f, b_field), cube, spec, abs_tol=tol * max(1.0, target)
+        product_field(f, b_field), cube, replace(loose, abs_tol=loose.abs_tol * max(1.0, target))
     )
 
     if construction_value < DUAL_MIN_RATIO * target:

@@ -3,9 +3,7 @@ point-in-cube membership counting, box neighbour lists and tail sums over
 shared node sets.
 
 The error integral E(t) = (2/sqrt(pi)) * Int_0^t exp(-s^2) ds and its
-complement come from the libraries: the scalar ``erf``/``erfc`` are
-:func:`math.erf`/:func:`math.erfc`, and ``erf_array``/``erfc_array`` wrap
-:func:`scipy.special.erf`/:func:`scipy.special.erfc`.  ``erfc`` keeps full
+complement are :func:`math.erf`/:func:`math.erfc`.  ``erfc`` keeps full
 relative accuracy deep in the right tail, which ``gauss1d`` relies on.
 
 Every reduction uses one fixed pairwise tree, so sums are deterministic
@@ -40,22 +38,11 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 BACKEND = "numpy"
 
 erf = math.erf
 erfc = math.erfc
-
-
-def erf_array(xs: np.ndarray) -> np.ndarray:
-    """Elementwise erf; the result has the input's shape."""
-    return special.erf(np.asarray(xs, dtype=np.float64))
-
-
-def erfc_array(xs: np.ndarray) -> np.ndarray:
-    """Elementwise erfc; the result has the input's shape."""
-    return special.erfc(np.asarray(xs, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +368,6 @@ def warmup() -> None:
     hi = np.full((1, 2), 1.0)
     erf(0.5)
     erfc(2.5)
-    erf_array(np.array([0.1, 2.5]))
-    erfc_array(np.array([0.1, 2.5]))
     pairwise_sum(np.array([1.0, 2.0, 3.0]))
     pairwise_sum_rows(np.ones((2, 3)))
     weighted_sum(np.array([1.0, 2.0]), np.array([0.5, 0.5]))

@@ -23,10 +23,12 @@ from gaussjn.fields import (
     growth_tail_bound,
     integral_gamma,
     l1_gamma_norm,
+    level_set_breaks,
     lq_norm,
     make_random_step,
     oscillation,
     oscillations,
+    power_average,
     product_field,
     restrict_field,
     shift_field,
@@ -417,7 +419,7 @@ def test_weak_lp_generic_vs_step_oracle(spec):
             assert got == pytest.approx(exact, rel=1e-11)
 
 
-def test_weak_lp_continuous_certified_lower_bound(spec):
+def test_weak_lp_continuous_certified_lower_bound(spec, monkeypatch):
     # |x| on (-1,1): sup_s s * gamma(|x| > s)^(1/p) computed exactly with
     # the error function; the node-measure sup approaches it from below
     f = corpus_by_id(1)["coord0"]
@@ -426,9 +428,10 @@ def test_weak_lp_continuous_certified_lower_bound(spec):
     tails = np.array([kernels.gauss1d(s, 1.0) + kernels.gauss1d(-1.0, -s) for s in s_grid])
     exact = float(np.max(s_grid * tails ** (1.0 / p)))
     got = weak_lp_norm(f, P1, p, spec)
-    # stabilized to rel_tol, so the estimate sits within a few parts in 1e3
+    # stabilized to WEAK_REL_TOL, so the estimate sits within a few parts in 1e3
     assert got == pytest.approx(exact, rel=5e-3)
-    tighter = weak_lp_norm(f, P1, p, spec, rel_tol=1e-5)
+    monkeypatch.setattr(fields, "WEAK_REL_TOL", 1e-5)
+    tighter = weak_lp_norm(f, P1, p, spec)
     assert abs(tighter - exact) < abs(got - exact) + 1e-12
 
 
@@ -493,7 +496,7 @@ def test_growth_tail_bound_dominates_exact_tail():
 # ---------------------------------------------------------------------------
 
 
-def test_quadrature_error_on_undeclared_kink():
+def test_quadrature_error_on_undeclared_kink(monkeypatch):
     # a kink strictly inside panels, with no break metadata and no budget:
     # the refinement loop must refuse to certify rather than return junk
     f = ScalarField("hidden-kink", lambda p: np.abs(p[:, 0] - 0.377))
@@ -503,8 +506,9 @@ def test_quadrature_error_on_undeclared_kink():
     # tails and weak norms refine to twice the level budget
     with pytest.raises(QuadratureError, match=r"field hidden-kink .* refinement level 2 \("):
         tail_profile(f, P1, [0.1, 0.2], tight, center=0.0)
+    monkeypatch.setattr(fields, "WEAK_REL_TOL", 1e-15)
     with pytest.raises(QuadratureError, match=r"field hidden-kink .* refinement level 2 \("):
-        weak_lp_norm(f, P1, 2.0, tight, rel_tol=1e-15)
+        weak_lp_norm(f, P1, 2.0, tight)
 
 
 def test_node_cap_error_names_field_and_cube(monkeypatch):
@@ -514,6 +518,7 @@ def test_node_cap_error_names_field_and_cube(monkeypatch):
     from gaussjn.hardy import min_centered_oscillation
 
     monkeypatch.setattr(fields, "MAX_TENSOR_NODES", 100)
+    monkeypatch.setattr(fields, "WEAK_REL_TOL", 1e-15)
     f = ScalarField("kink-2d", lambda p: np.abs(p[:, 0] + p[:, 1] - 0.377), dim=2)
     cube = Cube((0.5, -0.25), 0.5)
     tight = QuadratureSpec(nodes_per_axis=4, refinement_levels=4, abs_tol=1e-15)
@@ -526,7 +531,7 @@ def test_node_cap_error_names_field_and_cube(monkeypatch):
     with pytest.raises(QuadratureError, match="^tail profile of field kink-2d" + cap):
         tail_profile(f, cube, [0.1, 0.2], tight, center=0.0)
     with pytest.raises(QuadratureError, match="^weak norm of field kink-2d" + cap):
-        weak_lp_norm(f, cube, 2.0, tight, rel_tol=1e-15)
+        weak_lp_norm(f, cube, 2.0, tight)
     with pytest.raises(QuadratureError, match="^node grid of field kink-2d" + cap):
         min_centered_oscillation(f, cube, 2.0, tight)
 
@@ -542,14 +547,22 @@ def test_declared_kink_converges(spec):
 
 
 def test_vanishing_measure_error_names_cube_and_level(spec):
-    # gamma((39.9, 40.1)) underflows to zero: no rule can be normalized
-    with pytest.raises(
-        QuadratureError,
-        match=r"^average of field coord0: refinement level 0 has axis 0 interval "
-        r"\(39\.9\d*, 40\.1\d*\) of vanishing Gauss measure "
-        + re.escape("on cube center (40.0,) side 0.2") + "$",
+    # gamma((39.9, 40.1)) underflows to zero: no rule can be normalized, and
+    # every quadrature that starts with the cube's mean says so the same way
+    f, cube = corpus_by_id(1)["coord0"], Cube((40.0,), 0.2)
+    for quadrature in (
+        lambda: average_gamma(f, cube, spec),
+        lambda: gauss_average(f, cube, spec),
+        lambda: oscillation(f, cube, 1.5, spec),
+        lambda: tail_profile(f, cube, [0.5, 1.0], spec),
     ):
-        average_gamma(corpus_by_id(1)["coord0"], Cube((40.0,), 0.2), spec)
+        with pytest.raises(
+            QuadratureError,
+            match=r"^average of field coord0: refinement level 0 has axis 0 interval "
+            r"\(39\.9\d*, 40\.1\d*\) of vanishing Gauss measure "
+            + re.escape("on cube center (40.0,) side 0.2") + "$",
+        ):
+            quadrature()
 
 
 def test_error_messages_are_the_same_on_streamed_levels(spec, monkeypatch):
@@ -611,8 +624,9 @@ def test_batched_refinement_matches_one_cube_loop_bitwise(d, budget, forest_cube
     sig = (0.1, 0.5, 1.0, 2.0)
     for f in corpus(d):
         for cube in cubes[:3]:
-            assert _outcome(lambda: average_gamma(f, cube, spec, transform=np.abs)) == _outcome(
-                lambda: oracles.average_loop(f, cube, spec, transform=np.abs)
+            zero_set = level_set_breaks(f, 0.0, np.zeros(1))
+            assert _outcome(lambda: power_average(f, cube, 1.0, spec)) == _outcome(
+                lambda: oracles.average_loop(f, cube, spec, transform=np.abs, extra_breaks=zero_set)
             ), f.id
         assert _outcome(lambda: oscillations(f, cubes, 1.25, spec)) == _outcome(
             lambda: [oracles.oscillation_loop(f, c, 1.25, spec) for c in cubes]
@@ -1079,6 +1093,10 @@ def test_level_set_breaks_of_many_centers_equal_the_one_center_calls(fid):
             one = fields.level_set_breaks(f, c, sigmas).get(0, ())
             assert got == [b.hex() for b in one], (fid, c)
             assert got == [b.hex() for b in _level_set_reference(fid, c, sigmas)], (fid, c)
+            # an atom's field, f - c restricted to a cube, solves them at center 0
+            atom = restrict_field(shift_field(f, c), P1)
+            shifted = fields.level_set_breaks(atom, 0.0, sigmas).get(0, ())
+            assert [b.hex() for b in shifted] == got, (fid, c)
     # exp_half_sq >= 1 everywhere: no level below 1 has a solution
     if fid == "exp_half_sq":
         assert fields.level_set_breaks(f, 0.5, np.zeros(1)) == {}

@@ -18,7 +18,6 @@ from gaussjn.geometry import (
     comparability_ratio,
     cubes_disjoint,
     gaussian_measure,
-    gaussian_measure_boxes,
     is_admissible,
     lebesgue_measure,
     m_weight,
@@ -248,15 +247,6 @@ def test_gaussian_measure_dyadic_additivity(q):
     kids = q.dyadic_children()
     total = math.fsum(gaussian_measure(k) for k in kids)
     assert total == pytest.approx(gaussian_measure(q), rel=1e-11, abs=2e-15)
-
-
-def test_gaussian_measure_boxes_matches_scalar():
-    cubes = [Cube((0.3, -1.0), 0.7), Cube((2.0, 2.0), 1.0), Cube((0.0, 0.0), 8.0)]
-    lo = np.array([c.lo for c in cubes])
-    hi = np.array([c.hi for c in cubes])
-    got = gaussian_measure_boxes(lo, hi)
-    ref = np.array([gaussian_measure(c) for c in cubes])
-    np.testing.assert_allclose(got, ref, rtol=1e-14)
 
 
 def test_lebesgue_measure():

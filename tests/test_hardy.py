@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,7 +216,9 @@ def test_dual_atom_q4_fractional_construction(corpus, dual_q4, mspec):
     # the reported value is the honest quadrature of the returned atom's
     # pairing, at the tolerance dual_atom uses for it
     tol = max(mspec.abs_tol, 1e-7) * max(1.0, rep.target)
-    pair = average_gamma(product_field(corpus["radius_sq"], atom.field), P1, mspec, abs_tol=tol)
+    pair = average_gamma(
+        product_field(corpus["radius_sq"], atom.field), P1, replace(mspec, abs_tol=tol)
+    )
     assert rep.achieved == rep.construction_value == pair
 
 

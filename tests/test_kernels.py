@@ -41,40 +41,11 @@ def test_erfc_scalar_matches_mpmath():
         assert got == pytest.approx(ref, rel=5e-13, abs=1e-300), f"erfc({x})"
 
 
-def test_erf_array_matches_scalar():
-    got = kernels.erf_array(ERF_GRID.copy())
-    ref = np.array([kernels.erf(float(x)) for x in ERF_GRID])
-    np.testing.assert_allclose(got, ref, rtol=5e-15, atol=0.0)
-
-
-def test_erfc_array_matches_scalar():
-    got = kernels.erfc_array(ERF_GRID.copy())
-    ref = np.array([kernels.erfc(float(x)) for x in ERF_GRID])
-    np.testing.assert_allclose(got, ref, rtol=5e-13, atol=0.0)
-
-
-def test_erf_array_preserves_shape():
-    xs = np.linspace(-2, 2, 24).reshape(2, 3, 4)
-    out = kernels.erf_array(xs)
-    assert out.shape == xs.shape
-    assert out[0, 0, 0] == kernels.erf(float(xs[0, 0, 0]))
-
-
 def test_erf_identities():
     assert kernels.erf(0.0) == 0.0
     for x in [0.3, 1.7, 4.2]:
         assert kernels.erf(-x) == pytest.approx(-kernels.erf(x), rel=1e-15)
         assert kernels.erf(x) + kernels.erfc(x) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_backend_flavours_agree():
-    """The array kernels match mpmath on the grid, as the scalar ones do."""
-    got = kernels.erf_array(ERF_GRID.copy())
-    ref = np.array([oracles.erf_mp(float(x)) for x in ERF_GRID])
-    np.testing.assert_allclose(got, ref, rtol=5e-15, atol=1e-300)
-    gotc = kernels.erfc_array(ERF_GRID.copy())
-    refc = np.array([float(oracles.mp.erfc(oracles.mp.mpf(float(x)))) for x in ERF_GRID])
-    np.testing.assert_allclose(gotc, refc, rtol=5e-13, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
