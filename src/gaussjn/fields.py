@@ -40,8 +40,9 @@ bit.  Tails and weak norms are not graded: their breaks are jumps, with a
 smooth integrand on each panel, and an integer q makes |f - f_Q|^q a
 polynomial in f on either side of the level set.
 
-One function, ``_drive``, runs every refinement on one table of arrays per
-call; a single cube is a table of one.  It knows four quadratures: the mean
+One function, ``_drive``, runs every refinement, in one shape: one field,
+many cubes and a list of phases, on one table of arrays per call; a single
+cube is a table of one.  It knows four quadratures: the mean
 of f, the centered power average of |f - c|^r, the tail masses and the weak
 norm.  Each cube runs phases (for an oscillation, the centering average,
 then the centered power average at that center; for ``power_average``, the
@@ -55,15 +56,14 @@ every pending cube one level: acceptance is one vectorized step, rules are
 built in one pass per level, the field is evaluated once on the stacked
 nodes (the transpose of one (d, n) buffer, so each coordinate is
 contiguous), and row-wise pairwise trees reduce each cube bit for bit as a
-one-cube loop would.  A batch holds at most ``BATCH_NODES`` nodes.  Rules
-larger than ``SHARED_RULE_NODES`` are refined one cube at a time in input
-order and streamed one aligned block of ``kernels._BLOCK`` nodes at a time,
-in reused buffers: aligned blocks are whole subtrees of the pairwise tree,
-so the sums are bit for bit those over the whole rule, in O(block) memory
-(plus the axis rules and, for weak norms, two values per node).  A failing
-cube stops the cubes after it, and the first failure in input order is
-raised, as a loop over the cubes would.  The cubes of a call may have a
-field each, with the same breaks (``average_gammas``).
+one-cube loop would, in a batch of one cube too.  A batch holds at most
+``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES`` are refined
+one cube at a time in input order and streamed one aligned block of
+``kernels._BLOCK`` nodes at a time, in reused buffers: aligned blocks are
+whole subtrees of the pairwise tree, so the sums are bit for bit those over
+the whole rule, in O(block) memory (plus the axis rules and, for weak
+norms, two values per node).  A failing cube stops the cubes after it, and
+the first failure in input order is raised, as a loop over the cubes would.
 """
 
 from __future__ import annotations
@@ -676,7 +676,9 @@ def _estimate(
 ) -> object:
     """One cube's estimate from the field values and weights of its n nodes.
 
-    ``blocks`` hands them out in node order, in aligned pieces of
+    Used for streamed levels and for the tail and weak-norm requests of a
+    shared evaluation (``_batch_estimates`` reduces the means).  ``blocks``
+    hands the values out in node order, in aligned pieces of
     ``kernels._BLOCK`` nodes.  The pieces' sums are added with the same
     pairwise tree; aligned blocks are subtrees of that tree, so the
     estimate is bit for bit that of reducing all n nodes at once.
@@ -708,42 +710,43 @@ def _batch_estimates(
 ) -> np.ndarray:
     """Estimates (k, width) of k requests (phases ``ph``, cubes ``idx``) from one evaluation.
 
-    Plain and centered means are reduced over runs of neighbouring requests:
-    the powers of a run of one exponent, then row-wise pairwise trees over a
-    run of one node count, adding in the order of the one-cube sums; other
-    requests alone.  Row k holds a tail profile, or one value in every entry.
+    Plain and centered means are reduced over runs of neighbouring requests
+    of one exponent and one node count: the powers of the run, then row-wise
+    pairwise trees, adding in the order of the one-cube sums; other requests
+    alone.  Row k holds a tail profile, or one value in every entry.
     """
     bounds = [0, *sizes.cumsum().tolist()]
     kinds = [(p.sigmas is None and p.p is None, p.q or 0.0) for p in phases]
     pooled, q = (np.array(col)[ph] for col in zip(*kinds))
     out = np.empty((sizes.size, width))
-    tv = vals
-    for s, e in _runs(q, pooled):
-        span = slice(bounds[s], bounds[e])
+    for s, e in _runs(q, sizes, pooled):
+        span, shape = slice(bounds[s], bounds[e]), (e - s, int(sizes[s]))
         if not pooled[s]:
             for k in range(s, e):
                 part, i = slice(bounds[k], bounds[k + 1]), idx[k]
                 blocks = [(vals[part], w[part])]
                 out[k] = _estimate(phases[ph[k]], center[i], gq[i], blocks, sizes[k])
-        elif q[s]:
-            tv = vals.copy() if tv is vals else tv
-            tv[span] = np.abs(vals[span] - center[idx[s:e]].repeat(sizes[s:e])) ** phases[ph[s]].q
-    for s, e in _runs(sizes, pooled):
-        span, shape = slice(bounds[s], bounds[e]), (e - s, int(sizes[s]))
-        if pooled[s]:
-            num = kernels.pairwise_sum_rows((tv[span] * w[span]).reshape(shape))
-            out[s:e] = (num / kernels.pairwise_sum_rows(w[span].reshape(shape)))[:, None]
+            continue
+        v = vals[span]
+        if q[s]:
+            v = np.abs(v - center[idx[s:e]].repeat(sizes[s:e])) ** phases[ph[s]].q
+        # the sums of v w and of w, one tree over both sets of rows
+        rows = np.empty((2 * (e - s), shape[1]))
+        np.multiply(v, w[span], out=rows[: e - s].reshape(-1))
+        rows[e - s :] = w[span].reshape(shape)
+        sums = kernels.pairwise_sum_rows(rows)
+        out[s:e] = (sums[: e - s] / sums[e - s :])[:, None]
     return out
 
 
 def _drive(
-    f: ScalarField | Sequence[ScalarField],
+    f: ScalarField,
     cubes: Sequence[Cube],
     phases: Sequence[_Phase],
     order: int,
     center: float | None = None,
 ) -> np.ndarray:
-    """Refine the phases of a call on every cube; the last phase's estimates, a row per cube.
+    """Refine the phases of field f on every cube; the last phase's estimates, a row per cube.
 
     Each phase is centered at the estimate of the one before (or ``center``).
     A round advances each pending request one level; rules of at most
@@ -752,15 +755,12 @@ def _drive(
     alone in input order through their remaining phases, each level streamed
     from ``_Table.blocks`` into ``_estimate``.  Either way each estimate is
     bit for bit that of refining the cube alone.  A failure at cube i stops
-    the cubes after it; once those before it are done it is raised.  ``f`` is
-    one field, or one per cube with the first one's breaks and level sets.
+    the cubes after it; once those before it are done it is raised.
     """
     m = len(cubes)
     width = max(1 if p.sigmas is None else p.sigmas.size for p in phases)
     if not m:
         return np.zeros((0, width))
-    one = isinstance(f, ScalarField)
-    fs, f = ([f] * m, f) if one else (f, f[0])
     table = _Table(cubes)
     top, tol, rel, expo = np.array([(p.top, p.tol, p.rel_tol, p.q or 0.0) for p in phases]).T
     relative = any(p.rel_tol for p in phases)
@@ -780,7 +780,7 @@ def _drive(
         nonlocal failed_at, error
         pending[i] = shared[i] = False
         # without exc, cube i's next rule cannot be built
-        what = f"{phases[phase[i]].what} of field {fs[i].id}: "
+        what = f"{phases[phase[i]].what} of field {f.id}: "
         exc = exc or QuadratureError(what + table.why(i, int(level[i]), order))
         if i < failed_at:
             failed_at, error = i, exc
@@ -805,7 +805,7 @@ def _drive(
             i, p = int(idx[j]), phases[ph[j]]
             # weak norms accept relative to their value, so only the difference is named
             fail(i, QuadratureError(
-                f"{p.what} of field {fs[i].id} on cube center {cubes[i].center} "
+                f"{p.what} of field {f.id} on cube center {cubes[i].center} "
                 f"side {cubes[i].side} "
                 f"did not converge by refinement level {lv[j] - 1} ({n[j]} tensor nodes): "
                 f"last diff {d[j]:.3e}" + ("" if p.rel_tol else f" > {p.tol:.3e}")
@@ -823,23 +823,16 @@ def _drive(
 
     def step(batch: np.ndarray, n: np.ndarray) -> None:
         # neighbours share the passes of one exponent, one level, one node count
-        if batch.size == 1:
-            # a batch of one is reduced as a streamed level, in one block
-            i = batch[0]
-            pts, w = table.rules(batch, level[batch], n, order)
-            est = _estimate(phases[phase[i]], center[i], table.gq[i], [(fs[i](pts), w)], int(n[0]))
-            return settle(batch, np.full((1, width), est), n)
         perm = np.lexsort((n, level[batch], expo[phase[batch]]))
         idx, ns = batch[perm], n[perm]
         pts, w = table.rules(idx, level[idx], ns, order)
         new = np.empty((batch.size, width))
-        vals = f(pts) if one else np.concatenate(
-            [fs[i](pts[e - k : e]) for i, k, e in zip(idx, ns, ns.cumsum().tolist())])
+        vals = f(pts)
         new[perm] = _batch_estimates(phases, phase[idx], idx, center, table.gq, vals, w, ns, width)
         settle(batch, new, n)
 
     def stream(i: int, n: int) -> None:
-        blocks = ((fs[i](pts), w) for pts, w in table.blocks(i, int(level[i]), order))
+        blocks = ((f(pts), w) for pts, w in table.blocks(i, int(level[i]), order))
         est = _estimate(phases[phase[i]], center[i], table.gq[i], blocks, n)
         settle(np.array([i]), np.full((1, width), est), np.array([n]))
 
@@ -877,8 +870,17 @@ def _drive(
     return last
 
 
+def average_gammas(f: ScalarField, cubes: Sequence[Cube], spec: QuadratureSpec) -> list[float]:
+    """``average_gamma`` of f on every cube, all cubes refined together.
+
+    Each value is bit for bit the one-cube ``average_gamma``; a failure is
+    the one the cube-by-cube loop would raise first.
+    """
+    return _drive(f, cubes, [_mean(spec)], spec.nodes_per_axis)[:, 0].tolist()
+
+
 def average_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
-    """Gamma-normalized mean of f over the cube.
+    """Gamma-normalized mean f_Q = gamma(Q)^(-1) Int_Q f dgamma.
 
     Refines dyadically until two successive levels agree within the
     tolerance; raises :class:`QuadratureError` when the budget is exhausted.
@@ -886,20 +888,11 @@ def average_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
     one up to rounding), so a field that is identically 1 averages to
     exactly 1.0 and centered oscillations of constants vanish exactly.
     """
-    return float(_drive(f, [cube], [_mean(spec)], spec.nodes_per_axis)[0, 0])
+    return average_gammas(f, [cube], spec)[0]
 
 
-def average_gammas(fs: Sequence[ScalarField], cube: Cube, spec: QuadratureSpec) -> list[float]:
-    """``average_gamma`` of fields with the same breaks over the cube, refined together; bit
-    for bit the one-field values, and a failure is the one the loop would raise first."""
-    if any(g.breaks != fs[0].breaks for g in fs):
-        raise ValueError("the fields of one call must share their breaks")
-    return _drive(fs, [cube] * len(fs), [_mean(spec)], spec.nodes_per_axis)[:, 0].tolist()
-
-
-def gauss_average(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
-    """f_Q = gamma(Q)^(-1) Int_Q f dgamma."""
-    return float(_drive(f, [cube], [_mean(spec)], spec.nodes_per_axis)[0, 0])
+#: The same function under the name of the paper's f_Q.
+gauss_average = average_gamma
 
 
 def power_average(

@@ -52,6 +52,7 @@ from .fields import (
     product_field,
     restrict_field,
     shift_field,
+    step_distribution,
     truncate,
 )
 from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
@@ -114,18 +115,11 @@ class Atom:
         }
         if isinstance(self.base, StepField):
             lo, hi = self.cube.lo[self.base.axis], self.cube.hi[self.base.axis]
-            edges = [e for e in self.base.edges if lo < e < hi]
-            cells = [lo, *edges, hi]
-            inner = np.asarray(self.base.edges)
-            vals = []
-            for i in range(len(cells) - 1):
-                mid = 0.5 * (cells[i] + cells[i + 1])
-                idx = int(np.searchsorted(inner, mid, side="left"))
-                vals.append(self.base.values[idx] - self.shift)
+            values, _masses = step_distribution(self.base, self.cube)
             obj["kind"] = "step"
             obj["axis"] = self.base.axis
-            obj["edges"] = edges
-            obj["values"] = vals
+            obj["edges"] = [e for e in self.base.edges if lo < e < hi]
+            obj["values"] = (values - self.shift).tolist()
         else:
             d = self.cube.dim
             per_axis = ATOM_SAMPLES_PER_AXIS[min(d, 3) - 1]
@@ -455,7 +449,7 @@ def subdivision_depth(a_start: float, a_target: float, d: int) -> int:
     return n
 
 
-def _thirds_cells(cube: Cube) -> tuple[np.ndarray, np.ndarray]:
+def _thirds(cube: Cube) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis thirds boundaries (lo + side/3, lo + 2 side/3)."""
     lo = cube.lo_array()
     step = cube.side / 3.0
@@ -482,7 +476,7 @@ def _partition_weight(cube: Cube, bits: tuple[int, ...]) -> Callable[[np.ndarray
     Piecewise constant on the thirds grid; the divisor is 2^(number of
     middle thirds), a power of two, so sum_i psi_i == 1 exactly in floats.
     """
-    t1, t2 = _thirds_cells(cube)
+    t1, t2 = _thirds(cube)
 
     def psi(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -538,12 +532,14 @@ def subdivide_atom(
 
     One cascade step splits v on Q into 2^d pieces v_i = v psi_i - l_i
     chi_{core}, where the psi_i form the exact corner-cube partition of
-    unity and l_i = (1/gamma(core)) Int v psi_i dgamma.  Each v_i has zero
-    mean and lives on the corner cube of side (2/3) l_Q; since v itself has
-    zero mean the l_i sum to zero, which is enforced float-exactly by
-    subtracting their mean, making sum_i v_i == v up to a few ulps.  Pieces
-    whose cube is already admissible at the target scale stop; the rest
-    recurse, at most ``subdivision_depth`` times.
+    unity and l_i = (1/gamma(core)) Int v psi_i dgamma: psi_i is constant
+    on each of the 3^d thirds cells, so l_i adds psi_i at the cell centers
+    times the integrals of v over the cells, from one ``average_gammas``
+    call.  Each v_i has zero mean and lives on the corner cube of side (2/3)
+    l_Q; since v has zero mean the l_i sum to zero, which is enforced
+    float-exactly by subtracting their mean, making sum_i v_i == v up to a
+    few ulps.  Pieces whose cube is already admissible at the target scale
+    stop; the rest recurse, at most ``subdivision_depth`` times.
     """
     if not is_admissible(atom.cube, a_start):
         raise ValueError("atom cube is not admissible at the starting scale")
@@ -564,42 +560,38 @@ def subdivide_atom(
             )
         core = _core_cube(cube)
         gamma_core = gaussian_measure(core)
-        t1, t2 = _thirds_cells(cube)
-        thirds_breaks = {ax: (float(t1[ax]), float(t2[ax])) for ax in range(d)}
-        pieces: list[tuple[ScalarField, Cube]] = []
-        for bits in np.ndindex(*(2,) * d):
-            bits_t = tuple(int(b) for b in bits)
-            psi = _partition_weight(cube, bits_t)
-            corner = _corner_cube(cube, bits_t)
-            weighted = ScalarField(
-                f"{v.id}|psi{bits_t}",
-                lambda pts, _psi=psi, _v=v: _v(pts) * _psi(pts),
-                dim=d,
-                breaks=merge_breaks(v.breaks, thirds_breaks),
-                description=f"{v.id} times corner weight {bits_t}",
-            )
-            pieces.append((weighted, corner))
-        # the corner weights share the cube and its breaks: one table
-        means = average_gammas([weighted for weighted, _ in pieces], cube, spec)
-        lambdas = [mean * gaussian_measure(cube) / gamma_core for mean in means]
+        t1, t2 = _thirds(cube)
+        breaks = merge_breaks(v.breaks, {ax: (float(t1[ax]), float(t2[ax])) for ax in range(d)})
+        third = cube.side / 3.0
+        centers = cube.center_array() + third * (np.array(list(np.ndindex(*(3,) * d))) - 1.0)
+        cells = [Cube(tuple(c), third) for c in centers.tolist()]
+        means = average_gammas(v, cells, spec)
+        integrals = [mean * gaussian_measure(cell) for mean, cell in zip(means, cells)]
+        corners = [tuple(int(b) for b in bits) for bits in np.ndindex(*(2,) * d)]
+        psis = [_partition_weight(cube, bits) for bits in corners]
+        lambdas = [
+            math.fsum(w * x for w, x in zip(psi(centers).tolist(), integrals)) / gamma_core
+            for psi in psis
+        ]
 
         s = math.fsum(lambdas)
         lambdas = [lam - s / (1 << d) for lam in lambdas]
 
         core_lo = core.lo_array()
         core_hi = core.hi_array()
-        for (weighted, corner), lam in zip(pieces, lambdas):
+        for bits, psi, lam in zip(corners, psis, lambdas):
 
-            def piece(pts: np.ndarray, _w=weighted, _lam=lam) -> np.ndarray:
+            def piece(pts: np.ndarray, _psi=psi, _lam=lam) -> np.ndarray:
                 pts = np.atleast_2d(pts)
                 in_core = np.all((pts > core_lo) & (pts < core_hi), axis=-1)
-                return _w(pts) - _lam * in_core.astype(np.float64)
+                return v(pts) * _psi(pts) - _lam * in_core.astype(np.float64)
 
+            corner = _corner_cube(cube, bits)
             child = ScalarField(
-                f"{weighted.id}|centered",
+                f"{v.id}|psi{bits}|centered",
                 piece,
                 dim=d,
-                breaks=weighted.breaks,
+                breaks=breaks,
                 description=f"mean-zero cascade piece on {corner.center}",
             )
             recurse(child, corner, depth + 1)

@@ -38,6 +38,7 @@ from .fields import (
     tail_profiles,
 )
 from .geometry import (
+    BOUNDARY_REL_TOL,
     Cube,
     admissible_mask,
     child_offsets,
@@ -192,15 +193,19 @@ def make_candidates(covering: Covering, depth: int) -> CandidateSet:
     cubes = [cube for _layer, cube in covering.all_cubes()]
     centers, sides = cube_arrays(cubes)
     half = (0.5 * sides)[:, None]
-    # only cubes filed in a grid cell with this one can overlap it
-    neighbours = kernels.earlier_neighbours(centers - half, centers + half)
-    is_kept = [False] * len(cubes)
-    kept: list[Cube] = []
-    for i, cube in enumerate(cubes):
-        if all(cubes_disjoint(cube, cubes[j]) for j in neighbours[i].tolist() if is_kept[j]):
-            is_kept[i] = True
-            kept.append(cube)
-    return grow_forest(kept, depth, a)
+    lo, hi = centers - half, centers + half
+    # only cubes filed in a grid cell with this one can overlap it; cubes_disjoint's
+    # test runs on all those pairs (i, j < i) at once, first fit on the overlapping ones
+    neighbours = kernels.earlier_neighbours(lo, hi)
+    later = np.repeat(np.arange(len(cubes)), [j.size for j in neighbours])
+    earlier = np.concatenate([later[:0], *neighbours])
+    tol = (BOUNDARY_REL_TOL * np.minimum(sides[later], sides[earlier]))[:, None]
+    overlap = ~((hi[later] <= lo[earlier] + tol) | (hi[earlier] <= lo[later] + tol)).any(axis=1)
+    # pairs come sorted by i, so is_kept[j] is final when pair (i, j) is read
+    is_kept = [True] * len(cubes)
+    for i, j in zip(later[overlap].tolist(), earlier[overlap].tolist()):
+        is_kept[i] = is_kept[i] and not is_kept[j]
+    return grow_forest([q for q, k in zip(cubes, is_kept) if k], depth, a)
 
 
 # ---------------------------------------------------------------------------

@@ -747,3 +747,36 @@ def node_measure_weak_sup_unique(av: np.ndarray, wg: np.ndarray, p: float) -> fl
     suffix = np.cumsum(wg[order][::-1])[::-1]
     levels_v, first = np.unique(sv, return_index=True)
     return float(np.max(levels_v * np.maximum(suffix[first], 0.0) ** (1.0 / p)))
+
+
+# ---------------------------------------------------------------------------
+# subdivision cascade (the whole-cube corner weights before the thirds cells)
+# ---------------------------------------------------------------------------
+
+
+def corner_coefficients_whole_cube(v, cube, spec) -> np.ndarray:
+    """The l_i of one cascade step on the cube, corner weight by corner weight.
+
+    Each v psi_i is one field, averaged over the whole cube with the thirds
+    hyperplanes as extra breaks; l_i is that average times gamma(Q) /
+    gamma(core), and the l_i are then shifted by their mean, as the cascade
+    does, in ``np.ndindex`` order of the corners.
+    """
+    from gaussjn.fields import ScalarField, average_gamma, merge_breaks
+    from gaussjn.geometry import gaussian_measure
+    from gaussjn.hardy import _partition_weight
+
+    d = cube.dim
+    lo, third = cube.lo_array(), cube.side / 3.0
+    thirds = {ax: (float(lo[ax] + third), float(lo[ax] + 2.0 * third)) for ax in range(d)}
+    gamma_q, gamma_core = gaussian_measure(cube), gaussian_measure(Cube(cube.center, third))
+    lambdas = []
+    for bits in itertools.product((0, 1), repeat=d):
+        psi = _partition_weight(cube, bits)
+        weighted = ScalarField(
+            f"{v.id}|psi{bits}", lambda pts, psi=psi: v(pts) * psi(pts), dim=d,
+            breaks=merge_breaks(v.breaks, thirds),
+        )
+        lambdas.append(average_gamma(weighted, cube, spec) * gamma_q / gamma_core)
+    s = math.fsum(lambdas)
+    return np.array([lam - s / (1 << d) for lam in lambdas])

@@ -1,4 +1,4 @@
-"""Print a digest of every report the benchmark pools and the d=1 defaults write.
+"""Print a digest of every report the benchmark pools and the default configs write.
 
 Run from anywhere, with the tree to check as the script's own checkout::
 
@@ -6,7 +6,8 @@ Run from anywhere, with the tree to check as the script's own checkout::
 
 It takes no options.  It runs every op of ``perfbench/workloads.pool(w)``
 for each of the three workloads, then each of the eight subcommands at the
-d=1 default config, in-process through ``gaussjn.cli.main``.  A
+d=1 default config and ``subdivide`` at the d=2 and d=3 default configs
+(``{"dimension": d}``), in-process through ``gaussjn.cli.main``.  A
 ``make_candidates`` op calls the library, as the benchmark does, and prints
 its node and root counts instead of report files.  Each op prints one line
 with its exit code and first error line, then one line per report file with
@@ -101,6 +102,12 @@ def main() -> int:
                 error = "" if rc == 0 else _first_error(text)
                 print(f"defaults d=1 {sub}", flush=True)
                 print("\n".join([f"  rc {rc} error {error!r}", *_digests(report)]), flush=True)
+            for d in (2, 3):
+                op_dir = Path("defaults") / f"subdivide-d{d}"
+                op_dir.mkdir(parents=True)
+                op = {"call": "subdivide", "config": {"dimension": d}}
+                print(f"defaults d={d} subdivide", flush=True)
+                print("\n".join(_op_lines(op, op_dir)), flush=True)
         finally:
             os.chdir(home)
     return 0

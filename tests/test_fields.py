@@ -689,38 +689,50 @@ def test_batched_refinement_raises_the_first_failure_in_input_order(
 
 @pytest.mark.parametrize("shared_rule_nodes", [None, 0])
 def test_average_gammas_match_the_one_field_loop_bitwise(shared_rule_nodes, monkeypatch):
-    # fields of one cube with the same breaks, refined together in shared
-    # rounds or (SHARED_RULE_NODES = 0) each streamed alone; they accept at
-    # different levels (the constant w0 first, so that w1 of the pair takes
-    # its last level alone), and every value is the one-field average bit for bit
+    # one field over four cubes that accept at four different levels, refined
+    # together in shared rounds (the large last cube streams its deepest
+    # levels) or (SHARED_RULE_NODES = 0) each streamed alone; every value is
+    # the one-cube average_gamma bit for bit
     if shared_rule_nodes is not None:
         monkeypatch.setattr(fields, "SHARED_RULE_NODES", shared_rule_nodes)
-    cube, breaks = Cube((0.4, -0.3), 0.9), {0: (0.2, 0.5), 1: (-0.1,)}
-    fs = [
-        ScalarField(
-            f"w{k}", lambda pts, k=k: np.exp(k * pts[:, 0]) * np.cos(k * k * pts[:, 1]),
-            dim=2, breaks=breaks,
-        )
-        for k in range(4)
-    ]
+    f = ScalarField(
+        "wave", lambda pts: np.exp(pts[:, 0]) * np.cos(3.0 * pts[:, 1]),
+        dim=2, breaks={0: (0.2, 0.5), 1: (-0.1,)},
+    )
+    cubes = [Cube((0.4, -0.3), 0.9), Cube((1.1, 0.6), 0.05), Cube((-0.6, 0.4), 0.4),
+             Cube((0.35, -0.1), 2.5)]
     spec = QuadratureSpec(nodes_per_axis=4, abs_tol=1e-10)
-    for group in (fs, fs[:2]):
-        want = [average_gamma(f, cube, spec) for f in group]
-        assert _bits(fields.average_gammas(group, cube, spec)) == _bits(want)
-
-
-def test_average_gammas_raise_the_first_failure_and_need_shared_breaks():
-    cube = Cube((0.3,), 0.5)
-    spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=3, abs_tol=1e-15)
-    fs = [
-        ScalarField(f"ridges{k}", lambda pts, k=k: np.abs(np.sin(k * 40.0 * pts[:, 0])))
-        for k in range(3)
+    want = [average_gamma(f, cube, spec) for cube in cubes]
+    assert _bits(want) == _bits([oracles.average_loop(f, cube, spec) for cube in cubes])
+    assert _bits(fields.average_gammas(f, cubes, spec)) == _bits(want)
+    # the level each cube accepts at: the fewest levels that let it converge
+    levels = [
+        next(top for top in range(1, 11) if _outcome(lambda: average_gamma(
+            f, cube, QuadratureSpec(nodes_per_axis=4, refinement_levels=top, abs_tol=1e-10)
+        ))[0] == "value")
+        for cube in cubes
     ]
-    loop = _outcome(lambda: [average_gamma(f, cube, spec) for f in fs])
-    assert loop[0] == "error" and "ridges1" in loop[1]
-    assert _outcome(lambda: fields.average_gammas(fs, cube, spec)) == loop
-    with pytest.raises(ValueError, match="share their breaks"):
-        fields.average_gammas([fs[0], ScalarField("step", np.sign, breaks={0: (0.3,)})], cube, spec)
+    assert levels == [3, 1, 2, 4]
+
+
+@pytest.mark.parametrize("shared_rule_nodes", [None, 0])
+def test_average_gammas_raise_the_first_failure_in_input_order(shared_rule_nodes, monkeypatch):
+    # four nodes per panel and three levels: the small first cube converges,
+    # the second runs out of levels at level 3, and the third, split by the
+    # break at 1.5, cannot build its 64-node level-3 rule under a cap of 40.
+    # In shared rounds the third fails first; the loop raises the second's error
+    monkeypatch.setattr(fields, "MAX_TENSOR_NODES", 40)
+    if shared_rule_nodes is not None:
+        monkeypatch.setattr(fields, "SHARED_RULE_NODES", shared_rule_nodes)
+    f = ScalarField("ridges", lambda pts: np.abs(np.sin(40.0 * pts[:, 0])), breaks={0: (1.5,)})
+    cubes = [Cube((0.3,), 1e-3), Cube((0.3,), 0.5), Cube((1.5,), 0.5)]
+    spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=3, abs_tol=1e-15)
+    loop = _outcome(lambda: [average_gamma(f, cube, spec) for cube in cubes])
+    assert loop[0] == "error" and "did not converge" in loop[1] and "(0.3,) side 0.5" in loop[1]
+    assert _outcome(lambda: average_gamma(f, cubes[2], spec))[1].startswith(
+        "average of field ridges: refinement level 3 would need 64 tensor nodes (cap 40)"
+    )
+    assert _outcome(lambda: fields.average_gammas(f, cubes, spec)) == loop
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,37 @@ def test_cascade_closures_agree_bitwise_on_column_and_row_major_nodes(d):
         assert fn(rows).tobytes() == fn(cols).tobytes()
 
 
+@pytest.mark.parametrize(
+    "fid, d",
+    [("coord0", 1), ("coord0", 2), ("coord0", 3), ("sign0", 1), ("sign0", 2), ("sign0", 3),
+     ("radius_sq", 1)],
+)
+def test_cascade_coefficients_match_the_whole_cube_oracle(fid, d, mspec):
+    # one cascade step (a_target 0.75 admits the corner cubes of side 2/3, not
+    # the start cube): its pieces are v psi_i - l_i chi_core, and psi_i = 2^-d
+    # at the core center x, so l_i = 2^-d v(x) - piece_i(x).  The thirds-cell
+    # coefficients and the whole-cube oracle each carry an error of at most
+    # abs_tol gamma(Q) / gamma(core) where acceptance is sound (lines and
+    # steps, and radius_sq in d = 1; not across curved kinks)
+    start = Cube((0.2, 0.1, -0.15)[:d], 1.0)
+    atom0 = make_atom(corpus_by_id(d)[fid], start, 3.0, mspec)
+    res = subdivide_atom(atom0, 1.0, 0.75, mspec)
+    assert res.max_depth == 1 and len(res.atoms) == 2**d
+    x = np.array([start.center])
+    got = np.array([2.0**-d * atom0.field(x)[0] - piece.field(x)[0] for piece in res.atoms])
+    want = oracles.corner_coefficients_whole_cube(atom0.field, start, mspec)
+    core = Cube(start.center, start.side / 3.0)
+    tol = 2.0 * mspec.abs_tol * gaussian_measure(start) / gaussian_measure(core)
+    assert np.max(np.abs(got - want)) <= tol
+    assert np.max(np.abs(want)) > 100.0 * tol
+    rng = np.random.default_rng(d)
+    pts = start.lo_array() + start.side * rng.uniform(1e-9, 1.0 - 1e-9, size=(1000, d))
+    rec = sum(piece.field(pts) for piece in res.atoms)
+    orig = atom0.field(pts)
+    assert np.max(np.abs(rec - orig)) / max(1.0, np.max(np.abs(orig))) < 1e-12
+    assert max(abs(piece.mean(mspec)) for piece in res.atoms) < 1e-9
+
+
 def test_subdivide_atom_rejects_inadmissible_start(corpus, mspec):
     bad = Cube((2.0,), 2.0)
     atom0 = Atom(field=lambda p: np.zeros(np.atleast_2d(p).shape[0]), cube=bad, q=3.0)
@@ -463,3 +494,4 @@ def test_step_atom_serializes_with_exact_pieces(mspec):
     assert len(obj["values"]) == 2
     # serialized pieces are the original values minus the recentering shift
     assert abs((obj["values"][1] - obj["values"][0]) - 3.0) < 1e-12
+    assert obj["values"] == [-1.0 - atom.shift, 2.0 - atom.shift]
