@@ -23,21 +23,22 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Cube, gaussian_measure, is_admissible, m_weight
+from .geometry import Cube, cube_arrays, gaussian_measure, is_admissible, m_weight
 from .covering import build_covering, covering_admissibility, coverage_report
 from .fields import (
     QuadratureSpec,
     ScalarField,
     corpus_by_id,
+    l1_gamma_norm,
     make_random_step,
     step_lq_norm,
     step_weak_lp_norm,
 )
 from .jnp import (
-    OscCache,
     bmo_norm_estimate,
     make_candidates,
     maximize_jnp,
+    node_stats,
     p_limit_scan,
     tail_fit_sweep,
     validate_family,
@@ -262,7 +263,7 @@ class DualitySection:
         for c in cubes:
             _require(c.dim == d, "duality cube dimension must match config dimension")
         try:
-            validate_family(cubes, a)
+            validate_family(*cube_arrays(cubes), a)
         except ValueError as exc:
             raise ConfigError(f"duality cubes: {exc}") from exc
 
@@ -455,10 +456,6 @@ def _corpus_fields(cfg: ExperimentConfig) -> list[ScalarField]:
     return [by_id[fid] for fid in cfg.fields]
 
 
-def _cube_obj(cube: Cube) -> dict:
-    return {"center": list(cube.center), "side": cube.side}
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
@@ -467,9 +464,9 @@ def _cube_obj(cube: Cube) -> dict:
 def _run_covering(cfg: ExperimentConfig) -> RunResult:
     cov = build_covering(cfg.depth, cfg.dimension)
     report = coverage_report(cov, n_points=cfg.coverage_points, seed=cfg.seed)
-    cubes = cov.all_cubes()
+    cubes = list(zip(*(a.tolist() for a in cov.arrays())))
     header = ("layer", "side") + tuple(f"c{i + 1}" for i in range(cfg.dimension))
-    rows = tuple((k, q.side) + tuple(q.center) for k, q in cubes)
+    rows = tuple((k, side, *center) for k, center, side in cubes)
     checks = (
         CheckResult(
             "covering-coverage",
@@ -501,7 +498,7 @@ def _run_covering(cfg: ExperimentConfig) -> RunResult:
     payload = {
         "config": cfg.to_obj(),
         "report": report,
-        "cubes": [dict(_cube_obj(q), layer=k) for k, q in cubes],
+        "cubes": [{"center": c, "side": side, "layer": k} for k, c, side in cubes],
     }
     return RunResult(payload, checks, header, rows)
 
@@ -549,11 +546,16 @@ def _run_bmo(cfg: ExperimentConfig) -> RunResult:
     results = []
     checks: list[CheckResult] = []
     for f in _corpus_fields(cfg):
-        cache = OscCache(f, cfg.q, cfg.quadrature)
+        try:
+            stats = node_stats(f, cands.centers, cands.sides, cfg.q, cfg.quadrature)
+        except Exception:
+            # bmo_norm_estimate integrates the L^1 term first, so its failure comes first
+            l1_gamma_norm(f, cfg.dimension, cfg.radius, cfg.quadrature)
+            raise
         est = bmo_norm_estimate(
-            f, cands, cfg.dimension, cfg.radius, cfg.quadrature, q=cfg.q, cache=cache
+            f, cands, cfg.dimension, cfg.radius, cfg.quadrature, q=cfg.q, stats=stats
         )
-        jn = maximize_jnp(f, cands, cfg.p, cfg.q, cfg.quadrature, cache=cache)
+        jn = maximize_jnp(f, cands, cfg.p, cfg.q, cfg.quadrature, stats=stats)
         results.append(dict(est.to_obj(), field=f.id, jnp=jn.to_obj()))
         rows.append((f.id, cfg.q, est.value, est.l1_term, est.sup_term, jn.value, cfg.p))
         checks.append(
@@ -570,7 +572,7 @@ def _run_bmo(cfg: ExperimentConfig) -> RunResult:
 def _run_jn_tail(cfg: ExperimentConfig) -> RunResult:
     cov = build_covering(cfg.depth, cfg.dimension)
     cands = make_candidates(cov, cfg.candidate_depth)
-    cubes = [q for _, q in cov.all_cubes()]
+    _layer, centers, sides = cov.arrays()
     header = (
         "field",
         "side",
@@ -597,7 +599,7 @@ def _run_jn_tail(cfg: ExperimentConfig) -> RunResult:
                 )
             )
             continue
-        reports = tail_fit_sweep(f, cubes, cfg.p, cfg.quadrature, cfg.sigmas, khat)
+        reports = tail_fit_sweep(f, centers, sides, cfg.p, cfg.quadrature, cfg.sigmas, khat)
         c_values = [r.c_estimate for r in reports if not r.degenerate]
         for r in reports:
             rows.append(
@@ -787,7 +789,7 @@ def _run_subdivide(cfg: ExperimentConfig) -> RunResult:
         "config": cfg.to_obj(),
         "a_start": a_start,
         "a_target": a_target,
-        "start_cube": _cube_obj(start_cube),
+        "start_cube": start_cube.to_obj(),
         "depth_formula": formula_n,
         "results": results,
     }
@@ -910,21 +912,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gaussjn",
         description="Numerical experiments for Gaussian oscillation spaces.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=_DESCRIPTIONS[name])
-        p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument(
-            "--out", type=str, default=None, help="output directory (default: config out_dir)"
-        )
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--verbosity",
-            type=int,
-            default=1,
-            choices=(0, 1, 2),
-            help="0: failures only, 1: per-check lines, 2: debug logging",
-        )
+    parser.add_argument(
+        "subcommand",
+        choices=SUBCOMMANDS,
+        help="; ".join(f"{name}: {text}" for name, text in _DESCRIPTIONS.items()),
+    )
+    parser.add_argument("--config", type=str, default=None, help="JSON config path")
+    parser.add_argument(
+        "--out", type=str, default=None, help="output directory (default: config out_dir)"
+    )
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument(
+        "--verbosity",
+        type=int,
+        default=1,
+        choices=(0, 1, 2),
+        help="0: failures only, 1: per-check lines, 2: debug logging",
+    )
     return parser
 
 

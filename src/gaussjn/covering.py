@@ -22,6 +22,7 @@ steps controlled by 4|c_Q|^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,7 +35,7 @@ from .geometry import (
     Cube,
     admissible_mask,
     center_norms,
-    cube_arrays,
+    cube_corners,
     m_weight,
     m_weight_points,
 )
@@ -123,22 +124,26 @@ def divide_interval(alpha: float, beta: float, delta: float) -> list[tuple[float
     return pieces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layer:
-    """All covering cubes of one shell (or the central cube for index 0)."""
+    """All covering cubes of one shell (or the central cube for index 0):
+    centers (n, d) and sides (n,)."""
 
     index: int
-    cubes: tuple[Cube, ...]
+    centers: np.ndarray
+    sides: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.sides)
 
 
 def build_layer(k: int, d: int, seq: RadiusSequence) -> Layer:
     """Cubes of side 1/a_k tiling the shell P_{k+1} \\ P_k, slab by slab.
 
     Order is deterministic: axis 0..d-1, positive sign before negative,
-    transverse pieces in lexicographic multi-index order.
+    transverse pieces in lexicographic multi-index order.  Each slab is one
+    block of rows: its radial midpoint on the slab's axis, and the grid of
+    transverse piece midpoints, in C order, on the other axes.
     """
     if k < 1:
         raise ValueError("shell layers start at k = 1")
@@ -152,23 +157,18 @@ def build_layer(k: int, d: int, seq: RadiusSequence) -> Layer:
         -1: (-a_next, -a_k),
     }
     transverse = divide_interval(-a_next, a_next, delta) if d > 1 else []
-    cubes: list[Cube] = []
+    mids = [0.5 * (lo + hi) for lo, hi in transverse]
+    grid = np.array(list(itertools.product(mids, repeat=d - 1)), dtype=np.float64)
+    blocks = []
     for axis in range(d):
         for sign in (+1, -1):
             r_lo, r_hi = radial[sign]
-            r_mid = 0.5 * (r_lo + r_hi)
-            if d == 1:
-                cubes.append(Cube((r_mid,), delta))
-                continue
-            for combo in np.ndindex(*(len(transverse),) * (d - 1)):
-                center = [0.0] * d
-                center[axis] = r_mid
-                t_axes = [ax for ax in range(d) if ax != axis]
-                for ax, idx in zip(t_axes, combo):
-                    lo, hi = transverse[idx]
-                    center[ax] = 0.5 * (lo + hi)
-                cubes.append(Cube(tuple(center), delta))
-    return Layer(index=k, cubes=tuple(cubes))
+            block = np.empty((len(grid), d))
+            block[:, axis] = 0.5 * (r_lo + r_hi)
+            block[:, [ax for ax in range(d) if ax != axis]] = grid
+            blocks.append(block)
+    centers = np.concatenate(blocks)
+    return Layer(k, centers, np.full(len(centers), delta))
 
 
 @dataclass(frozen=True)
@@ -189,23 +189,14 @@ class Covering:
         a = self.seq.a(self.depth + 1)
         return Cube((0.0,) * self.d, 2.0 * a)
 
-    def all_cubes(self) -> list[tuple[int, Cube]]:
-        out: list[tuple[int, Cube]] = []
-        for layer in self.layers:
-            out.extend((layer.index, q) for q in layer.cubes)
-        return out
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer index (n,), centers (n, d) and sides (n,) of every cube, layer by layer."""
+        index = np.repeat([layer.index for layer in self.layers], list(map(len, self.layers)))
+        centers = np.concatenate([layer.centers for layer in self.layers])
+        return index, centers, np.concatenate([layer.sides for layer in self.layers])
 
     def cube_count(self) -> int:
         return sum(len(layer) for layer in self.layers)
-
-    def to_obj(self) -> list[dict]:
-        """JSON-ready list of {layer, center, side}, sorted by (layer, center)."""
-        rows = [
-            {"layer": idx, "center": list(q.center), "side": q.side}
-            for idx, q in self.all_cubes()
-        ]
-        rows.sort(key=lambda r: (r["layer"], tuple(r["center"])))
-        return rows
 
 
 def build_covering(depth: int, d: int) -> Covering:
@@ -213,7 +204,7 @@ def build_covering(depth: int, d: int) -> Covering:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     seq = radius_sequence(depth + 1)
-    central = Layer(index=0, cubes=(Cube((0.0,) * d, 2.0),))
+    central = Layer(0, np.zeros((1, d)), np.array([2.0]))
     layers = [central]
     for k in range(1, depth + 1):
         layers.append(build_layer(k, d, seq))
@@ -347,13 +338,10 @@ def coverage_report(covering: Covering, n_points: int = 100_000, seed: int = 0) 
     """
     d = covering.d
     a_par = covering.admissibility
-    pairs = covering.all_cubes()
-    layer_of = np.array([idx for idx, _ in pairs])
-    centers, sides = cube_arrays([q for _, q in pairs])
-    half = (0.5 * sides)[:, None]
+    layer_of, centers, sides = covering.arrays()
 
     pts = low_discrepancy_points(covering, n_points, seed)
-    counts = kernels.count_membership(pts, centers - half, centers + half)
+    counts = kernels.count_membership(pts, *cube_corners(centers, sides))
     covered_fraction = float(np.mean(counts >= 1))
     max_overlap = int(counts.max())
 

@@ -41,10 +41,12 @@ smooth integrand on each panel, and an integer q makes |f - f_Q|^q a
 polynomial in f on either side of the level set.
 
 One function, ``_drive``, runs every refinement, in one shape: one field,
-many cubes and a list of phases, on one table of arrays per call; a single
-cube is a table of one.  It knows four quadratures: the mean
-of f, the centered power average of |f - c|^r, the tail masses and the weak
-norm.  Each cube runs phases (for an oscillation, the centering average,
+many cubes (centers (m, d), sides (m,)) and a list of phases, on one table
+of arrays per call; a single cube is a table of one.  The functions of many
+cubes (``average_gammas``, ``oscillations``, ``tail_profiles``) take those
+two arrays, the one-cube functions a ``Cube``.  It knows four quadratures:
+the mean of f, the centered power average of |f - c|^r, the tail masses and
+the weak norm.  Each cube runs phases (for an oscillation, the centering average,
 then the centered power average at that center; for ``power_average``, the
 power average at a given center) as a row of arrays.  Its panels are rows of
 a ``_Table``, cut for all cubes that enter a phase in a round.  Entering a
@@ -77,7 +79,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .geometry import Cube, gaussian_measure
+from .geometry import Cube, cube_arrays, cube_corners, gaussian_measure, gaussian_measures
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -309,7 +311,8 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Table:
-    """The panel rows of a call's cubes: each cube's axis intervals split at its breaks.
+    """The panel rows of a call's cubes (centers (m, d), sides (m,)): each cube's axis
+    intervals split at its breaks.
 
     ``totals`` (m, d) are the axis measures, ``gq`` their products and
     ``empty`` marks the cubes with an axis of measure 0 (None: no cube has one).
@@ -318,17 +321,15 @@ class _Table:
     ``first``/``rows`` locate its rows, ``counts``/``graded`` its segments and graded ends.
     """
 
-    def __init__(self, cubes: Sequence[Cube]) -> None:
-        self.cubes = cubes
-        lo, hi = [q.lo for q in cubes], [q.hi for q in cubes]
-        totals = [[kernels.gauss1d(a, b) for a, b in zip(*ends)] for ends in zip(lo, hi)]
-        (self.lo, self.hi), self.totals = np.array([lo, hi]), np.array(totals)
-        # multiplied axis by axis, as gaussian_measure does
-        self.gq = np.array([math.prod(t) for t in totals])
-        self.empty = (self.totals <= 0.0).any(axis=1) if min(map(min, totals)) <= 0.0 else None
+    def __init__(self, centers: np.ndarray, sides: np.ndarray) -> None:
+        self.centers, self.sides = centers, sides
+        self.lo, self.hi = cube_corners(centers, sides)
+        self.totals, self.gq = gaussian_measures(centers, sides)
+        empty = self.totals <= 0.0
+        self.empty = empty.any(axis=1) if np.count_nonzero(empty) else None
         self.data = np.empty((0, 4))
-        self.first, self.rows = np.zeros((2, len(cubes)), dtype=np.int64)
-        self.segments = np.zeros((len(cubes), 2, self.lo.shape[1]), dtype=np.int64)
+        self.first, self.rows = np.zeros((2, len(sides)), dtype=np.int64)
+        self.segments = np.zeros((len(sides), 2, self.lo.shape[1]), dtype=np.int64)
         self.counts, self.graded = self.segments[:, 0], self.segments[:, 1]
 
     def cut(self, idx: np.ndarray | slice, breaks: Sequence[Mapping], kinks: Mapping | None = None):
@@ -375,13 +376,18 @@ class _Table:
         sizes[bad] = -1.0
         return sizes.astype(np.int64)
 
+    def name(self, i: int) -> str:
+        """Cube i as error messages name it, as ``Cube.center`` and ``Cube.side`` print."""
+        return f"cube center {tuple(self.centers[i].tolist())} side {float(self.sides[i])}"
+
     def why(self, i: int, level: int, order: int) -> str:
-        cube, bad = self.cubes[i], self.totals[i] <= 0.0
+        bad = self.totals[i] <= 0.0
         ax = int(bad.argmax()) if bad.any() else -1
         n = math.prod(int(x) for x in self.axis_nodes(np.array([i]), level, order)[0, level])
-        why = f"has axis {ax} interval ({cube.lo[ax]}, {cube.hi[ax]}) of vanishing Gauss measure"
+        ends = f"({float(self.lo[i, ax])}, {float(self.hi[i, ax])})"
+        why = f"has axis {ax} interval {ends} of vanishing Gauss measure"
         why = why if ax >= 0 else f"would need {n} tensor nodes (cap {MAX_TENSOR_NODES})"
-        return f"refinement level {level} {why} on cube center {cube.center} side {cube.side}"
+        return f"refinement level {level} {why} on {self.name(i)}"
 
     def gather(self, idx: np.ndarray) -> np.ndarray:
         """The current rows (r, 4) of the cubes ``idx``, in that order."""
@@ -610,7 +616,7 @@ def tensor_rule(
     The nodes run through the multi-indices in C order, axis 0 slowest; the
     array is column-major.
     """
-    table, idx = _Table([cube]), np.zeros(1, dtype=np.int64)
+    table, idx = _Table(*cube_arrays([cube])), np.zeros(1, dtype=np.int64)
     table.cut(idx, [breaks])
     sizes = table.sizes(idx, level, order)[:, level]
     if sizes[0] < 0:
@@ -741,12 +747,14 @@ def _batch_estimates(
 
 def _drive(
     f: ScalarField,
-    cubes: Sequence[Cube],
+    centers: np.ndarray,
+    sides: np.ndarray,
     phases: Sequence[_Phase],
     order: int,
     center: float | None = None,
 ) -> np.ndarray:
-    """Refine the phases of field f on every cube; the last phase's estimates, a row per cube.
+    """Refine the phases of field f on every cube (centers (m, d), sides (m,)); the last
+    phase's estimates, a row per cube.
 
     Each phase is centered at the estimate of the one before (or ``center``).
     A round advances each pending request one level; rules of at most
@@ -757,11 +765,11 @@ def _drive(
     bit for bit that of refining the cube alone.  A failure at cube i stops
     the cubes after it; once those before it are done it is raised.
     """
-    m = len(cubes)
+    m = len(sides)
     width = max(1 if p.sigmas is None else p.sigmas.size for p in phases)
     if not m:
         return np.zeros((0, width))
-    table = _Table(cubes)
+    table = _Table(centers, sides)
     top, tol, rel, expo = np.array([(p.top, p.tol, p.rel_tol, p.q or 0.0) for p in phases]).T
     relative = any(p.rel_tol for p in phases)
     # per cube: its request's phase and level, the node counts of the phase's
@@ -805,8 +813,7 @@ def _drive(
             i, p = int(idx[j]), phases[ph[j]]
             # weak norms accept relative to their value, so only the difference is named
             fail(i, QuadratureError(
-                f"{p.what} of field {f.id} on cube center {cubes[i].center} "
-                f"side {cubes[i].side} "
+                f"{p.what} of field {f.id} on {table.name(i)} "
                 f"did not converge by refinement level {lv[j] - 1} ({n[j]} tensor nodes): "
                 f"last diff {d[j]:.3e}" + ("" if p.rel_tol else f" > {p.tol:.3e}")
             ))
@@ -870,13 +877,15 @@ def _drive(
     return last
 
 
-def average_gammas(f: ScalarField, cubes: Sequence[Cube], spec: QuadratureSpec) -> list[float]:
-    """``average_gamma`` of f on every cube, all cubes refined together.
+def average_gammas(
+    f: ScalarField, centers: np.ndarray, sides: np.ndarray, spec: QuadratureSpec
+) -> list[float]:
+    """``average_gamma`` of f on every cube (centers (m, d), sides (m,)), refined together.
 
     Each value is bit for bit the one-cube ``average_gamma``; a failure is
     the one the cube-by-cube loop would raise first.
     """
-    return _drive(f, cubes, [_mean(spec)], spec.nodes_per_axis)[:, 0].tolist()
+    return _drive(f, centers, sides, [_mean(spec)], spec.nodes_per_axis)[:, 0].tolist()
 
 
 def average_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
@@ -888,7 +897,7 @@ def average_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
     one up to rounding), so a field that is identically 1 averages to
     exactly 1.0 and centered oscillations of constants vanish exactly.
     """
-    return average_gammas(f, [cube], spec)[0]
+    return average_gammas(f, *cube_arrays([cube]), spec)[0]
 
 
 #: The same function under the name of the paper's f_Q.
@@ -904,7 +913,8 @@ def power_average(
     solve its level sets those positions are panel breaks, so the kink
     never crosses a panel.  Panels are not graded toward it.
     """
-    return float(_drive(f, [cube], [_power(spec, r)], spec.nodes_per_axis, center)[0, 0])
+    power = [_power(spec, r)]
+    return float(_drive(f, *cube_arrays([cube]), power, spec.nodes_per_axis, center)[0, 0])
 
 
 def integral_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
@@ -913,9 +923,9 @@ def integral_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
 
 
 def oscillations(
-    f: ScalarField, cubes: Sequence[Cube], q: float, spec: QuadratureSpec
+    f: ScalarField, centers: np.ndarray, sides: np.ndarray, q: float, spec: QuadratureSpec
 ) -> list[float]:
-    """``oscillation`` of f on every cube, all cubes refined together.
+    """``oscillation`` of f on every cube (centers (m, d), sides (m,)), refined together.
 
     Each value is bit for bit the one-cube ``oscillation``; a failure is
     the one the cube-by-cube loop would raise first.
@@ -925,7 +935,7 @@ def oscillations(
     # |v|^q is a polynomial on either side of v = 0 for integer q; for any
     # other q the zero set is an endpoint singularity of each panel beside it
     power = _power(spec, q, graded=not float(q).is_integer())
-    means = _drive(f, cubes, [_mean(spec), power], spec.nodes_per_axis)[:, 0]
+    means = _drive(f, centers, sides, [_mean(spec), power], spec.nodes_per_axis)[:, 0]
     return [v ** (1.0 / q) for v in means.tolist()]
 
 
@@ -937,7 +947,7 @@ def oscillation(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> f
     panel breaks so the kink never crosses a panel, and for a fractional q
     the panels beside it are graded toward it.
     """
-    return oscillations(f, [cube], q, spec)[0]
+    return oscillations(f, *cube_arrays([cube]), q, spec)[0]
 
 
 def lq_norm(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> float:
@@ -957,7 +967,6 @@ class DistributionProfile:
     """Tail masses gamma({|g| > sigma}) over a sigma grid (one node set)."""
 
     field_id: str
-    cube: Cube
     sigmas: tuple[float, ...]
     tails: tuple[float, ...]
 
@@ -998,13 +1007,14 @@ def level_set_breaks(f: ScalarField, center: float | np.ndarray, sigmas: np.ndar
 
 def tail_profiles(
     f: ScalarField,
-    cubes: Sequence[Cube],
+    centers: np.ndarray,
+    sides: np.ndarray,
     sigmas: Sequence[float],
     spec: QuadratureSpec,
     *,
     center: float | None = None,
 ) -> list[DistributionProfile]:
-    """``tail_profile`` of f on every cube, all cubes refined together.
+    """``tail_profile`` of f on every cube (centers (m, d), sides (m,)), refined together.
 
     Each profile is bit for bit the one-cube ``tail_profile``; a failure is
     the one the cube-by-cube loop would raise first.
@@ -1016,12 +1026,9 @@ def tail_profiles(
         "tail profile", 2 * spec.refinement_levels, spec.abs_tol, sigmas=sig, level_sets=sig
     )
     phases = [tails] if center is not None else [_mean(spec), tails]
-    rows = _drive(f, cubes, phases, spec.nodes_per_axis, center)
+    rows = _drive(f, centers, sides, phases, spec.nodes_per_axis, center)
     sig_t = tuple(sig.tolist())
-    return [
-        DistributionProfile(field_id=f.id, cube=cube, sigmas=sig_t, tails=tuple(row.tolist()))
-        for cube, row in zip(cubes, rows)
-    ]
+    return [DistributionProfile(f.id, sig_t, tuple(row)) for row in rows.tolist()]
 
 
 def tail_profile(
@@ -1041,7 +1048,7 @@ def tail_profile(
     breaks, which makes one-dimensional profiles exact at the coarsest
     level.  Pass ``center=0.0`` for uncentered tails of |f|.
     """
-    return tail_profiles(f, [cube], sigmas, spec, center=center)[0]
+    return tail_profiles(f, *cube_arrays([cube]), sigmas, spec, center=center)[0]
 
 
 def tail_measure(
@@ -1093,7 +1100,7 @@ def weak_lp_norm(f: ScalarField, cube: Cube, p: float, spec: QuadratureSpec) -> 
     weak = _Phase(
         "weak norm", 2 * spec.refinement_levels, spec.abs_tol, p=p, rel_tol=WEAK_REL_TOL
     )
-    return float(_drive(f, [cube], [weak], spec.nodes_per_axis)[0, 0])
+    return float(_drive(f, *cube_arrays([cube]), [weak], spec.nodes_per_axis)[0, 0])
 
 
 def growth_tail_bound(a_coef: float, b_coef: float, radius: float, d: int) -> float:
@@ -1135,9 +1142,9 @@ def l1_gamma_norm(
     analytic bound on what the box misses, so the true norm lies in
     [estimate, estimate + tail_slack] up to quadrature tolerance.
     """
-    box = Cube((0.0,) * d, 2.0 * float(radius))
-    estimate = power_average(f, box, 1.0, spec) * gaussian_measure(box)
-    return estimate, l1_tail_bound(f, radius, d)
+    box = np.zeros((1, d)), np.array([2.0 * float(radius)])
+    mean = _drive(f, *box, [_power(spec, 1.0)], spec.nodes_per_axis, 0.0)[0, 0]
+    return float(mean) * float(gaussian_measures(*box)[1][0]), l1_tail_bound(f, radius, d)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,9 @@ class Cube:
             for ol, sl, oh, sh in zip(other.lo, self.lo, other.hi, self.hi)
         )
 
+    def to_obj(self) -> dict:
+        return {"center": list(self.center), "side": self.side}
+
     def dyadic_children(self) -> tuple["Cube", ...]:
         """The 2^d half-side cubes tiling this cube (up to a null set)."""
         centers = self.center_array() + child_offsets(self.dim, self.side)
@@ -172,10 +175,15 @@ class Ball:
 
 
 def cube_arrays(cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray]:
-    """Centers (n, d) and sides (n,) of the cubes; ``centers -+ sides/2``
-    are their ``lo`` and ``hi`` corners bit for bit."""
+    """Centers (n, d) and sides (n,) of the cubes, the format of every cube collection."""
     centers = np.array([q.center for q in cubes], dtype=np.float64)
     return centers, np.array([q.side for q in cubes], dtype=np.float64)
+
+
+def cube_corners(centers: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corners lo and hi (n, d) of the cubes, rows bit for bit ``Cube.lo`` and ``Cube.hi``."""
+    half = (0.5 * sides)[:, None]
+    return centers - half, centers + half
 
 
 def m_weight(x: Sequence[float]) -> float:
@@ -219,6 +227,17 @@ def gaussian_measure(cube: Cube) -> float:
     return out
 
 
+def gaussian_measures(centers: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis factors (n, d) and gamma (n,) of the cubes, each gamma bit for bit
+    ``gaussian_measure`` of its row: the factors are multiplied from axis 0 on."""
+    factors = [
+        [kernels.gauss1d(c - 0.5 * s, c + 0.5 * s) for c in row]
+        for row, s in zip(centers.tolist(), sides.tolist())
+    ]
+    gamma = np.array([math.prod(row) for row in factors])
+    return np.array(factors).reshape(centers.shape), gamma
+
+
 def cubes_disjoint(q1: Cube, q2: Cube) -> bool:
     """Whether two open cubes are disjoint (shared faces count as disjoint).
 
@@ -236,6 +255,23 @@ def cubes_disjoint(q1: Cube, q2: Cube) -> bool:
         if h1 <= l2 + tol or h2 <= l1 + tol:
             return True
     return False
+
+
+def overlapping_pairs(centers: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, j), j < i, of the cubes that ``cubes_disjoint`` finds overlapping.
+
+    Returns the two index arrays, sorted by i and then by j, so the first
+    pair is the first overlap a loop over i and then j < i meets.  Only the
+    pairs ``kernels.earlier_neighbours`` files together are tested, at once.
+    """
+    lo, hi = cube_corners(centers, sides)
+    neighbours = kernels.earlier_neighbours(lo, hi)
+    later = np.repeat(np.arange(len(sides)), [j.size for j in neighbours])
+    earlier = np.concatenate([later[:0], *neighbours])
+    tol = (BOUNDARY_REL_TOL * np.minimum(sides[later], sides[earlier]))[:, None]
+    apart = (hi[later] <= lo[earlier] + tol) | (hi[earlier] <= lo[later] + tol)
+    overlap = ~apart.any(axis=1)
+    return later[overlap], earlier[overlap]
 
 
 def comparability_ratio(inner: Cube, outer: Cube, b: float) -> float:

@@ -55,7 +55,14 @@ from .fields import (
     step_distribution,
     truncate,
 )
-from .geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
+from .geometry import (
+    Cube,
+    cube_arrays,
+    gaussian_measure,
+    gaussian_measures,
+    is_admissible,
+    overlapping_pairs,
+)
 from .jnp import jnp_sum
 
 
@@ -109,10 +116,7 @@ class Atom:
         return average_gamma(self.field, self.cube, spec)
 
     def to_obj(self, spec: QuadratureSpec) -> dict:
-        obj: dict = {
-            "cube": {"center": list(self.cube.center), "side": self.cube.side},
-            "q": self.q,
-        }
+        obj: dict = {"cube": self.cube.to_obj(), "q": self.q}
         if isinstance(self.base, StepField):
             lo, hi = self.cube.lo[self.base.axis], self.cube.hi[self.base.axis]
             values, _masses = step_distribution(self.base, self.cube)
@@ -183,13 +187,13 @@ class Polymer:
     def __post_init__(self) -> None:
         if not 1.0 < self.p < self.q:
             raise ValueError("polymer exponents must satisfy 1 < p < q")
-        cubes = [a.cube for a in self.atoms]
-        for i in range(len(cubes)):
-            if self.atoms[i].q != self.q:
-                raise ValueError("atom exponent differs from polymer exponent")
-            for j in range(i):
-                if not cubes_disjoint(cubes[i], cubes[j]):
-                    raise ValueError(f"atom cubes {j} and {i} overlap")
+        # the first fault of a loop over atom i: its exponent, then overlaps with j < i
+        later, earlier = overlapping_pairs(*cube_arrays([a.cube for a in self.atoms]))
+        stop = int(later[0]) if later.size else len(self.atoms) - 1
+        if any(a.q != self.q for a in self.atoms[: stop + 1]):
+            raise ValueError("atom exponent differs from polymer exponent")
+        if later.size:
+            raise ValueError(f"atom cubes {earlier[0]} and {later[0]} overlap")
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         out = np.zeros(np.atleast_2d(pts).shape[0])
@@ -516,9 +520,7 @@ class SubdivisionResult:
             "max_depth": self.max_depth,
             "atom_count": len(self.atoms),
             "atom_count_bound": self.atom_count_bound,
-            "cubes": [
-                {"center": list(a.cube.center), "side": a.cube.side} for a in self.atoms
-            ],
+            "cubes": [a.cube.to_obj() for a in self.atoms],
         }
 
 
@@ -564,9 +566,9 @@ def subdivide_atom(
         breaks = merge_breaks(v.breaks, {ax: (float(t1[ax]), float(t2[ax])) for ax in range(d)})
         third = cube.side / 3.0
         centers = cube.center_array() + third * (np.array(list(np.ndindex(*(3,) * d))) - 1.0)
-        cells = [Cube(tuple(c), third) for c in centers.tolist()]
-        means = average_gammas(v, cells, spec)
-        integrals = [mean * gaussian_measure(cell) for mean, cell in zip(means, cells)]
+        sides = np.full(len(centers), third)
+        means = average_gammas(v, centers, sides, spec)
+        integrals = [m * g for m, g in zip(means, gaussian_measures(centers, sides)[1].tolist())]
         corners = [tuple(int(b) for b in bits) for bits in np.ndindex(*(2,) * d)]
         psis = [_partition_weight(cube, bits) for bits in corners]
         lambdas = [
@@ -737,7 +739,7 @@ class HolderCheck:
         return {
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "cube": {"center": list(self.cube.center), "side": self.cube.side},
+            "cube": self.cube.to_obj(),
             "ok": self.ok,
         }
 

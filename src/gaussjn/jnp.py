@@ -17,17 +17,21 @@ forest (a selected node excludes its descendants and ancestors), plus a
 greedy-with-swaps heuristic for unstructured cube pools.  The BMO
 comparison uses the same cube pool: the single-cube supremum dominates
 every family sum, so the two estimates are directly comparable.
+
+Forests and families are arrays (centers (m, d), sides (m,)); the only
+``Cube`` objects built are those a report names (an estimate's family, the
+BMO ``argmax_cube``, a tail fit's cube).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .covering import Covering
 from .fields import (
     DistributionProfile,
@@ -38,14 +42,14 @@ from .fields import (
     tail_profiles,
 )
 from .geometry import (
-    BOUNDARY_REL_TOL,
     Cube,
     admissible_mask,
     child_offsets,
     cube_arrays,
     cubes_disjoint,
-    gaussian_measure,
+    gaussian_measures,
     is_admissible,
+    overlapping_pairs,
 )
 
 
@@ -54,14 +58,24 @@ from .geometry import (
 # ---------------------------------------------------------------------------
 
 
-def validate_family(cubes: Sequence[Cube], a: float) -> None:
-    """Raise unless the cubes are pairwise disjoint and admissible at scale a."""
-    for i, q in enumerate(cubes):
-        if not is_admissible(q, a):
-            raise ValueError(f"cube {i} (center {q.center}, side {q.side}) is not admissible")
-        for j in range(i):
-            if not cubes_disjoint(q, cubes[j]):
-                raise ValueError(f"cubes {j} and {i} overlap")
+def _cubes(centers: np.ndarray, sides: np.ndarray) -> tuple[Cube, ...]:
+    return tuple(map(Cube, centers.tolist(), sides.tolist()))
+
+
+def validate_family(centers: np.ndarray, sides: np.ndarray, a: float) -> None:
+    """Raise unless the cubes (centers (n, d), sides (n,)) are pairwise disjoint and
+    admissible at scale a, naming the first fault of a loop over cube i that
+    checks its admissibility and then its overlaps with the cubes j < i."""
+    if not len(sides):
+        return
+    bad = np.flatnonzero(~admissible_mask(centers, sides, a))
+    later, earlier = overlapping_pairs(centers, sides)
+    if bad.size and not (later.size and later[0] < bad[0]):
+        i = int(bad[0])
+        where = f"center {tuple(centers[i].tolist())}, side {float(sides[i])}"
+        raise ValueError(f"cube {i} ({where}) is not admissible")
+    if later.size:
+        raise ValueError(f"cubes {earlier[0]} and {later[0]} overlap")
 
 
 def _check_exponents(p: float, q: float) -> None:
@@ -87,11 +101,10 @@ def jnp_sum(
     K_p functional of f.
     """
     _check_exponents(p, q)
+    centers, sides = cube_arrays(cubes)
     if a is not None:
-        validate_family(cubes, a)
-    oscs = oscillations(f, cubes, q, spec)
-    total = math.fsum(gaussian_measure(c) * osc**p for c, osc in zip(cubes, oscs))
-    return total ** (1.0 / p)
+        validate_family(centers, sides, a)
+    return math.fsum(_weights(*node_stats(f, centers, sides, q, spec), p)) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +128,6 @@ class CandidateSet:
     sides: np.ndarray
     parent: np.ndarray
     a: float
-    _cubes: tuple[Cube, ...] | None = field(default=None, init=False, repr=False)
 
     @property
     def roots(self) -> np.ndarray:
@@ -124,16 +136,10 @@ class CandidateSet:
     def node_count(self) -> int:
         return len(self.sides)
 
-    def cubes(self) -> tuple[Cube, ...]:
-        """The nodes as validated cubes, in preorder, built on first use."""
-        if self._cubes is None:
-            cubes = tuple(map(Cube, self.centers.tolist(), self.sides.tolist()))
-            object.__setattr__(self, "_cubes", cubes)
-        return self._cubes
 
-
-def grow_forest(roots: Sequence[Cube], depth: int, a: float) -> CandidateSet:
-    """Dyadic trees ``depth`` levels deep under ``roots``, admissible at scale ``a``.
+def grow_forest(centers: np.ndarray, sides: np.ndarray, depth: int, a: float) -> CandidateSet:
+    """Dyadic trees ``depth`` levels deep under the root cubes (centers (m, d), sides (m,)),
+    admissible at scale ``a``.
 
     A cube that is not admissible is dropped together with its subtree.  The
     forest grows one level at a time on arrays: the 2^d children of every
@@ -141,10 +147,9 @@ def grow_forest(roots: Sequence[Cube], depth: int, a: float) -> CandidateSet:
     keeps the admissible ones.  The levels are then laid out in preorder,
     so the result is that of growing each root depth-first.
     """
-    if not roots:
+    if not len(sides):
         return CandidateSet(np.empty((0, 0)), np.empty(0), np.empty(0, dtype=np.intp), a)
-    d = roots[0].dim
-    centers, sides = cube_arrays(roots)
+    d = centers.shape[1]
     keep = admissible_mask(centers, sides, a)
     # the kept cubes of each level, and for levels >= 1 the index of each one's parent
     levels = [(centers[keep], sides[keep])]
@@ -189,23 +194,12 @@ def make_candidates(covering: Covering, depth: int) -> CandidateSet:
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    a = covering.admissibility
-    cubes = [cube for _layer, cube in covering.all_cubes()]
-    centers, sides = cube_arrays(cubes)
-    half = (0.5 * sides)[:, None]
-    lo, hi = centers - half, centers + half
-    # only cubes filed in a grid cell with this one can overlap it; cubes_disjoint's
-    # test runs on all those pairs (i, j < i) at once, first fit on the overlapping ones
-    neighbours = kernels.earlier_neighbours(lo, hi)
-    later = np.repeat(np.arange(len(cubes)), [j.size for j in neighbours])
-    earlier = np.concatenate([later[:0], *neighbours])
-    tol = (BOUNDARY_REL_TOL * np.minimum(sides[later], sides[earlier]))[:, None]
-    overlap = ~((hi[later] <= lo[earlier] + tol) | (hi[earlier] <= lo[later] + tol)).any(axis=1)
+    _layer, centers, sides = covering.arrays()
     # pairs come sorted by i, so is_kept[j] is final when pair (i, j) is read
-    is_kept = [True] * len(cubes)
-    for i, j in zip(later[overlap].tolist(), earlier[overlap].tolist()):
+    is_kept = [True] * len(sides)
+    for i, j in zip(*(ix.tolist() for ix in overlapping_pairs(centers, sides))):
         is_kept[i] = is_kept[i] and not is_kept[j]
-    return grow_forest([q for q, k in zip(cubes, is_kept) if k], depth, a)
+    return grow_forest(centers[is_kept], sides[is_kept], depth, covering.admissibility)
 
 
 # ---------------------------------------------------------------------------
@@ -279,47 +273,25 @@ class JnpEstimate:
             "method": self.method,
             "candidates": self.candidates,
             "family": [
-                {"center": list(c.center), "side": c.side, "weight": w}
-                for c, w in zip(self.family, self.contributions)
+                dict(c.to_obj(), weight=w) for c, w in zip(self.family, self.contributions)
             ],
         }
 
 
-class OscCache:
-    """Memoizes gamma(Q) and osc_q(f, Q) per cube across optimizer passes."""
+def node_stats(
+    f: ScalarField, centers: np.ndarray, sides: np.ndarray, q: float, spec: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """gamma(Q) and osc_q(f, Q) of every cube (a forest's nodes), from one ``oscillations`` call.
 
-    def __init__(self, f: ScalarField, q: float, spec: QuadratureSpec) -> None:
-        self.f = f
-        self.q = q
-        self.spec = spec
-        self._data: dict[tuple, tuple[float, float]] = {}
+    ``maximize_jnp``, ``bmo_norm_estimate`` and ``p_limit_scan`` take a
+    forest's as ``stats``, so passes over it with one (f, q, spec) share them.
+    """
+    gamma = gaussian_measures(centers, sides)[1]
+    return gamma, np.array(oscillations(f, centers, sides, q, spec))
 
-    def fill(self, cubes: Iterable[Cube]) -> None:
-        """Compute every missing oscillation in one batched pass.
 
-        The cubes are refined together; a failure is the one that calling
-        ``stats`` on them in the given order would raise first.
-        """
-        missing: dict[tuple, Cube] = {}
-        for cube in cubes:
-            key = (cube.center, cube.side)
-            if key not in self._data:
-                missing.setdefault(key, cube)
-        oscs = oscillations(self.f, list(missing.values()), self.q, self.spec)
-        for (key, cube), osc in zip(missing.items(), oscs):
-            self._data[key] = (gaussian_measure(cube), osc)
-
-    def stats(self, cube: Cube) -> tuple[float, float]:
-        key = (cube.center, cube.side)
-        hit = self._data.get(key)
-        if hit is None:
-            self.fill([cube])
-            hit = self._data[key]
-        return hit
-
-    def weight(self, cube: Cube, p: float) -> float:
-        gamma, osc = self.stats(cube)
-        return gamma * osc**p
+def _weights(gamma: np.ndarray, osc: np.ndarray, p: float) -> list[float]:
+    return [g * o**p for g, o in zip(gamma.tolist(), osc.tolist())]
 
 
 def maximize_jnp(
@@ -329,22 +301,23 @@ def maximize_jnp(
     q: float,
     spec: QuadratureSpec,
     *,
-    cache: OscCache | None = None,
+    stats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> JnpEstimate:
-    """Best oscillation sum over all antichains of the candidate forest."""
+    """Best oscillation sum over all antichains of the candidate forest.
+
+    ``stats`` are the forest's ``node_stats`` for (f, q, spec), computed here when not given.
+    """
     _check_exponents(p, q)
-    cache = cache or OscCache(f, q, spec)
-    cubes = candidates.cubes()
-    cache.fill(cubes)
-    weights = [cache.weight(c, p) for c in cubes]
+    stats = stats or node_stats(f, candidates.centers, candidates.sides, q, spec)
+    weights = _weights(*stats, p)
     total, picks = max_weight_antichain(candidates.parent, weights)
-    family = tuple(cubes[i] for i in picks)
-    validate_family(family, candidates.a)
+    centers, sides = candidates.centers[list(picks)], candidates.sides[list(picks)]
+    validate_family(centers, sides, candidates.a)
     return JnpEstimate(
         value=total ** (1.0 / p),
         p=p,
         q=q,
-        family=family,
+        family=_cubes(centers, sides),
         contributions=tuple(weights[i] for i in picks),
         method="antichain-dp",
         candidates=candidates.node_count(),
@@ -374,9 +347,9 @@ def maximize_jnp_pool(
     for cube in cubes:
         if not is_admissible(cube, a):
             raise ValueError(f"pool cube (center {cube.center}) is not admissible")
-    cache = OscCache(f, q, spec)
-    cache.fill(cubes)
-    order = sorted(range(len(cubes)), key=lambda i: -cache.weight(cubes[i], p))
+    centers, sides = cube_arrays(cubes)
+    weight = _weights(*node_stats(f, centers, sides, q, spec), p)
+    order = sorted(range(len(cubes)), key=lambda i: -weight[i])
     chosen: list[int] = []
     for i in order:
         if all(cubes_disjoint(cubes[i], cubes[j]) for j in chosen):
@@ -387,23 +360,21 @@ def maximize_jnp_pool(
             if i in chosen:
                 continue
             conflicts = [j for j in chosen if not cubes_disjoint(cubes[i], cubes[j])]
-            gain = cache.weight(cubes[i], p) - math.fsum(
-                cache.weight(cubes[j], p) for j in conflicts
-            )
+            gain = weight[i] - math.fsum(weight[j] for j in conflicts)
             if gain > 0.0:
                 chosen = [j for j in chosen if j not in conflicts]
                 chosen.append(i)
                 improved = True
         if not improved:
             break
-    family = tuple(cubes[i] for i in sorted(chosen))
-    validate_family(family, a)
-    weights = tuple(cache.weight(c, p) for c in family)
+    chosen.sort()
+    validate_family(centers[chosen], sides[chosen], a)
+    weights = tuple(weight[i] for i in chosen)
     return JnpEstimate(
         value=math.fsum(weights) ** (1.0 / p),
         p=p,
         q=q,
-        family=family,
+        family=tuple(cubes[i] for i in chosen),
         contributions=weights,
         method="greedy-swap",
         candidates=len(cubes),
@@ -432,7 +403,7 @@ class BmoEstimate:
             "l1_term": self.l1_term,
             "l1_tail_slack": self.l1_tail_slack,
             "sup_term": self.sup_term,
-            "argmax_cube": {"center": list(self.argmax_cube.center), "side": self.argmax_cube.side},
+            "argmax_cube": self.argmax_cube.to_obj(),
             "pool_size": self.pool_size,
         }
 
@@ -445,32 +416,30 @@ def bmo_norm_estimate(
     spec: QuadratureSpec,
     *,
     q: float = 1.0,
-    cache: OscCache | None = None,
+    stats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BmoEstimate:
     """Lower estimate of the BMO-type norm ||f||_L1 + sup_Q osc_q(f, Q).
 
     The supremum runs over the candidate pool (a lower bound for the true
     supremum over all admissible cubes); the L^1 term integrates over the
-    box (-R, R)^d and logs the analytic tail bound as slack.  A ``cache``
-    for the same (f, q, spec) shares the oscillations with ``maximize_jnp``.
+    box (-R, R)^d and logs the analytic tail bound as slack.  ``stats``, the
+    forest's ``node_stats`` for (f, q, spec), can be shared with ``maximize_jnp``.
     """
-    cache = cache or OscCache(f, q, spec)
     l1_est, slack = l1_gamma_norm(f, d, radius, spec)
-    cubes = candidates.cubes()
-    cache.fill(cubes)
-    if not cubes:
+    stats = stats or node_stats(f, candidates.centers, candidates.sides, q, spec)
+    oscs = stats[1].tolist()
+    if not oscs:
         raise ValueError("candidate set is empty")
-    oscs = [cache.stats(c)[1] for c in cubes]
     best = max(oscs)
     # mirror cubes tie up to the last bits of the quadrature: the pick is the
     # first cube in pool order that no cube beats by more than TIE_MARGIN
-    best_cube = next(c for c, osc in zip(cubes, oscs) if osc * (1.0 + TIE_MARGIN) >= best)
+    k = next(i for i, osc in enumerate(oscs) if osc * (1.0 + TIE_MARGIN) >= best)
     return BmoEstimate(
         value=l1_est + best,
         l1_term=l1_est,
         l1_tail_slack=slack,
         sup_term=best,
-        argmax_cube=best_cube,
+        argmax_cube=Cube(tuple(candidates.centers[k].tolist()), float(candidates.sides[k])),
         pool_size=candidates.node_count(),
     )
 
@@ -484,16 +453,20 @@ def p_limit_scan(
 ) -> list[tuple[float, JnpEstimate]]:
     """Optimized oscillation sums along an increasing grid of exponents p.
 
-    Oscillations are cached once (they depend on q only), so the scan costs
-    one quadrature pass plus a cheap DP per exponent.  Because every family
+    The forest's ``node_stats`` are computed once (they depend on q only), so
+    the scan costs one quadrature pass plus a cheap DP per exponent.  Because every family
     has total Gauss mass at most 1, the optimal value is nondecreasing in p
     and approaches the single-cube supremum as p grows.
     """
     ps_sorted = sorted(float(p) for p in ps)
     if ps_sorted != [float(p) for p in ps]:
         raise ValueError("exponent grid must be sorted increasing")
-    cache = OscCache(f, q, spec)
-    return [(p, maximize_jnp(f, candidates, p, q, spec, cache=cache)) for p in ps_sorted]
+    if not ps_sorted:
+        return []
+    # the smallest p, checked before any quadrature as its maximize_jnp would
+    _check_exponents(ps_sorted[0], q)
+    stats = node_stats(f, candidates.centers, candidates.sides, q, spec)
+    return [(p, maximize_jnp(f, candidates, p, q, spec, stats=stats)) for p in ps_sorted]
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +502,7 @@ class TailFitReport:
     def to_obj(self) -> dict:
         return {
             "field_id": self.field_id,
-            "cube": {"center": list(self.cube.center), "side": self.cube.side},
+            "cube": self.cube.to_obj(),
             "p": self.p,
             "khat": self.khat,
             "sigmas": list(self.sigmas),
@@ -556,59 +529,41 @@ def jn_tail_fit(
     noise-dominated extreme tail.  ``khat`` is a caller-supplied oscillation
     functional estimate used only to normalize c_estimate.
     """
-    return tail_fit_sweep(f, [cube], p, spec, sigmas, khat)[0]
+    return tail_fit_sweep(f, *cube_arrays([cube]), p, spec, sigmas, khat)[0]
 
 
-def _tail_fit(profile: DistributionProfile, p: float, khat: float) -> TailFitReport:
-    gq = gaussian_measure(profile.cube)
+def _tail_fit(
+    profile: DistributionProfile, cube: Cube, gq: float, p: float, khat: float
+) -> TailFitReport:
     sig = np.asarray(profile.sigmas)
     tails = np.asarray(profile.tails)
-    mask = (tails > TAIL_FLOOR) & (tails < 0.5 * gq)
-    idx = np.nonzero(mask)[0]
+    idx = np.flatnonzero((tails > TAIL_FLOOR) & (tails < 0.5 * gq))
+    report = partial(TailFitReport, profile.field_id, cube, p, khat, profile.sigmas, profile.tails)
     if idx.size < 2:
-        return TailFitReport(
-            field_id=profile.field_id,
-            cube=profile.cube,
-            p=p,
-            khat=khat,
-            sigmas=profile.sigmas,
-            tails=profile.tails,
-            window=(0, 0),
-            slope=None,
-            c_estimate=None,
-            degenerate=True,
-        )
+        return report(window=(0, 0), slope=None, c_estimate=None, degenerate=True)
     lo, hi = int(idx[0]), int(idx[-1]) + 1
     xs = np.log(sig[lo:hi])
     ys = np.log(tails[lo:hi])
     slope = float(np.polyfit(xs, ys, 1)[0])
     c_est = float(np.max(sig[lo:hi] ** p * tails[lo:hi]) / khat**p)
-    return TailFitReport(
-        field_id=profile.field_id,
-        cube=profile.cube,
-        p=p,
-        khat=khat,
-        sigmas=profile.sigmas,
-        tails=profile.tails,
-        window=(lo, hi),
-        slope=slope,
-        c_estimate=c_est,
-        degenerate=False,
-    )
+    return report(window=(lo, hi), slope=slope, c_estimate=c_est, degenerate=False)
 
 
 def tail_fit_sweep(
     f: ScalarField,
-    cubes: Sequence[Cube],
+    centers: np.ndarray,
+    sides: np.ndarray,
     p: float,
     spec: QuadratureSpec,
     sigmas: Sequence[float],
     khat: float,
 ) -> list[TailFitReport]:
-    """Tail fits across a family of cubes, their profiles refined together;
-    degenerate cubes are kept in the report (flagged) so sweeps never hide
-    them."""
+    """Tail fits across the cubes (centers (m, d), sides (m,)), their profiles
+    refined together; degenerate cubes are kept in the report (flagged) so
+    sweeps never hide them."""
     if not khat > 0.0:
         raise ValueError("khat must be positive")
-    profiles = tail_profiles(f, cubes, sigmas, spec)
-    return [_tail_fit(profile, p, khat) for profile in profiles]
+    profiles = tail_profiles(f, centers, sides, sigmas, spec)
+    gamma = gaussian_measures(centers, sides)[1].tolist()
+    cubes = _cubes(centers, sides)
+    return [_tail_fit(*args, p, khat) for args in zip(profiles, cubes, gamma)]

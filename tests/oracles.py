@@ -377,6 +377,38 @@ def grow_recursive(cube, up: int, budget: int, a: float, out: list) -> None:
             grow_recursive(child, here, budget - 1, a, out)
 
 
+def as_cubes(centers: np.ndarray, sides: np.ndarray) -> list:
+    """The rows of a cube collection (centers (n, d), sides (n,)) as cubes."""
+    return [Cube(tuple(c), s) for c, s in zip(centers.tolist(), sides.tolist())]
+
+
+def covering_cubes(covering) -> list:
+    """(layer index, cube) of every covering cube, layer by layer."""
+    layer, centers, sides = covering.arrays()
+    return list(zip(layer.tolist(), as_cubes(centers, sides)))
+
+
+def build_layer_loop(k: int, d: int, seq) -> list:
+    """The cubes of ``covering.build_layer`` built one at a time: slab axis
+    0..d-1, the positive slab first, transverse midpoints in ``np.ndindex`` order."""
+    from gaussjn.covering import divide_interval
+
+    a_k, a_next = seq.a(k), seq.a(k + 1)
+    delta = 1.0 / a_k
+    transverse = divide_interval(-a_next, a_next, delta) if d > 1 else []
+    cubes = []
+    for axis in range(d):
+        for r_lo, r_hi in ((a_k, a_next), (-a_next, -a_k)):
+            for combo in np.ndindex(*(len(transverse),) * (d - 1)):
+                center = [0.0] * d
+                center[axis] = 0.5 * (r_lo + r_hi)
+                others = [ax for ax in range(d) if ax != axis]
+                for ax, idx in zip(others, combo):
+                    center[ax] = 0.5 * (transverse[idx][0] + transverse[idx][1])
+                cubes.append(Cube(tuple(center), delta))
+    return cubes
+
+
 def grow_forest_recursive(roots, depth: int, a: float) -> list:
     """(parent index, cube) of every node of the forest, in preorder (-1 for a root)."""
     out = []
@@ -387,7 +419,7 @@ def grow_forest_recursive(roots, depth: int, a: float) -> list:
 
 def make_candidates_recursive(covering, depth: int) -> list:
     """Roots of ``make_candidates`` by the O(m^2) first fit, each grown depth-first."""
-    roots = first_fit_disjoint_brute([q for _, q in covering.all_cubes()])
+    roots = first_fit_disjoint_brute([q for _, q in covering_cubes(covering)])
     return grow_forest_recursive(roots, depth, covering.admissibility)
 
 
@@ -397,7 +429,7 @@ def coverage_report_loop(covering, n_points: int, seed: int) -> dict:
 
     d = covering.d
     a_par = covering.admissibility
-    pairs = covering.all_cubes()
+    pairs = covering_cubes(covering)
     pts = low_discrepancy_points(covering, n_points, seed)
     counts = np.zeros(len(pts), dtype=np.int64)
     for _, q in pairs:

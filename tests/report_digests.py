@@ -9,11 +9,12 @@ for each of the three workloads, then each of the eight subcommands at the
 d=1 default config and ``subdivide`` at the d=2 and d=3 default configs
 (``{"dimension": d}``), in-process through ``gaussjn.cli.main``.  A
 ``make_candidates`` op calls the library, as the benchmark does, and prints
-its node and root counts instead of report files.  Each op prints one line
+its node and root counts and a sha256 of the forest's ``centers``,
+``sides`` and ``parent`` bytes instead of report files.  Each op prints one line
 with its exit code and first error line, then one line per report file with
-the file's sha256.  Two trees therefore write byte-identical reports, with
-the same exit codes and error lines, exactly when ``diff`` of their outputs
-is empty.
+the file's sha256.  Two trees therefore write byte-identical reports and
+bit-identical forests, with the same exit codes and error lines, exactly
+when ``diff`` of their outputs is empty.
 
 The script reads ``perfbench/`` and writes nothing there (no bytecode
 either).  Reports go to a temporary directory that is removed at the end;
@@ -33,6 +34,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True
@@ -73,7 +76,13 @@ def _op_lines(op: dict, op_dir: Path) -> list[str]:
     if op["call"] == "make_candidates":
         cov = covering.build_covering(cfg["depth"], cfg["dimension"])
         cands = jnp.make_candidates(cov, cfg["candidate_depth"])
-        return [f"  candidates {cands.node_count()} roots {len(cands.roots)}"]
+        forest = hashlib.sha256()
+        for a in (cands.centers, cands.sides, cands.parent.astype(np.int64)):
+            forest.update(np.ascontiguousarray(a).tobytes())
+        return [
+            f"  candidates {cands.node_count()} roots {len(cands.roots)}",
+            f"  forest {forest.hexdigest()}",
+        ]
     report = op_dir / "report"
     cfg_path = op_dir / "config.json"
     cfg_path.write_text(json.dumps(dict(cfg, out_dir=str(report))))

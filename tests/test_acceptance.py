@@ -104,7 +104,7 @@ def test_criterion_02_covering_validity():
         assert report["n_points"] == 100_000
         assert report["covered_fraction"] == 1.0
         for layer in cov.layers:
-            for cube in layer.cubes:
+            for cube in oracles.as_cubes(layer.centers, layer.sides):
                 assert is_admissible(cube, a)
                 if layer.index >= 2:
                     m = m_weight(cube.center)
@@ -112,7 +112,7 @@ def test_criterion_02_covering_validity():
         # normalized cardinalities #L_k / k^(d-1): the running sup must not
         # increase over the last three layers (boundedness witnessed)
         ratios = [
-            len(layer.cubes) / float(layer.index ** (d - 1))
+            len(layer) / float(layer.index ** (d - 1))
             for layer in cov.layers
             if layer.index >= 1
         ]
@@ -267,7 +267,7 @@ def test_criterion_07_tail_constant_stability():
     corpus = corpus_by_id(1)
     cov = build_covering(4, 1)
     cands = make_candidates(cov, 4)
-    cubes = [q for _, q in cov.all_cubes()]
+    cubes = [q for _, q in oracles.covering_cubes(cov)]
     sigmas = tuple(float(v) for v in np.geomspace(0.05, 4.0, 25))
     sig_arr = np.asarray(sigmas)
     p, q = 2.0, 1.5

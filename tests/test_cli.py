@@ -100,6 +100,16 @@ def test_malformed_json_is_rejected(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [[], ["nope"], ["jnp", "--verbosity", "7"], ["jnp", "--seed", "x"], ["jnp", "--zeta"]]
+)
+def test_argument_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_rejected(tmp_path, capsys):
     code = cli_main(["covering", "--config", str(tmp_path / "absent.json")])
     assert code == 2

@@ -148,7 +148,7 @@ def test_build_covering_structure(d):
     a_out = cov.seq.a(4)
     assert cov.outer_cube().side == pytest.approx(2.0 * a_out, rel=1e-15)
     a_par = cov.admissibility
-    for k, q in cov.all_cubes():
+    for k, q in oracles.covering_cubes(cov):
         assert q.dim == d
         assert is_admissible(q, a_par), (k, q)
         if k >= 2:
@@ -156,19 +156,32 @@ def test_build_covering_structure(d):
             assert m <= q.side <= a_par * m * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("d, depth", [(1, 8), (2, 12), (3, 4)])
+def test_layers_match_the_per_cube_loop_bitwise(d, depth):
+    # centers and sides bit for bit, the sign of zero included, in the loop's order
+    cov = build_covering(depth, d)
+    for layer in cov.layers[1:]:
+        want = oracles.build_layer_loop(layer.index, d, cov.seq)
+        got = np.concatenate([layer.centers, layer.sides[:, None]], axis=1)
+        ref = np.array([(*q.center, q.side) for q in want])
+        assert got.tobytes() == ref.tobytes(), layer.index
+    central = cov.layers[0]
+    assert central.centers.tobytes() == np.zeros((1, d)).tobytes()
+
+
 def test_build_covering_d1_first_shell_count():
     # depth 1 in one dimension: the central cube plus one shell of two cubes
     cov = build_covering(1, 1)
-    assert len(cov.layers[0].cubes) == 1
-    assert len(cov.layers[1].cubes) == 2
+    assert len(cov.layers[0]) == 1
+    assert len(cov.layers[1]) == 2
     assert cov.cube_count() == 3
 
 
 def test_covering_layer_one_is_central_cube():
     cov = build_covering(2, 2)
-    (central,) = cov.layers[0].cubes
-    assert central.center == (0.0, 0.0)
-    assert central.side == pytest.approx(2.0, rel=1e-15)
+    central = cov.layers[0]
+    assert central.centers.tolist() == [[0.0, 0.0]]
+    assert central.sides.tolist() == [2.0]
 
 
 def test_low_discrepancy_points_fill_outer_cube():
@@ -209,7 +222,9 @@ def test_coverage_report_flags_a_padded_last_layer():
     cov = build_covering(6, 2)
     last = cov.layers[-1]
     padded = dataclasses.replace(
-        cov, layers=cov.layers[:-1] + (Layer(last.index, last.cubes + last.cubes),)
+        cov,
+        layers=cov.layers[:-1]
+        + (Layer(last.index, np.tile(last.centers, (2, 1)), np.tile(last.sides, 2)),),
     )
     rep = coverage_report(padded, n_points=4000, seed=0)
     assert not rep["cardinality_sup_plateau"], rep["cardinality_ratios"]
@@ -228,14 +243,15 @@ def test_coverage_report_matches_per_cube_oracle(d, depths):
 
 def _tamper(cov, layer, pos, cube):
     layers = list(cov.layers)
-    cubes = layers[layer].cubes
-    layers[layer] = Layer(layer, cubes[:pos] + (cube,) + cubes[pos + 1 :])
+    centers, sides = layers[layer].centers.copy(), layers[layer].sides.copy()
+    centers[pos], sides[pos] = cube.center, cube.side
+    layers[layer] = Layer(layer, centers, sides)
     return dataclasses.replace(cov, layers=tuple(layers))
 
 
 def test_coverage_report_flags_a_tampered_covering_like_oracle():
     cov = build_covering(4, 2)
-    one, two, three = (cov.layers[k].cubes for k in (1, 2, 3))
+    one, two, three = (oracles.as_cubes(layer.centers, layer.sides) for layer in cov.layers[1:4])
     # each tampering trips exactly one check: a layer-1 side above a * m(c)
     # (layer 1 is outside the shell-side check), a layer-2 side below m(c),
     # and a layer-3 center moved 10x out with its side rescaled into the

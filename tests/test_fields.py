@@ -43,7 +43,7 @@ from gaussjn.fields import (
     truncate,
     weak_lp_norm,
 )
-from gaussjn.geometry import Cube, gaussian_measure
+from gaussjn.geometry import Cube, cube_arrays, gaussian_measure
 from gaussjn.jnp import make_candidates
 
 P1 = Cube((0.0,), 2.0)
@@ -590,10 +590,14 @@ BATCH_SPECS = {
 def forest_cubes():
     """Every fourth cube of the benchmark's d=1 forest, a small d=2 forest, a few d=3 cubes."""
     return {
-        1: make_candidates(build_covering(8, 1), 3).cubes()[::4],
-        2: make_candidates(build_covering(1, 2), 1).cubes(),
-        3: make_candidates(build_covering(1, 3), 0).cubes()[::14],
+        1: _nodes(make_candidates(build_covering(8, 1), 3))[::4],
+        2: _nodes(make_candidates(build_covering(1, 2), 1)),
+        3: _nodes(make_candidates(build_covering(1, 3), 0))[::14],
     }
+
+
+def _nodes(cands):
+    return oracles.as_cubes(cands.centers, cands.sides)
 
 
 def _bits(value):
@@ -628,10 +632,12 @@ def test_batched_refinement_matches_one_cube_loop_bitwise(d, budget, forest_cube
             assert _outcome(lambda: power_average(f, cube, 1.0, spec)) == _outcome(
                 lambda: oracles.average_loop(f, cube, spec, transform=np.abs, extra_breaks=zero_set)
             ), f.id
-        assert _outcome(lambda: oscillations(f, cubes, 1.25, spec)) == _outcome(
+        assert _outcome(lambda: oscillations(f, *cube_arrays(cubes), 1.25, spec)) == _outcome(
             lambda: [oracles.oscillation_loop(f, c, 1.25, spec) for c in cubes]
         ), f.id
-        got = _outcome(lambda: [p.tails for p in tail_profiles(f, cubes[:8], sig, spec)])
+        got = _outcome(
+            lambda: [p.tails for p in tail_profiles(f, *cube_arrays(cubes[:8]), sig, spec)]
+        )
         want = _outcome(
             lambda: [tuple(oracles.tail_profile_loop(f, c, sig, spec).tolist()) for c in cubes[:8]]
         )
@@ -681,7 +687,7 @@ def test_batched_refinement_raises_the_first_failure_in_input_order(
             "on cube center (0.3,) side 0.5"
         ),
     ):
-        oscillations(f, cubes, 1.5, spec)
+        oscillations(f, *cube_arrays(cubes), 1.5, spec)
     xs = np.concatenate(seen)
     inside = [int(np.sum((xs > c.lo[0]) & (xs < c.hi[0]))) for c in cubes]
     assert inside == evaluated
@@ -704,7 +710,7 @@ def test_average_gammas_match_the_one_field_loop_bitwise(shared_rule_nodes, monk
     spec = QuadratureSpec(nodes_per_axis=4, abs_tol=1e-10)
     want = [average_gamma(f, cube, spec) for cube in cubes]
     assert _bits(want) == _bits([oracles.average_loop(f, cube, spec) for cube in cubes])
-    assert _bits(fields.average_gammas(f, cubes, spec)) == _bits(want)
+    assert _bits(fields.average_gammas(f, *cube_arrays(cubes), spec)) == _bits(want)
     # the level each cube accepts at: the fewest levels that let it converge
     levels = [
         next(top for top in range(1, 11) if _outcome(lambda: average_gamma(
@@ -732,7 +738,7 @@ def test_average_gammas_raise_the_first_failure_in_input_order(shared_rule_nodes
     assert _outcome(lambda: average_gamma(f, cubes[2], spec))[1].startswith(
         "average of field ridges: refinement level 3 would need 64 tensor nodes (cap 40)"
     )
-    assert _outcome(lambda: fields.average_gammas(f, cubes, spec)) == loop
+    assert _outcome(lambda: fields.average_gammas(f, *cube_arrays(cubes), spec)) == loop
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +923,7 @@ ONE = np.zeros(1, dtype=np.int64)
 
 def _table(cube, breaks, kinks=None):
     """The panel table of one cube, cut at the breaks and graded toward the kinks."""
-    table = fields._Table([cube])
+    table = fields._Table(*cube_arrays([cube]))
     table.cut(ONE, [breaks], kinks)
     return table
 
@@ -998,10 +1004,10 @@ def test_graded_coord0_in_d2_matches_one_cube_loop_bitwise(budget, monkeypatch):
         monkeypatch.setattr(fields, "SHARED_RULE_NODES", 200)
     f = corpus_by_id(2)["coord0"]
     spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=6, abs_tol=1e-8)
-    cubes = make_candidates(build_covering(1, 2), 1).cubes()[::3]
+    cubes = _nodes(make_candidates(build_covering(1, 2), 1))[::3]
     for q in (1.25, 1.5):
         sizes = []
-        got = _outcome(lambda: oscillations(_counted(f, sizes), cubes, q, spec))
+        got = _outcome(lambda: oscillations(_counted(f, sizes), *cube_arrays(cubes), q, spec))
         assert got == _outcome(lambda: [oracles.oscillation_loop(f, c, q, spec) for c in cubes])
         assert got[0] == "value"
     # at level 2, a kink inside the cube splits axis 0 into two segments
@@ -1031,18 +1037,18 @@ FOREST_EVALS = {
 
 @pytest.mark.parametrize("q", sorted(FOREST_EVALS))
 def test_forest_oscillation_evaluation_counts(q, spec):
-    cubes = make_candidates(build_covering(8, 1), 3).cubes()
-    assert len(cubes) == 255
+    cands = make_candidates(build_covering(8, 1), 3)
+    assert cands.node_count() == 255
     for f in corpus(1):
         sizes = []
-        oscillations(_counted(f, sizes), cubes, q, spec)
+        oscillations(_counted(f, sizes), cands.centers, cands.sides, q, spec)
         assert (sum(sizes), len(sizes)) == FOREST_EVALS[q][f.id], f.id
 
 
 def test_oscillations_measure_each_cube_axis_once(spec, monkeypatch):
     # the two phases of an oscillation, the centering average and the power
     # average, share one table of axis measures
-    cubes = make_candidates(build_covering(8, 1), 3).cubes()
+    cands = make_candidates(build_covering(8, 1), 3)
     gauss1d, calls = kernels.gauss1d, []
 
     def counted(alpha, beta):
@@ -1052,8 +1058,8 @@ def test_oscillations_measure_each_cube_axis_once(spec, monkeypatch):
     monkeypatch.setattr(kernels, "gauss1d", counted)
     for f in corpus(1):
         calls.clear()
-        oscillations(f, cubes, 1.25, spec)
-        assert len(calls) <= len(cubes), f.id
+        oscillations(f, cands.centers, cands.sides, 1.25, spec)
+        assert len(calls) <= cands.node_count(), f.id
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,15 @@ from gaussjn.geometry import (
     center_norms,
     child_offsets,
     comparability_ratio,
+    cube_arrays,
     cubes_disjoint,
     gaussian_measure,
+    gaussian_measures,
     is_admissible,
     lebesgue_measure,
     m_weight,
     m_weight_points,
+    overlapping_pairs,
 )
 
 coords = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
@@ -132,6 +135,59 @@ def test_cubes_disjoint_tolerates_shared_face():
     assert cubes_disjoint(left, Cube((0.5 - 1e-14,), 1.0))
 
 
+def _overlap_families():
+    """Families of cubes that abut, overlap by a few ulps, or overlap for real."""
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        rest = (0.0,) * (d - 1)
+        q = Cube((0.1,) + (0.7,) * (d - 1), 0.3)
+        # abutting dyadic grandchildren: 0.3 is no binary fraction, so many
+        # render with an overlap of a few ulps
+        halves = [g for child in q.dyadic_children() for g in child.dyadic_children()]
+        yield halves
+        face = Cube((0.5,) + rest, 1.0)
+        yield [
+            Cube((-0.5,) + rest, 1.0),
+            face,
+            Cube((0.5 - 1e-14,) + rest, 1.0),  # within the slack: disjoint from the left cube
+            Cube((0.5 - 1e-9,) + rest, 1.0),  # a hair past it: overlaps
+            Cube((0.25,) + rest, 0.5),  # inside the face cube
+            face,  # a duplicate
+            Cube((-3.0,) + rest, 0.5),
+        ]
+        yield halves + [Cube((0.1 + 0.3 / 8.0,) + (0.7,) * (d - 1), 0.075), q]
+        # cubes on a lattice of their own side, some moved by a fraction or by ulps
+        centers = rng.integers(-3, 4, size=(40, d)) * 0.3
+        moved = rng.random(40) < 0.3
+        centers[moved] += rng.choice([0.1, 2e-16, -1e-15], size=(moved.sum(), 1))
+        yield [Cube(tuple(c), 0.3) for c in centers.tolist()]
+
+
+def test_overlapping_pairs_match_pairwise_cubes_disjoint():
+    sizes = []
+    for cubes in _overlap_families():
+        want = [(i, j) for i in range(len(cubes)) for j in range(i)
+                if not cubes_disjoint(cubes[i], cubes[j])]
+        later, earlier = overlapping_pairs(*cube_arrays(cubes))
+        assert list(zip(later.tolist(), earlier.tolist())) == want
+        sizes.append(len(want))
+    # the abutting families have no overlap, every other one has some
+    assert sizes[::4] == [0, 0, 0] and min(sizes[1::4] + sizes[2::4] + sizes[3::4]) > 0
+    assert [p.size for p in overlapping_pairs(np.empty((0, 2)), np.empty(0))] == [0, 0]
+
+
+def test_gaussian_measures_match_gaussian_measure_bitwise():
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3):
+        centers = rng.normal(size=(50, d)) * 3.0
+        sides = rng.uniform(1e-3, 4.0, size=50)
+        factors, gamma = gaussian_measures(centers, sides)
+        cubes = [Cube(tuple(c), s) for c, s in zip(centers.tolist(), sides.tolist())]
+        assert factors.shape == (50, d)
+        assert _bits(gamma) == _bits([gaussian_measure(q) for q in cubes])
+        assert _bits(factors.prod(axis=1)) == _bits(gamma)
+
+
 def test_contains_cube_tolerates_boundary_rounding():
     outer = Cube((0.0,), 1.0)
     inner = Cube((0.25,), 0.5 + 1e-14)  # sticks out by rounding-level fuzz
@@ -156,7 +212,7 @@ def test_m_weight_definition(x):
 def _weight_rows():
     rng = np.random.default_rng(11)
     for d in range(1, 5):
-        yield np.array([q.center for _, q in build_covering(4 if d < 4 else 2, d).all_cubes()])
+        yield build_covering(4 if d < 4 else 2, d).arrays()[1]
     for d in range(1, 6):
         scale = rng.choice([0.3, 3.0, 30.0], size=(10_000, 1))
         yield rng.normal(size=(10_000, d)) * scale

@@ -1,5 +1,6 @@
 """Tests for atomic decompositions, dual atoms, and the pairing machinery."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from gaussjn import kernels
 from gaussjn.fields import (
     QuadratureSpec,
+    ScalarField,
     StepField,
     average_gamma,
     corpus_by_id,
@@ -17,7 +19,7 @@ from gaussjn.fields import (
     oscillation,
     product_field,
 )
-from gaussjn.geometry import Cube, gaussian_measure, is_admissible
+from gaussjn.geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
 from gaussjn.hardy import (
     Atom,
     HardyElement,
@@ -147,6 +149,30 @@ def test_polymer_rejects_bad_exponent_order(corpus, mspec):
         Polymer(atoms=(a1,), p=3.0, q=3.0)
     with pytest.raises(ValueError, match="exponent"):
         Polymer(atoms=(a1,), p=1.5, q=2.0)  # atom q mismatch
+
+
+def test_polymer_raises_the_first_fault_of_the_loop():
+    # the loop over atom i checks its exponent, then its overlaps with j < i
+    zero = ScalarField("zero", lambda pts: np.zeros(len(pts)))
+    cubes = [Cube((-0.5,), 0.5), Cube((0.0,), 0.5), Cube((0.1,), 0.5), Cube((1.0,), 0.5)]
+    seen = set()
+    for order in itertools.permutations(cubes):
+        for qs in itertools.product((3.0, 4.0), repeat=len(order)):
+            want = None
+            for i, (cube, q) in enumerate(zip(order, qs)):
+                overlaps = [j for j in range(i) if not cubes_disjoint(cube, order[j])]
+                if q != 3.0:
+                    want = "atom exponent differs from polymer exponent"
+                elif overlaps:
+                    want = f"atom cubes {overlaps[0]} and {i} overlap"
+                if want:
+                    break
+            atoms = tuple(Atom(zero, cube, q) for cube, q in zip(order, qs))
+            with pytest.raises(ValueError) as exc:
+                Polymer(atoms=atoms, p=1.5, q=3.0)
+            assert str(exc.value) == want
+            seen.add(want.split()[-1])
+    assert seen == {"exponent", "overlap"}
 
 
 def test_make_polymer_enforces_admissibility_when_asked(corpus, mspec):

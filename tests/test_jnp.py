@@ -10,11 +10,10 @@ import pytest
 import oracles
 from gaussjn.covering import Covering, Layer, build_covering, radius_sequence
 from gaussjn.fields import QuadratureSpec, corpus_by_id, oscillation, oscillations
-from gaussjn.geometry import Cube, gaussian_measure
+from gaussjn.geometry import Cube, cube_arrays, cubes_disjoint, gaussian_measure, is_admissible
 import gaussjn.jnp as jnp_module
 from gaussjn.jnp import (
     CandidateSet,
-    OscCache,
     bmo_norm_estimate,
     grow_forest,
     jn_tail_fit,
@@ -23,6 +22,7 @@ from gaussjn.jnp import (
     max_weight_antichain,
     maximize_jnp,
     maximize_jnp_pool,
+    node_stats,
     p_limit_scan,
     tail_fit_sweep,
     validate_family,
@@ -47,6 +47,11 @@ def _rsq():
     return corpus_by_id(1)["radius_sq"]
 
 
+def _nodes(cands):
+    """The forest's nodes as cubes, in preorder."""
+    return oracles.as_cubes(cands.centers, cands.sides)
+
+
 # ---------------------------------------------------------------------------
 # family validation and the plain oscillation sum
 # ---------------------------------------------------------------------------
@@ -54,16 +59,48 @@ def _rsq():
 
 def test_validate_family_catches_overlap():
     with pytest.raises(ValueError, match="overlap"):
-        validate_family([Cube((0.0,), 1.0), Cube((0.4,), 1.0)], 2.0)
+        validate_family(*cube_arrays([Cube((0.0,), 1.0), Cube((0.4,), 1.0)]), 2.0)
 
 
 def test_validate_family_catches_inadmissible():
     with pytest.raises(ValueError, match="admissible"):
-        validate_family([Cube((4.0,), 1.0)], 2.0)  # m = 1/4, max side 1/2
+        validate_family(*cube_arrays([Cube((4.0,), 1.0)]), 2.0)  # m = 1/4, max side 1/2
 
 
 def test_validate_family_accepts_disjoint_admissible():
-    validate_family([Cube((-0.5,), 0.5), Cube((0.5,), 0.5)], 2.0)
+    validate_family(*cube_arrays([Cube((-0.5,), 0.5), Cube((0.5,), 0.5)]), 2.0)
+
+
+def _first_fault_loop(cubes, a):
+    """The error of validating cube by cube: cube i's admissibility, then its overlaps."""
+    for i, q in enumerate(cubes):
+        if not is_admissible(q, a):
+            return f"cube {i} (center {q.center}, side {q.side}) is not admissible"
+        for j in range(i):
+            if not cubes_disjoint(q, cubes[j]):
+                return f"cubes {j} and {i} overlap"
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_validate_family_raises_the_first_fault_of_the_loop(d):
+    # an abutting pair, two cubes overlapping it, an inadmissible cube apart
+    # and one overlapping them all: every ordered choice of them must fail on
+    # the loop's first fault, or pass
+    rest = (0.0,) * (d - 1)
+    pool = [Cube((-0.5, *rest), 0.5), Cube((0.0, *rest), 0.5), Cube((4.0, *rest), 1.0),
+            Cube((0.1, *rest), 0.5), Cube((0.25, *rest), 0.5), Cube((0.0, *rest), 2.5)]
+    outcomes = set()
+    for k in range(1, len(pool) + 1):
+        for family in itertools.permutations(pool, k):
+            try:
+                validate_family(*cube_arrays(family), 2.0)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == _first_fault_loop(family, 2.0), family
+            outcomes.add(got if got is None else got.split()[-1])
+    assert outcomes == {None, "overlap", "admissible"}
 
 
 def test_jnp_sum_matches_manual(spec):
@@ -162,11 +199,11 @@ def test_dp_near_tie_keeps_the_node():
 
 def test_central_cube_keeps_its_tie_with_its_halves(spec):
     # osc on (-1, 1) equals osc on (0, 1) by symmetry, and gamma doubles
-    forest = grow_forest([Cube((0.0,), 2.0)], 1, 2.0)
+    forest = grow_forest(np.array([[0.0]]), np.array([2.0]), 1, 2.0)
     assert forest.parent.tolist() == [-1, 0, 0]
     for q in (1.25, 1.5):
-        cache = OscCache(_rsq(), q, spec)
-        weight = [cache.weight(c, 2.0) for c in forest.cubes()]
+        gamma, osc = node_stats(_rsq(), forest.centers, forest.sides, q, spec)
+        weight = (gamma * osc**2).tolist()
         assert weight[1] + weight[2] == pytest.approx(weight[0], rel=1e-8)
         _, family = max_weight_antichain(forest.parent, weight)
         assert family == (0,)
@@ -244,7 +281,7 @@ def test_make_candidates_structure(cov1, cands1):
     # roots pairwise disjoint, all nodes admissible, children live in parents
     from gaussjn.geometry import cubes_disjoint, is_admissible
 
-    cubes = cands1.cubes()
+    cubes = _nodes(cands1)
     roots = [cubes[i] for i in cands1.roots]
     for i, qi in enumerate(roots):
         for qj in roots[:i]:
@@ -257,7 +294,6 @@ def test_make_candidates_structure(cov1, cands1):
             assert cubes[up].contains_cube(cube)
             assert cube.side == pytest.approx(0.5 * cubes[up].side, rel=1e-15)
     assert cands1.node_count() == len(cubes) == len(cands1.centers) == len(cands1.parent)
-    assert cands1.cubes() is cubes  # built once
 
 
 def test_make_candidates_depth_zero(cov1):
@@ -272,26 +308,35 @@ def test_make_candidates_2d_roots_disjoint():
 
     cov = build_covering(2, 2)
     cands = make_candidates(cov, 1)
-    roots = [cands.cubes()[i] for i in cands.roots]
+    nodes = _nodes(cands)
+    roots = [nodes[i] for i in cands.roots]
     for i, qi in enumerate(roots):
         for qj in roots[:i]:
             assert cubes_disjoint(qi, qj)
     assert len(roots) >= 5  # thinning keeps a nontrivial disjoint subfamily
 
 
-def test_make_candidates_builds_no_cube_per_node(monkeypatch):
-    # the forest stays arrays: the only cubes are the covering's own, and
-    # cubes() builds the nodes once, on first use
-    cov = build_covering(2, 3)
+def test_make_candidates_builds_no_cube_per_node(monkeypatch, spec):
+    # coverings and forests stay arrays; the functionals build only the cubes
+    # their reports name: each family's, and one argmax_cube
     built = []
     validate = Cube.__post_init__
     monkeypatch.setattr(Cube, "__post_init__", lambda self: built.append(1) or validate(self))
-    cands = make_candidates(cov, 2)
+    assert build_covering(4, 3).cube_count() == 4213
+    cands = make_candidates(build_covering(2, 3), 2)
     assert cands.node_count() == 39785 and len(cands.roots) == 545
+    forest = make_candidates(build_covering(8, 1), 3)
+    assert forest.node_count() == 255
     assert len(built) == 0
-    cands.cubes()
-    cands.cubes()
-    assert len(built) == 39785
+    f = corpus_by_id(1)["const_one"]
+    est = maximize_jnp(f, forest, 2.0, 1.5, spec)
+    assert len(built) == len(est.family) > 0
+    built.clear()
+    bmo_norm_estimate(f, forest, 1, 6.0, spec)
+    assert len(built) == 1
+    built.clear()
+    scan = p_limit_scan(f, forest, [2.0, 4.0], 1.5, spec)
+    assert len(built) == sum(len(est.family) for _, est in scan)
 
 
 def _preorder(pairs):
@@ -300,7 +345,7 @@ def _preorder(pairs):
 
 
 def _forest_pairs(cands):
-    return zip(cands.parent.tolist(), cands.cubes())
+    return zip(cands.parent.tolist(), _nodes(cands))
 
 
 @pytest.mark.parametrize("cdepth", [0, 1, 2, 3])
@@ -328,18 +373,19 @@ def test_grow_forest_drops_inadmissible_subtrees_like_oracle(d, a):
         Cube((-40.0,) * d, 0.5),
         Cube((1.5,) * d, 2.0),
     ]
-    forest = grow_forest(roots, 3, a)
+    forest = grow_forest(*cube_arrays(roots), 3, a)
     ref = oracles.grow_forest_recursive(roots, 3, a)
     assert _preorder(_forest_pairs(forest)) == _preorder(ref)
     full = len(roots) * sum(2 ** (d * k) for k in range(4))
     assert 0 < forest.node_count() < full
     if a == 4.0 and d >= 2:  # the cube at (1, 0, ...) keeps only its inner children
-        (at,) = [i for i in forest.roots if forest.cubes()[i].center == (1.0, *rest)]
+        nodes = _nodes(forest)
+        (at,) = [i for i in forest.roots if nodes[i].center == (1.0, *rest)]
         assert 0 < np.count_nonzero(forest.parent == at) < 2**d
-    empty = grow_forest([], 2, a)
-    assert empty.node_count() == 0 and len(empty.roots) == 0 and empty.cubes() == ()
+    empty = grow_forest(*cube_arrays([]), 2, a)
+    assert empty.node_count() == 0 and len(empty.roots) == 0 and _nodes(empty) == []
     with pytest.raises(ValueError):
-        grow_forest(roots, 1, 0.0)
+        grow_forest(*cube_arrays(roots), 1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +394,15 @@ def test_grow_forest_drops_inadmissible_subtrees_like_oracle(d, a):
 
 
 def _root_keys(cands):
-    return [(cands.cubes()[i].center, cands.cubes()[i].side) for i in cands.roots]
+    nodes = _nodes(cands)
+    return [(nodes[i].center, nodes[i].side) for i in cands.roots]
 
 
 def test_make_candidates_roots_match_first_fit_oracle():
     for d, depths in ((1, (1, 4, 8)), (2, (1, 3, 6)), (3, (1, 2))):
         for depth in depths:
             cov = build_covering(depth, d)
-            ref = oracles.first_fit_disjoint_brute([q for _, q in cov.all_cubes()])
+            ref = oracles.first_fit_disjoint_brute([q for _, q in oracles.covering_cubes(cov)])
             assert _root_keys(make_candidates(cov, 0)) == [(q.center, q.side) for q in ref]
 
 
@@ -372,7 +419,8 @@ def test_make_candidates_first_fit_keeps_abutting_dyadic_halves():
     assert rendered_overlaps == 8
     shifted = Cube((0.1 + 0.3 / 8.0, 0.7), 0.075)  # overlaps two grandchildren by half
     order = [halves[5], q, *halves[:5], *halves[6:], shifted]
-    cov = Covering(2, 1, radius_sequence(2), (Layer(0, tuple(order[:3])), Layer(1, tuple(order[3:]))))
+    layers = (Layer(0, *cube_arrays(order[:3])), Layer(1, *cube_arrays(order[3:])))
+    cov = Covering(2, 1, radius_sequence(2), layers)
     expected = [halves[5], *halves[:5], *halves[6:]]
     assert oracles.first_fit_disjoint_brute(order) == expected
     assert _root_keys(make_candidates(cov, 0)) == [(c.center, c.side) for c in expected]
@@ -413,10 +461,10 @@ def test_maximize_jnp_to_obj_serializable(cands1, spec):
 def test_pool_heuristic_never_beats_dp(cands1, spec):
     f = _sign()
     dp = maximize_jnp(f, cands1, 2.0, 1.5, spec)
-    pool = maximize_jnp_pool(f, cands1.cubes(), 2.0, 1.5, spec, cands1.a)
+    pool = maximize_jnp_pool(f, _nodes(cands1), 2.0, 1.5, spec, cands1.a)
     assert pool.value <= dp.value + 1e-12
     # the greedy family is itself valid
-    validate_family(pool.family, cands1.a)
+    validate_family(*cube_arrays(pool.family), cands1.a)
 
 
 def test_p_limit_scan_nondecreasing(cands1, spec):
@@ -427,6 +475,20 @@ def test_p_limit_scan_nondecreasing(cands1, spec):
         assert hi >= lo - 1e-9
     with pytest.raises(ValueError):
         p_limit_scan(_sign(), cands1, [3.0, 2.0], 1.5, spec)
+
+
+def test_p_limit_scan_computes_the_oscillations_once(cands1, spec, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        jnp_module, "oscillations", lambda *args: calls.append(1) or oscillations(*args)
+    )
+    assert len(p_limit_scan(_sign(), cands1, [2.0, 3.0, 4.0], 1.5, spec)) == 3
+    assert len(calls) == 1
+    # an empty grid, and a grid whose smallest p is below q, need no quadrature
+    assert p_limit_scan(_sign(), cands1, [], 1.5, spec) == []
+    with pytest.raises(ValueError):
+        p_limit_scan(_sign(), cands1, [1.2, 3.0], 1.5, spec)
+    assert len(calls) == 1
 
 
 def test_single_cube_value_closed_form(spec):
@@ -451,26 +513,12 @@ def test_bmo_estimate_dominates_jnp(cands1, spec):
         bmo = bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.0)
         assert bmo.value == bmo.l1_term + bmo.sup_term
         assert bmo.sup_term == pytest.approx(
-            max(oscillation(f, c, 1.0, spec) for c in cands1.cubes()),
+            max(oscillation(f, c, 1.0, spec) for c in _nodes(cands1)),
             rel=1e-12,
         )
         for p in (2.0, 4.0):
             est = maximize_jnp(f, cands1, p, 1.0, spec)
             assert est.value <= bmo.value + 1e-9, (fid, p)
-
-
-class _FixedOscillations(OscCache):
-    """A cache that serves given oscillations, keyed by cube center."""
-
-    def __init__(self, f, spec, oscs):
-        super().__init__(f, 1.0, spec)
-        self.oscs = oscs
-
-    def fill(self, cubes):
-        pass
-
-    def stats(self, cube):
-        return gaussian_measure(cube), self.oscs[cube.center]
 
 
 def test_bmo_argmax_keeps_the_first_of_a_near_tie(spec):
@@ -482,25 +530,26 @@ def test_bmo_argmax_keeps_the_first_of_a_near_tie(spec):
     pool = CandidateSet(centers, np.array([0.5, 0.5]), np.array([-1, -1]), 2.0)
     f = _sign()
     for later, pick in ((1.0 + 1e-9, 0), (1.0, 0), (1.0 - 1e-9, 0), (1.0 + 1e-3, 1)):
-        oscs = {(1.5,): 0.7, (-1.5,): 0.7 * later}
-        bmo = bmo_norm_estimate(f, pool, 1, 6.0, spec, cache=_FixedOscillations(f, spec, oscs))
+        oscs = np.array([0.7, 0.7 * later])
+        stats = np.array([gaussian_measure(c) for c in cubes]), oscs
+        bmo = bmo_norm_estimate(f, pool, 1, 6.0, spec, stats=stats)
         assert bmo.argmax_cube == cubes[pick]
-        assert bmo.sup_term == max(oscs.values())
-        assert bmo.value == bmo.l1_term + max(oscs.values())
+        assert bmo.sup_term == oscs.max()
+        assert bmo.value == bmo.l1_term + oscs.max()
 
 
 def test_bmo_and_jnp_share_one_oscillation_per_cube(cands1, spec, monkeypatch):
     calls = []
 
-    def counted(f, cubes, q, spec_):
-        calls.extend((cube.center, cube.side) for cube in cubes)
-        return oscillations(f, cubes, q, spec_)
+    def counted(f, centers, sides, q, spec_):
+        calls.extend(zip(map(tuple, centers.tolist()), sides.tolist()))
+        return oscillations(f, centers, sides, q, spec_)
 
     monkeypatch.setattr(jnp_module, "oscillations", counted)
     f = corpus_by_id(1)["radius_sq"]
-    cache = OscCache(f, 1.5, spec)
-    shared = bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.5, cache=cache)
-    est = maximize_jnp(f, cands1, 2.0, 1.5, spec, cache=cache)
+    stats = node_stats(f, cands1.centers, cands1.sides, 1.5, spec)
+    shared = bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.5, stats=stats)
+    est = maximize_jnp(f, cands1, 2.0, 1.5, spec, stats=stats)
     assert len(calls) == len(set(calls)) == cands1.node_count()
     assert shared == bmo_norm_estimate(f, cands1, 1, 6.0, spec, q=1.5)
     assert est == maximize_jnp(f, cands1, 2.0, 1.5, spec)
@@ -570,7 +619,7 @@ def test_tail_fit_sweep_keeps_degenerates(spec):
     cubes = [Cube((0.0,), 2.0), Cube((0.25,), 1.5)]
     # several points inside the off-center cube's middle plateau (0.76, 1.24)
     sig = np.array([0.05, 0.6, 0.8, 0.9, 1.0, 1.1, 1.5, 2.0])
-    reports = tail_fit_sweep(f, cubes, 2.0, spec, sig, khat=0.5)
+    reports = tail_fit_sweep(f, *cube_arrays(cubes), 2.0, spec, sig, khat=0.5)
     assert len(reports) == 2
     assert reports[0].degenerate
     assert not reports[1].degenerate

@@ -256,7 +256,7 @@ def _membership_cases():
         yield f"random-d{d}", pts, lo, hi
     for d, depth in ((1, 8), (2, 4), (3, 1)):
         cov = build_covering(depth, d)
-        cubes = [q for _, q in cov.all_cubes()]
+        cubes = [q for _, q in oracles.covering_cubes(cov)]
         lo = np.array([q.lo for q in cubes])
         hi = np.array([q.hi for q in cubes])
         sobol = low_discrepancy_points(cov, 2000, seed=d)
