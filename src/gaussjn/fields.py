@@ -11,6 +11,8 @@ with metadata the quadrature engine exploits:
 * ``growth`` -- optional (A, B) with |f(x)| <= A + B|x|^2 for |x| >= 1, used
   for analytic integral tail bounds outside a sampling box.
 * ``tail_bound`` -- optional exact override for that tail bound.
+* ``level_breaks`` / ``radial`` / ``kink_radii`` -- the field's level sets
+  as axis positions, or as spheres {|x| = r}, and the spheres where it kinks.
 
 Integration is tensor-product Gauss-Legendre on dyadically refined panels
 against the *normalized* Gauss measure of the cube: per-axis node weights
@@ -40,6 +42,18 @@ bit.  Tails and weak norms are not graded: their breaks are jumps, with a
 smooth integrand on each panel, and an integer q makes |f - f_Q|^q a
 polynomial in f on either side of the level set.
 
+In d = 2 a level set or kink that is a circle crosses panels of either
+axis, so a cube that one crosses gets an iterated rule instead (Saye's
+dimension reduction; see ``_Table``): axis 0 is cut where the circles meet
+the cube's axis-1 edges and breaks and at their tangent points, and each
+axis-0 node carries its own axis-1 rule, cut at the roots
++-sqrt(r^2 - x0^2) and graded toward those of kinks as above.  Rows next
+to a tangent point run in theta with x0 = c + s sin(theta), which makes the
+square-root singularity of the inner length smooth.  Its node count is
+exact per level, so the node cap, the shared rounds and block streaming
+treat both rule shapes alike; cubes that no circle crosses keep the tensor
+rule bit for bit.
+
 One function, ``_drive``, runs every refinement, in one shape: one field,
 many cubes (centers (m, d), sides (m,)) and a list of phases, on one table
 of arrays per call; a single cube is a table of one.  The functions of many
@@ -59,11 +73,12 @@ built in one pass per level, the field is evaluated once on the stacked
 nodes (the transpose of one (d, n) buffer, so each coordinate is
 contiguous), and row-wise pairwise trees reduce each cube bit for bit as a
 one-cube loop would, in a batch of one cube too.  A batch holds at most
-``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES`` are refined
-one cube at a time in input order and streamed one aligned block of
-``kernels._BLOCK`` nodes at a time, in reused buffers: aligned blocks are
-whole subtrees of the pairwise tree, so the sums are bit for bit those over
-the whole rule, in O(block) memory (plus the axis rules and, for weak
+``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES`` (iterated
+ones: ``SHARED_ITERATED_NODES``) are refined one cube at a time in input
+order and streamed one aligned block of ``kernels._BLOCK`` nodes at a time
+(tensor rules in reused buffers): aligned blocks are whole subtrees of the
+pairwise tree, so the sums are bit for bit those over the whole rule, in
+O(block) memory (plus the axis rules, or the outer rows, and, for weak
 norms, two values per node).  A failing cube stops the cubes after it, and
 the first failure in input order is raised, as a loop over the cubes would.
 """
@@ -150,6 +165,15 @@ class ScalarField:
         levels c to axis -> (n, k) arrays of break positions, NaN (or any
         non-finite value) where a level has no solution.  Used to keep
         truncated fields and the kinks of |f - c|^q panel-aligned.
+    radial:
+        Optional solver for radial level sets: it maps an array of n levels v
+        to an (n, k) array of radii r such that {|f| = v} lies on the spheres
+        {|x| = r}, NaN (or any non-finite value) where there is none.  In
+        d = 2 the rows of a cube's rule are cut where those circles cross
+        them (see ``_Table``).
+    kink_radii:
+        Radii of the spheres on which f itself is not smooth, cut in d = 2
+        like the radial level sets.
     """
 
     def __init__(
@@ -164,6 +188,8 @@ class ScalarField:
         growth: tuple[float, float] | None = None,
         tail_bound: Callable[[float, int], float] | None = None,
         level_breaks: Callable[[np.ndarray], Mapping[int, np.ndarray]] | None = None,
+        radial: Callable[[np.ndarray], np.ndarray] | None = None,
+        kink_radii: Iterable[float] = (),
     ) -> None:
         self.id = str(id)
         self.fn = fn
@@ -176,6 +202,8 @@ class ScalarField:
         self.growth = growth
         self.tail_bound = tail_bound
         self.level_breaks = level_breaks
+        self.radial = radial
+        self.kink_radii = tuple(sorted(float(r) for r in kink_radii))
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -203,11 +231,13 @@ def shift_field(f: ScalarField, c: float) -> ScalarField:
     {|f| = |c - v|}, solved side by side in one row per level.
     """
     c = float(c)
-    solve = f.level_breaks
+    solve, radii = f.level_breaks, f.radial
+
+    def both(v: np.ndarray) -> np.ndarray:
+        return np.abs(np.stack((c + v, c - v), axis=1)).ravel()
 
     def level_breaks(v: np.ndarray) -> dict[int, np.ndarray]:
-        both = np.abs(np.stack((c + v, c - v), axis=1)).ravel()
-        return {ax: b.reshape(v.size, -1) for ax, b in solve(both).items()}
+        return {ax: b.reshape(v.size, -1) for ax, b in solve(both(v)).items()}
 
     return ScalarField(
         f"{f.id}|minus:{c!r}",
@@ -217,19 +247,8 @@ def shift_field(f: ScalarField, c: float) -> ScalarField:
         description=f"{f.id} shifted by {-c}",
         singular_set=f.singular_set,
         level_breaks=None if solve is None else level_breaks,
-    )
-
-
-def abs_power_field(f: ScalarField, q: float) -> ScalarField:
-    """|f|^q (breaks unchanged; the kink at f=0 is handled by refinement)."""
-    q = float(q)
-    return ScalarField(
-        f"{f.id}|abspow:{q!r}",
-        lambda pts: np.abs(f(pts)) ** q,
-        dim=f.dim,
-        breaks=f.breaks,
-        description=f"|{f.id}|^{q}",
-        singular_set=f.singular_set,
+        radial=None if radii is None else (lambda v: radii(both(v)).reshape(v.size, -1)),
+        kink_radii=f.kink_radii,
     )
 
 
@@ -254,11 +273,13 @@ def restrict_field(f: ScalarField, cube: Cube) -> ScalarField:
         description=f"{f.id} restricted to a cube",
         singular_set=f.singular_set,
         level_breaks=f.level_breaks,
+        radial=f.radial,
+        kink_radii=f.kink_radii,
     )
 
 
 def product_field(f1: ScalarField, f2: ScalarField) -> ScalarField:
-    """Pointwise product; breaks are merged so panels respect both factors."""
+    """Pointwise product; breaks and kink radii are merged so panels respect both factors."""
     if f1.dim is not None and f2.dim is not None and f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
     return ScalarField(
@@ -268,6 +289,7 @@ def product_field(f1: ScalarField, f2: ScalarField) -> ScalarField:
         breaks=merge_breaks(f1.breaks, f2.breaks),
         description=f"product of {f1.id} and {f2.id}",
         singular_set=f1.singular_set or f2.singular_set,
+        kink_radii=set(f1.kink_radii + f2.kink_radii),
     )
 
 
@@ -275,11 +297,14 @@ def truncate(f: ScalarField, level: float) -> ScalarField:
     """Two-sided truncation f_N = max(-N, min(N, f)).
 
     When the field knows its level sets (``level_breaks``) the truncation
-    hyperplanes are added to the break set so panels stay aligned.
+    hyperplanes are added to the break set so panels stay aligned; when it
+    knows them as spheres (``radial``) the truncation radius joins its kink
+    radii.  The level sets of f_N below N are f's, so ``radial`` passes on.
     """
     n = float(level)
     if not n > 0.0:
         raise ValueError("truncation level must be positive")
+    cut = () if f.radial is None else level_set_radii(f, n, np.zeros(1))[0].tolist()
     return ScalarField(
         f"{f.id}|trunc:{n!r}",
         lambda pts: np.clip(f(pts), -n, n),
@@ -288,6 +313,8 @@ def truncate(f: ScalarField, level: float) -> ScalarField:
         description=f"{f.id} truncated at {n}",
         singular_set=f.singular_set,
         growth=(n, 0.0),
+        radial=f.radial,
+        kink_radii={*f.kink_radii, *(r for r in cut if r == r)},
     )
 
 
@@ -302,6 +329,9 @@ BATCH_NODES = 1 << 15
 #: cost, so a cube that fails there spares every cube after it that work,
 #: as a one-cube loop would, and large integrals keep that loop's memory.
 SHARED_RULE_NODES = 1 << 11
+#: The same for iterated rules, whose set-up per call costs more than a
+#: tensor rule's: they share evaluations up to a larger size.
+SHARED_ITERATED_NODES = 1 << 14
 
 
 @lru_cache(maxsize=64)
@@ -319,6 +349,21 @@ class _Table:
     ``cut`` appends rows, cube by cube and axis by axis, to ``data``: segment
     (a, b), axis total, pattern (left + 2 * right for the graded kink ends).
     ``first``/``rows`` locate its rows, ``counts``/``graded`` its segments and graded ends.
+
+    A d = 2 cube that a circle {|x| = r} of the cut crosses gets an iterated
+    rule instead of the tensor rule (``orows`` > 0): outer rows on axis 0,
+    appended to ``outer``, and for each node x0 of a row the axis-1 segment
+    cut at the row's ``edges``: fixed positions, or roots s sqrt(r^2 - x0^2).
+    Axis 0 is cut where a circle meets the cube's axis-1 edges and breaks,
+    so each row's edges keep their order, and at the tangent points +-r (see
+    ``_tangent_maps``).  An outer row holds (a, b), axis-0 total, pattern,
+    axis-1 interval (lo, hi) and total, its first edge, edge count, graded
+    inner ends and (theta_a, theta_b, c, s) of its map; an edge holds
+    (radius, value, kink), the radius NaN for a fixed position ``value`` and
+    ``value`` the sign of a root.
+    The nodes run through the outer nodes, each followed by its inner nodes,
+    with weights w0 * w1: where no circle crosses, the tensor rule's order
+    and products.
     """
 
     def __init__(self, centers: np.ndarray, sides: np.ndarray) -> None:
@@ -331,13 +376,21 @@ class _Table:
         self.first, self.rows = np.zeros((2, len(sides)), dtype=np.int64)
         self.segments = np.zeros((len(sides), 2, self.lo.shape[1]), dtype=np.int64)
         self.counts, self.graded = self.segments[:, 0], self.segments[:, 1]
+        self.outer, self.edges = np.empty((0, 14)), np.empty((0, 3))
+        self.ofirst, self.orows = np.zeros((2, len(sides)), dtype=np.int64)
+        self.curved = False
 
-    def cut(self, idx: np.ndarray | slice, breaks: Sequence[Mapping], kinks: Mapping | None = None):
+    def cut(
+        self, idx: np.ndarray | slice, breaks: Sequence[Mapping], kinks: Mapping | None = None,
+        radii: Sequence = (), round_kinks: np.ndarray | None = None,
+    ):
         """New rows for the cubes ``idx`` (an index array or slice), split at the ``breaks``.
 
         Each mapping, and ``kinks``, gives an axis positions shared by all
         cubes or a NaN-padded (len(idx), k) array of them.  Segment edges are
         the break values, so an end lies on a kink (also a break) by equality.
+        In d = 2 the ``radii`` (each shared or per cube, as the positions) are
+        circles; the inner panels beside those in ``round_kinks`` are graded.
         """
         lo, hi = self.lo[idx], self.hi[idx]
         k, d = lo.shape
@@ -359,6 +412,104 @@ class _Table:
         self.first[idx] = len(self.data) + count.cumsum() - count
         rows = rows.reshape(-1, 4) if e.shape[1] == 2 else rows[valid]
         self.data = np.concatenate((self.data, rows)) if len(self.data) else rows
+        if self.curved:
+            self.orows[idx] = 0
+        if radii and d == 2:
+            self._curve(np.arange(len(self.sides))[idx], e, radii, round_kinks, kinks)
+
+    def _curve(self, ids: np.ndarray, e: np.ndarray, radii: Sequence, round_kinks, kinks) -> None:
+        """Iterated rules for the cubes ``ids`` that a circle of ``radii`` crosses.
+
+        ``e`` holds the cubes' tensor segment edges, two lines per cube.
+        """
+        k = ids.size
+        lo, hi = self.lo[ids], self.hi[ids]
+        r = _lines(k, 1, [{0: x} for x in radii])
+        # a circle crosses the open cube when r lies strictly between the
+        # distances of its nearest and farthest points from the origin
+        near, far = np.clip(0.0, lo, hi), np.maximum(np.abs(lo), np.abs(hi))
+        rr = r * r
+        meets = (rr > _sum_sq(near)[:, None]) & (rr < _sum_sq(far)[:, None])
+        sel = np.flatnonzero(meets.any(axis=1))
+        if not sel.size:
+            return
+        self.curved = True
+        r = _ascending(np.where(meets, r, np.nan)[sel])
+        graded = np.zeros(r.shape, dtype=bool)
+        if round_kinks is not None:
+            graded = (r[:, :, None] == _lines(k, 1, [{0: round_kinks}])[sel, None, :]).any(axis=2)
+        lo, hi, e0, e1 = lo[sel], hi[sel], e[2 * sel, 1:], e[2 * sel + 1]
+        kk = _lines(k, 2, [kinks]) if kinks else np.full((2 * k, 0), np.nan)
+        k0, k1 = kk[2 * sel], kk[2 * sel + 1]
+        # axis 0: the cube's breaks, the circles' crossings of the axis-1
+        # edges and breaks, the tangent points (graded for graded circles)
+        with np.errstate(invalid="ignore"):
+            x = np.sqrt((r * r)[:, :, None] - e1[:, None, :] ** 2).reshape(len(sel), -1)
+        t = np.where(((lo[:, 1] < 0.0) & (hi[:, 1] > 0.0))[:, None], r, np.nan)
+        pos = np.concatenate((e0, x, -x, t, -t), axis=1)
+        crossing = np.zeros(x.shape, dtype=bool)
+        flag = np.concatenate(
+            ((e0[:, :, None] == k0[:, None, :]).any(axis=2), crossing, crossing, graded, graded),
+            axis=1,
+        )
+        edges0, flags0, n0 = _edge_rows(pos, flag, lo[:, 0], hi[:, 0])
+        segs = n0 + 1
+        keep = np.arange(edges0.shape[1] - 1) < segs[:, None]
+        owner = np.repeat(np.arange(len(sel)), segs)
+        a, b = edges0[:, :-1][keep], edges0[:, 1:][keep]
+        pattern = flags0[:, :-1][keep] + 2 * flags0[:, 1:][keep]
+        theta = _tangent_maps(a, b, r[owner])
+        # the inner edges of each row, in their order at its midpoint
+        mid = 0.5 * (a + b)
+        ilo, ihi = lo[owner, 1], hi[owner, 1]
+        fixed = e1[owner, 1:]
+        fixed = np.where((fixed > ilo[:, None]) & (fixed < ihi[:, None]), fixed, np.nan)
+        fixed_kink = (fixed[:, :, None] == k1[owner, None, :]).any(axis=2)
+        ro = r[owner]
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt(ro * ro - (mid * mid)[:, None])
+        at = np.concatenate((fixed, root, -root), axis=1)
+        at[~((at > ilo[:, None]) & (at < ihi[:, None]))] = np.nan
+        radius = np.concatenate((np.full(fixed.shape, np.nan), ro, ro), axis=1)
+        value = np.concatenate((fixed, np.ones(ro.shape), -np.ones(ro.shape)), axis=1)
+        kink = np.concatenate((fixed_kink, graded[owner], graded[owner]), axis=1)
+        order = np.argsort(at, axis=1, kind="stable")
+        count = np.count_nonzero(at == at, axis=1)
+        inside = np.arange(at.shape[1]) < count[:, None]
+        kink = np.take_along_axis(kink, order, axis=1) & inside
+        cols = [np.take_along_axis(col, order, axis=1)[inside] for col in (radius, value)]
+        edges = np.stack((*cols, kink[inside]), axis=1)
+        totals = self.totals[ids[sel]][owner]
+        first = len(self.edges) + count.cumsum() - count
+        graded_ends = 2 * np.count_nonzero(kink, axis=1)
+        rows = np.concatenate((np.stack(
+            (a, b, totals[:, 0], pattern, ilo, ihi, totals[:, 1], first, count, graded_ends), axis=1
+        ), theta), axis=1)
+        self.outer = np.concatenate((self.outer, rows))
+        self.edges = np.concatenate((self.edges, edges))
+        self.orows[ids[sel]] = segs
+        self.ofirst[ids[sel]] = len(self.outer) - len(rows) + segs.cumsum() - segs
+
+    def outer_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The outer rows of the curved cubes ``ids``, in that order."""
+        rows = self.orows[ids]
+        ends = rows.cumsum()
+        return self.outer[np.arange(ends[-1]) + (self.ofirst[ids] - ends + rows).repeat(rows)]
+
+    def nodes(self, idx: np.ndarray | slice, top: int, order: int) -> np.ndarray:
+        """Nodes (k, top + 1) of each cube's rule at levels 0..top, as floats exact to 2^53."""
+        nodes = self.axis_nodes(idx, top, order).prod(axis=2)
+        if self.curved:
+            ids = np.arange(len(self.sides))[idx]
+            curved = self.orows[ids] > 0
+            if np.count_nonzero(curved):
+                rows = self.outer_rows(ids[curved])
+                lv = np.arange(top + 1.0)
+                per = _inner_nodes(rows, lv, order) * order
+                per *= np.exp2(lv) + lv * (rows[:, 3:4] % 2 + (rows[:, 3:4] > 1))
+                starts = np.cumsum(self.orows[ids[curved]]) - self.orows[ids[curved]]
+                nodes[curved] = np.add.reduceat(per, starts, axis=0)
+        return nodes
 
     def axis_nodes(self, idx: np.ndarray | slice, top: int, order: int) -> np.ndarray:
         """Nodes (k, top + 1, d) per axis rule at levels 0..top, as floats exact to 2^53."""
@@ -369,7 +520,7 @@ class _Table:
 
     def sizes(self, idx: np.ndarray | slice, top: int, order: int) -> np.ndarray:
         """Tensor nodes (k, top + 1) at levels 0..top, -1 where ``why`` has the reason."""
-        sizes = self.axis_nodes(idx, top, order).prod(axis=2)
+        sizes = self.nodes(idx, top, order)
         bad = sizes > MAX_TENSOR_NODES
         if self.empty is not None:
             bad |= self.empty[idx][:, None]
@@ -383,7 +534,10 @@ class _Table:
     def why(self, i: int, level: int, order: int) -> str:
         bad = self.totals[i] <= 0.0
         ax = int(bad.argmax()) if bad.any() else -1
-        n = math.prod(int(x) for x in self.axis_nodes(np.array([i]), level, order)[0, level])
+        if self.orows[i]:
+            n = int(self.nodes(np.array([i]), level, order)[0, level])
+        else:
+            n = math.prod(int(x) for x in self.axis_nodes(np.array([i]), level, order)[0, level])
         ends = f"({float(self.lo[i, ax])}, {float(self.hi[i, ax])})"
         why = f"has axis {ax} interval {ends} of vanishing Gauss measure"
         why = why if ax >= 0 else f"would need {n} tensor nodes (cap {MAX_TENSOR_NODES})"
@@ -410,12 +564,24 @@ class _Table:
         d = self.lo.shape[1]
         cols, w_all = np.empty((d, bounds[-1])), np.empty(bounds[-1])
         for s, e in _runs(levels):
-            x, w, starts = _axis_rows(self.gather(idx[s:e]), int(levels[s]), order)
+            level, flat = int(levels[s]), np.arange(s, e)
+            if self.curved and np.count_nonzero(curved := self.orows[idx[s:e]] > 0):
+                # the iterated rules of the run's curved cubes, end to end
+                at, flat = 0, flat[~curved]
+                x0, x1, w = self._iterated(self.outer_rows(idx[s:e][curved]), level, order)
+                for k in (np.flatnonzero(curved) + s).tolist():
+                    span, n = slice(bounds[k], bounds[k + 1]), bounds[k + 1] - bounds[k]
+                    cols[0, span], cols[1, span] = x0[at : at + n], x1[at : at + n]
+                    w_all[span] = w[at : at + n]
+                    at += n
+                if not flat.size:
+                    continue
+            x, w, starts = _axis_rows(self.gather(idx[flat]), level, order)
             if d == 1:
                 cols[0, bounds[s] : bounds[e]], w_all[bounds[s] : bounds[e]] = x, w
                 continue
             row = 0
-            for k, counts in enumerate(self.counts[idx[s:e]].tolist(), s):
+            for k, counts in zip(flat.tolist(), self.counts[idx[flat]].tolist()):
                 axis_x, axis_w = [], []
                 for c in counts:
                     axis_x.append(x[starts[row] : starts[row + c]])
@@ -426,7 +592,7 @@ class _Table:
         return cols.T, w_all
 
     def blocks(self, i: int, level: int, order: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Cube i's tensor rule at one level, as the (points, weights) of its blocks.
+        """Cube i's rule at one level, as the (points, weights) of its blocks.
 
         Block j holds nodes [j B, (j+1) B) of the C-order rule, B =
         ``kernels._BLOCK``, bit for bit those of ``rules``.  Only the axis
@@ -434,6 +600,9 @@ class _Table:
         buffers reused from block to block (and, through ``_spare``, from
         level to level), valid until the next block.
         """
+        if self.orows[i]:
+            yield from self._iterated_blocks(i, level, order)
+            return
         x, w, starts = _axis_rows(self.gather(np.array([i])), level, order)
         bounds = [starts[row] for row in np.cumsum([0, *self.counts[i].tolist()]).tolist()]
         axis_x = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -464,6 +633,126 @@ class _Table:
                 yield cols[:, a : a + e - s].T, w_buf[a : a + e - s]
         finally:
             _spare.buffers = cols, w_buf
+
+    def _iterated(
+        self, rows: np.ndarray, level: int, order: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Axis-0 and axis-1 coordinates and weights of the iterated rules of the outer rows."""
+        x0, w0, row = _outer_nodes(rows, level, order)
+        x1, w1, count = self._inner(rows, row, x0, level, order)
+        w1 *= np.repeat(w0, count)
+        return np.repeat(x0, count), x1, w1
+
+    def _iterated_blocks(
+        self, i: int, level: int, order: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``blocks`` of a curved cube: each builds the inner rules of the outer nodes it meets."""
+        rows = self.outer_rows(np.array([i]))
+        x0, w0, row = _outer_nodes(rows, level, order)
+        count = _inner_nodes(rows, np.array([float(level)]), order)[row, 0].astype(np.int64)
+        ends = count.cumsum()
+        n, step = int(ends[-1]), kernels._BLOCK
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            r0, r1 = int(ends.searchsorted(s, "right")), int(ends.searchsorted(e - 1, "right")) + 1
+            x1, w1, c = self._inner(rows, row[r0:r1], x0[r0:r1], level, order)
+            w1 *= np.repeat(w0[r0:r1], c)
+            cols = np.empty((2, x1.size))
+            cols[0], cols[1] = np.repeat(x0[r0:r1], c), x1
+            a = s - int(ends[r0] - count[r0])
+            yield cols[:, a : a + e - s].T, w1[a : a + e - s]
+
+    def _inner(
+        self, rows: np.ndarray, row: np.ndarray, x0: np.ndarray, level: int, order: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The axis-1 rules of outer nodes x0 (of the outer ``rows`` ``row``), end to end.
+
+        Returns the nodes, the weights and the node count of each outer node.
+        A root edge at x0 is clipped to the axis-1 interval.
+        """
+        r = rows[row]
+        count = r[:, 8].astype(np.int64)
+        # the edges of node j, lo, its row's edges at x0[j] and hi, start at start[j]
+        width = count + 2
+        start = width.cumsum() - width
+        pos, kink = np.empty(int(width.sum())), np.zeros(int(width.sum()), dtype=np.int64)
+        pos[start], pos[start + count + 1] = r[:, 4], r[:, 5]
+        if (total := int(count.sum())):
+            node = np.repeat(np.arange(len(row)), count)
+            j = np.arange(total) - np.repeat(count.cumsum() - count, count)
+            radius, value, graded = self.edges[r[node, 7].astype(np.int64) + j].T
+            with np.errstate(invalid="ignore"):
+                root = value * np.sqrt(np.maximum(radius * radius - x0[node] * x0[node], 0.0))
+            at = start[node] + 1 + j
+            pos[at] = np.clip(np.where(radius == radius, root, value), r[node, 4], r[node, 5])
+            kink[at] = graded
+        segs = count + 1
+        a = np.arange(int(segs.sum())) + np.repeat(start - segs.cumsum() + segs, segs)
+        inner = np.empty((a.size, 4))
+        inner[:, 0], inner[:, 1], inner[:, 2] = pos[a], pos[a + 1], np.repeat(r[:, 6], segs)
+        inner[:, 3] = kink[a] + 2 * kink[a + 1]
+        x1, w1, starts = _axis_rows(inner, level, order)
+        return x1, w1, np.diff(np.array(starts)[np.concatenate(([0], segs.cumsum()))])
+
+
+def _outer_nodes(rows: np.ndarray, level: int, order: int) -> tuple[np.ndarray, ...]:
+    """Axis-0 nodes and weights of outer rows, and the row of each node."""
+    x0, w0, starts = _axis_rows(rows[:, [10, 11, 2, 3]], level, order, rows[:, 12:])
+    return x0, w0, np.repeat(np.arange(len(rows)), np.diff(starts))
+
+
+def _tangent_maps(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(theta_a, theta_b, c, s) of outer rows [a, b] with the radii r (rows, k) NaN-padded.
+
+    Left of a tangent point +r (right of -r) the inner length sqrt(r^2 - x^2)
+    has a square-root singularity, which x = c + s sin(theta) with the
+    tangent point at theta = +-pi/2 makes smooth.  A row maps toward the
+    nearest such point on or beyond each end, within its own width; s = 0
+    leaves it as it is, theta the row itself.
+    """
+    a_, b_, span = a[:, None], b[:, None], (b - a)[:, None]
+    right = np.fmin.reduce(np.where((r >= b_) & (r - b_ < span), r, np.nan), axis=1)
+    left = np.fmax.reduce(np.where((-r <= a_) & (a_ + r < span), -r, np.nan), axis=1)
+    on_r, on_l = right == right, left == left
+    c = np.where(on_l & on_r, 0.5 * (left + right), np.where(on_r, a, np.where(on_l, b, 0.0)))
+    scale = np.where(on_r, right, b) - np.where(on_l, left, a)
+    scale = np.where(on_l & on_r, 0.5 * scale, np.where(on_l | on_r, scale, 0.0))
+    out = np.stack((a, b, c, scale), axis=1)
+    on = scale > 0.0
+    out[on, 0] = np.arcsin(np.clip((a[on] - c[on]) / scale[on], -1.0, 1.0))
+    out[on, 1] = np.arcsin(np.clip((b[on] - c[on]) / scale[on], -1.0, 1.0))
+    return out
+
+
+def _inner_nodes(rows: np.ndarray, lv: np.ndarray, order: int) -> np.ndarray:
+    """Inner nodes (rows, levels) per outer node of the outer ``rows`` at the levels ``lv``."""
+    return order * ((rows[:, 8:9] + 1.0) * np.exp2(lv) + lv * rows[:, 9:10])
+
+
+def _edge_rows(
+    pos: np.ndarray, flag: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment edges of rows with cut positions ``pos``: lo, the distinct positions strictly
+    between lo and hi ascending, hi, NaN-padded; a cut is flagged when any of its copies is.
+
+    Returns the edges, their flags (never at lo or hi) and the cut count of each row.
+    """
+    pos = np.where((pos > lo[:, None]) & (pos < hi[:, None]), pos, np.nan)
+    # flagged copies first, so the first of equal positions carries the flag
+    for key in (~flag, pos):
+        order = np.argsort(key, axis=1, kind="stable")
+        pos, flag = np.take_along_axis(pos, order, axis=1), np.take_along_axis(flag, order, axis=1)
+    same = pos[:, 1:] == pos[:, :-1]
+    pos[:, 1:][same], flag[:, 1:][same] = np.nan, False
+    order = np.argsort(pos, axis=1, kind="stable")
+    pos, flag = np.take_along_axis(pos, order, axis=1), np.take_along_axis(flag, order, axis=1)
+    count = np.count_nonzero(pos == pos, axis=1)
+    edges = np.full((len(pos), pos.shape[1] + 2), np.nan)
+    edges[:, 1:-1], edges[:, 0] = pos, lo
+    edges[np.arange(len(pos)), count + 1] = hi
+    flags = np.zeros(edges.shape, dtype=bool)
+    flags[:, 1:-1] = flag & (pos == pos)
+    return edges, flags, count
 
 
 def _lines(
@@ -542,7 +831,7 @@ def _grading(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 
 def _axis_rows(
-    rows: np.ndarray, level: int, order: int
+    rows: np.ndarray, level: int, order: int, maps: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
     """The axis rules of the ``_Table`` rows (a, b, total, pattern) at one level, end to end.
 
@@ -550,7 +839,8 @@ def _axis_rows(
     last.  All panels come in one pass from the ``_grading`` templates
     (pattern 0 at level 0); weights are gamma weights over sqrt(pi) and the
     row's ``total``.  A uniform panel k of width h has midpoint (a + k h) +
-    h / 2, bit for bit that of uniform dyadic panels.
+    h / 2, bit for bit that of uniform dyadic panels.  A row whose ``maps``
+    entry (c, s) has s != 0 is a rule in theta on [a, b] for x = c + s sin(theta).
     """
     from_b, off, size, start = _grading(level)
     pattern = rows[:, 3].astype(np.int64) if level else np.zeros(len(rows), dtype=np.int64)
@@ -569,10 +859,14 @@ def _axis_rows(
     # large runs spend half their time allocating temporaries otherwise
     x = half[:, None] * gx
     x += mids[:, None]
+    w = half[:, None] * gw
+    if maps is not None and np.count_nonzero(on := maps[row, 1] != 0.0):
+        theta, (c, scale) = x[on], maps[row[on]].T[:, :, None]
+        x[on] = c + scale * np.sin(theta)
+        w[on] *= scale * np.cos(theta)
     e = x * x
     np.negative(e, out=e)
     np.exp(e, out=e)
-    w = half[:, None] * gw
     w *= e
     w /= _SQRT_PI
     w /= rows[row, 2][:, None]
@@ -752,13 +1046,15 @@ def _drive(
     phases: Sequence[_Phase],
     order: int,
     center: float | None = None,
+    gamma: np.ndarray | None = None,
 ) -> np.ndarray:
     """Refine the phases of field f on every cube (centers (m, d), sides (m,)); the last
-    phase's estimates, a row per cube.
+    phase's estimates, a row per cube.  A ``gamma`` array receives the cubes' Gauss measures.
 
     Each phase is centered at the estimate of the one before (or ``center``).
     A round advances each pending request one level; rules of at most
-    ``SHARED_RULE_NODES`` nodes are built together and evaluated in batches
+    ``SHARED_RULE_NODES`` nodes (``SHARED_ITERATED_NODES`` for iterated
+    rules) are built together and evaluated in batches
     of at most ``BATCH_NODES``.  Larger ones are set aside, then refined
     alone in input order through their remaining phases, each level streamed
     from ``_Table.blocks`` into ``_estimate``.  Either way each estimate is
@@ -770,6 +1066,8 @@ def _drive(
     if not m:
         return np.zeros((0, width))
     table = _Table(centers, sides)
+    if gamma is not None:
+        gamma[:] = table.gq
     top, tol, rel, expo = np.array([(p.top, p.tol, p.rel_tol, p.q or 0.0) for p in phases]).T
     relative = any(p.rel_tol for p in phases)
     # per cube: its request's phase and level, the node counts of the phase's
@@ -793,10 +1091,18 @@ def _drive(
         if i < failed_at:
             failed_at, error = i, exc
 
+    # in d = 2 the circles of radial fields make iterated rules (``_Table``)
+    curved = centers.shape[1] == 2 and (f.radial is not None or bool(f.kink_radii))
+
     def enter(idx: np.ndarray | slice, k: int) -> None:
         p = phases[k]
         kinks = {} if p.level_sets is None else level_set_breaks(f, center[idx], p.level_sets)
-        table.cut(idx, [f.breaks, kinks], kinks if p.kinks else None)
+        solved = curved and p.level_sets is not None and f.radial is not None
+        radii = level_set_radii(f, center[idx], p.level_sets) if solved else ()
+        table.cut(
+            idx, [f.breaks, kinks], kinks if p.kinks else None,
+            [f.kink_radii, radii] if curved else (), radii if p.kinks and solved else None,
+        )
         plan[idx, : p.top + 1] = table.sizes(idx, p.top, order)
         phase[idx], level[idx], last[idx] = k, 0, np.nan
 
@@ -859,7 +1165,11 @@ def _drive(
             j = int((n < 0).argmax())
             fail(int(idx[j]))
             idx, n = idx[:j], n[:j]
-        if np.count_nonzero(big := n > SHARED_RULE_NODES):
+        if table.curved:
+            big = n > np.where(table.orows[idx] > 0, SHARED_ITERATED_NODES, SHARED_RULE_NODES)
+        else:
+            big = n > SHARED_RULE_NODES
+        if np.count_nonzero(big):
             shared[idx[big]] = False
             idx, n = idx[~big], n[~big]
         # greedy batches of at most BATCH_NODES nodes, in input order
@@ -923,20 +1233,25 @@ def integral_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
 
 
 def oscillations(
-    f: ScalarField, centers: np.ndarray, sides: np.ndarray, q: float, spec: QuadratureSpec
-) -> list[float]:
+    f: ScalarField, centers: np.ndarray, sides: np.ndarray, q: float, spec: QuadratureSpec,
+    *, measures: bool = False,
+) -> list[float] | tuple[np.ndarray, list[float]]:
     """``oscillation`` of f on every cube (centers (m, d), sides (m,)), refined together.
 
     Each value is bit for bit the one-cube ``oscillation``; a failure is
-    the one the cube-by-cube loop would raise first.
+    the one the cube-by-cube loop would raise first.  With ``measures``
+    the cubes' Gauss measures gamma(Q) come first, as the driver's table
+    holds them (bit for bit ``geometry.gaussian_measures``).
     """
     if not q >= 1.0:
         raise ValueError("oscillation exponent q must be >= 1")
     # |v|^q is a polynomial on either side of v = 0 for integer q; for any
     # other q the zero set is an endpoint singularity of each panel beside it
     power = _power(spec, q, graded=not float(q).is_integer())
-    means = _drive(f, centers, sides, [_mean(spec), power], spec.nodes_per_axis)[:, 0]
-    return [v ** (1.0 / q) for v in means.tolist()]
+    gamma = np.empty(len(sides))
+    means = _drive(f, centers, sides, [_mean(spec), power], spec.nodes_per_axis, gamma=gamma)
+    values = [v ** (1.0 / q) for v in means[:, 0].tolist()]
+    return (gamma, values) if measures else values
 
 
 def oscillation(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> float:
@@ -1005,6 +1320,20 @@ def level_set_breaks(f: ScalarField, center: float | np.ndarray, sigmas: np.ndar
     return {ax: t for ax, b in out.items() if (t := tuple(b[0, b[0] == b[0]].tolist()))}
 
 
+def level_set_radii(f: ScalarField, center: float | np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Radii of the spheres {|x| = r} that hold {|f - center| = sigma}, one row per center.
+
+    ``radial`` answers for {|f| = v}, as ``level_breaks`` does, at the
+    levels |center + sigma| and |center - sigma| of each sigma in turn.
+    Returns an (m, k) array for m centers (one row for a single center),
+    NaN where a level has no positive radius.
+    """
+    c = np.asarray(center, dtype=np.float64).reshape(-1, 1)
+    levels = np.abs(np.stack((c + sigmas, c - sigmas), axis=2)).reshape(c.size, -1)
+    r = f.radial(levels.ravel()).reshape(c.size, -1)
+    return np.where(np.isfinite(r) & (r > 0.0), r, np.nan)
+
+
 def tail_profiles(
     f: ScalarField,
     centers: np.ndarray,
@@ -1049,15 +1378,6 @@ def tail_profile(
     level.  Pass ``center=0.0`` for uncentered tails of |f|.
     """
     return tail_profiles(f, *cube_arrays([cube]), sigmas, spec, center=center)[0]
-
-
-def tail_measure(
-    f: ScalarField, cube: Cube, sigma: float, spec: QuadratureSpec, *, center: float | None = None
-) -> float:
-    """gamma({x in Q : |f - f_Q| > sigma}) for a single sigma."""
-    if not sigma >= 0.0:
-        raise ValueError("sigma must be nonnegative")
-    return tail_profile(f, cube, [sigma], spec, center=center).tails[0]
 
 
 #: Relative acceptance tolerance of weak norms: their supremum converges
@@ -1248,13 +1568,6 @@ def step_weak_lp_norm(f: StepField, cube: Cube, p: float) -> float:
     return best
 
 
-def step_tail(f: StepField, cube: Cube, sigma: float, *, center: float | None = None) -> float:
-    """Exact gamma({|f - center| > sigma}); center defaults to the cube mean."""
-    v, m = step_distribution(f, cube)
-    c = float(np.sum(v * m) / np.sum(m)) if center is None else float(center)
-    return float(np.sum(m[np.abs(v - c) > sigma]))
-
-
 def make_random_step(
     rng: np.random.Generator,
     cube: Cube,
@@ -1306,9 +1619,17 @@ def _coord_field(axis: int = 0) -> ScalarField:
     )
 
 
-def _symmetric(r: np.ndarray) -> dict[int, np.ndarray]:
-    """Axis-0 breaks -r and r of the levels of a d=1 even field."""
-    return {0: np.stack((-r, r), axis=1)}
+def _spheres(d: int, solve: Callable[[np.ndarray], np.ndarray]) -> dict:
+    """``radial`` of a field with {|f| = v} = {|x| = solve(v)}, and in d = 1 its breaks -r and r."""
+
+    def radial(v: np.ndarray) -> np.ndarray:
+        return solve(v)[:, None]
+
+    def level_breaks(v: np.ndarray) -> dict[int, np.ndarray]:
+        r = radial(v)
+        return {0: np.concatenate((-r, r), axis=1)}
+
+    return {"radial": radial, "level_breaks": level_breaks if d == 1 else None}
 
 
 def _solve(fn: Callable[[float], float], levels: np.ndarray) -> np.ndarray:
@@ -1342,7 +1663,7 @@ def _radius_sq_field(d: int) -> ScalarField:
         dim=d,
         description="squared Euclidean norm |x|^2",
         growth=(0.0, 1.0),
-        level_breaks=(lambda c: _symmetric(np.sqrt(c))) if d == 1 else None,
+        **_spheres(d, np.sqrt),
     )
 
 
@@ -1381,7 +1702,8 @@ def _log_radial_field(d: int) -> ScalarField:
         description="log(1/m(x)) = log max(1, |x|)",
         singular_set="sphere |x| = 1 (gradient kink)",
         growth=(1.0, 1.0),
-        level_breaks=(lambda c: _symmetric(_solve(math.exp, c))) if d == 1 else None,
+        kink_radii=(1.0,),
+        **_spheres(d, lambda c: _solve(math.exp, c)),
     )
 
 
@@ -1403,11 +1725,7 @@ def _exp_half_sq_field(d: int) -> ScalarField:
         description="heavy-tail field exp(|x|^2/2); in L^p(gamma) only for p < 2",
         growth=None,
         tail_bound=tail,
-        level_breaks=(
-            (lambda c: _symmetric(_solve(lambda v: math.sqrt(2.0 * math.log(v)), c)))
-            if d == 1
-            else None
-        ),
+        **_spheres(d, lambda c: _solve(lambda v: math.sqrt(2.0 * math.log(v)), c)),
     )
 
 

@@ -595,6 +595,7 @@ def subdivide_atom(
                 dim=d,
                 breaks=breaks,
                 description=f"mean-zero cascade piece on {corner.center}",
+                kink_radii=v.kink_radii,
             )
             recurse(child, corner, depth + 1)
 

@@ -286,8 +286,8 @@ def node_stats(
     ``maximize_jnp``, ``bmo_norm_estimate`` and ``p_limit_scan`` take a
     forest's as ``stats``, so passes over it with one (f, q, spec) share them.
     """
-    gamma = gaussian_measures(centers, sides)[1]
-    return gamma, np.array(oscillations(f, centers, sides, q, spec))
+    gamma, osc = oscillations(f, centers, sides, q, spec, measures=True)
+    return gamma, np.array(osc)
 
 
 def _weights(gamma: np.ndarray, osc: np.ndarray, p: float) -> list[float]:

@@ -32,10 +32,11 @@ would, at O((n + m) log m) cost for coverings instead of O(n m) and O(m^2).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,23 +59,31 @@ erfc = math.erfc
 _BLOCK = 1 << 16
 
 
-def _tree_passes(a: np.ndarray) -> np.ndarray:
+#: Sums of at least this many entries (and under a block) use the kept
+#: buffers of a whole block, so a streamed level's short last block, or a
+#: level under one block, takes no fresh buffers of its size either.
+_KEEP_FROM = _BLOCK // 4
+
+
+def _tree_passes(a: np.ndarray, bufs: Sequence[np.ndarray] = ()) -> np.ndarray:
     """Sums along the last axis with the fixed pairwise tree, one pass per level.
 
     Each pass pairs entries (0,1),(2,3),... and carries an odd last entry
-    to the end; an empty axis sums to 0.0.
+    to the end; an empty axis sums to 0.0.  Pass k writes into ``bufs[k]``
+    when given (the result is then a view of the last one).
     """
     n = a.shape[-1]
     if n == 0:
         return np.zeros(a.shape[:-1])
-    while n > 1:
-        half = n // 2
-        merged = a[..., 0 : 2 * half : 2] + a[..., 1 : 2 * half : 2]
-        if n % 2 == 1:
-            merged = np.concatenate([merged, a[..., n - 1 : n]], axis=-1)
-        a = merged
-        n = a.shape[-1]
-    return a[..., 0]
+    for k in itertools.count():
+        if n == 1:
+            return a[..., 0]
+        half, odd = divmod(n, 2)
+        out = bufs[k][..., : half + odd] if k < len(bufs) else np.empty(a.shape[:-1] + (half + odd,))
+        np.add(a[..., 0 : 2 * half : 2], a[..., 1 : 2 * half : 2], out=out[..., :half])
+        if odd:
+            out[..., half] = a[..., n - 1]
+        a, n = out, half + odd
 
 
 class _Kept(threading.local):
@@ -85,7 +94,7 @@ class _Kept(threading.local):
     on every call.  ``passes(rows)`` holds the pass buffers of a rows +
     (``_BLOCK``,) block, ``masks(rows)`` the mask and masked weights of
     ``tail_sums``; the buffers of at most 8 row shapes each are kept.  Only
-    arrays of a whole block or more use them, so smaller sums keep nothing.
+    arrays of ``_KEEP_FROM`` entries or more use them, so small sums keep nothing.
     """
 
     def __init__(self) -> None:
@@ -114,7 +123,7 @@ def _blocked(rows: tuple[int, ...], n: int, block: Callable[[slice], np.ndarray]
     """
     full, rest = divmod(n, _BLOCK)
     heads = np.empty(rows + (full + (rest > 0),))
-    bufs = _kept.passes(rows) if full else []
+    bufs = _kept.passes(rows) if full or rest >= _KEEP_FROM else []
     for j in range(full):
         x = block(slice(j * _BLOCK, (j + 1) * _BLOCK))
         for buf in bufs:
@@ -122,7 +131,7 @@ def _blocked(rows: tuple[int, ...], n: int, block: Callable[[slice], np.ndarray]
             x = buf
         heads[..., j] = x[..., 0]
     if rest:
-        heads[..., full] = _tree_passes(block(slice(full * _BLOCK, n)))
+        heads[..., full] = _tree_passes(block(slice(full * _BLOCK, n)), bufs)
     return _sum_last(heads)
 
 
@@ -333,7 +342,7 @@ def tail_sums(abs_values: np.ndarray, weights: np.ndarray, sigmas: np.ndarray) -
     w = np.asarray(weights, dtype=np.float64).ravel()
     sig = np.asarray(sigmas, dtype=np.float64).ravel()[:, None]
     n = av.size
-    if n < _BLOCK:
+    if n < _KEEP_FROM:
         mask, vals = np.empty((sig.size, n), dtype=bool), np.empty((sig.size, n))
     else:
         mask, vals = _kept.masks(sig.size)

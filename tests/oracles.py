@@ -15,6 +15,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from gaussjn.fields import step_distribution
 from gaussjn.geometry import Cube, cubes_disjoint
 
 mp.mp.dps = 40
@@ -129,6 +130,13 @@ def step_masses_mp(edges, values, lo, hi, axis: int):
             continue
         out.append((float(v), float(other * (mp.erf(b) - mp.erf(a)) / 2)))
     return out
+
+
+def step_tail(f, cube: Cube, sigma: float, *, center: float | None = None) -> float:
+    """Exact gamma({|f - center| > sigma}) of a ``StepField``; center defaults to the cube mean."""
+    v, m = step_distribution(f, cube)
+    c = float(np.sum(v * m) / np.sum(m)) if center is None else float(center)
+    return float(np.sum(m[np.abs(v - c) > sigma]))
 
 
 def step_lq_mp(edges, values, lo, hi, axis: int, q: float) -> float:
@@ -671,13 +679,141 @@ def tensor_rule_loop(cube, breaks, level: int, order: int, what: str, field_id: 
     return pts, w
 
 
-def _refine_loop(what, f, cube, breaks, top, order, estimate, accept, tol_text="", kinks=None):
+def _panels_loop(a, b, level: int, order: int, left: bool, right: bool):
+    """Gauss nodes and half-width weights (no Gauss factor) of one segment's panels."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    spans = _panel_spans(a, b, level, left, right)
+    halves = np.array([0.5 * h for _, h in spans])
+    mids = np.array([s + 0.5 * h for s, h in spans])
+    return (mids[:, None] + halves[:, None] * gx[None, :]).ravel(), (halves[:, None] * gw).ravel()
+
+
+def _gauss_weights(x, w, total):
+    return w * np.exp(-x * x) / SQRT_PI_FLOAT / total
+
+
+def iterated_rule_loop(cube, breaks, radii, graded, level: int, order: int, kinks=None):
+    """The iterated rule of a d = 2 cube crossed by circles |x| = r, row by row.
+
+    Returns its node count and layout for ``_iterated_nodes``, or None when
+    no circle of ``radii`` crosses the open cube.  Axis 0 is cut
+    at the breaks, where circles meet the axis-1 edges and breaks, and at
+    the tangent points +-r when axis 1 straddles 0 (graded for the circles
+    in ``graded``).  A row within its own width of a tangent point it lies
+    left of +r (right of -r) is built in theta with x = c + s sin(theta).
+    For each outer node, axis 1 is cut at the breaks and at the roots
+    +-sqrt(r^2 - x0^2) that the row's midpoint has inside, graded toward
+    roots of graded circles.
+    """
+    from gaussjn import kernels
+
+    kinks = kinks or {}
+    (lo0, lo1), (hi0, hi1) = cube.lo, cube.hi
+    near = [min(max(0.0, lo), hi) for lo, hi in zip(cube.lo, cube.hi)]
+    far = [max(abs(lo), abs(hi)) for lo, hi in zip(cube.lo, cube.hi)]
+    rmin2, rmax2 = near[0] * near[0] + near[1] * near[1], far[0] * far[0] + far[1] * far[1]
+    rs = sorted({r for r in radii if math.isfinite(r) and rmin2 < r * r < rmax2})
+    if not rs:
+        return None
+    fixed1 = sorted({b for b in breaks.get(1, ()) if lo1 < b < hi1})
+    flagged = {}
+    for b in breaks.get(0, ()):
+        flagged[b] = flagged.get(b, False) or b in kinks.get(0, ())
+    for r in rs:
+        for t in (lo1, *fixed1, hi1):
+            if r * r - t * t >= 0.0:
+                x = math.sqrt(r * r - t * t)
+                flagged.setdefault(x, False)
+                flagged.setdefault(-x, False)
+        if lo1 < 0.0 < hi1:
+            for t in (r, -r):
+                flagged[t] = flagged.get(t, False) or r in graded
+    cuts = sorted(b for b in flagged if lo0 < b < hi0)
+    edges0 = [lo0, *cuts, hi0]
+    total0, total1 = kernels.gauss1d(lo0, hi0), kernels.gauss1d(lo1, hi1)
+    rows = []
+    for a, b in zip(edges0, edges0[1:]):
+        x0, w0 = _panels_loop(a, b, level, order, flagged.get(a, False), flagged.get(b, False))
+        right = [r for r in rs if r >= b and r - b < b - a]
+        left = [-r for r in rs if -r <= a and a + r < b - a]
+        if left or right:
+            if left and right:
+                c, scale = 0.5 * (max(left) + min(right)), 0.5 * (min(right) - max(left))
+            elif right:
+                c, scale = a, min(right) - a
+            else:
+                c, scale = b, b - max(left)
+            ta, tb = np.arcsin(np.clip(np.array([(a - c) / scale, (b - c) / scale]), -1.0, 1.0))
+            ends = flagged.get(a, False), flagged.get(b, False)
+            theta, w0 = _panels_loop(ta, tb, level, order, *ends)
+            x0 = c + scale * np.sin(theta)
+            w0 = w0 * (scale * np.cos(theta))
+        w0 = _gauss_weights(x0, w0, total0)
+        # the row's inner edges in their order at its midpoint: (value, radius or None, kink)
+        mid = 0.5 * (a + b)
+        template = [(v, None, v, v in kinks.get(1, ())) for v in fixed1]
+        for sign in (1.0, -1.0):
+            for r in rs:
+                if r * r - mid * mid >= 0.0:
+                    v = sign * math.sqrt(r * r - mid * mid)
+                    if lo1 < v < hi1:
+                        template.append((v, r, sign, r in graded))
+        template.sort(key=lambda e: e[0])
+        rows.append((x0, w0, template))
+    # nodes per outer node: order * (2^level + level * graded ends) per inner segment
+    ends = [sum(e[3] for e in template) * 2 for _, _, template in rows]
+    count = sum(
+        x0.size * order * ((len(template) + 1) * (1 << level) + level * g)
+        for (x0, _, template), g in zip(rows, ends)
+    )
+    return count, rows, (lo1, hi1, total1)
+
+
+def _iterated_nodes(rule, level: int, order: int):
+    """Nodes and weights of an ``iterated_rule_loop`` layout, outer node by outer node."""
+    _, rows, (lo1, hi1, total1) = rule
+    pts, weights = [], []
+    for x0, w0, template in rows:
+        for xn, wn in zip(x0.tolist(), w0.tolist()):
+            edges = [(lo1, False)]
+            for _, r, value, kink in template:
+                pos = value if r is None else value * math.sqrt(max(r * r - xn * xn, 0.0))
+                edges.append((min(max(pos, lo1), hi1), kink))
+            edges.append((hi1, False))
+            for (ea, ka), (eb, kb) in zip(edges, edges[1:]):
+                x1, w1 = _panels_loop(ea, eb, level, order, ka, kb)
+                pts.append(np.stack((np.full(x1.size, xn), x1), axis=1))
+                weights.append(_gauss_weights(x1, w1, total1) * wn)
+    return np.concatenate(pts), np.concatenate(weights)
+
+
+def _rule_loop(cube, breaks, level, order, what, field_id, kinks, radii, graded):
+    """The iterated rule when a circle crosses the d = 2 cube, else the tensor rule."""
+    from gaussjn import fields
+
+    rule = iterated_rule_loop(cube, breaks, radii, graded, level, order, kinks) if (
+        cube.dim == 2 and radii) else None
+    if rule is None:
+        return tensor_rule_loop(cube, breaks, level, order, what, field_id, kinks)
+    if rule[0] > fields.MAX_TENSOR_NODES:
+        raise fields.QuadratureError(
+            f"{what} of field {field_id}: refinement level {level} would need {rule[0]} "
+            f"tensor nodes (cap {fields.MAX_TENSOR_NODES}) on cube center {cube.center} "
+            f"side {cube.side}"
+        )
+    return _iterated_nodes(rule, level, order)
+
+
+def _refine_loop(
+    what, f, cube, breaks, top, order, estimate, accept, tol_text="", kinks=None, radii=(),
+    graded=(),
+):
     from gaussjn.fields import QuadratureError
 
     prev = None
     last_diff = math.inf
     for level in range(top + 1):
-        pts, w = tensor_rule_loop(cube, breaks, level, order, what, f.id, kinks)
+        pts, w = _rule_loop(cube, breaks, level, order, what, f.id, kinks, radii, graded)
         est = estimate(f(pts), w)
         if prev is not None:
             ok, last_diff = accept(est, prev)
@@ -691,10 +827,22 @@ def _refine_loop(what, f, cube, breaks, top, order, estimate, accept, tol_text="
     )
 
 
-def average_loop(f, cube, spec, *, transform=None, extra_breaks=None, kinks=None):
+def _level_radii(f, center, sigmas) -> list:
+    """The radii of f's level sets {|f - center| = sigma} in d = 2 (none without a solver)."""
+    from gaussjn.fields import level_set_radii
+
+    if f.radial is None:
+        return []
+    return [r for r in level_set_radii(f, center, np.asarray(sigmas)).ravel().tolist() if r == r]
+
+
+def average_loop(f, cube, spec, *, transform=None, extra_breaks=None, kinks=None, radii=(),
+                 graded=()):
     """Gamma-normalized mean of transform(f) on one cube, refined alone.
 
-    ``kinks`` are breaks toward which the panels are graded.
+    ``kinks`` are breaks toward which the panels are graded.  In d = 2 the
+    circles of f's kink radii and of ``radii`` cut the rows of the rule,
+    graded toward those in ``graded``.
     """
     from gaussjn.fields import merge_breaks
 
@@ -710,7 +858,7 @@ def average_loop(f, cube, spec, *, transform=None, extra_breaks=None, kinks=None
     breaks = merge_breaks(f.breaks, extra_breaks or {})
     return _refine_loop(
         "average", f, cube, breaks, spec.refinement_levels, spec.nodes_per_axis, estimate, accept,
-        f" > {spec.abs_tol:.3e}", kinks,
+        f" > {spec.abs_tol:.3e}", kinks, [*f.kink_radii, *radii], graded,
     )
 
 
@@ -724,9 +872,11 @@ def oscillation_loop(f, cube, q, spec):
 
     center = average_loop(f, cube, spec)
     extra = level_set_breaks(f, center, np.zeros(1))
+    radii = _level_radii(f, center, np.zeros(1))
+    fractional = not float(q).is_integer()
     mean_pow = average_loop(
         f, cube, spec, transform=lambda v: np.abs(v - center) ** q, extra_breaks=extra,
-        kinks=None if float(q).is_integer() else extra,
+        kinks=extra if fractional else None, radii=radii, graded=radii if fractional else (),
     )
     return mean_pow ** (1.0 / q)
 
@@ -748,7 +898,7 @@ def tail_profile_loop(f, cube, sigmas, spec, center=None):
     return _refine_loop(
         "tail profile", f, cube, breaks, 2 * spec.refinement_levels, spec.nodes_per_axis,
         lambda vals, w: tail_sums(np.abs(vals - c), w * gq, sig), accept,
-        f" > {spec.abs_tol:.3e}",
+        f" > {spec.abs_tol:.3e}", radii=[*f.kink_radii, *_level_radii(f, c, sig)],
     )
 
 
@@ -766,7 +916,7 @@ def weak_norm_loop(f, cube, p, spec, rel_tol=1e-3):
     return _refine_loop(
         "weak norm", f, cube, merge_breaks(f.breaks), 2 * spec.refinement_levels,
         spec.nodes_per_axis, lambda vals, w: _node_measure_weak_sup(np.abs(vals), w * gq, p),
-        accept,
+        accept, radii=f.kink_radii,
     )
 
 
@@ -812,3 +962,100 @@ def corner_coefficients_whole_cube(v, cube, spec) -> np.ndarray:
         lambdas.append(average_gamma(weighted, cube, spec) * gamma_q / gamma_core)
     s = math.fsum(lambdas)
     return np.array([lam - s / (1 << d) for lam in lambdas])
+
+
+# ---------------------------------------------------------------------------
+# radial fields in d = 2: nested quad split at the exact circle crossings
+# ---------------------------------------------------------------------------
+
+#: f = phi(|x|^2) of the curved corpus fields in d = 2, with the radius of
+#: {f = v} (None where there is none) and the radii where f itself kinks
+RADIAL_FIELDS = {
+    "radius_sq": (lambda s: s, lambda v: math.sqrt(v) if v > 0.0 else None, ()),
+    "log_radial": (
+        lambda s: math.log(max(1.0, math.sqrt(s))),
+        lambda v: math.exp(v) if v > 0.0 else None,
+        (1.0,),
+    ),
+    "exp_half_sq": (
+        lambda s: math.exp(0.5 * s),
+        lambda v: math.sqrt(2.0 * math.log(v)) if v > 1.0 else None,
+        (),
+    ),
+    "radius_sq|trunc:1.0": (
+        lambda s: min(s, 1.0),
+        lambda v: math.sqrt(v) if 0.0 < v < 1.0 else None,
+        (1.0,),
+    ),
+}
+
+
+def _radial_quad(cube, inner, radii, constant=False):
+    """Int_Q inner(x0, x1) dgamma by nested ``scipy.integrate.quad``.
+
+    Both axes are split where the circles |x| = r of ``radii`` cross them:
+    the inner axis at +-sqrt(r^2 - x0^2), the outer one at the tangent
+    points +-r and where the circles meet the inner axis's ends.  When
+    ``inner`` is ``constant`` between the inner cuts, each inner piece is
+    its midpoint value times the piece's exact Gauss measure.
+    """
+    from scipy import integrate
+
+    (lo0, lo1), (hi0, hi1) = cube.lo, cube.hi
+    radii = [r for r in radii if r > 0.0]
+
+    def cuts(vals, lo, hi):
+        return sorted({v for v in vals if lo < v < hi})
+
+    def row(x0):
+        roots = [s * math.sqrt(r * r - x0 * x0) for r in radii if r > abs(x0) for s in (-1, 1)]
+        edges = [lo1, *cuts(roots, lo1, hi1), hi1]
+        total = 0.0
+        for a, b in zip(edges, edges[1:]):
+            if constant:
+                total += inner(x0, 0.5 * (a + b)) * 0.5 * math.sqrt(math.pi) * (
+                    math.erf(b) - math.erf(a))
+                continue
+            val, _ = integrate.quad(
+                lambda x1: inner(x0, x1) * math.exp(-x1 * x1), a, b, epsabs=1e-15, epsrel=1e-12,
+                limit=200,
+            )
+            total += val
+        return total * math.exp(-x0 * x0) / math.pi
+
+    outer = [s * r for r in radii for s in (-1, 1)]
+    outer += [s * math.sqrt(r * r - t * t) for r in radii for t in (lo1, hi1) if r > abs(t)
+              for s in (-1, 1)]
+    edges = [lo0, *cuts(outer, lo0, hi0), hi0]
+    return math.fsum(
+        integrate.quad(row, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+def radial_mean(fid, cube) -> float:
+    """The gamma average of a ``RADIAL_FIELDS`` field on a d = 2 cube."""
+    phi, _, kinks = RADIAL_FIELDS[fid]
+    total = _radial_quad(cube, lambda x0, x1: phi(x0 * x0 + x1 * x1), kinks)
+    return total / gauss_box_mp(cube.lo, cube.hi)
+
+
+def radial_power(fid, cube, center: float, q: float) -> float:
+    """The gamma average of |f - center|^q on a d = 2 cube."""
+    phi, level, kinks = RADIAL_FIELDS[fid]
+    r = level(center)
+    total = _radial_quad(
+        cube, lambda x0, x1: abs(phi(x0 * x0 + x1 * x1) - center) ** q,
+        [*kinks, *([r] if r else [])],
+    )
+    return total / gauss_box_mp(cube.lo, cube.hi)
+
+
+def radial_tail(fid, cube, center: float, sigma: float) -> float:
+    """gamma({x in Q : |f - center| > sigma}) on a d = 2 cube."""
+    phi, level, kinks = RADIAL_FIELDS[fid]
+    radii = [r for v in (center - sigma, center + sigma) if (r := level(v))]
+    return _radial_quad(
+        cube, lambda x0, x1: float(abs(phi(x0 * x0 + x1 * x1) - center) > sigma),
+        [*kinks, *radii], constant=True,
+    )

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,32 @@ def test_jnp_constant_field_scores_zero(tmp_path):
     payload = read_json(out, "jnp")
     assert payload["ok"] is True
     assert payload["estimates"][0]["value"] == 0.0
+
+
+# the d=2 configs of the benchmark's integrals-d2 workload whose curved
+# kinks once ran into the node cap: their level sets are circles, which the
+# per-row breaks of the iterated rule cut exactly
+D2_SMALL = {"dimension": 2, "quadrature": {"abs_tol": 1e-7}}
+
+
+@pytest.mark.parametrize(
+    "subcommand, cfg",
+    [
+        *(
+            ("jn-tail", dict(D2_SMALL, depth=1, candidate_depth=0, sigmas={"num": 10}, p=2.0,
+                             q=1.5, fields=[fid]))
+            for fid in ("radius_sq", "log_radial", "exp_half_sq")
+        ),
+        ("duality", dict(D2_SMALL, fields=["radius_sq"], duality={"c0": 0.3})),
+    ],
+    ids=["jn-tail-radius_sq", "jn-tail-log_radial", "jn-tail-exp_half_sq", "duality-radius_sq"],
+)
+def test_curved_d2_configs_certify(subcommand, cfg, tmp_path):
+    start = time.perf_counter()
+    code, out = run_cli(subcommand, cfg, tmp_path)
+    assert code == 0
+    assert read_json(out, subcommand)["ok"] is True
+    assert time.perf_counter() - start < 5.0
 
 
 def test_duality_conjugate_mismatch_is_a_config_error(tmp_path, capsys):

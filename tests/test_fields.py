@@ -14,7 +14,6 @@ from gaussjn.fields import (
     QuadratureSpec,
     ScalarField,
     StepField,
-    abs_power_field,
     average_gamma,
     corpus,
     corpus_by_id,
@@ -35,9 +34,7 @@ from gaussjn.fields import (
     step_average,
     step_lq_norm,
     step_oscillation,
-    step_tail,
     step_weak_lp_norm,
-    tail_measure,
     tail_profile,
     tail_profiles,
     truncate,
@@ -90,9 +87,6 @@ def test_combinators_pointwise():
     f = _rsq()
     g = _sign()
     np.testing.assert_allclose(shift_field(f, 0.3)(pts), f(pts) - 0.3, rtol=1e-15)
-    np.testing.assert_allclose(
-        abs_power_field(f, 1.5)(pts), np.abs(f(pts)) ** 1.5, rtol=1e-15
-    )
     np.testing.assert_allclose(product_field(f, g)(pts), f(pts) * g(pts), rtol=1e-15)
     r = restrict_field(f, P1)
     inside = P1.contains_points(pts)
@@ -123,8 +117,7 @@ def _layout_fields(d):
     by_id = corpus_by_id(d)
     out = [product_field(by_id["radius_sq"], by_id["sign0"])]
     for f in corpus(d):
-        out += [f, shift_field(f, 0.3), abs_power_field(f, 1.5), restrict_field(f, cube),
-                truncate(f, 2.0)]
+        out += [f, shift_field(f, 0.3), restrict_field(f, cube), truncate(f, 2.0)]
     return out
 
 
@@ -382,13 +375,13 @@ def test_tail_profile_monotone_and_validated(spec):
 
 def test_tail_measure_step_exact(spec):
     f = StepField("s5", 0, (0.0,), (0.0, 1.0), dim=1)
-    got = tail_measure(f, P1, 0.4, spec)
-    assert got == pytest.approx(step_tail(f, P1, 0.4), abs=1e-12)
+    got = tail_profile(f, P1, [0.4], spec).tails[0]
+    assert got == pytest.approx(oracles.step_tail(f, P1, 0.4), abs=1e-12)
 
 
 def test_uncentered_tail(spec):
     f = _sign()
-    got = tail_measure(f, P1, 0.5, spec, center=0.0)
+    got = tail_profile(f, P1, [0.5], spec, center=0.0).tails[0]
     assert got == pytest.approx(gaussian_measure(P1), abs=1e-12)
 
 
@@ -629,8 +622,11 @@ def test_batched_refinement_matches_one_cube_loop_bitwise(d, budget, forest_cube
     for f in corpus(d):
         for cube in cubes[:3]:
             zero_set = level_set_breaks(f, 0.0, np.zeros(1))
+            radii = oracles._level_radii(f, 0.0, np.zeros(1))
             assert _outcome(lambda: power_average(f, cube, 1.0, spec)) == _outcome(
-                lambda: oracles.average_loop(f, cube, spec, transform=np.abs, extra_breaks=zero_set)
+                lambda: oracles.average_loop(
+                    f, cube, spec, transform=np.abs, extra_breaks=zero_set, radii=radii
+                )
             ), f.id
         assert _outcome(lambda: oscillations(f, *cube_arrays(cubes), 1.25, spec)) == _outcome(
             lambda: [oracles.oscillation_loop(f, c, 1.25, spec) for c in cubes]
@@ -854,7 +850,8 @@ def test_streamed_level_inside_a_field_evaluation_keeps_its_own_buffers():
 def test_streamed_levels_keep_block_memory(run):
     import tracemalloc
 
-    f, cube = _rsq(2), Cube((0.3, 0.3), 2.0)
+    # |x|^2 without its radial solver, so the rules are tensor rules
+    f, cube = ScalarField("radius_sq", _rsq(2).fn, dim=2), Cube((0.3, 0.3), 2.0)
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError, match=r"level 8 \(4194304 tensor nodes\)"):
@@ -863,6 +860,24 @@ def test_streamed_levels_keep_block_memory(run):
     finally:
         tracemalloc.stop()
     # one rule of 4,194,304 nodes is 96 MiB of nodes and weights alone
+    assert peak < 16 * 2**20
+
+
+def test_streamed_iterated_levels_keep_block_memory():
+    import tracemalloc
+
+    # the circle {f = f_Q} crosses the cube, so each level is an iterated
+    # rule, forced here to its last level
+    f, cube = _rsq(2), Cube((0.3, 0.3), 2.0)
+    spec = QuadratureSpec(refinement_levels=6, abs_tol=1e-300)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=r"level 6 \(2712576 tensor nodes\)"):
+            oscillation(f, cube, 1.5, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rule itself is 62 MiB of nodes and weights
     assert peak < 16 * 2**20
 
 
@@ -1119,3 +1134,91 @@ def test_level_set_breaks_of_many_centers_equal_the_one_center_calls(fid):
     if fid == "exp_half_sq":
         assert fields.level_set_breaks(f, 0.5, np.zeros(1)) == {}
         assert np.isnan(fields.level_set_breaks(f, np.array([0.0, 0.5]), np.zeros(1))[0]).all()
+
+
+# ---------------------------------------------------------------------------
+# radial level sets in d = 2: iterated rules against nested quad
+# ---------------------------------------------------------------------------
+
+# a cube where the tensor rule's acceptance let a 3.7e-9 error through, the
+# central cube and the duality box, then a seeded sample
+CENSUS_CUBES = [Cube((1.25, 2.25), 0.5), Cube((0.0, 0.0), 2.0), Cube((0.0, 0.0), 12.0)] + [
+    Cube(tuple(c), float(s))
+    for c, s in zip(
+        np.random.default_rng(20261019).uniform(-2.5, 2.5, (3, 2)).round(3).tolist(),
+        np.random.default_rng(20261020).choice([0.125, 0.25, 0.5, 1.0, 2.0], 3).tolist(),
+    )
+]
+CENSUS_SIGMAS = (0.1, 0.5, 1.5)
+
+
+def _census_field(fid):
+    if fid == "radius_sq|trunc:1.0":
+        return truncate(_rsq(2), 1.0)
+    return corpus_by_id(2)[fid]
+
+
+@pytest.mark.parametrize("fid", sorted(oracles.RADIAL_FIELDS))
+def test_radial_census_within_abs_tol(fid, spec):
+    f = _census_field(fid)
+    assert f.id == fid
+    for cube in CENSUS_CUBES:
+        center = average_gamma(f, cube, spec)
+        assert abs(center - oracles.radial_mean(fid, cube)) <= spec.abs_tol, cube
+        for q in (1.25, 1.5):
+            got = oscillation(f, cube, q, spec) ** q
+            assert abs(got - oracles.radial_power(fid, cube, center, q)) <= spec.abs_tol, (cube, q)
+        tails = tail_profile(f, cube, CENSUS_SIGMAS, spec).tails
+        for sigma, got in zip(CENSUS_SIGMAS, tails):
+            want = oracles.radial_tail(fid, cube, center, sigma)
+            assert abs(got - want) <= spec.abs_tol, (cube, sigma)
+
+
+def test_radial_level_sets_cut_rows_not_the_tensor_rule():
+    # a circle inside the cube: the rule's mass of the disk is exact to
+    # rounding from level 2 on, where the tensor rule's panels still cut it
+    cube, r = Cube((0.0, 0.0), 2.0), 0.5
+    disk = 1.0 - math.exp(-r * r)
+    table = _table(cube, {})
+    table.cut(ONE, [{}], None, [(r,)])
+    for level in (2, 3):
+        n = table.sizes(ONE, level, 8)[:, level]
+        pts, w = table.rules(ONE, np.array([level]), n, 8)
+        inside = fields._sum_sq(pts) < r * r
+        assert abs(float(w[inside].sum()) * table.gq[0] - disk) < 1e-14
+        assert np.array_equal(pts, np.concatenate([p for p, _ in table.blocks(0, level, 8)]))
+    # a cube the circle does not cross keeps the tensor rule bit for bit
+    far = Cube((2.0, 2.0), 0.5)
+    flat, curved = _table(far, {}), _table(far, {})
+    curved.cut(ONE, [{}], None, [(r,)])
+    for level in (0, 2):
+        n = flat.sizes(ONE, level, 8)[:, level]
+        assert np.array_equal(curved.sizes(ONE, level, 8)[:, level], n)
+        for a, b in zip(flat.rules(ONE, np.array([level]), n, 8),
+                        curved.rules(ONE, np.array([level]), n, 8)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_radial_solver_gives_the_d1_level_breaks(d):
+    for fid, solve in (("radius_sq", math.sqrt), ("log_radial", math.exp),
+                       ("exp_half_sq", lambda v: math.sqrt(2.0 * math.log(v)))):
+        f = corpus_by_id(d)[fid]
+        levels = np.array([0.0, 0.3, 1.0, 2.5, 9.0])
+        want = []
+        for v in levels.tolist():
+            try:
+                want.append(solve(v))
+            except ValueError:
+                want.append(math.nan)
+        got = f.radial(levels)
+        assert got.shape == (5, 1)
+        assert np.array_equal(got[:, 0], np.array(want), equal_nan=True), fid
+        if d == 1:
+            assert np.array_equal(f.level_breaks(levels)[0], np.concatenate((-got, got), axis=1),
+                                  equal_nan=True)
+        else:
+            assert f.level_breaks is None
+    # the truncation radius joins the kink radii, log_radial's own kink is r = 1
+    assert truncate(corpus_by_id(2)["radius_sq"], 4.0).kink_radii == (2.0,)
+    assert corpus_by_id(d)["log_radial"].kink_radii == (1.0,)

@@ -10,7 +10,9 @@ import pytest
 import oracles
 from gaussjn.covering import Covering, Layer, build_covering, radius_sequence
 from gaussjn.fields import QuadratureSpec, corpus_by_id, oscillation, oscillations
-from gaussjn.geometry import Cube, cube_arrays, cubes_disjoint, gaussian_measure, is_admissible
+from gaussjn.geometry import (
+    Cube, cube_arrays, cubes_disjoint, gaussian_measure, gaussian_measures, is_admissible,
+)
 import gaussjn.jnp as jnp_module
 from gaussjn.jnp import (
     CandidateSet,
@@ -480,7 +482,8 @@ def test_p_limit_scan_nondecreasing(cands1, spec):
 def test_p_limit_scan_computes_the_oscillations_once(cands1, spec, monkeypatch):
     calls = []
     monkeypatch.setattr(
-        jnp_module, "oscillations", lambda *args: calls.append(1) or oscillations(*args)
+        jnp_module, "oscillations",
+        lambda *args, **kw: calls.append(1) or oscillations(*args, **kw),
     )
     assert len(p_limit_scan(_sign(), cands1, [2.0, 3.0, 4.0], 1.5, spec)) == 3
     assert len(calls) == 1
@@ -489,6 +492,16 @@ def test_p_limit_scan_computes_the_oscillations_once(cands1, spec, monkeypatch):
     with pytest.raises(ValueError):
         p_limit_scan(_sign(), cands1, [1.2, 3.0], 1.5, spec)
     assert len(calls) == 1
+
+
+def test_node_stats_take_the_measures_from_the_driver(cands1, spec, monkeypatch):
+    # gamma(Q) comes from the oscillations' own table, bit for bit
+    # gaussian_measures, which node_stats no longer calls
+    want = gaussian_measures(cands1.centers, cands1.sides)[1]
+    monkeypatch.setattr(jnp_module, "gaussian_measures", None)
+    gamma, osc = node_stats(_sign(), cands1.centers, cands1.sides, 1.5, spec)
+    assert gamma.tobytes() == want.tobytes()
+    assert osc.tolist() == oscillations(_sign(), cands1.centers, cands1.sides, 1.5, spec)
 
 
 def test_single_cube_value_closed_form(spec):
@@ -541,9 +554,9 @@ def test_bmo_argmax_keeps_the_first_of_a_near_tie(spec):
 def test_bmo_and_jnp_share_one_oscillation_per_cube(cands1, spec, monkeypatch):
     calls = []
 
-    def counted(f, centers, sides, q, spec_):
+    def counted(f, centers, sides, q, spec_, **kw):
         calls.extend(zip(map(tuple, centers.tolist()), sides.tolist()))
-        return oscillations(f, centers, sides, q, spec_)
+        return oscillations(f, centers, sides, q, spec_, **kw)
 
     monkeypatch.setattr(jnp_module, "oscillations", counted)
     f = corpus_by_id(1)["radius_sq"]
