@@ -680,12 +680,18 @@ def tensor_rule_loop(cube, breaks, level: int, order: int, what: str, field_id: 
 
 
 def _panels_loop(a, b, level: int, order: int, left: bool, right: bool):
-    """Gauss nodes and half-width weights (no Gauss factor) of one segment's panels."""
+    """Gauss nodes and half-width weights (no Gauss factor) of one segment's panels.
+
+    Segment ends a and b are numbers, or arrays of them for one segment per
+    entry; the result then has one row of nodes per entry.
+    """
     gx, gw = np.polynomial.legendre.leggauss(order)
     spans = _panel_spans(a, b, level, left, right)
-    halves = np.array([0.5 * h for _, h in spans])
-    mids = np.array([s + 0.5 * h for s, h in spans])
-    return (mids[:, None] + halves[:, None] * gx[None, :]).ravel(), (halves[:, None] * gw).ravel()
+    halves = np.array([0.5 * h for _, h in spans]).T
+    mids = np.array([s + 0.5 * h for s, h in spans]).T
+    shape = halves.shape[:-1] + (-1,)
+    return (mids[..., None] + halves[..., None] * gx).reshape(shape), (
+        halves[..., None] * gw).reshape(shape)
 
 
 def _gauss_weights(x, w, total):
@@ -770,20 +776,28 @@ def iterated_rule_loop(cube, breaks, radii, graded, level: int, order: int, kink
 
 
 def _iterated_nodes(rule, level: int, order: int):
-    """Nodes and weights of an ``iterated_rule_loop`` layout, outer node by outer node."""
+    """Nodes and weights of an ``iterated_rule_loop`` layout, outer node by outer node.
+
+    The outer nodes of one row share its edge template, so each inner
+    segment is built for all of them at once, one column per node.
+    """
     _, rows, (lo1, hi1, total1) = rule
     pts, weights = [], []
     for x0, w0, template in rows:
-        for xn, wn in zip(x0.tolist(), w0.tolist()):
-            edges = [(lo1, False)]
-            for _, r, value, kink in template:
-                pos = value if r is None else value * math.sqrt(max(r * r - xn * xn, 0.0))
-                edges.append((min(max(pos, lo1), hi1), kink))
-            edges.append((hi1, False))
-            for (ea, ka), (eb, kb) in zip(edges, edges[1:]):
-                x1, w1 = _panels_loop(ea, eb, level, order, ka, kb)
-                pts.append(np.stack((np.full(x1.size, xn), x1), axis=1))
-                weights.append(_gauss_weights(x1, w1, total1) * wn)
+        edges = [(np.full(x0.size, lo1), False)]
+        for _, r, value, kink in template:
+            pos = np.full(x0.size, value) if r is None else value * np.sqrt(
+                np.maximum(r * r - x0 * x0, 0.0))
+            edges.append((np.minimum(np.maximum(pos, lo1), hi1), kink))
+        edges.append((np.full(x0.size, hi1), False))
+        x1, w1 = [], []
+        for (ea, ka), (eb, kb) in zip(edges, edges[1:]):
+            x, w = _panels_loop(ea, eb, level, order, ka, kb)
+            x1.append(x)
+            w1.append(_gauss_weights(x, w, total1) * w0[:, None])
+        x1, w1 = np.concatenate(x1, axis=1), np.concatenate(w1, axis=1)
+        pts.append(np.stack((np.repeat(x0, x1.shape[1]), x1.ravel()), axis=1))
+        weights.append(w1.ravel())
     return np.concatenate(pts), np.concatenate(weights)
 
 
