@@ -28,6 +28,7 @@ from .covering import build_covering, covering_admissibility, coverage_report
 from .fields import (
     QuadratureSpec,
     ScalarField,
+    average_gammas,
     corpus_by_id,
     l1_gamma_norm,
     make_random_step,
@@ -743,9 +744,12 @@ def _run_subdivide(cfg: ExperimentConfig) -> RunResult:
         rec = np.zeros(len(pts))
         means = []
         admissible = True
-        for i, piece in enumerate(res.atoms):
+        leaves = [piece.field for piece in res.atoms]
+        leaf_means = average_gammas(
+            leaves, *cube_arrays([piece.cube for piece in res.atoms]), cfg.quadrature
+        )
+        for i, (piece, mu) in enumerate(zip(res.atoms, leaf_means)):
             rec += piece.field(pts)
-            mu = piece.mean(cfg.quadrature)
             means.append(abs(mu))
             admissible &= is_admissible(piece.cube, a_target)
             rows.append((f.id, i, piece.cube.side, *piece.cube.center, mu))
@@ -963,7 +967,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    kernels.warmup()
     runner = SUBCOMMANDS[args.subcommand]
     try:
         result = runner(cfg)

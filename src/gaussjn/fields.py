@@ -54,23 +54,28 @@ exact per level, so the node cap, the shared rounds and block streaming
 treat both rule shapes alike; cubes that no circle crosses keep the tensor
 rule bit for bit.
 
-One function, ``_drive``, runs every refinement, in one shape: one field,
-many cubes (centers (m, d), sides (m,)) and a list of phases, on one table
-of arrays per call; a single cube is a table of one.  The functions of many
-cubes (``average_gammas``, ``oscillations``, ``tail_profiles``) take those
-two arrays, the one-cube functions a ``Cube``.  It knows four quadratures:
+One function, ``_drive``, runs every refinement, in one shape: many cubes
+(centers (m, d), sides (m,)), one field for all of them or one field per
+cube, and a list of phases, on one table of arrays per call; a single cube
+is a table of one.  The functions of many cubes (``average_gammas``,
+``oscillations``, ``tail_profiles``) take those two arrays, the one-cube
+functions a ``Cube``; ``average_gammas`` also takes a field per cube, so
+that one call serves, say, every piece of an atom cascade.  Each cube's
+panels are cut at its own field's breaks and circles, and each distinct
+field is evaluated once per batch, on the nodes of its own cubes (grouped
+so that they are neighbours).  It knows four quadratures:
 the mean of f, the centered power average of |f - c|^r, the tail masses and
 the weak norm.  Each cube runs phases (for an oscillation, the centering average,
 then the centered power average at that center; for ``power_average``, the
 power average at a given center) as a row of arrays.  Its panels are rows of
 a ``_Table``, cut for all cubes that enter a phase in a round.  Entering a
 phase is the one place where level sets become panel breaks: those of all
-the entering cubes are solved in one call, and the node counts of all the
+the entering cubes are solved in one call per field, and the node counts of all the
 phase's levels are counted at once; a cube with an axis of vanishing Gauss
 measure has no rule at any level and fails at level 0.  A round advances
 every pending cube one level: acceptance is one vectorized step, rules are
-built in one pass per level, the field is evaluated once on the stacked
-nodes (the transpose of one (d, n) buffer, so each coordinate is
+built in one pass per level, each field is evaluated once on the stacked
+nodes of its cubes (the transpose of one (d, n) buffer, so each coordinate is
 contiguous), and row-wise pairwise trees reduce each cube bit for bit as a
 one-cube loop would, in a batch of one cube too.  A batch holds at most
 ``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES`` (iterated
@@ -253,13 +258,23 @@ def shift_field(f: ScalarField, c: float) -> ScalarField:
 
 
 def restrict_field(f: ScalarField, cube: Cube) -> ScalarField:
-    """f * chi_Q: zero outside the open cube; cube faces become breaks, level sets are f's."""
+    """f * chi_Q: zero outside the open cube; cube faces become breaks, level sets are f's.
+
+    Where every point is inside, f is evaluated on the points as they come
+    (fields do not depend on the layout, so the values are the same).
+    """
     face_breaks = {ax: (cube.lo[ax], cube.hi[ax]) for ax in range(cube.dim)}
     lo = cube.lo_array()
     hi = cube.hi_array()
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        inside = np.all((pts > lo) & (pts < hi), axis=-1)
+        inside = pts[:, 0] > lo[0]
+        inside &= pts[:, 0] < hi[0]
+        for ax in range(1, pts.shape[1]):
+            inside &= pts[:, ax] > lo[ax]
+            inside &= pts[:, ax] < hi[ax]
+        if np.count_nonzero(inside) == inside.size:
+            return f(pts)
         vals = np.zeros(pts.shape[0], dtype=np.float64)
         if np.any(inside):
             vals[inside] = f(pts[inside])
@@ -1039,8 +1054,82 @@ def _batch_estimates(
     return out
 
 
+def _distinct(f: ScalarField | Sequence[ScalarField], m: int) -> tuple[list, np.ndarray]:
+    """The distinct fields of a ``_drive`` call, in order of first use, and each cube's index
+    among them: one field (any object but a list or tuple) serves every cube."""
+    if not isinstance(f, (list, tuple)):
+        return [f], np.zeros(m, dtype=np.int64)
+    if len(f) != m:
+        raise ValueError(f"{len(f)} fields for {m} cubes")
+    index: dict[int, int] = {}
+    fid = np.array([index.setdefault(id(g), len(index)) for g in f], dtype=np.int64)
+    return list({id(g): g for g in f}.values()), fid
+
+
+def _each_field(
+    fns: Sequence[ScalarField], owner: np.ndarray, n: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """Values at stacked nodes (n[k] of cube k, whose field is ``fns[owner[k]]``), each
+    field evaluated once, on the nodes of its own cubes (columns contiguous)."""
+    order = np.argsort(owner, kind="stable")
+    cuts = np.concatenate(([0], n[order].cumsum()))
+    # the nodes grouped by field, cube by cube: gathered unless already so
+    take = None
+    if np.count_nonzero(order != np.arange(order.size)):
+        first = np.concatenate(([0], n.cumsum()))[order]
+        take = np.repeat(first - cuts[:-1], n[order]) + np.arange(cuts[-1])
+        pts = pts.T[:, take].T
+    vals = np.empty(len(pts))
+    change = np.flatnonzero(np.diff(owner[order])) + 1
+    for s, e in zip([0, *change.tolist()], [*change.tolist(), order.size]):
+        span = slice(cuts[s], cuts[e])
+        vals[span] = fns[owner[order[s]]](pts[span])
+    if take is None:
+        return vals
+    out = np.empty(len(vals))
+    out[take] = vals
+    return out
+
+
+def _padded(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """The rows as one array, NaN-padded on the right."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _level_sets(
+    fns: Sequence[ScalarField], owner: np.ndarray, center: np.ndarray, sigmas: np.ndarray,
+    curved: bool,
+) -> tuple[dict, np.ndarray | tuple]:
+    """Positions and (``curved``) radii of {|f - center| = sigma} for cubes whose fields are
+    ``fns[owner]``, solved per field: ``level_set_breaks`` and ``level_set_radii`` with a row
+    per cube, NaN-padded; the radii () where no field is radial."""
+    kinks: dict[int, list] = {}
+    radii = []
+    for j in np.unique(owner).tolist():
+        g, mine = fns[j], owner == j
+        for ax, b in level_set_breaks(g, center[mine], sigmas).items():
+            kinks.setdefault(ax, []).append((mine, b))
+        if curved and g.radial is not None:
+            radii.append((mine, level_set_radii(g, center[mine], sigmas)))
+    k = len(center)
+    return {ax: _rows(k, parts) for ax, parts in kinks.items()}, _rows(k, radii) if radii else ()
+
+
+def _rows(k: int, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """k NaN-padded rows, filled from (rows selected, their values) parts."""
+    if len(parts) == 1 and np.count_nonzero(parts[0][0]) == k:
+        return parts[0][1]
+    out = np.full((k, max(b.shape[1] for _, b in parts)), np.nan)
+    for mine, b in parts:
+        out[mine, : b.shape[1]] = b
+    return out
+
+
 def _drive(
-    f: ScalarField,
+    f: ScalarField | Sequence[ScalarField],
     centers: np.ndarray,
     sides: np.ndarray,
     phases: Sequence[_Phase],
@@ -1051,6 +1140,10 @@ def _drive(
     """Refine the phases of field f on every cube (centers (m, d), sides (m,)); the last
     phase's estimates, a row per cube.  A ``gamma`` array receives the cubes' Gauss measures.
 
+    ``f`` is one field for all cubes, or a list or tuple of m fields, one per
+    cube: each cube's panels are cut at its own field's breaks and circles,
+    its level sets solved by its own field, and each distinct field is
+    evaluated once per batch, on the nodes of its own cubes.
     Each phase is centered at the estimate of the one before (or ``center``).
     A round advances each pending request one level; rules of at most
     ``SHARED_RULE_NODES`` nodes (``SHARED_ITERATED_NODES`` for iterated
@@ -1063,6 +1156,7 @@ def _drive(
     """
     m = len(sides)
     width = max(1 if p.sigmas is None else p.sigmas.size for p in phases)
+    fns, fid = _distinct(f, m)
     if not m:
         return np.zeros((0, width))
     table = _Table(centers, sides)
@@ -1086,22 +1180,29 @@ def _drive(
         nonlocal failed_at, error
         pending[i] = shared[i] = False
         # without exc, cube i's next rule cannot be built
-        what = f"{phases[phase[i]].what} of field {f.id}: "
+        what = f"{phases[phase[i]].what} of field {fns[fid[i]].id}: "
         exc = exc or QuadratureError(what + table.why(i, int(level[i]), order))
         if i < failed_at:
             failed_at, error = i, exc
 
-    # in d = 2 the circles of radial fields make iterated rules (``_Table``)
-    curved = centers.shape[1] == 2 and (f.radial is not None or bool(f.kink_radii))
+    # each field's breaks and kink radii, a NaN-padded row per field; in
+    # d = 2 the circles of radial fields make iterated rules (``_Table``)
+    d = centers.shape[1]
+    breaks = {
+        ax: _padded([g.breaks.get(ax, ()) for g in fns])
+        for ax in sorted({ax for g in fns for ax in g.breaks if ax < d})
+    }
+    curved = d == 2 and any(g.radial is not None or bool(g.kink_radii) for g in fns)
+    kink_radii = _padded([g.kink_radii for g in fns])
 
     def enter(idx: np.ndarray | slice, k: int) -> None:
-        p = phases[k]
-        kinks = {} if p.level_sets is None else level_set_breaks(f, center[idx], p.level_sets)
-        solved = curved and p.level_sets is not None and f.radial is not None
-        radii = level_set_radii(f, center[idx], p.level_sets) if solved else ()
+        p, owner = phases[k], fid[idx]
+        kinks, radii = {}, ()
+        if p.level_sets is not None:
+            kinks, radii = _level_sets(fns, owner, center[idx], p.level_sets, curved)
         table.cut(
-            idx, [f.breaks, kinks], kinks if p.kinks else None,
-            [f.kink_radii, radii] if curved else (), radii if p.kinks and solved else None,
+            idx, [{ax: b[owner] for ax, b in breaks.items()}, kinks], kinks if p.kinks else None,
+            [kink_radii[owner], radii] if curved else (), radii if p.kinks and len(radii) else None,
         )
         plan[idx, : p.top + 1] = table.sizes(idx, p.top, order)
         phase[idx], level[idx], last[idx] = k, 0, np.nan
@@ -1119,7 +1220,7 @@ def _drive(
             i, p = int(idx[j]), phases[ph[j]]
             # weak norms accept relative to their value, so only the difference is named
             fail(i, QuadratureError(
-                f"{p.what} of field {f.id} on {table.name(i)} "
+                f"{p.what} of field {fns[fid[i]].id} on {table.name(i)} "
                 f"did not converge by refinement level {lv[j] - 1} ({n[j]} tensor nodes): "
                 f"last diff {d[j]:.3e}" + ("" if p.rel_tol else f" > {p.tol:.3e}")
             ))
@@ -1135,17 +1236,23 @@ def _drive(
                     enter(go, k)
 
     def step(batch: np.ndarray, n: np.ndarray) -> None:
-        # neighbours share the passes of one exponent, one level, one node count
-        perm = np.lexsort((n, level[batch], expo[phase[batch]]))
+        # neighbours share the passes of one exponent, one level, one node count;
+        # the cubes of one field at one level are neighbours
+        perm = np.lexsort((n, fid[batch], level[batch], expo[phase[batch]]))
         idx, ns = batch[perm], n[perm]
         pts, w = table.rules(idx, level[idx], ns, order)
         new = np.empty((batch.size, width))
-        vals = f(pts)
+        owner = fid[idx]
+        if np.count_nonzero(owner != owner[0]):
+            vals = _each_field(fns, owner, ns, pts)
+        else:
+            vals = fns[owner[0]](pts)
         new[perm] = _batch_estimates(phases, phase[idx], idx, center, table.gq, vals, w, ns, width)
         settle(batch, new, n)
 
     def stream(i: int, n: int) -> None:
-        blocks = ((f(pts), w) for pts, w in table.blocks(i, int(level[i]), order))
+        g = fns[fid[i]]
+        blocks = ((g(pts), w) for pts, w in table.blocks(i, int(level[i]), order))
         est = _estimate(phases[phase[i]], center[i], table.gq[i], blocks, n)
         settle(np.array([i]), np.full((1, width), est), np.array([n]))
 
@@ -1188,12 +1295,14 @@ def _drive(
 
 
 def average_gammas(
-    f: ScalarField, centers: np.ndarray, sides: np.ndarray, spec: QuadratureSpec
+    f: ScalarField | Sequence[ScalarField], centers: np.ndarray, sides: np.ndarray,
+    spec: QuadratureSpec,
 ) -> list[float]:
     """``average_gamma`` of f on every cube (centers (m, d), sides (m,)), refined together.
 
-    Each value is bit for bit the one-cube ``average_gamma``; a failure is
-    the one the cube-by-cube loop would raise first.
+    ``f`` is one field for all cubes, or a list or tuple of one field per
+    cube.  Each value is bit for bit the one-cube ``average_gamma`` of its
+    cube's field; a failure is the one the cube-by-cube loop would raise first.
     """
     return _drive(f, centers, sides, [_mean(spec)], spec.nodes_per_axis)[:, 0].tolist()
 

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .fields import (
+    QuadratureError,
     QuadratureSpec,
     ScalarField,
     StepField,
@@ -453,13 +454,6 @@ def subdivision_depth(a_start: float, a_target: float, d: int) -> int:
     return n
 
 
-def _thirds(cube: Cube) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis thirds boundaries (lo + side/3, lo + 2 side/3)."""
-    lo = cube.lo_array()
-    step = cube.side / 3.0
-    return lo + step, lo + 2.0 * step
-
-
 def _corner_cube(cube: Cube, bits: tuple[int, ...]) -> Cube:
     """Sub-cube of side 2/3 that shares the cube's corner selected by bits."""
     third = cube.side / 3.0
@@ -470,35 +464,69 @@ def _corner_cube(cube: Cube, bits: tuple[int, ...]) -> Cube:
     return Cube(tuple(center), 2.0 * cube.side / 3.0)
 
 
-def _core_cube(cube: Cube) -> Cube:
-    return Cube(cube.center, cube.side / 3.0)
+def _corner_count(
+    cols: Sequence[np.ndarray], t1: Sequence, t2: Sequence, bits: tuple[int, ...]
+) -> np.ndarray:
+    """2^d psi_i at the points with coordinates ``cols``, as unsigned integers.
 
-
-def _partition_weight(cube: Cube, bits: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """psi_i: indicator of the i-th corner cube divided by the covering count.
-
-    Piecewise constant on the thirds grid; the divisor is 2^(number of
-    middle thirds), a power of two, so sum_i psi_i == 1 exactly in floats.
+    psi_i is the indicator of the corner cube ``bits`` of a cube with thirds
+    lines t1 < t2 (per axis: a value, or one per point) divided by the
+    covering count.  Per axis the count is 2 in the corner's own third, 1
+    in the closed middle third and 0 in the far third, so psi_i is an exact
+    power of two or 0, and sum_i psi_i == 1 exactly in floats.
     """
-    t1, t2 = _thirds(cube)
+    count = None
+    for x, b, a1, a2 in zip(cols, bits, t1, t2):
+        if b == 0:
+            s = (x <= a2).view(np.uint8) + (x < a1).view(np.uint8)
+        else:
+            s = (x >= a1).view(np.uint8) + (x > a2).view(np.uint8)
+        if count is None:
+            count = s.astype(np.min_scalar_type(1 << len(bits)), copy=False)
+        else:
+            count *= s
+    return count
 
-    def psi(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        inside = np.ones(pts.shape[0], dtype=bool)
-        count = np.ones(pts.shape[0])
-        for ax, b in enumerate(bits):
-            x = pts[:, ax]
-            low_third = x < t1[ax]
-            high_third = x > t2[ax]
-            middle = ~(low_third | high_third)
-            if b == 0:
-                inside &= low_third | middle
-            else:
-                inside &= high_third | middle
-            count = np.where(middle, count * 2.0, count)
-        return np.where(inside, 1.0 / count, 0.0)
 
-    return psi
+#: One step of a cascade piece: its parent's thirds lines t1 and t2 and core corners
+#: lo and hi (each a tuple of d floats), the corner ``bits`` and the coefficient lambda.
+Step = tuple[tuple, tuple, tuple, tuple, tuple[int, ...], float]
+
+
+class CascadePiece(ScalarField):
+    """A piece of the subdivision cascade, evaluated flat over the atom's field.
+
+    ``base`` is the atom's field and ``steps`` the cascade steps from the
+    atom down to this piece.  The value is v = base, then v = v psi_k -
+    lambda_k chi_k for each step in order: psi_k the corner weight of its
+    bits, chi_k the indicator of its open core.
+    """
+
+    def __init__(
+        self, id: str, base: ScalarField, steps: tuple[Step, ...], *, dim: int,
+        breaks: dict[int, tuple[float, ...]], description: str = "",
+    ) -> None:
+        self.base, self.steps = base, steps
+        super().__init__(
+            id, self._values, dim=dim, breaks=breaks, description=description,
+            kink_radii=base.kink_radii,
+        )
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        cols = [pts[:, ax] for ax in range(pts.shape[1])]
+        val = self.base(pts)
+        for k, (t1, t2, lo, hi, bits, lam) in enumerate(self.steps):
+            in_core = None
+            for x, a, b in zip(cols, lo, hi):
+                inside = x > a
+                inside &= x < b
+                in_core = inside if in_core is None else np.logical_and(in_core, inside, out=in_core)
+            # v psi_k as (v * 2^d psi_k) 2^-d, both products exact; the
+            # first step leaves the base's array as it is
+            val = np.multiply(val, _corner_count(cols, t1, t2, bits), out=val if k else None)
+            val *= 0.5 ** len(cols)
+            val -= lam * in_core
+        return val
 
 
 @dataclass(frozen=True)
@@ -536,76 +564,100 @@ def subdivide_atom(
     chi_{core}, where the psi_i form the exact corner-cube partition of
     unity and l_i = (1/gamma(core)) Int v psi_i dgamma: psi_i is constant
     on each of the 3^d thirds cells, so l_i adds psi_i at the cell centers
-    times the integrals of v over the cells, from one ``average_gammas``
-    call.  Each v_i has zero mean and lives on the corner cube of side (2/3)
-    l_Q; since v has zero mean the l_i sum to zero, which is enforced
-    float-exactly by subtracting their mean, making sum_i v_i == v up to a
-    few ulps.  Pieces whose cube is already admissible at the target scale
-    stop; the rest recurse, at most ``subdivision_depth`` times.
+    times the integrals of v over the cells.  Each v_i has zero mean and
+    lives on the corner cube of side (2/3) l_Q; since v has zero mean the
+    l_i sum to zero, which is enforced float-exactly by subtracting their
+    mean, making sum_i v_i == v up to a few ulps.  Pieces whose cube is
+    already admissible at the target scale stop; the rest recurse, at most
+    ``subdivision_depth`` times.  Each piece is a ``CascadePiece``: the
+    atom's field and the steps down to it.
+
+    The tree's shape depends only on the cubes, so the cascade runs breadth
+    first: one ``average_gammas`` per depth over the thirds cells of all the
+    pieces that recurse there, each cell with its piece's field.  The atoms
+    come in depth-first order, and a failure is the one the depth-first
+    recursion would raise first.
     """
     if not is_admissible(atom.cube, a_start):
         raise ValueError("atom cube is not admissible at the starting scale")
     d = atom.cube.dim
     n_bound = subdivision_depth(a_start, a_target, d)
-    out: list[Atom] = []
-    max_depth = 0
-
-    def recurse(v: ScalarField, cube: Cube, depth: int) -> None:
-        nonlocal max_depth
-        max_depth = max(max_depth, depth)
-        if is_admissible(cube, a_target):
-            out.append(Atom(field=v, cube=cube, q=atom.q))
-            return
+    k = 3**d
+    offsets = np.array(list(np.ndindex(*(3,) * d))) - 1.0
+    corners = [tuple(int(b) for b in bits) for bits in np.ndindex(*(2,) * d)]
+    # the pieces of one depth in depth-first order, as (path of corner
+    # indices, field, cube, steps from the atom)
+    level: list = [((), atom.field, atom.cube, ())]
+    leaves: list = []
+    error: Exception | None = None
+    depth = 0
+    while True:
+        parents = []
+        for node in level:
+            (leaves if is_admissible(node[2], a_target) else parents).append(node)
+        if not parents:
+            break
         if depth >= n_bound:
-            raise RuntimeError(
-                f"subdivision exceeded its depth bound {n_bound} on cube {cube.center}"
+            error = RuntimeError(
+                f"subdivision exceeded its depth bound {n_bound} on cube {parents[0][2].center}"
             )
-        core = _core_cube(cube)
-        gamma_core = gaussian_measure(core)
-        t1, t2 = _thirds(cube)
-        breaks = merge_breaks(v.breaks, {ax: (float(t1[ax]), float(t2[ax])) for ax in range(d)})
-        third = cube.side / 3.0
-        centers = cube.center_array() + third * (np.array(list(np.ndindex(*(3,) * d))) - 1.0)
-        sides = np.full(len(centers), third)
-        means = average_gammas(v, centers, sides, spec)
-        integrals = [m * g for m, g in zip(means, gaussian_measures(centers, sides)[1].tolist())]
-        corners = [tuple(int(b) for b in bits) for bits in np.ndindex(*(2,) * d)]
-        psis = [_partition_weight(cube, bits) for bits in corners]
-        lambdas = [
-            math.fsum(w * x for w, x in zip(psi(centers).tolist(), integrals)) / gamma_core
-            for psi in psis
-        ]
-
-        s = math.fsum(lambdas)
-        lambdas = [lam - s / (1 << d) for lam in lambdas]
-
-        core_lo = core.lo_array()
-        core_hi = core.hi_array()
-        for bits, psi, lam in zip(corners, psis, lambdas):
-
-            def piece(pts: np.ndarray, _psi=psi, _lam=lam) -> np.ndarray:
-                pts = np.atleast_2d(pts)
-                in_core = np.all((pts > core_lo) & (pts < core_hi), axis=-1)
-                return v(pts) * _psi(pts) - _lam * in_core.astype(np.float64)
-
-            corner = _corner_cube(cube, bits)
-            child = ScalarField(
-                f"{v.id}|psi{bits}|centered",
-                piece,
-                dim=d,
-                breaks=breaks,
-                description=f"mean-zero cascade piece on {corner.center}",
-                kink_radii=v.kink_radii,
-            )
-            recurse(child, corner, depth + 1)
-
-    recurse(atom.field, atom.cube, 0)
+            break
+        center = np.array([node[2].center for node in parents])
+        side = np.array([node[2].side for node in parents])
+        third = side / 3.0
+        cells = (center[:, None, :] + third[:, None, None] * offsets).reshape(-1, d)
+        sides = np.repeat(third, k)
+        fields = [node[1] for node in parents for _ in range(k)]
+        try:
+            means = average_gammas(fields, cells, sides, spec)
+        except QuadratureError as exc:
+            # the recursion meets this failure after the subtrees of the
+            # pieces before the failing one, which may fail first
+            error, means = exc, []
+            for j in range(0, len(fields), k):
+                span = slice(j, j + k)
+                try:
+                    means += average_gammas(fields[span], cells[span], sides[span], spec)
+                except QuadratureError:
+                    break
+            parents = parents[: len(means) // k]
+        p = len(parents)
+        center, side, third = center[:p], side[:p], third[:p]
+        cells, sides = cells[: p * k], sides[: p * k]
+        integrals = np.array(means) * gaussian_measures(cells, sides)[1]
+        gamma_core = gaussian_measures(center, third)[1].tolist()
+        lo, half = center - 0.5 * side[:, None], 0.5 * third[:, None]
+        t1, t2 = lo + third[:, None], lo + 2.0 * third[:, None]
+        # psi_i at each cell center times the integral over the cell, per corner and piece
+        at_cells = [cells[:, ax] for ax in range(d)], t1.repeat(k, axis=0).T, t2.repeat(k, axis=0).T
+        psis = np.stack([_corner_count(*at_cells, bits) for bits in corners]) * 0.5**d
+        terms = (psis * integrals).reshape(len(corners), p, k)
+        # per piece: its thirds lines and core corners, d floats each
+        lines = [[tuple(row) for row in a.tolist()] for a in (t1, t2, center - half, center + half)]
+        level = []
+        for j, (path, v, cube, steps) in enumerate(parents):
+            a1, a2, c1, c2 = (col[j] for col in lines)
+            lambdas = [math.fsum(row.tolist()) / gamma_core[j] for row in terms[:, j]]
+            s = math.fsum(lambdas)
+            breaks = merge_breaks(v.breaks, {ax: (a1[ax], a2[ax]) for ax in range(d)})
+            for i, (bits, lam) in enumerate(zip(corners, lambdas)):
+                down = (*steps, (a1, a2, c1, c2, bits, lam - s / (1 << d)))
+                corner = _corner_cube(cube, bits)
+                child = CascadePiece(
+                    f"{v.id}|psi{bits}|centered", atom.field, down, dim=d, breaks=breaks,
+                    description=f"mean-zero cascade piece on {corner.center}",
+                )
+                level.append(((*path, i), child, corner, down))
+        depth += 1
+    if error is not None:
+        raise error
+    leaves.sort(key=lambda node: node[0])
     return SubdivisionResult(
-        atoms=tuple(out),
+        atoms=tuple(Atom(field=v, cube=cube, q=atom.q) for _, v, cube, _ in leaves),
         a_start=a_start,
         a_target=a_target,
         depth_bound=n_bound,
-        max_depth=max_depth,
+        max_depth=depth,
         atom_count_bound=(1 + (1 << d)) ** n_bound,
     )
 
@@ -644,17 +696,18 @@ def _pair_once(
     radius: float,
     spec: QuadratureSpec,
 ) -> float:
+    """c0 Int_box f_n dgamma + sum of Int_Q f_n b dgamma over the atoms b, from one
+    ``average_gammas`` call: the box with f_n first, then each atom's cube with f_n b."""
     box = Cube((0.0,) * d, 2.0 * radius)
-    const_term = 0.0
-    if element.c0 != 0.0:
-        const_term = element.c0 * average_gamma(f_n, box, spec) * gaussian_measure(box)
-    atom_terms = []
-    for poly in element.polymers:
-        for a in poly.atoms:
-            integrand = product_field(f_n, a.field)
-            atom_terms.append(
-                average_gamma(integrand, a.cube, spec) * gaussian_measure(a.cube)
-            )
+    atoms = [a for poly in element.polymers for a in poly.atoms]
+    const = int(element.c0 != 0.0)
+    cubes = [box] * const + [a.cube for a in atoms]
+    if not cubes:
+        return 0.0
+    fields = [f_n] * const + [product_field(f_n, a.field) for a in atoms]
+    means = average_gammas(fields, *cube_arrays(cubes), spec)
+    const_term = element.c0 * means[0] * gaussian_measure(box) if const else 0.0
+    atom_terms = [mu * gaussian_measure(a.cube) for mu, a in zip(means[const:], atoms)]
     return const_term + math.fsum(atom_terms)
 
 

@@ -946,8 +946,98 @@ def node_measure_weak_sup_unique(av: np.ndarray, wg: np.ndarray, p: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# subdivision cascade (the whole-cube corner weights before the thirds cells)
+# subdivision cascade: nested closures, depth first, and the whole-cube
+# corner weights before the thirds cells
 # ---------------------------------------------------------------------------
+
+
+def partition_weight(cube, bits):
+    """psi_i: indicator of the i-th corner cube divided by the covering count.
+
+    Piecewise constant on the thirds grid; the divisor is 2^(number of
+    middle thirds), a power of two, so sum_i psi_i == 1 exactly in floats.
+    """
+    lo = cube.lo_array()
+    step = cube.side / 3.0
+    t1, t2 = lo + step, lo + 2.0 * step
+
+    def psi(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(pts)
+        inside = np.ones(pts.shape[0], dtype=bool)
+        count = np.ones(pts.shape[0])
+        for ax, b in enumerate(bits):
+            x = pts[:, ax]
+            low_third = x < t1[ax]
+            high_third = x > t2[ax]
+            middle = ~(low_third | high_third)
+            if b == 0:
+                inside &= low_third | middle
+            else:
+                inside &= high_third | middle
+            count = np.where(middle, count * 2.0, count)
+        return np.where(inside, 1.0 / count, 0.0)
+
+    return psi
+
+
+def subdivide_nested(atom, a_start: float, a_target: float, spec) -> list:
+    """The subdivision cascade as a depth-first recursion over nested closures.
+
+    Each piece is a closure that calls its parent's field, v psi_i -
+    l_i chi_core, with its own ``average_gammas`` call over the thirds cells
+    of its cube.  Returns the leaves in depth-first order as (cube, field,
+    the l_i of the steps from the atom down).
+    """
+    from gaussjn.fields import ScalarField, average_gammas, merge_breaks
+    from gaussjn.geometry import gaussian_measure, gaussian_measures, is_admissible
+    from gaussjn.hardy import _corner_cube, subdivision_depth
+
+    d = atom.cube.dim
+    n_bound = subdivision_depth(a_start, a_target, d)
+    out = []
+
+    def recurse(v, cube, depth, path):
+        if is_admissible(cube, a_target):
+            out.append((cube, v, path))
+            return
+        if depth >= n_bound:
+            raise RuntimeError(
+                f"subdivision exceeded its depth bound {n_bound} on cube {cube.center}"
+            )
+        core = Cube(cube.center, cube.side / 3.0)
+        gamma_core = gaussian_measure(core)
+        lo, third = cube.lo_array(), cube.side / 3.0
+        thirds = {ax: (float(lo[ax] + third), float(lo[ax] + 2.0 * third)) for ax in range(d)}
+        breaks = merge_breaks(v.breaks, thirds)
+        centers = cube.center_array() + third * (np.array(list(np.ndindex(*(3,) * d))) - 1.0)
+        sides = np.full(len(centers), third)
+        means = average_gammas(v, centers, sides, spec)
+        integrals = [m * g for m, g in zip(means, gaussian_measures(centers, sides)[1].tolist())]
+        corners = [tuple(int(b) for b in bits) for bits in np.ndindex(*(2,) * d)]
+        psis = [partition_weight(cube, bits) for bits in corners]
+        lambdas = [
+            math.fsum(w * x for w, x in zip(psi(centers).tolist(), integrals)) / gamma_core
+            for psi in psis
+        ]
+        s = math.fsum(lambdas)
+        lambdas = [lam - s / (1 << d) for lam in lambdas]
+        core_lo, core_hi = core.lo_array(), core.hi_array()
+        for bits, psi, lam in zip(corners, psis, lambdas):
+
+            def piece(pts, _psi=psi, _lam=lam):
+                pts = np.atleast_2d(pts)
+                in_core = np.all((pts > core_lo) & (pts < core_hi), axis=-1)
+                return v(pts) * _psi(pts) - _lam * in_core.astype(np.float64)
+
+            corner = _corner_cube(cube, bits)
+            child = ScalarField(
+                f"{v.id}|psi{bits}|centered", piece, dim=d, breaks=breaks,
+                kink_radii=v.kink_radii,
+            )
+            recurse(child, corner, depth + 1, (*path, lam))
+
+    recurse(atom.field, atom.cube, 0, ())
+    return out
 
 
 def corner_coefficients_whole_cube(v, cube, spec) -> np.ndarray:
@@ -960,7 +1050,6 @@ def corner_coefficients_whole_cube(v, cube, spec) -> np.ndarray:
     """
     from gaussjn.fields import ScalarField, average_gamma, merge_breaks
     from gaussjn.geometry import gaussian_measure
-    from gaussjn.hardy import _partition_weight
 
     d = cube.dim
     lo, third = cube.lo_array(), cube.side / 3.0
@@ -968,7 +1057,7 @@ def corner_coefficients_whole_cube(v, cube, spec) -> np.ndarray:
     gamma_q, gamma_core = gaussian_measure(cube), gaussian_measure(Cube(cube.center, third))
     lambdas = []
     for bits in itertools.product((0, 1), repeat=d):
-        psi = _partition_weight(cube, bits)
+        psi = partition_weight(cube, bits)
         weighted = ScalarField(
             f"{v.id}|psi{bits}", lambda pts, psi=psi: v(pts) * psi(pts), dim=d,
             breaks=merge_breaks(v.breaks, thirds),

@@ -93,6 +93,28 @@ def test_curved_d2_configs_certify(subcommand, cfg, tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize(
+    "subcommand, cfg, most",
+    [
+        # make_atom's three means, one call per cascade depth, one for the 52 leaf means
+        ("subdivide", dict(D2_SMALL, fields=["const_one"], subdivide={"a_target": 0.5}), 7),
+        # the pairing's terms of one truncation level come from one call
+        ("duality", dict(D2_SMALL, fields=["radius_sq"], duality={"c0": 0.3}), 39),
+    ],
+    ids=["subdivide", "duality"],
+)
+def test_d2_hardy_ops_batch_their_driver_calls(subcommand, cfg, most, tmp_path, monkeypatch):
+    from gaussjn import fields
+
+    calls = []
+    drive = fields._drive
+    monkeypatch.setattr(fields, "_drive", lambda *a, **k: calls.append(1) or drive(*a, **k))
+    code, out = run_cli(subcommand, cfg, tmp_path)
+    assert code == 0
+    assert read_json(out, subcommand)["ok"] is True
+    assert len(calls) <= most
+
+
 def test_duality_conjugate_mismatch_is_a_config_error(tmp_path, capsys):
     cfg = {"duality": {"p": 1.5, "p_prime": 2.9}}
     code, _ = run_cli("duality", cfg, tmp_path)

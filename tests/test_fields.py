@@ -722,19 +722,71 @@ def test_average_gammas_raise_the_first_failure_in_input_order(shared_rule_nodes
     # four nodes per panel and three levels: the small first cube converges,
     # the second runs out of levels at level 3, and the third, split by the
     # break at 1.5, cannot build its 64-node level-3 rule under a cap of 40.
-    # In shared rounds the third fails first; the loop raises the second's error
+    # In shared rounds the third fails first; the loop raises the second's
+    # error, which names the second cube's field (one field for all cubes,
+    # or one per cube)
     monkeypatch.setattr(fields, "MAX_TENSOR_NODES", 40)
     if shared_rule_nodes is not None:
         monkeypatch.setattr(fields, "SHARED_RULE_NODES", shared_rule_nodes)
-    f = ScalarField("ridges", lambda pts: np.abs(np.sin(40.0 * pts[:, 0])), breaks={0: (1.5,)})
     cubes = [Cube((0.3,), 1e-3), Cube((0.3,), 0.5), Cube((1.5,), 0.5)]
     spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=3, abs_tol=1e-15)
-    loop = _outcome(lambda: [average_gamma(f, cube, spec) for cube in cubes])
-    assert loop[0] == "error" and "did not converge" in loop[1] and "(0.3,) side 0.5" in loop[1]
-    assert _outcome(lambda: average_gamma(f, cubes[2], spec))[1].startswith(
-        "average of field ridges: refinement level 3 would need 64 tensor nodes (cap 40)"
-    )
-    assert _outcome(lambda: fields.average_gammas(f, *cube_arrays(cubes), spec)) == loop
+
+    def ridges(pts):
+        return np.abs(np.sin(40.0 * pts[:, 0]))
+
+    one = ScalarField("ridges", ridges, breaks={0: (1.5,)})
+    per_cube = [ScalarField(f"ridges{k}", ridges, breaks={0: (1.5,)}) for k in range(3)]
+    for fs in ([one] * 3, per_cube):
+        loop = _outcome(lambda: [average_gamma(f, cube, spec) for f, cube in zip(fs, cubes)])
+        assert loop[0] == "error" and "did not converge" in loop[1]
+        assert loop[1].startswith(f"average of field {fs[1].id} on cube center (0.3,) side 0.5")
+        assert _outcome(lambda: average_gamma(fs[2], cubes[2], spec))[1].startswith(
+            f"average of field {fs[2].id}: refinement level 3 would need 64 tensor nodes (cap 40)"
+        )
+        assert _outcome(lambda: fields.average_gammas(fs, *cube_arrays(cubes), spec)) == loop
+        if fs[0] is one:
+            assert _outcome(lambda: fields.average_gammas(one, *cube_arrays(cubes), spec)) == loop
+
+
+@pytest.mark.parametrize("budget", ["default", "split"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_field_per_cube_matches_the_one_cube_loop_bitwise(d, budget, forest_cubes, monkeypatch):
+    # cube k takes field k of a cycle through the corpus and restricted,
+    # shifted copies (in d = 2 curved and flat fields share one call): every
+    # mean and oscillation is the one-cube loop's bit for bit, and a failure
+    # the first the loop raises
+    if budget == "split":
+        monkeypatch.setattr(fields, "BATCH_NODES", 600)
+        monkeypatch.setattr(fields, "SHARED_RULE_NODES", 200)
+    spec = BATCH_SPECS[d]
+    cubes = forest_cubes[d]
+    cycle = corpus(d)
+    cycle += [restrict_field(shift_field(f, 0.25), Cube((0.3,) * d, 2.5)) for f in cycle]
+    fs = [cycle[k % len(cycle)] for k in range(len(cubes))]
+    centers, sides = cube_arrays(cubes)
+    phases = [fields._mean(spec), fields._power(spec, 1.25, graded=True)]
+
+    def oscillations_per_cube(fs, centers, sides):
+        means = fields._drive(fs, centers, sides, phases, spec.nodes_per_axis)
+        return [v ** (1.0 / 1.25) for v in means[:, 0].tolist()]
+
+    for batched, one in (
+        (fields.average_gammas, lambda f, c: oracles.average_loop(f, c, spec)),
+        (oscillations_per_cube, lambda f, c: oracles.oscillation_loop(f, c, 1.25, spec)),
+    ):
+        loop = [_outcome(lambda: one(f, c)) for f, c in zip(fs, cubes)]
+        first = next((out for out in loop if out[0] == "error"), None)
+        want = first or ("value", [out[1] for out in loop])
+        if batched is fields.average_gammas:
+            assert _outcome(lambda: batched(fs, centers, sides, spec)) == want
+        else:
+            assert _outcome(lambda: batched(fs, centers, sides)) == want
+        # the cubes that converge, together
+        ok = [k for k, out in enumerate(loop) if out[0] == "value"]
+        assert len(ok) > len(cubes) // 2
+        args = ([fs[k] for k in ok], centers[ok], sides[ok])
+        got = batched(*args, spec) if batched is fields.average_gammas else batched(*args)
+        assert _bits(got) == [loop[k][1] for k in ok]
 
 
 # ---------------------------------------------------------------------------

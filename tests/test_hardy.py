@@ -8,18 +8,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gaussjn import kernels
+from gaussjn import fields, hardy, kernels
 from gaussjn.fields import (
+    QuadratureError,
     QuadratureSpec,
     ScalarField,
     StepField,
     average_gamma,
+    average_gammas,
     corpus_by_id,
     gauss_average,
     oscillation,
     product_field,
 )
-from gaussjn.geometry import Cube, cubes_disjoint, gaussian_measure, is_admissible
+from gaussjn.geometry import Cube, cube_arrays, cubes_disjoint, gaussian_measure, is_admissible
 from gaussjn.hardy import (
     Atom,
     HardyElement,
@@ -39,7 +41,6 @@ from gaussjn.hardy import (
     subdivide_atom,
     subdivision_depth,
     truncation_oscillation_check,
-    _partition_weight,
 )
 
 import oracles
@@ -372,7 +373,7 @@ def test_cascade_closures_agree_bitwise_on_column_and_row_major_nodes(d):
     pts = start.lo_array() + start.side * rng.uniform(size=(3001, d))
     pts[0] = start.center
     rows, cols = np.ascontiguousarray(pts), np.asfortranarray(pts)
-    corner_weights = [_partition_weight(start, bits) for bits in np.ndindex(*(2,) * d)]
+    corner_weights = [oracles.partition_weight(start, bits) for bits in np.ndindex(*(2,) * d)]
     for fn in [atom0.field, *corner_weights, *(a.field for a in res.atoms)]:
         assert fn(rows).tobytes() == fn(cols).tobytes()
 
@@ -406,6 +407,114 @@ def test_cascade_coefficients_match_the_whole_cube_oracle(fid, d, mspec):
     orig = atom0.field(pts)
     assert np.max(np.abs(rec - orig)) / max(1.0, np.max(np.abs(orig))) < 1e-12
     assert max(abs(piece.mean(mspec)) for piece in res.atoms) < 1e-9
+
+
+# (d, field, a_start, a_target, spec): the subdivide configs of the benchmark's
+# d=2 workload (centre (1.2, 0), side 1, a_target 0.5, abs_tol 1e-7), and the
+# d=1 and d=3 starts of the CLI defaults
+NESTED_CASES = [
+    (2, fid, 2.0 * math.sqrt(2.0), 0.5, QuadratureSpec(abs_tol=1e-7))
+    for fid in ("coord0", "radius_sq", "sign0", "log_radial", "exp_half_sq")
+] + [
+    (1, "radius_sq", 2.0, 0.5, QuadratureSpec()),
+    (3, "coord0", 2.0 * math.sqrt(3.0), 1.0, QuadratureSpec(nodes_per_axis=4, abs_tol=1e-6)),
+]
+
+
+def _spy(v, k, seen):
+    """v with the same breaks and circles, recording the points it is evaluated at."""
+
+    def fn(pts):
+        seen.append((k, pts.copy()))
+        return v(pts)
+
+    return ScalarField(v.id, fn, dim=v.dim, breaks=v.breaks, kink_radii=v.kink_radii)
+
+
+def _sliver_nodes(atoms, seen) -> int:
+    """Nodes of panels at most 4 ulp wide between a piece's break and its cube's face
+    (their Gauss nodes round onto the panel's ends)."""
+    count = 0
+    for k, nodes in seen:
+        cube, breaks = atoms[k].cube, atoms[k].field.breaks
+        for ax, bs in breaks.items():
+            lo, hi = cube.lo[ax], cube.hi[ax]
+            for b in bs:
+                for a, c in ((lo, b), (b, hi)):
+                    if lo < b < hi and 0.0 < c - a <= 4.0 * np.spacing(abs(b)):
+                        x = nodes[:, ax]
+                        count += int(np.count_nonzero((x >= a) & (x <= c)))
+    return count
+
+
+@pytest.mark.parametrize(
+    "d, fid, a_start, a_target, spec", NESTED_CASES, ids=[f"d{c[0]}-{c[1]}" for c in NESTED_CASES]
+)
+def test_cascade_pieces_match_the_nested_closures_bitwise(d, fid, a_start, a_target, spec):
+    # the flat pieces of the breadth-first cascade against the depth-first
+    # recursion over nested closures: the same leaves in the same order, the
+    # same lambdas, and the same values at random points and at every node
+    # of each leaf's mean, sliver panels included
+    start = Cube((1.2,) + (0.0,) * (d - 1), 1.0)
+    atom0 = make_atom(corpus_by_id(d)[fid], start, 3.0, spec)
+    res = subdivide_atom(atom0, a_start, a_target, spec)
+    want = oracles.subdivide_nested(atom0, a_start, a_target, spec)
+    assert [a.cube for a in res.atoms] == [cube for cube, _, _ in want]
+    assert [a.field.id for a in res.atoms] == [v.id for _, v, _ in want]
+    got_lambdas = [[step[-1] for step in a.field.steps] for a in res.atoms]
+    assert [[x.hex() for x in lams] for lams in got_lambdas] == [
+        [x.hex() for x in lams] for _, _, lams in want
+    ]
+    seen = []
+    spies = [_spy(a.field, k, seen) for k, a in enumerate(res.atoms)]
+    means = average_gammas(spies, *cube_arrays([a.cube for a in res.atoms]), spec)
+    assert [m.hex() for m in means] == [average_gamma(v, c, spec).hex() for c, v, _ in want]
+    assert {k for k, _ in seen} == set(range(len(res.atoms)))
+    for k, nodes in seen:
+        assert res.atoms[k].field(nodes).tobytes() == want[k][1](nodes).tobytes()
+    if d == 2:
+        assert _sliver_nodes(res.atoms, seen) > 0
+    rng = np.random.default_rng(d)
+    pts = start.lo_array() + start.side * rng.uniform(1e-9, 1.0 - 1e-9, size=(1000, d))
+    for a, (_, v, _) in zip(res.atoms, want):
+        assert a.field(pts).tobytes() == v(pts).tobytes()
+
+
+@pytest.mark.parametrize("deeper", ["quadrature", "depth bound"])
+def test_cascade_raises_the_first_failure_of_the_depth_first_recursion(deeper, monkeypatch):
+    # d = 1, [0.7, 1.7]: the thirds cells of the second depth-1 piece fail,
+    # and so does, below the first piece, a depth-2 cell (or the depth bound,
+    # lowered to 2, at its first child).  Breadth first, depth 1 fails
+    # first; the depth-first recursion meets the failure below the first
+    # piece before the second piece, and that is the one raised
+    real = fields.average_gammas
+
+    def flaky(f, centers, sides, spec):
+        third, center = float(sides[0]), centers[:, 0]
+        if math.isclose(third, 2.0 / 9.0):
+            bad = center > 1.3
+        else:
+            bad = (center < 0.8) & math.isclose(third, 4.0 / 27.0) & (deeper == "quadrature")
+        if np.count_nonzero(bad):
+            raise QuadratureError(f"cell {float(center[bad.argmax()])!r} side {third!r}")
+        return real(f, centers, sides, spec)
+
+    monkeypatch.setattr(fields, "average_gammas", flaky)
+    monkeypatch.setattr(hardy, "average_gammas", flaky)
+    if deeper == "depth bound":
+        monkeypatch.setattr(hardy, "subdivision_depth", lambda a_start, a_target, d: 2)
+    spec = QuadratureSpec()
+    atom0 = make_atom(corpus_by_id(1)["radius_sq"], Cube((1.2,), 1.0), 3.0, spec)
+    outcome = []
+    for runner in (subdivide_atom, oracles.subdivide_nested):
+        with pytest.raises((QuadratureError, RuntimeError)) as info:
+            runner(atom0, 2.0, 0.3, spec)
+        outcome.append((info.type, str(info.value)))
+    assert outcome[0] == outcome[1]
+    if deeper == "quadrature":
+        assert outcome[0][1].startswith("cell 0.77") and "side 0.148" in outcome[0][1]
+    else:
+        assert outcome[0][1].startswith("subdivision exceeded its depth bound 2 on cube (0.92")
 
 
 def test_subdivide_atom_rejects_inadmissible_start(corpus, mspec):
