@@ -517,9 +517,9 @@ class CascadePiece(ScalarField):
         val = self.base(pts)
         for k, (t1, t2, lo, hi, bits, lam) in enumerate(self.steps):
             in_core = None
-            for x, a, b in zip(cols, lo, hi):
-                inside = x > a
-                inside &= x < b
+            for x, low, high in zip(cols, lo, hi):
+                inside = x > low
+                inside &= x < high
                 in_core = inside if in_core is None else np.logical_and(in_core, inside, out=in_core)
             # v psi_k as (v * 2^d psi_k) 2^-d, both products exact; the
             # first step leaves the base's array as it is

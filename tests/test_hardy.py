@@ -439,11 +439,10 @@ def _sliver_nodes(atoms, seen) -> int:
         cube, breaks = atoms[k].cube, atoms[k].field.breaks
         for ax, bs in breaks.items():
             lo, hi = cube.lo[ax], cube.hi[ax]
-            for b in bs:
+            for b in (b for b in bs if lo < b < hi):
                 for a, c in ((lo, b), (b, hi)):
-                    if lo < b < hi and 0.0 < c - a <= 4.0 * np.spacing(abs(b)):
-                        x = nodes[:, ax]
-                        count += int(np.count_nonzero((x >= a) & (x <= c)))
+                    if c - a <= 4.0 * np.spacing(abs(b)):
+                        count += int(np.count_nonzero((nodes[:, ax] >= a) & (nodes[:, ax] <= c)))
     return count
 
 
