@@ -748,6 +748,41 @@ def test_average_gammas_raise_the_first_failure_in_input_order(shared_rule_nodes
             assert _outcome(lambda: fields.average_gammas(one, *cube_arrays(cubes), spec)) == loop
 
 
+def test_a_field_per_cube_gathers_a_field_split_across_phases(monkeypatch):
+    # two fields over four cubes whose means accept at levels 3, 1, 2 and 4:
+    # "wave"'s second cube enters the power phase while its first still
+    # refines the mean, so a batch holds its cubes apart and gathers their
+    # nodes.  Each batch's values are each cube's field on its own nodes,
+    # and every oscillation is the one-cube loop's bit for bit
+    wave = ScalarField(
+        "wave", lambda pts: np.exp(pts[:, 0]) * np.cos(3.0 * pts[:, 1]),
+        dim=2, breaks={0: (0.2, 0.5), 1: (-0.1,)},
+    )
+    tilt = ScalarField("tilt", lambda pts: pts[:, 0] * pts[:, 1] + 0.3 * pts[:, 1], dim=2)
+    fs = [wave, tilt, wave, tilt]
+    cubes = [Cube((0.4, -0.3), 0.9), Cube((1.1, 0.6), 0.05), Cube((-0.6, 0.4), 0.4),
+             Cube((0.35, -0.1), 2.5)]
+    spec = QuadratureSpec(nodes_per_axis=4, abs_tol=1e-10)
+    gathered = []
+    each_field = fields._each_field
+
+    def spy(fns, owner, n, pts):
+        gathered.append(bool(np.any(np.diff(owner) < 0)))
+        vals = each_field(fns, owner, n, pts)
+        bounds = np.concatenate(([0], n.cumsum()))
+        for k, j in enumerate(owner.tolist()):
+            span = slice(bounds[k], bounds[k + 1])
+            assert vals[span].tobytes() == fns[j](pts[span]).tobytes()
+        return vals
+
+    monkeypatch.setattr(fields, "_each_field", spy)
+    phases = [fields._mean(spec), fields._power(spec, 1.5, graded=True)]
+    got = fields._drive(fs, *cube_arrays(cubes), phases, spec.nodes_per_axis)[:, 0]
+    want = [oracles.oscillation_loop(f, c, 1.5, spec) for f, c in zip(fs, cubes)]
+    assert _bits([v ** (1.0 / 1.5) for v in got.tolist()]) == _bits(want)
+    assert any(gathered)
+
+
 @pytest.mark.parametrize("budget", ["default", "split"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_a_field_per_cube_matches_the_one_cube_loop_bitwise(d, budget, forest_cubes, monkeypatch):
