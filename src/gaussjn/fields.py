@@ -70,14 +70,14 @@ then the centered power average at that center; for ``power_average``, the
 power average at a given center) as a row of arrays.  Its panels are rows of
 a ``_Table``, cut for all cubes that enter a phase in a round.  Entering a
 phase is the one place where level sets become panel breaks: those of all
-the entering cubes are solved in one call per field, and the node counts of all the
-phase's levels are counted at once; a cube with an axis of vanishing Gauss
-measure has no rule at any level and fails at level 0.  A round advances
-every pending cube one level: acceptance is one vectorized step, rules are
-built in one pass per level, each field is evaluated once on the stacked
-nodes of its cubes (the transpose of one (d, n) buffer, so each coordinate is
-contiguous), and row-wise pairwise trees reduce each cube bit for bit as a
-one-cube loop would, in a batch of one cube too.  A batch holds at most
+the entering cubes are solved in one call per field, and the node counts
+of all the phase's levels are counted at once; a cube with an axis of
+vanishing Gauss measure has no rule at any level and fails at level 0.  A
+round advances every pending cube one level: acceptance is one vectorized
+step, rules are built in one pass per level, each field is evaluated once
+on the stacked nodes of its cubes (the transpose of one (d, n) buffer, so
+each coordinate is contiguous), and row-wise pairwise trees reduce each
+cube bit for bit as a one-cube loop would, in a batch of one cube too.  A batch holds at most
 ``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES`` (iterated
 ones: ``SHARED_ITERATED_NODES``) are refined one cube at a time in input
 order and streamed one aligned block of ``kernels._BLOCK`` nodes at a time
