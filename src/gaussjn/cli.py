@@ -18,6 +18,8 @@ import logging
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -30,10 +32,11 @@ from .fields import (
     ScalarField,
     average_gammas,
     corpus_by_id,
+    distribution_lq_norm,
+    distribution_weak_lp_norm,
     l1_gamma_norm,
     make_random_step,
-    step_lq_norm,
-    step_weak_lp_norm,
+    step_distribution,
 )
 from .jnp import (
     bmo_norm_estimate,
@@ -431,23 +434,187 @@ class RunResult:
     csv_rows: tuple[tuple, ...] = ()
 
 
+class _FloatTexts(dict):
+    """JSON text of floats by value, each finite nonzero value formatted once.
+
+    A report repeats few distinct floats many times (the 16,852 floats of
+    the d=3 depth-4 covering take 52 values), and ``float.__repr__`` costs
+    about 1 µs.  ±0.0 are formatted on every lookup, because they are equal
+    as keys and a stored entry would lose the sign.  NaN and ±inf are spelled
+    as ``json`` spells them and never stored, so every stored text is also
+    the ``repr`` that ``csv.writer`` writes.
+    """
+
+    def __missing__(self, value: float) -> str:
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        text = float.__repr__(value)
+        if value:
+            self[value] = text
+        return text
+
+
+_SCALARS = (str, int, float, type(None))
+
+
+def _scalar_text(value, floats: _FloatTexts) -> str | None:
+    """JSON text of a str, None, bool, int or float (tested in ``json``'s order); else None."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return floats[value]
+    return None
+
+
+def _column_texts(column: Sequence, floats: _FloatTexts) -> list[str] | None:
+    """JSON texts of a column of scalars; None if any value is not a scalar."""
+    kinds = set(map(type, column))
+    if all(issubclass(kind, float) for kind in kinds):
+        return list(map(floats.__getitem__, column))
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, column))
+    if all(issubclass(kind, _SCALARS) for kind in kinds):
+        return [_scalar_text(value, floats) for value in column]
+    return None
+
+
+def _records_text(rows: Sequence, level: int, floats: _FloatTexts) -> str | None:
+    """JSON text of a list of flat records at indent ``level``, column by column.
+
+    A record list is a list of dicts with one set of str keys, where each
+    key's values are all scalars, or all lists of scalars of one non-zero
+    length.  Each column is formatted once, then every record comes from
+    one ``%`` template.  Returns None for any other list.
+    """
+    if set(map(type, rows)) != {dict} or not rows[0]:
+        return None
+    shape = rows[0].keys()
+    if set(map(type, shape)) != {str} or not all(map(shape.__eq__, map(dict.keys, rows))):
+        return None
+    keys = sorted(shape)
+    get = itemgetter(*keys)
+    columns = zip(*map(get, rows)) if len(keys) > 1 else [tuple(map(get, rows))]
+    item = "\n" + "  " * (level + 1)
+    field = item + "  "
+    entry = field + "  "
+    texts, parts = [], []
+    for key, column in zip(keys, columns):
+        name = encode_basestring_ascii(key).replace("%", "%%")
+        if all(issubclass(kind, (list, tuple)) for kind in set(map(type, column))):
+            lengths = set(map(len, column))
+            if len(lengths) != 1 or 0 in lengths:
+                return None
+            (length,) = lengths
+            parts.append(f"{name}: [{entry}" + f",{entry}".join(["%s"] * length) + f"{field}]")
+            texts.extend(_column_texts(entries, floats) for entries in zip(*column))
+        else:
+            parts.append(f"{name}: %s")
+            texts.append(_column_texts(column, floats))
+    if any(column is None for column in texts):
+        return None
+    record = "{" + field + f",{field}".join(parts) + item + "}"
+    body = f",{item}".join(map(record.__mod__, zip(*texts)))
+    return f"[{item}{body}\n{'  ' * level}]"
+
+
+def _json_text(obj, floats: _FloatTexts) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    Scalars, keys and containers are converted in ``json``'s order and
+    with its texts, and anything else raises its ``TypeError``; record
+    lists take ``_records_text``.  Floats go through ``floats``.
+    """
+    out: list[str] = []
+
+    def put(value, level: int) -> None:
+        text = _scalar_text(value, floats)
+        if text is not None:
+            out.append(text)
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                out.append("[]")
+                return
+            text = _records_text(value, level, floats)
+            if text is not None:
+                out.append(text)
+                return
+            item = "\n" + "  " * (level + 1)
+            out.append("[" + item)
+            for k, entry in enumerate(value):
+                if k:
+                    out.append("," + item)
+                put(entry, level + 1)
+            out.append("\n" + "  " * level + "]")
+        elif isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            item = "\n" + "  " * (level + 1)
+            sep = "{" + item
+            for key, entry in sorted(value.items()):
+                if isinstance(key, float):
+                    key = floats[key]
+                elif not isinstance(key, str):
+                    text = _scalar_text(key, floats)
+                    if text is None:
+                        raise TypeError(
+                            "keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}"
+                        )
+                    key = text
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                sep = "," + item
+                put(entry, level + 1)
+            out.append("\n" + "  " * level + "}")
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    put(obj, 0)
+    return "".join(out)
+
+
 def _write_reports(result: RunResult, out_dir: Path, name: str) -> list[Path]:
+    """Write ``<name>.json`` and, for tabular subcommands, ``<name>.csv``.
+
+    The JSON is ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
+    newline and the CSV is ``csv.writer`` output, byte for byte; both share
+    one ``_FloatTexts``.  A CSV column of exact floats is handed to the
+    writer as the stored texts (the floats it has none for stay floats), so
+    ``csv.writer`` still does all of the quoting.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     payload = dict(result.payload)
     payload["checks"] = [c.to_obj() for c in result.checks]
     payload["ok"] = all(c.ok for c in result.checks)
+    floats = _FloatTexts()
     json_path = out_dir / f"{name}.json"
-    json_path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    json_path.write_text(_json_text(payload, floats) + "\n", encoding="utf-8")
     written.append(json_path)
     if result.csv_header is not None:
+        columns = [
+            list(map(floats.get, column, column)) if set(map(type, column)) == {float} else column
+            for column in zip(*result.csv_rows, strict=True)
+        ]
         csv_path = out_dir / f"{name}.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
             writer.writerow(result.csv_header)
-            writer.writerows(result.csv_rows)
+            writer.writerows(zip(*columns))
         written.append(csv_path)
     return written
 
@@ -693,12 +860,12 @@ def _run_embed(cfg: ExperimentConfig) -> RunResult:
             scale=1.0,
             tag=str(trial),
         )
+        values, masses = step_distribution(step, cube)
+        mass = gaussian_measure(cube)
         for p, q in cfg.embed.pairs:
-            lhs = step_lq_norm(step, cube, q)
-            weak = step_weak_lp_norm(step, cube, p)
-            factor = (p / (p - q)) ** (1.0 / q) * gaussian_measure(cube) ** (
-                1.0 / q - 1.0 / p
-            )
+            lhs = distribution_lq_norm(values, masses, q)
+            weak = distribution_weak_lp_norm(values, masses, p)
+            factor = (p / (p - q)) ** (1.0 / q) * mass ** (1.0 / q - 1.0 / p)
             rhs = factor * weak
             ok = lhs <= rhs * (1.0 + cfg.embed.margin)
             failures += not ok

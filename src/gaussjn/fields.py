@@ -1659,22 +1659,30 @@ def step_oscillation(f: StepField, cube: Cube, q: float) -> float:
     return float((np.sum(np.abs(v - avg) ** q * m) / np.sum(m)) ** (1.0 / q))
 
 
-def step_lq_norm(f: StepField, cube: Cube, q: float) -> float:
-    v, m = step_distribution(f, cube)
-    return float(np.sum(np.abs(v) ** q * m) ** (1.0 / q))
+def distribution_lq_norm(values: np.ndarray, masses: np.ndarray, q: float) -> float:
+    """(sum |v|^q m)^(1/q) of a finite distribution, as from ``step_distribution``."""
+    return float(np.sum(np.abs(values) ** q * masses) ** (1.0 / q))
 
 
-def step_weak_lp_norm(f: StepField, cube: Cube, p: float) -> float:
-    """Exact sup_sigma sigma * gamma(|f| > sigma)^(1/p): attained at cell values."""
-    v, m = step_distribution(f, cube)
-    av = np.abs(v)
+def distribution_weak_lp_norm(values: np.ndarray, masses: np.ndarray, p: float) -> float:
+    """Exact sup_sigma sigma * mass(|v| > sigma)^(1/p): attained at the values."""
+    av = np.abs(values)
     best = 0.0
     for level in np.unique(av):
         if level <= 0.0:
             continue
-        tail = float(np.sum(m[av >= level]))
+        tail = float(np.sum(masses[av >= level]))
         best = max(best, float(level) * tail ** (1.0 / p))
     return best
+
+
+def step_lq_norm(f: StepField, cube: Cube, q: float) -> float:
+    return distribution_lq_norm(*step_distribution(f, cube), q)
+
+
+def step_weak_lp_norm(f: StepField, cube: Cube, p: float) -> float:
+    """Exact sup_sigma sigma * gamma(|f| > sigma)^(1/p): attained at cell values."""
+    return distribution_weak_lp_norm(*step_distribution(f, cube), p)
 
 
 def make_random_step(

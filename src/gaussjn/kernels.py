@@ -219,6 +219,7 @@ class _BoxGrid:
         self.keys = np.empty(0, dtype=np.int64)
         self.boxes = np.empty(0, dtype=np.int64)
         if live.size == 0:
+            self._index_cells()
             return
         lo, hi = lo[live], hi[live]
         self.origin = lo.min(axis=0)
@@ -247,6 +248,18 @@ class _BoxGrid:
         order = np.argsort(key, kind="stable")
         self.keys = key[order]
         self.boxes = live[box[order]]
+        self._index_cells()
+
+    def _index_cells(self) -> None:
+        """The distinct cell keys and the first entry of each.
+
+        ``cells`` ends with a key no cell has and ``first`` with two copies
+        of the entry count, so a cell's entries are [first[i], first[i+1])
+        and a search past the last cell still indexes both arrays.
+        """
+        head = np.flatnonzero(np.diff(self.keys, prepend=-1))
+        self.cells = np.append(self.keys[head], np.iinfo(np.int64).max)
+        self.first = np.append(head, [self.keys.size, self.keys.size])
 
     def _cells(self, x: np.ndarray) -> np.ndarray:
         return np.floor((x - self.origin) / self.step)
@@ -256,8 +269,9 @@ class _BoxGrid:
         c = self._cells(points)
         inside = np.all((c >= 0.0) & (c < self.shape), axis=1)
         key = np.where(inside[:, None], c, 0.0).astype(np.int64) @ self.strides
-        start = np.searchsorted(self.keys, key, side="left")
-        stop = np.where(inside, np.searchsorted(self.keys, key, side="right"), start)
+        cell = np.searchsorted(self.cells, key)
+        start = self.first[cell]
+        stop = np.where(inside & (self.cells[cell] == key), self.first[cell + 1], start)
         return start, stop
 
 
@@ -291,12 +305,17 @@ def count_membership(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
     n = points.shape[0]
     counts = np.zeros(n, dtype=np.int64)
     grid = _BoxGrid(lo, hi)
+    lo_rows, hi_rows = lo.T.copy(), hi.T.copy()
     chunk = 4096
     for begin in range(0, n, chunk):
         block = points[begin : begin + chunk]
         point, entry = _ragged(*grid.slots(block))
         box = grid.boxes[entry]
-        inside = np.all((block[point] > lo[box]) & (block[point] < hi[box]), axis=1)
+        inside = np.ones(point.size, dtype=bool)
+        for x, lo_ax, hi_ax in zip(block.T, lo_rows, hi_rows):
+            x = x[point]
+            inside &= x > lo_ax[box]
+            inside &= x < hi_ax[box]
         counts[begin : begin + chunk] = np.bincount(point[inside], minlength=block.shape[0])
     return counts
 

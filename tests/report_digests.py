@@ -14,7 +14,9 @@ its node and root counts and a sha256 of the forest's ``centers``,
 with its exit code and first error line, then one line per report file with
 the file's sha256.  Two trees therefore write byte-identical reports and
 bit-identical forests, with the same exit codes and error lines, exactly
-when ``diff`` of their outputs is empty.
+when ``diff`` of their outputs is empty.  A JSON report that is not
+``json.dumps(json.loads(text), sort_keys=True, indent=2)`` plus a newline
+gets one more line, which names it.
 
 The script reads ``perfbench/`` and writes nothing there (no bytecode
 either).  Reports go to a temporary directory that is removed at the end;
@@ -65,10 +67,15 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
 def _digests(report_dir: Path) -> list[str]:
     if not report_dir.is_dir():
         return []
-    return [
-        f"  {p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}"
-        for p in sorted(report_dir.iterdir())
-    ]
+    lines = []
+    for p in sorted(report_dir.iterdir()):
+        data = p.read_bytes()
+        lines.append(f"  {p.name} {hashlib.sha256(data).hexdigest()}")
+        if p.suffix == ".json":
+            text = data.decode("utf-8")
+            if text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n":
+                lines.append(f"  {p.name} is not json.dumps(json.loads(text), sort_keys=True, indent=2)")
+    return lines
 
 
 def _op_lines(op: dict, op_dir: Path) -> list[str]:

@@ -2,15 +2,20 @@
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gaussjn import cli
 from gaussjn.cli import ExperimentConfig, ConfigError, main as cli_main
+from gaussjn.fields import make_random_step, step_lq_norm, step_weak_lp_norm
+from gaussjn.geometry import gaussian_measure
 
 
 def run_cli(subcommand, cfg_obj, tmp_path, *extra):
@@ -331,6 +336,157 @@ def test_verbosity_zero_silences_passing_checks(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# report writing
+# ---------------------------------------------------------------------------
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+NAN, INF = math.nan, math.inf
+
+# each case with whether its list of dicts takes the column-wise record path
+RECORD_LISTS = {
+    "qualifies": ([{"a": 1, "b": [1.5, -0.0]}, {"a": 2, "b": [NAN, 0.0]}], True),
+    "every-scalar-kind": (
+        [
+            {"s": "x", "n": None, "t": True, "i": 10**30, "f": np.float64(0.25), "m": 1.0},
+            {"s": "é\x01", "n": 1, "t": False, "i": -3, "f": -INF, "m": "1"},
+        ],
+        True,
+    ),
+    "tuples-and-lists": ([{"c": (1.0, 2.0)}, {"c": [3.0, 4.0]}], True),
+    "keys-to-escape": ([{'k"%s': 1.5, "%": "%d", "\u00e9": 2}, {'k"%s': 2.5, "%": "%", "\u00e9": 3}], True),
+    "one-record": ([{"center": [0.5, -0.5, 0.0], "side": 2.0, "layer": 0}], True),
+    "mixed-key-sets": ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], False),
+    "fewer-keys": ([{"a": 1, "b": 2}, {"a": 1}], False),
+    "nested-dict": ([{"a": {"x": 1}}, {"a": {"x": 2}}], False),
+    "ragged-lists": ([{"a": [1, 2]}, {"a": [3]}], False),
+    "empty-lists": ([{"a": []}, {"a": []}], False),
+    "list-in-list": ([{"a": [1, [2]]}, {"a": [3, [4]]}], False),
+    "list-and-scalar": ([{"a": [1]}, {"a": 1}], False),
+    "empty-records": ([{}, {}], False),
+    "int-keys": ([{1: 2}, {1: 3}], False),
+    "not-all-dicts": ([{"a": 1}, 1], False),
+}
+
+JSON_CASES = {
+    "zeros": [0.0, -0.0, {"z": -0.0, "p": 0.0}, [-0.0, 0.0, -0.0]],
+    "non-finite": [NAN, INF, -INF, {"n": NAN}],
+    "np-float64": [np.float64(1.5), np.float64(-0.0), np.float64(NAN), 1.5],
+    "true-and-one": [True, 1, 1.0, False, 0, 0.0, None],
+    "large-ints": [10**40, -(10**30), 2**63],
+    "strings": ["plain", "héllo wörld ✓", "\x00\x01\x1f\n\t\"\\", "😀", ""],
+    "keys-to-escape": {'q"uote': 1, "back\\slash": 2, "%s": 3, "%%": 4, "ü": 5, "\n": 6},
+    "float-keys": {1.5: "a", -0.0: "b", NAN: "c", INF: "d", 2.25: "e"},
+    "other-keys": [{True: 1, False: 0}, {None: 1}, {3: "x", 10**20: "y", -1: "z"}],
+    "empty-containers": [[], {}, [[]], [{}], {"a": [], "b": {}, "c": [[], {}, [[{}]]]}],
+    "tuples": (1, (2.5, (3, ())), [(), ("a",)]),
+    "top-level-scalar": 2.5,
+    "top-level-empty": {},
+    **{f"records-{name}": {"rows": rows, "tail": [rows]} for name, (rows, _) in RECORD_LISTS.items()},
+}
+
+
+@pytest.mark.parametrize("obj", list(JSON_CASES.values()), ids=list(JSON_CASES))
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj, cli._FloatTexts()) == _dumps(obj)
+
+
+def test_json_writer_keeps_json_bytes_with_one_memo_for_every_case():
+    # a report formats all its floats through one memo, in any order
+    floats = cli._FloatTexts()
+    for obj in [*JSON_CASES.values(), *reversed(JSON_CASES.values())]:
+        assert cli._json_text(obj, floats) == _dumps(obj)
+    assert 0.0 not in floats and all(math.isfinite(v) for v in floats)
+
+
+@pytest.mark.parametrize("rows, column_wise", list(RECORD_LISTS.values()), ids=list(RECORD_LISTS))
+def test_record_lists_take_the_column_path_only_when_flat(rows, column_wise):
+    text = cli._records_text(rows, 1, cli._FloatTexts())
+    assert (text is not None) == column_wise
+    if column_wise:
+        assert text == _dumps({"k": rows})[len('{\n  "k": ') : -2]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [np.int64(3), {"a": np.int64(1)}, [{"a": np.int64(1)}, {"a": np.int64(2)}], [object()], {(1,): 2}],
+    ids=["int64", "int64-value", "int64-in-records", "object", "tuple-key"],
+)
+def test_json_writer_raises_json_type_error(obj):
+    with pytest.raises(TypeError) as expected:
+        _dumps(obj)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(obj, cli._FloatTexts())
+    assert str(got.value) == str(expected.value)
+
+
+def _plain_reports(result, out_dir):
+    # the reports as json.dumps and csv.writer wrote them before
+    payload = dict(result.payload)
+    payload["checks"] = [c.to_obj() for c in result.checks]
+    payload["ok"] = all(c.ok for c in result.checks)
+    out_dir.mkdir()
+    (out_dir / "r.json").write_text(_dumps(payload) + "\n", encoding="utf-8")
+    with open(out_dir / "r.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(result.csv_header)
+        writer.writerows(result.csv_rows)
+
+
+def _assert_same_reports(result, tmp_path):
+    _plain_reports(result, tmp_path / "plain")
+    cli._write_reports(result, tmp_path / "fast", "r")
+    for name in ("r.json", "r.csv"):
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    floats = [1.5, NAN, INF, -INF, -0.0, 0.0, 1e300, 5e-324, 0.1]
+    rows = (
+        ("plain", 1.5, 2, np.float64(1.5), 1.5, True),
+        ("a,comma", NAN, 0, np.float64(-0.0), "", None),
+        ('a "quote"', INF, -1, np.float64(NAN), 0.1, False),
+        ("a\nnewline", -INF, 10**20, np.float64(INF), -0.0, 1),
+        ("", -0.0, 3, np.float64(2.5), 1e300, 0.5),
+        ("é", 0.0, 4, np.float64(0.1), 5e-324, "x,y"),
+    )
+    result = cli.RunResult(
+        {"seen": floats, "column": [row[1] for row in rows]},
+        (cli.CheckResult("c", True, "detail"),),
+        ("name", "float", "int", "np.float64", "mixed", "other"),
+        rows,
+    )
+    _assert_same_reports(result, tmp_path)
+
+
+def test_covering_reports_match_json_and_csv_writers(tmp_path):
+    cfg = ExperimentConfig.from_obj({"dimension": 3, "depth": 4, "coverage_points": 1000})
+    result = cli._run_covering(cfg)
+    assert len(result.csv_rows) == 4213
+    _assert_same_reports(result, tmp_path)
+
+
+def test_embed_rows_match_the_step_norms_per_pair():
+    # one step distribution per trial gives the bits of one step_lq_norm and
+    # one step_weak_lp_norm call per (p, q) pair
+    cfg = ExperimentConfig.from_obj({"dimension": 2, "seed": 5, "embed": {"trials": 6}})
+    rows = cli._run_embed(cfg).csv_rows
+    rng = np.random.default_rng(cfg.seed)
+    expected = []
+    for trial in range(cfg.embed.trials):
+        cube = cli._random_admissible_cube(rng, cfg.dimension, cfg.a_value)
+        axis, cells = int(rng.integers(0, cfg.dimension)), int(rng.integers(2, 7))
+        step = make_random_step(rng, cube, axis=axis, cells=cells, scale=1.0, tag=str(trial))
+        for p, q in cfg.embed.pairs:
+            factor = (p / (p - q)) ** (1.0 / q) * gaussian_measure(cube) ** (1.0 / q - 1.0 / p)
+            expected.append((step_lq_norm(step, cube, q), factor * step_weak_lp_norm(step, cube, p)))
+    assert [(row[3], row[4]) for row in rows] == expected
+
+
+# ---------------------------------------------------------------------------
 # every subcommand on a small d=1 configuration
 # ---------------------------------------------------------------------------
 
@@ -379,6 +535,9 @@ def test_subcommand_runs_green_and_writes_both_reports(subcommand, tmp_path):
     assert payload["checks"]
     assert all(c["ok"] for c in payload["checks"])
     assert (out / f"{subcommand}.csv").is_file()
+    # the report writer stays byte for byte what json would write
+    text = (out / f"{subcommand}.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_csv_reports_are_rectangular(tmp_path):
