@@ -481,12 +481,10 @@ def _scalar_text(value, floats: _FloatTexts) -> str | None:
 def _column_texts(column: Sequence, floats: _FloatTexts) -> list[str] | None:
     """JSON texts of a column of scalars; None if any value is not a scalar."""
     kinds = set(map(type, column))
-    if all(issubclass(kind, float) for kind in kinds):
+    if kinds == {float}:
         return list(map(floats.__getitem__, column))
     if kinds == {int}:
         return list(map(int.__repr__, column))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, column))
     if all(issubclass(kind, _SCALARS) for kind in kinds):
         return [_scalar_text(value, floats) for value in column]
     return None
@@ -535,8 +533,10 @@ def _json_text(obj, floats: _FloatTexts) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
     Scalars, keys and containers are converted in ``json``'s order and
-    with its texts, and anything else raises its ``TypeError``; record
-    lists take ``_records_text``.  Floats go through ``floats``.
+    with its texts, and anything else raises its ``TypeError``.  A list of
+    scalars is written as one column (``_column_texts``) and a list of flat
+    records column by column (``_records_text``).  Floats go through
+    ``floats``.
     """
     out: list[str] = []
 
@@ -548,11 +548,15 @@ def _json_text(obj, floats: _FloatTexts) -> str:
             if not value:
                 out.append("[]")
                 return
+            item = "\n" + "  " * (level + 1)
+            texts = _column_texts(value, floats)
+            if texts is not None:
+                out.append(f"[{item}" + f",{item}".join(texts) + "\n" + "  " * level + "]")
+                return
             text = _records_text(value, level, floats)
             if text is not None:
                 out.append(text)
                 return
-            item = "\n" + "  " * (level + 1)
             out.append("[" + item)
             for k, entry in enumerate(value):
                 if k:
