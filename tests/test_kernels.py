@@ -254,15 +254,6 @@ def _membership_cases():
         lo = rng.uniform(-3.0, 0.0, size=(15, d))
         hi = lo + rng.uniform(0.1, 3.0, size=(15, d))
         yield f"random-d{d}", pts, lo, hi
-    for d in (1, 2, 3):
-        # small boxes far apart, so most grid cells hold no box; every third
-        # box has zero width on axis 0; points on faces, centres and far off
-        lo = rng.uniform(-20.0, 20.0, size=(30, d))
-        hi = lo + rng.uniform(0.1, 0.5, size=(30, d))
-        hi[::3, 0] = lo[::3, 0]
-        faces = rng.choice(np.concatenate([lo.ravel(), hi.ravel()]), size=(3000, d))
-        far = rng.uniform(-1e3, 1e3, size=(500, d))
-        yield f"sparse-d{d}", np.concatenate([faces, (lo + hi) / 2, far]), lo, hi
     for d, depth in ((1, 8), (2, 4), (3, 1)):
         cov = build_covering(depth, d)
         cubes = [q for _, q in oracles.covering_cubes(cov)]
@@ -304,6 +295,15 @@ def _membership_cases():
     lo[17] = -10.0
     hi[17] = 10.0  # 100 times wider than the others, 200^3 cells at their step
     yield "one-wide-box", rng.uniform(-12.0, 12.0, (4000, 3)), lo, hi
+    for d in (1, 2, 3):
+        # small boxes far apart, so most grid cells hold no box; every third
+        # box has zero width on axis 0; points on faces, centres and far off
+        lo = rng.uniform(-20.0, 20.0, size=(30, d))
+        hi = lo + rng.uniform(0.1, 0.5, size=(30, d))
+        hi[::3, 0] = lo[::3, 0]
+        faces = rng.choice(np.concatenate([lo.ravel(), hi.ravel()]), size=(3000, d))
+        far = rng.uniform(-1e3, 1e3, size=(500, d))
+        yield f"sparse-d{d}", np.concatenate([faces, (lo + hi) / 2, far]), lo, hi
 
 
 def test_count_membership_matches_brute():
