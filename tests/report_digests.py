@@ -74,7 +74,7 @@ def _digests(report_dir: Path) -> list[str]:
         if p.suffix == ".json":
             text = data.decode("utf-8")
             if text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n":
-                lines.append(f"  {p.name} is not json.dumps(json.loads(text), sort_keys=True, indent=2)")
+                lines.append(f"  {p.name} is not json.dumps of its own parse")
     return lines
 
 

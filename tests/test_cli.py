@@ -357,7 +357,10 @@ RECORD_LISTS = {
         True,
     ),
     "tuples-and-lists": ([{"c": (1.0, 2.0)}, {"c": [3.0, 4.0]}], True),
-    "keys-to-escape": ([{'k"%s': 1.5, "%": "%d", "\u00e9": 2}, {'k"%s': 2.5, "%": "%", "\u00e9": 3}], True),
+    "keys-to-escape": (
+        [{'k"%s': 1.5, "%": "%d", "\u00e9": 2}, {'k"%s': 2.5, "%": "%", "\u00e9": 3}],
+        True,
+    ),
     "one-record": ([{"center": [0.5, -0.5, 0.0], "side": 2.0, "layer": 0}], True),
     "mixed-key-sets": ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], False),
     "fewer-keys": ([{"a": 1, "b": 2}, {"a": 1}], False),
@@ -385,7 +388,10 @@ JSON_CASES = {
     "tuples": (1, (2.5, (3, ())), [(), ("a",)]),
     "top-level-scalar": 2.5,
     "top-level-empty": {},
-    **{f"records-{name}": {"rows": rows, "tail": [rows]} for name, (rows, _) in RECORD_LISTS.items()},
+    **{
+        f"records-{name}": {"rows": rows, "tail": [rows]}
+        for name, (rows, _) in RECORD_LISTS.items()
+    },
 }
 
 
@@ -412,7 +418,13 @@ def test_record_lists_take_the_column_path_only_when_flat(rows, column_wise):
 
 @pytest.mark.parametrize(
     "obj",
-    [np.int64(3), {"a": np.int64(1)}, [{"a": np.int64(1)}, {"a": np.int64(2)}], [object()], {(1,): 2}],
+    [
+        np.int64(3),
+        {"a": np.int64(1)},
+        [{"a": np.int64(1)}, {"a": np.int64(2)}],
+        [object()],
+        {(1,): 2},
+    ],
     ids=["int64", "int64-value", "int64-in-records", "object", "tuple-key"],
 )
 def test_json_writer_raises_json_type_error(obj):
@@ -482,7 +494,8 @@ def test_embed_rows_match_the_step_norms_per_pair():
         step = make_random_step(rng, cube, axis=axis, cells=cells, scale=1.0, tag=str(trial))
         for p, q in cfg.embed.pairs:
             factor = (p / (p - q)) ** (1.0 / q) * gaussian_measure(cube) ** (1.0 / q - 1.0 / p)
-            expected.append((step_lq_norm(step, cube, q), factor * step_weak_lp_norm(step, cube, p)))
+            lhs = step_lq_norm(step, cube, q)
+            expected.append((lhs, factor * step_weak_lp_norm(step, cube, p)))
     assert [(row[3], row[4]) for row in rows] == expected
 
 
