@@ -49,7 +49,6 @@ from .jnp import (
 )
 from .hardy import (
     HardyElement,
-    conjugate_exponent,
     duality_check,
     make_atom,
     make_polymer,
@@ -221,22 +220,18 @@ class SubdivideSection:
 
 @dataclass(frozen=True)
 class DualitySection:
-    """Pairing/duality suite parameters: conjugate pairs must be consistent."""
+    """Pairing/duality suite parameters: the polymer exponents 1 < p < q.
+
+    The oscillation side takes their conjugates, which the suite works out
+    itself.
+    """
 
     p: float = 1.5
     q: float = 3.0
-    p_prime: float | None = None  # None -> conjugate of p
-    q_prime: float | None = None  # None -> conjugate of q
     c0: float = 0.3
     cubes: tuple[Cube, ...] | None = None  # None -> three default disjoint cubes
     pairing_tol: float = 1e-8
     max_exponent: int = 30
-
-    def __post_init__(self) -> None:
-        if self.p_prime is None:
-            object.__setattr__(self, "p_prime", conjugate_exponent(self.p))
-        if self.q_prime is None:
-            object.__setattr__(self, "q_prime", conjugate_exponent(self.q))
 
     def resolve_cubes(self, d: int) -> tuple[Cube, ...]:
         if self.cubes is not None:
@@ -250,16 +245,6 @@ class DualitySection:
 
     def validate(self, d: int, a: float) -> None:
         _require(1.0 < self.p < self.q, "duality exponents must satisfy 1 < p < q")
-        for given, base, tag in (
-            (self.p_prime, self.p, "p"),
-            (self.q_prime, self.q, "q"),
-        ):
-            want = conjugate_exponent(base)
-            _require(
-                given > 1.0 and abs(1.0 / base + 1.0 / given - 1.0) <= 1e-12,
-                f"duality.{tag}_prime = {given} is not conjugate to {tag} = {base} "
-                f"(expected {want})",
-            )
         _require(math.isfinite(self.c0), "duality.c0 must be finite")
         _require(self.pairing_tol > 0.0, "duality.pairing_tol must be positive")
         _require(1 <= self.max_exponent <= 60, "duality.max_exponent must be in [1, 60]")
@@ -315,8 +300,6 @@ _CONFIG_KEYS: dict[str, Callable] = {
         {
             "p": float,
             "q": float,
-            "p_prime": float,
-            "q_prime": float,
             "c0": float,
             "cubes": _optional(_cubes),
             "pairing_tol": float,
@@ -655,6 +638,12 @@ def _run_covering(cfg: ExperimentConfig) -> RunResult:
             "covering-shell-sides",
             report["shell_side_bounds_ok"],
             "layer k >= 2 cubes satisfy m(c) <= side <= a m(c)",
+        ),
+        CheckResult(
+            "covering-center-bound",
+            report["center_bound_ok"],
+            "layer k >= 1 centers satisfy sqrt(k)/4 <= |c| <= 4 k^(d/2) "
+            f"(largest ratio {report['center_bound_constant']:.6g})",
         ),
         CheckResult(
             "covering-overlap",

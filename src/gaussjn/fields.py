@@ -77,15 +77,17 @@ round advances every pending cube one level: acceptance is one vectorized
 step, rules are built in one pass per level, each field is evaluated once
 on the stacked nodes of its cubes (the transpose of one (d, n) buffer, so
 each coordinate is contiguous), and row-wise pairwise trees reduce each
-cube bit for bit as a one-cube loop would, in a batch of one cube too.  A batch holds at most
-``BATCH_NODES`` nodes.  Rules larger than ``SHARED_RULE_NODES`` (iterated
-ones: ``SHARED_ITERATED_NODES``) are refined one cube at a time in input
-order and streamed one aligned block of ``kernels._BLOCK`` nodes at a time
-(tensor rules in reused buffers): aligned blocks are whole subtrees of the
-pairwise tree, so the sums are bit for bit those over the whole rule, in
-O(block) memory (plus the axis rules, or the outer rows, and, for weak
-norms, two values per node).  A failing cube stops the cubes after it, and
-the first failure in input order is raised, as a loop over the cubes would.
+cube bit for bit as a one-cube loop would, in a batch of one cube too.  One
+size rule decides how a level is refined: a rule of at most ``BATCH_NODES``
+nodes joins a shared batch, and a batch holds at most ``BATCH_NODES`` nodes.
+A cube whose rule grows past that is set aside and, after the shared
+rounds, refined alone in input order, each level streamed one aligned
+block of ``kernels._BLOCK`` nodes at a time (tensor rules in reused
+buffers): aligned blocks are whole subtrees of the pairwise tree, so the
+sums are bit for bit those over the whole rule, in O(block) memory (plus
+the axis rules, or the outer rows, and, for weak norms, two values per
+node).  A failing cube stops the cubes after it, and the first failure in
+input order is raised, as a loop over the cubes would.
 """
 
 from __future__ import annotations
@@ -337,16 +339,12 @@ def truncate(f: ScalarField, level: float) -> ScalarField:
 # quadrature engine
 # ---------------------------------------------------------------------------
 
-#: Most tensor nodes one batched field evaluation holds.
+#: Most tensor nodes one batched field evaluation holds, and so the largest
+#: rule that joins one.  Larger levels are refined one cube at a time, in
+#: input order: they hold most of the cost, so a cube that fails there
+#: spares every cube after it that work, as a one-cube loop would, and large
+#: integrals keep that loop's memory.
 BATCH_NODES = 1 << 15
-#: Largest rule a cube brings into a shared evaluation.  Its deeper levels
-#: are refined one cube at a time, in input order: they hold most of the
-#: cost, so a cube that fails there spares every cube after it that work,
-#: as a one-cube loop would, and large integrals keep that loop's memory.
-SHARED_RULE_NODES = 1 << 11
-#: The same for iterated rules, whose set-up per call costs more than a
-#: tensor rule's: they share evaluations up to a larger size.
-SHARED_ITERATED_NODES = 1 << 14
 
 
 @lru_cache(maxsize=64)
@@ -1012,11 +1010,23 @@ def _estimate(
         else:
             if phase.q is not None:
                 vals = np.abs(vals - c) ** phase.q
-            heads.append((kernels.weighted_sum(vals, w), kernels.pairwise_sum(w)))
+            heads.append(_mean_sums(vals, w, 1))
     if phase.p is not None:
         return _node_measure_weak_sup(av, wg, phase.p)
     sums = heads[0] if len(heads) == 1 else kernels.pairwise_sum_rows(np.array(heads).T)
     return sums if phase.sigmas is not None else float(sums[0]) / float(sums[1])
+
+
+def _mean_sums(v: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """The sums of v w and then of w over each of k equal runs of the nodes, (2 k,).
+
+    One pairwise tree reduces both sets of rows, each row bit for bit its
+    one-run ``kernels.pairwise_sum``.
+    """
+    rows = np.empty((2 * k, w.size // k))
+    np.multiply(v, w, out=rows[:k].reshape(-1))
+    rows[k:] = w.reshape(k, -1)
+    return kernels.pairwise_sum_rows(rows)
 
 
 def _batch_estimates(
@@ -1035,7 +1045,7 @@ def _batch_estimates(
     pooled, q = (np.array(col)[ph] for col in zip(*kinds))
     out = np.empty((sizes.size, width))
     for s, e in _runs(q, sizes, pooled):
-        span, shape = slice(bounds[s], bounds[e]), (e - s, int(sizes[s]))
+        span = slice(bounds[s], bounds[e])
         if not pooled[s]:
             for k in range(s, e):
                 part, i = slice(bounds[k], bounds[k + 1]), idx[k]
@@ -1045,11 +1055,7 @@ def _batch_estimates(
         v = vals[span]
         if q[s]:
             v = np.abs(v - center[idx[s:e]].repeat(sizes[s:e])) ** phases[ph[s]].q
-        # the sums of v w and of w, one tree over both sets of rows
-        rows = np.empty((2 * (e - s), shape[1]))
-        np.multiply(v, w[span], out=rows[: e - s].reshape(-1))
-        rows[e - s :] = w[span].reshape(shape)
-        sums = kernels.pairwise_sum_rows(rows)
+        sums = _mean_sums(v, w[span], e - s)
         out[s:e] = (sums[: e - s] / sums[e - s :])[:, None]
     return out
 
@@ -1146,11 +1152,10 @@ def _drive(
     evaluated once per batch, on the nodes of its own cubes.
     Each phase is centered at the estimate of the one before (or ``center``).
     A round advances each pending request one level; rules of at most
-    ``SHARED_RULE_NODES`` nodes (``SHARED_ITERATED_NODES`` for iterated
-    rules) are built together and evaluated in batches
-    of at most ``BATCH_NODES``.  Larger ones are set aside, then refined
-    alone in input order through their remaining phases, each level streamed
-    from ``_Table.blocks`` into ``_estimate``.  Either way each estimate is
+    ``BATCH_NODES`` nodes are built together and evaluated in batches of at
+    most ``BATCH_NODES``.  Larger ones are set aside, then refined alone in
+    input order through their remaining phases, each level streamed from
+    ``_Table.blocks`` into ``_estimate``.  Either way each estimate is
     bit for bit that of refining the cube alone.  A failure at cube i stops
     the cubes after it; once those before it are done it is raised.
     """
@@ -1272,10 +1277,7 @@ def _drive(
             j = int((n < 0).argmax())
             fail(int(idx[j]))
             idx, n = idx[:j], n[:j]
-        if table.curved:
-            big = n > np.where(table.orows[idx] > 0, SHARED_ITERATED_NODES, SHARED_RULE_NODES)
-        else:
-            big = n > SHARED_RULE_NODES
+        big = n > BATCH_NODES
         if np.count_nonzero(big):
             shared[idx[big]] = False
             idx, n = idx[~big], n[~big]
@@ -1284,7 +1286,7 @@ def _drive(
         while s < idx.size:
             base, e = (cum[s - 1] if s else 0), idx.size
             if cum[-1] - base > BATCH_NODES:
-                e = max(int(cum.searchsorted(base + BATCH_NODES, "right")), s + 1)
+                e = int(cum.searchsorted(base + BATCH_NODES, "right"))
             if idx[s] < failed_at:
                 keep = idx[s:e] < failed_at
                 step(idx[s:e][keep], n[s:e][keep])

@@ -46,9 +46,7 @@ from .geometry import (
     admissible_mask,
     child_offsets,
     cube_arrays,
-    cubes_disjoint,
     gaussian_measures,
-    is_admissible,
     overlapping_pairs,
 )
 
@@ -330,54 +328,59 @@ MAX_SWAP_PASSES = 50
 
 def maximize_jnp_pool(
     f: ScalarField,
-    cubes: Sequence[Cube],
+    centers: np.ndarray,
+    sides: np.ndarray,
     p: float,
     q: float,
     spec: QuadratureSpec,
     a: float,
 ) -> JnpEstimate:
-    """Greedy-plus-swaps heuristic for an unstructured (overlapping) pool.
+    """Greedy-plus-swaps heuristic for an unstructured (overlapping) pool of cubes
+    (centers (n, d), sides (n,)).
 
     Greedily admits cubes by decreasing weight, then repeatedly swaps in any
     cube whose weight exceeds the total weight of the chosen cubes it
-    conflicts with.  The result is a valid family, hence still a certified
-    lower bound, without any optimality claim.
+    conflicts with.  A cube's conflicts are the cubes it overlaps, from one
+    ``overlapping_pairs`` call.  The result is a valid family, hence still a
+    certified lower bound, without any optimality claim.
     """
     _check_exponents(p, q)
-    for cube in cubes:
-        if not is_admissible(cube, a):
-            raise ValueError(f"pool cube (center {cube.center}) is not admissible")
-    centers, sides = cube_arrays(cubes)
+    bad = np.flatnonzero(~admissible_mask(centers, sides, a))
+    if bad.size:
+        raise ValueError(f"pool cube (center {tuple(centers[bad[0]].tolist())}) is not admissible")
     weight = _weights(*node_stats(f, centers, sides, q, spec), p)
-    order = sorted(range(len(cubes)), key=lambda i: -weight[i])
-    chosen: list[int] = []
+    later, earlier = overlapping_pairs(centers, sides)
+    conflicts: list[list[int]] = [[] for _ in weight]
+    for i, j in zip(later.tolist(), earlier.tolist()):
+        conflicts[i].append(j)
+        conflicts[j].append(i)
+    order = sorted(range(len(weight)), key=lambda i: -weight[i])
+    chosen = [False] * len(weight)
     for i in order:
-        if all(cubes_disjoint(cubes[i], cubes[j]) for j in chosen):
-            chosen.append(i)
+        chosen[i] = not any(chosen[j] for j in conflicts[i])
     for _ in range(MAX_SWAP_PASSES):
         improved = False
         for i in order:
-            if i in chosen:
+            if chosen[i]:
                 continue
-            conflicts = [j for j in chosen if not cubes_disjoint(cubes[i], cubes[j])]
-            gain = weight[i] - math.fsum(weight[j] for j in conflicts)
-            if gain > 0.0:
-                chosen = [j for j in chosen if j not in conflicts]
-                chosen.append(i)
-                improved = True
+            out = [j for j in conflicts[i] if chosen[j]]
+            if weight[i] - math.fsum(weight[j] for j in out) > 0.0:
+                for j in out:
+                    chosen[j] = False
+                chosen[i] = improved = True
         if not improved:
             break
-    chosen.sort()
-    validate_family(centers[chosen], sides[chosen], a)
-    weights = tuple(weight[i] for i in chosen)
+    picks = [i for i, c in enumerate(chosen) if c]
+    validate_family(centers[picks], sides[picks], a)
+    weights = tuple(weight[i] for i in picks)
     return JnpEstimate(
         value=math.fsum(weights) ** (1.0 / p),
         p=p,
         q=q,
-        family=tuple(cubes[i] for i in chosen),
+        family=_cubes(centers[picks], sides[picks]),
         contributions=weights,
         method="greedy-swap",
-        candidates=len(cubes),
+        candidates=len(weight),
     )
 
 

@@ -347,6 +347,35 @@ def first_fit_disjoint_brute(cubes) -> list:
     return kept
 
 
+def greedy_swap_loop(cubes, weight, passes: int) -> list:
+    """Indices, ascending, of the greedy-plus-swaps family of ``jnp.maximize_jnp_pool``.
+
+    The loop over cubes it replaced: admit cubes by decreasing weight when
+    ``cubes_disjoint`` finds them apart from every chosen one, then, for at
+    most ``passes`` passes, swap in each cube whose weight beats the summed
+    weight of the chosen cubes it overlaps.
+    """
+    order = sorted(range(len(cubes)), key=lambda i: -weight[i])
+    chosen = []
+    for i in order:
+        if all(cubes_disjoint(cubes[i], cubes[j]) for j in chosen):
+            chosen.append(i)
+    for _ in range(passes):
+        improved = False
+        for i in order:
+            if i in chosen:
+                continue
+            conflicts = [j for j in chosen if not cubes_disjoint(cubes[i], cubes[j])]
+            gain = weight[i] - math.fsum(weight[j] for j in conflicts)
+            if gain > 0.0:
+                chosen = [j for j in chosen if j not in conflicts]
+                chosen.append(i)
+                improved = True
+        if not improved:
+            break
+    return sorted(chosen)
+
+
 # ---------------------------------------------------------------------------
 # per-cube geometry (the loops before forests and covering checks ran on arrays)
 # ---------------------------------------------------------------------------

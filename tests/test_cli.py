@@ -121,12 +121,14 @@ def test_d2_hardy_ops_batch_their_driver_calls(subcommand, cfg, most, tmp_path, 
 
 
 def test_duality_conjugate_mismatch_is_a_config_error(tmp_path, capsys):
-    cfg = {"duality": {"p": 1.5, "p_prime": 2.9}}
+    # the suite works out the conjugates of p and q itself, so a config
+    # that names them is rejected like any other unknown key
+    cfg = {"duality": {"p": 1.5, "p_prime": 3.0}}
     code, _ = run_cli("duality", cfg, tmp_path)
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    assert "not conjugate" in err
+    assert "unknown duality keys ['p_prime']" in err
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +244,6 @@ FULL_CONFIG = {
     "duality": {
         "p": 1.25,
         "q": 4.0,
-        "p_prime": 5.0,
-        "q_prime": 4.0 / 3.0,
         "c0": 0.5,
         "cubes": [{"center": [0.0, 0.0], "side": 0.4}],
         "pairing_tol": 1e-6,

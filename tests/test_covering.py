@@ -277,6 +277,23 @@ def test_coverage_report_flags_a_tampered_covering_like_oracle():
         assert json.dumps(rep) == json.dumps(oracles.coverage_report_loop(tampered, 4000, 0))
 
 
+def test_covering_command_fails_on_a_center_outside_its_bound(tmp_path, monkeypatch, capsys):
+    # a layer-3 center moved 10x out, its side rescaled into the shell-side
+    # bounds: the covering stays covering and admissible, and only the
+    # centre-norm bound fails, which the command must report with exit 1
+    from gaussjn import cli
+
+    cov = build_covering(4, 2)
+    far = tuple(10.0 * c for c in cov.layers[3].centers[0].tolist())
+    tampered = _tamper(cov, 3, 0, Cube(far, 1.5 * m_weight(far)))
+    monkeypatch.setattr(cli, "build_covering", lambda depth, d: tampered)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dimension": 2, "depth": 4, "coverage_points": 4000}))
+    assert cli.main(["covering", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] covering-center-bound:")
+
+
 # ---------------------------------------------------------------------------
 # contraction map on balls and cubes
 # ---------------------------------------------------------------------------

@@ -560,7 +560,7 @@ def test_vanishing_measure_error_names_cube_and_level(spec):
 
 def test_error_messages_are_the_same_on_streamed_levels(spec, monkeypatch):
     # every level refined alone, so streamed in blocks
-    monkeypatch.setattr(fields, "SHARED_RULE_NODES", 0)
+    monkeypatch.setattr(fields, "BATCH_NODES", 0)
     test_node_cap_error_names_field_and_cube(monkeypatch)
     test_vanishing_measure_error_names_cube_and_level(spec)
 
@@ -614,8 +614,7 @@ def _outcome(fn):
 def test_batched_refinement_matches_one_cube_loop_bitwise(d, budget, forest_cubes, monkeypatch):
     if budget == "split":
         # batches of a few cubes, and rules past level 1-2 refined alone
-        monkeypatch.setattr(fields, "BATCH_NODES", 600)
-        monkeypatch.setattr(fields, "SHARED_RULE_NODES", 200)
+        monkeypatch.setattr(fields, "BATCH_NODES", 200)
     spec = BATCH_SPECS[d]
     cubes = forest_cubes[d]
     sig = (0.1, 0.5, 1.0, 2.0)
@@ -645,7 +644,7 @@ def test_batched_refinement_matches_one_cube_loop_bitwise(d, budget, forest_cube
 
 
 @pytest.mark.parametrize(
-    "shared_rule_nodes, evaluated",
+    "batch_nodes, evaluated",
     [
         # all rules shared: the last cube stops at level 2, when the middle
         # cube fails to build its level-3 rule
@@ -657,7 +656,7 @@ def test_batched_refinement_matches_one_cube_loop_bitwise(d, budget, forest_cube
     ids=["shared", "alone"],
 )
 def test_batched_refinement_raises_the_first_failure_in_input_order(
-    shared_rule_nodes, evaluated, monkeypatch
+    batch_nodes, evaluated, monkeypatch
 ):
     # four nodes per panel: a one-segment cube needs 4, 8, 16, 32, 64 nodes
     # at levels 0-4, a cube split by the break at 1.5 twice that, so a cap of
@@ -665,8 +664,8 @@ def test_batched_refinement_raises_the_first_failure_in_input_order(
     # over cubes raises the first cube's error; the batched refinement must
     # too, and must not refine the cubes after a failure past it.
     monkeypatch.setattr(fields, "MAX_TENSOR_NODES", 40)
-    if shared_rule_nodes is not None:
-        monkeypatch.setattr(fields, "SHARED_RULE_NODES", shared_rule_nodes)
+    if batch_nodes is not None:
+        monkeypatch.setattr(fields, "BATCH_NODES", batch_nodes)
     seen = []
 
     def fn(pts):
@@ -689,14 +688,15 @@ def test_batched_refinement_raises_the_first_failure_in_input_order(
     assert inside == evaluated
 
 
-@pytest.mark.parametrize("shared_rule_nodes", [None, 0])
-def test_average_gammas_match_the_one_field_loop_bitwise(shared_rule_nodes, monkeypatch):
+@pytest.mark.parametrize("batch_nodes", [None, 2048, 0])
+def test_average_gammas_match_the_one_field_loop_bitwise(batch_nodes, monkeypatch):
     # one field over four cubes that accept at four different levels, refined
-    # together in shared rounds (the large last cube streams its deepest
-    # levels) or (SHARED_RULE_NODES = 0) each streamed alone; every value is
-    # the one-cube average_gamma bit for bit
-    if shared_rule_nodes is not None:
-        monkeypatch.setattr(fields, "SHARED_RULE_NODES", shared_rule_nodes)
+    # together in shared rounds (with BATCH_NODES = 2048 the first and last
+    # cubes stream their levels of 6,144 nodes and more) or (BATCH_NODES =
+    # 0) each streamed alone; every value is the one-cube average_gamma bit
+    # for bit
+    if batch_nodes is not None:
+        monkeypatch.setattr(fields, "BATCH_NODES", batch_nodes)
     f = ScalarField(
         "wave", lambda pts: np.exp(pts[:, 0]) * np.cos(3.0 * pts[:, 1]),
         dim=2, breaks={0: (0.2, 0.5), 1: (-0.1,)},
@@ -717,8 +717,8 @@ def test_average_gammas_match_the_one_field_loop_bitwise(shared_rule_nodes, monk
     assert levels == [3, 1, 2, 4]
 
 
-@pytest.mark.parametrize("shared_rule_nodes", [None, 0])
-def test_average_gammas_raise_the_first_failure_in_input_order(shared_rule_nodes, monkeypatch):
+@pytest.mark.parametrize("batch_nodes", [None, 0])
+def test_average_gammas_raise_the_first_failure_in_input_order(batch_nodes, monkeypatch):
     # four nodes per panel and three levels: the small first cube converges,
     # the second runs out of levels at level 3, and the third, split by the
     # break at 1.5, cannot build its 64-node level-3 rule under a cap of 40.
@@ -726,8 +726,8 @@ def test_average_gammas_raise_the_first_failure_in_input_order(shared_rule_nodes
     # error, which names the second cube's field (one field for all cubes,
     # or one per cube)
     monkeypatch.setattr(fields, "MAX_TENSOR_NODES", 40)
-    if shared_rule_nodes is not None:
-        monkeypatch.setattr(fields, "SHARED_RULE_NODES", shared_rule_nodes)
+    if batch_nodes is not None:
+        monkeypatch.setattr(fields, "BATCH_NODES", batch_nodes)
     cubes = [Cube((0.3,), 1e-3), Cube((0.3,), 0.5), Cube((1.5,), 0.5)]
     spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=3, abs_tol=1e-15)
 
@@ -791,8 +791,7 @@ def test_a_field_per_cube_matches_the_one_cube_loop_bitwise(d, budget, forest_cu
     # mean and oscillation is the one-cube loop's bit for bit, and a failure
     # the first the loop raises
     if budget == "split":
-        monkeypatch.setattr(fields, "BATCH_NODES", 600)
-        monkeypatch.setattr(fields, "SHARED_RULE_NODES", 200)
+        monkeypatch.setattr(fields, "BATCH_NODES", 200)
     spec = BATCH_SPECS[d]
     cubes = forest_cubes[d]
     cycle = corpus(d)
@@ -859,11 +858,13 @@ def _split(f, cube, segments):
 
 
 @pytest.mark.parametrize("d, order, segments", STREAMED)
-def test_streamed_levels_match_the_materialized_rule_bitwise(d, order, segments):
+def test_streamed_levels_match_the_materialized_rule_bitwise(d, order, segments, monkeypatch):
     # a tolerance no difference exceeds accepts every quadrature at level 1,
     # after levels 0 and 1 have each been refined alone and streamed
     spec = QuadratureSpec(nodes_per_axis=order, refinement_levels=1, abs_tol=1e300)
-    assert math.prod(order * s for s in segments) > fields.SHARED_RULE_NODES
+    # below every level-0 rule here, so both levels stream
+    monkeypatch.setattr(fields, "BATCH_NODES", 2048)
+    assert math.prod(order * s for s in segments) > fields.BATCH_NODES
     cube = Cube((0.3, -0.2, 0.1)[:d], 2.4)
     for base in (_rsq(d), corpus_by_id(d)["log_radial"]):
         f = _split(base, cube, segments)
@@ -898,6 +899,39 @@ def test_streamed_levels_match_the_materialized_rule_bitwise(d, order, segments)
     level_nodes = [math.prod((order << lv) * s for s in segments) for lv in (0, 1)]
     assert max(sizes) == min(level_nodes[1], kernels._BLOCK)
     assert sum(sizes) == sum(level_nodes)
+
+
+@pytest.mark.parametrize(
+    "order, segments, first, want",
+    [
+        # 48 nodes per panel: the small cubes' rules take 2,304 and 9,216
+        # nodes, the big cube's, split 3 x 3, 20,736 and 82,944.  Its level 0
+        # joins the small cubes' in one evaluation; its level 1, past
+        # BATCH_NODES, is set aside and streamed after the shared rounds
+        (48, (3, 3), 1, lambda small, big, block: [
+            2 * small + big, 2 * small * 4, block, big * 4 - block,
+        ]),
+        # 64 nodes per panel, split 2 x 4: the big cube's level 0 has
+        # exactly BATCH_NODES nodes and fills a shared batch of its own,
+        # before the small cubes' level 1; its level 1 streams last
+        (64, (2, 4), 0, lambda small, big, block: [
+            big, 2 * small, 2 * small * 4, block, big * 4 - block,
+        ]),
+    ],
+    ids=["neighbours", "at-the-cap"],
+)
+def test_levels_up_to_batch_nodes_share_and_larger_ones_stream(order, segments, first, want):
+    spec = QuadratureSpec(nodes_per_axis=order, refinement_levels=1, abs_tol=1e300)
+    big = Cube((0.3, -0.2), 2.4)
+    cubes = [Cube((-2.5, 2.0), 0.5), Cube((2.5, 2.0), 0.5)]
+    cubes.insert(first, big)
+    f = _split(_rsq(2), big, segments)
+    small, split = order * order, math.prod(order * s for s in segments)
+    assert split <= fields.BATCH_NODES < split * 4
+    sizes = []
+    got = fields.average_gammas(_counted(f, sizes), *cube_arrays(cubes), spec)
+    assert sizes == want(small, split, kernels._BLOCK)
+    assert _bits(got) == _bits([oracles.average_loop(f, c, spec) for c in cubes])
 
 
 def test_streamed_level_inside_a_field_evaluation_keeps_its_own_buffers():
@@ -1102,8 +1136,7 @@ def test_graded_coord0_in_d2_matches_one_cube_loop_bitwise(budget, monkeypatch):
     # the level set of coord0 is a line, so d=2 rows are graded on axis 0
     # only; with the split budget the deeper levels are streamed in blocks
     if budget == "split":
-        monkeypatch.setattr(fields, "BATCH_NODES", 600)
-        monkeypatch.setattr(fields, "SHARED_RULE_NODES", 200)
+        monkeypatch.setattr(fields, "BATCH_NODES", 200)
     f = corpus_by_id(2)["coord0"]
     spec = QuadratureSpec(nodes_per_axis=4, refinement_levels=6, abs_tol=1e-8)
     cubes = _nodes(make_candidates(build_covering(1, 2), 1))[::3]
@@ -1127,12 +1160,12 @@ FOREST_EVALS = {
     1.25: {
         "const_one": (12240, 4), "coord0": (92248, 8), "radius_sq": (132240, 10),
         "sign0": (12288, 4), "step0": (12432, 4), "log_radial": (60944, 7),
-        "exp_half_sq": (477104, 56),
+        "exp_half_sq": (477104, 21),
     },
     1.5: {
         "const_one": (12240, 4), "coord0": (59672, 7), "radius_sq": (97968, 9),
         "sign0": (12288, 4), "step0": (12432, 4), "log_radial": (42256, 6),
-        "exp_half_sq": (391456, 36),
+        "exp_half_sq": (391456, 19),
     },
 }
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -463,10 +464,33 @@ def test_maximize_jnp_to_obj_serializable(cands1, spec):
 def test_pool_heuristic_never_beats_dp(cands1, spec):
     f = _sign()
     dp = maximize_jnp(f, cands1, 2.0, 1.5, spec)
-    pool = maximize_jnp_pool(f, _nodes(cands1), 2.0, 1.5, spec, cands1.a)
+    pool = maximize_jnp_pool(f, cands1.centers, cands1.sides, 2.0, 1.5, spec, cands1.a)
     assert pool.value <= dp.value + 1e-12
     # the greedy family is itself valid
     validate_family(*cube_arrays(pool.family), cands1.a)
+
+
+def test_pool_heuristic_matches_the_pairwise_loop(cands1, spec):
+    # the forest's nodes overlap their ancestors; with their translates by
+    # half a side either way (the admissible ones) the pool overlaps across
+    # roots too.  Family, weights and value are the loop's over cubes_disjoint
+    nodes = _nodes(cands1)
+    shifted = [Cube((c.center[0] + s * c.side,), c.side) for c in nodes for s in (-0.5, 0.5)]
+    translates = nodes + [c for c in shifted if is_admissible(c, cands1.a)]
+    assert len(translates) > 2 * len(nodes)
+    for cubes in (nodes, translates):
+        centers, sides = cube_arrays(cubes)
+        for f in (_sign(), _rsq(), corpus_by_id(1)["coord0"]):
+            est = maximize_jnp_pool(f, centers, sides, 2.0, 1.5, spec, cands1.a)
+            weight = [g * o**2.0 for g, o in zip(*node_stats(f, centers, sides, 1.5, spec))]
+            picks = oracles.greedy_swap_loop(cubes, weight, jnp_module.MAX_SWAP_PASSES)
+            assert est.family == tuple(cubes[i] for i in picks), f.id
+            assert est.contributions == tuple(weight[i] for i in picks)
+            assert est.value == math.fsum(est.contributions) ** 0.5
+            assert est.candidates == len(cubes)
+    far = Cube((3.0,), 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"pool cube (center {far.center}) is not")):
+        maximize_jnp_pool(_sign(), *cube_arrays(nodes + [far]), 2.0, 1.5, spec, cands1.a)
 
 
 def test_p_limit_scan_nondecreasing(cands1, spec):
