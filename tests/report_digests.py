@@ -6,8 +6,9 @@ Run from anywhere, with the tree to check as the script's own checkout::
 
 It takes no options.  It runs every op of ``perfbench/workloads.pool(w)``
 for each of the three workloads, then each of the eight subcommands at the
-d=1 default config and ``subdivide`` at the d=2 and d=3 default configs
-(``{"dimension": d}``), in-process through ``gaussjn.cli.main``.  A
+d=1 default config, ``subdivide`` and ``duality`` at the d=2 and d=3 default
+configs (``{"dimension": d}``) and ``duality`` on the d=3 flat fields, all
+in-process through ``gaussjn.cli.main``.  A
 ``make_candidates`` op calls the library, as the benchmark does, and prints
 its node and root counts and a sha256 of the forest's ``centers``,
 ``sides`` and ``parent`` bytes instead of report files.  Each op prints one line
@@ -47,6 +48,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
 from gaussjn import cli, covering, jnp  # noqa: E402
+
+
+# (subcommand, tag, config) beyond the pools and the d=1 defaults
+EXTRA_OPS = [
+    *((call, f"d{d}", {"dimension": d}) for call in ("subdivide", "duality") for d in (2, 3)),
+    ("duality", "d3-flat", {"dimension": 3, "fields": ["coord0", "sign0", "step0"]}),
+]
 
 
 def _first_error(text: str) -> str:
@@ -118,12 +126,11 @@ def main() -> int:
                 error = "" if rc == 0 else _first_error(text)
                 print(f"defaults d=1 {sub}", flush=True)
                 print("\n".join([f"  rc {rc} error {error!r}", *_digests(report)]), flush=True)
-            for d in (2, 3):
-                op_dir = Path("defaults") / f"subdivide-d{d}"
+            for call, tag, cfg in EXTRA_OPS:
+                op_dir = Path("defaults") / f"{call}-{tag}"
                 op_dir.mkdir(parents=True)
-                op = {"call": "subdivide", "config": {"dimension": d}}
-                print(f"defaults d={d} subdivide", flush=True)
-                print("\n".join(_op_lines(op, op_dir)), flush=True)
+                print(f"defaults {op_dir.name}", flush=True)
+                print("\n".join(_op_lines({"call": call, "config": cfg}, op_dir)), flush=True)
         finally:
             os.chdir(home)
     return 0
