@@ -18,8 +18,6 @@ import logging
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -418,169 +416,29 @@ class RunResult:
 
 
 class _FloatTexts(dict):
-    """JSON text of floats by value, each finite nonzero value formatted once.
+    """CSV text of floats by value, each finite nonzero value formatted once.
 
     A report repeats few distinct floats many times (the 16,852 floats of
     the d=3 depth-4 covering take 52 values), and ``float.__repr__`` costs
-    about 1 µs.  ±0.0 are formatted on every lookup, because they are equal
-    as keys and a stored entry would lose the sign.  NaN and ±inf are spelled
-    as ``json`` spells them and never stored, so every stored text is also
-    the ``repr`` that ``csv.writer`` writes.
+    about 1 µs.  ±0.0, NaN and ±inf come back as the floats themselves and
+    are never stored: ±0.0 are equal as keys and a stored entry would lose
+    the sign.  ``csv.writer`` writes every float as its ``repr``, so a
+    stored text is what it would have written.
     """
 
-    def __missing__(self, value: float) -> str:
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        text = float.__repr__(value)
-        if value:
-            self[value] = text
+    def __missing__(self, value: float) -> str | float:
+        if not (value and math.isfinite(value)):
+            return value
+        text = self[value] = float.__repr__(value)
         return text
-
-
-_SCALARS = (str, int, float, type(None))
-
-
-def _scalar_text(value, floats: _FloatTexts) -> str | None:
-    """JSON text of a str, None, bool, int or float (tested in ``json``'s order); else None."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return floats[value]
-    return None
-
-
-def _column_texts(column: Sequence, floats: _FloatTexts) -> list[str] | None:
-    """JSON texts of a column of scalars; None if any value is not a scalar."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        return list(map(floats.__getitem__, column))
-    if kinds == {int}:
-        return list(map(int.__repr__, column))
-    if all(issubclass(kind, _SCALARS) for kind in kinds):
-        return [_scalar_text(value, floats) for value in column]
-    return None
-
-
-def _records_text(rows: Sequence, level: int, floats: _FloatTexts) -> str | None:
-    """JSON text of a list of flat records at indent ``level``, column by column.
-
-    A record list is a list of dicts with one set of str keys, where each
-    key's values are all scalars, or all lists of scalars of one non-zero
-    length.  Each column is formatted once, then every record comes from
-    one ``%`` template.  Returns None for any other list.
-    """
-    if set(map(type, rows)) != {dict} or not rows[0]:
-        return None
-    shape = rows[0].keys()
-    if set(map(type, shape)) != {str} or not all(map(shape.__eq__, map(dict.keys, rows))):
-        return None
-    keys = sorted(shape)
-    get = itemgetter(*keys)
-    columns = zip(*map(get, rows)) if len(keys) > 1 else [tuple(map(get, rows))]
-    item = "\n" + "  " * (level + 1)
-    field = item + "  "
-    entry = field + "  "
-    texts, parts = [], []
-    for key, column in zip(keys, columns):
-        name = encode_basestring_ascii(key).replace("%", "%%")
-        if all(issubclass(kind, (list, tuple)) for kind in set(map(type, column))):
-            lengths = set(map(len, column))
-            if len(lengths) != 1 or 0 in lengths:
-                return None
-            (length,) = lengths
-            parts.append(f"{name}: [{entry}" + f",{entry}".join(["%s"] * length) + f"{field}]")
-            texts.extend(_column_texts(entries, floats) for entries in zip(*column))
-        else:
-            parts.append(f"{name}: %s")
-            texts.append(_column_texts(column, floats))
-    if any(column is None for column in texts):
-        return None
-    record = "{" + field + f",{field}".join(parts) + item + "}"
-    body = f",{item}".join(map(record.__mod__, zip(*texts)))
-    return f"[{item}{body}\n{'  ' * level}]"
-
-
-def _json_text(obj, floats: _FloatTexts) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
-
-    Scalars, keys and containers are converted in ``json``'s order and
-    with its texts, and anything else raises its ``TypeError``.  A list of
-    scalars is written as one column (``_column_texts``) and a list of flat
-    records column by column (``_records_text``).  Floats go through
-    ``floats``.
-    """
-    out: list[str] = []
-
-    def put(value, level: int) -> None:
-        text = _scalar_text(value, floats)
-        if text is not None:
-            out.append(text)
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                out.append("[]")
-                return
-            item = "\n" + "  " * (level + 1)
-            texts = _column_texts(value, floats)
-            if texts is not None:
-                out.append(f"[{item}" + f",{item}".join(texts) + "\n" + "  " * level + "]")
-                return
-            text = _records_text(value, level, floats)
-            if text is not None:
-                out.append(text)
-                return
-            out.append("[" + item)
-            for k, entry in enumerate(value):
-                if k:
-                    out.append("," + item)
-                put(entry, level + 1)
-            out.append("\n" + "  " * level + "]")
-        elif isinstance(value, dict):
-            if not value:
-                out.append("{}")
-                return
-            item = "\n" + "  " * (level + 1)
-            sep = "{" + item
-            for key, entry in sorted(value.items()):
-                if isinstance(key, float):
-                    key = floats[key]
-                elif not isinstance(key, str):
-                    text = _scalar_text(key, floats)
-                    if text is None:
-                        raise TypeError(
-                            "keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}"
-                        )
-                    key = text
-                out.append(sep + encode_basestring_ascii(key) + ": ")
-                sep = "," + item
-                put(entry, level + 1)
-            out.append("\n" + "  " * level + "}")
-        else:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-    put(obj, 0)
-    return "".join(out)
 
 
 def _write_reports(result: RunResult, out_dir: Path, name: str) -> list[Path]:
     """Write ``<name>.json`` and, for tabular subcommands, ``<name>.csv``.
 
     The JSON is ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
-    newline and the CSV is ``csv.writer`` output, byte for byte; both share
-    one ``_FloatTexts``.  A CSV column of exact floats is handed to the
-    writer as the stored texts (the floats it has none for stay floats), so
+    newline.  The CSV is ``csv.writer`` output, byte for byte: a column of
+    exact floats is handed to the writer as ``_FloatTexts``, so
     ``csv.writer`` still does all of the quoting.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -588,13 +446,13 @@ def _write_reports(result: RunResult, out_dir: Path, name: str) -> list[Path]:
     payload = dict(result.payload)
     payload["checks"] = [c.to_obj() for c in result.checks]
     payload["ok"] = all(c.ok for c in result.checks)
-    floats = _FloatTexts()
     json_path = out_dir / f"{name}.json"
-    json_path.write_text(_json_text(payload, floats) + "\n", encoding="utf-8")
+    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     written.append(json_path)
     if result.csv_header is not None:
+        floats = _FloatTexts()
         columns = [
-            list(map(floats.get, column, column)) if set(map(type, column)) == {float} else column
+            list(map(floats.__getitem__, column)) if set(map(type, column)) == {float} else column
             for column in zip(*result.csv_rows, strict=True)
         ]
         csv_path = out_dir / f"{name}.csv"
@@ -619,9 +477,9 @@ def _corpus_fields(cfg: ExperimentConfig) -> list[ScalarField]:
 def _run_covering(cfg: ExperimentConfig) -> RunResult:
     cov = build_covering(cfg.depth, cfg.dimension)
     report = coverage_report(cov, n_points=cfg.coverage_points, seed=cfg.seed)
-    cubes = list(zip(*(a.tolist() for a in cov.arrays())))
+    layer, centers, sides = cov.arrays()
     header = ("layer", "side") + tuple(f"c{i + 1}" for i in range(cfg.dimension))
-    rows = tuple((k, side, *center) for k, center, side in cubes)
+    rows = tuple(zip(layer.tolist(), sides.tolist(), *centers.T.tolist()))
     checks = (
         CheckResult(
             "covering-coverage",
@@ -656,11 +514,7 @@ def _run_covering(cfg: ExperimentConfig) -> RunResult:
             "running sup of #L_k / k^(d-1) has plateaued",
         ),
     )
-    payload = {
-        "config": cfg.to_obj(),
-        "report": report,
-        "cubes": [{"center": c, "side": side, "layer": k} for k, c, side in cubes],
-    }
+    payload = {"config": cfg.to_obj(), "report": report}
     return RunResult(payload, checks, header, rows)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from gaussjn import cli
 from gaussjn.cli import ExperimentConfig, ConfigError, main as cli_main
+from gaussjn.covering import build_covering
 from gaussjn.fields import make_random_step, step_lq_norm, step_weak_lp_norm
 from gaussjn.geometry import gaussian_measure
 
@@ -346,94 +347,6 @@ def _dumps(obj):
 
 NAN, INF = math.nan, math.inf
 
-# each case with whether its list of dicts takes the column-wise record path
-RECORD_LISTS = {
-    "qualifies": ([{"a": 1, "b": [1.5, -0.0]}, {"a": 2, "b": [NAN, 0.0]}], True),
-    "every-scalar-kind": (
-        [
-            {"s": "x", "n": None, "t": True, "i": 10**30, "f": np.float64(0.25), "m": 1.0},
-            {"s": "é\x01", "n": 1, "t": False, "i": -3, "f": -INF, "m": "1"},
-        ],
-        True,
-    ),
-    "tuples-and-lists": ([{"c": (1.0, 2.0)}, {"c": [3.0, 4.0]}], True),
-    "keys-to-escape": (
-        [{'k"%s': 1.5, "%": "%d", "\u00e9": 2}, {'k"%s': 2.5, "%": "%", "\u00e9": 3}],
-        True,
-    ),
-    "one-record": ([{"center": [0.5, -0.5, 0.0], "side": 2.0, "layer": 0}], True),
-    "mixed-key-sets": ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], False),
-    "fewer-keys": ([{"a": 1, "b": 2}, {"a": 1}], False),
-    "nested-dict": ([{"a": {"x": 1}}, {"a": {"x": 2}}], False),
-    "ragged-lists": ([{"a": [1, 2]}, {"a": [3]}], False),
-    "empty-lists": ([{"a": []}, {"a": []}], False),
-    "list-in-list": ([{"a": [1, [2]]}, {"a": [3, [4]]}], False),
-    "list-and-scalar": ([{"a": [1]}, {"a": 1}], False),
-    "empty-records": ([{}, {}], False),
-    "int-keys": ([{1: 2}, {1: 3}], False),
-    "not-all-dicts": ([{"a": 1}, 1], False),
-}
-
-JSON_CASES = {
-    "zeros": [0.0, -0.0, {"z": -0.0, "p": 0.0}, [-0.0, 0.0, -0.0]],
-    "non-finite": [NAN, INF, -INF, {"n": NAN}],
-    "np-float64": [np.float64(1.5), np.float64(-0.0), np.float64(NAN), 1.5],
-    "true-and-one": [True, 1, 1.0, False, 0, 0.0, None],
-    "large-ints": [10**40, -(10**30), 2**63],
-    "strings": ["plain", "héllo wörld ✓", "\x00\x01\x1f\n\t\"\\", "😀", ""],
-    "keys-to-escape": {'q"uote': 1, "back\\slash": 2, "%s": 3, "%%": 4, "ü": 5, "\n": 6},
-    "float-keys": {1.5: "a", -0.0: "b", NAN: "c", INF: "d", 2.25: "e"},
-    "other-keys": [{True: 1, False: 0}, {None: 1}, {3: "x", 10**20: "y", -1: "z"}],
-    "empty-containers": [[], {}, [[]], [{}], {"a": [], "b": {}, "c": [[], {}, [[{}]]]}],
-    "tuples": (1, (2.5, (3, ())), [(), ("a",)]),
-    "top-level-scalar": 2.5,
-    "top-level-empty": {},
-    **{
-        f"records-{name}": {"rows": rows, "tail": [rows]}
-        for name, (rows, _) in RECORD_LISTS.items()
-    },
-}
-
-
-@pytest.mark.parametrize("obj", list(JSON_CASES.values()), ids=list(JSON_CASES))
-def test_json_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj, cli._FloatTexts()) == _dumps(obj)
-
-
-def test_json_writer_keeps_json_bytes_with_one_memo_for_every_case():
-    # a report formats all its floats through one memo, in any order
-    floats = cli._FloatTexts()
-    for obj in [*JSON_CASES.values(), *reversed(JSON_CASES.values())]:
-        assert cli._json_text(obj, floats) == _dumps(obj)
-    assert 0.0 not in floats and all(math.isfinite(v) for v in floats)
-
-
-@pytest.mark.parametrize("rows, column_wise", list(RECORD_LISTS.values()), ids=list(RECORD_LISTS))
-def test_record_lists_take_the_column_path_only_when_flat(rows, column_wise):
-    text = cli._records_text(rows, 1, cli._FloatTexts())
-    assert (text is not None) == column_wise
-    if column_wise:
-        assert text == _dumps({"k": rows})[len('{\n  "k": ') : -2]
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        np.int64(3),
-        {"a": np.int64(1)},
-        [{"a": np.int64(1)}, {"a": np.int64(2)}],
-        [object()],
-        {(1,): 2},
-    ],
-    ids=["int64", "int64-value", "int64-in-records", "object", "tuple-key"],
-)
-def test_json_writer_raises_json_type_error(obj):
-    with pytest.raises(TypeError) as expected:
-        _dumps(obj)
-    with pytest.raises(TypeError) as got:
-        cli._json_text(obj, cli._FloatTexts())
-    assert str(got.value) == str(expected.value)
-
 
 def _plain_reports(result, out_dir):
     # the reports as json.dumps and csv.writer wrote them before
@@ -479,6 +392,22 @@ def test_covering_reports_match_json_and_csv_writers(tmp_path):
     result = cli._run_covering(cfg)
     assert len(result.csv_rows) == 4213
     _assert_same_reports(result, tmp_path)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_covering_csv_gives_back_every_cube(d, tmp_path):
+    # the CSV is the one place a covering report lists its cubes
+    cfg = {"dimension": d, "depth": 3, "coverage_points": 1000}
+    code, out = run_cli("covering", cfg, tmp_path)
+    assert code == 0
+    assert "cubes" not in read_json(out, "covering")
+    header, *rows = read_csv(out, "covering")
+    assert header == ["layer", "side", *(f"c{i + 1}" for i in range(d))]
+    layer, centers, sides = build_covering(3, d).arrays()
+    assert [int(r[0]) for r in rows] == layer.tolist()
+    # bit for bit, so -0.0 and 0.0 differ
+    values = np.array([[float(v) for v in r[1:]] for r in rows])
+    assert values.tobytes() == np.column_stack([sides, centers]).tobytes()
 
 
 def test_embed_rows_match_the_step_norms_per_pair():
@@ -548,7 +477,7 @@ def test_subcommand_runs_green_and_writes_both_reports(subcommand, tmp_path):
     assert payload["checks"]
     assert all(c["ok"] for c in payload["checks"])
     assert (out / f"{subcommand}.csv").is_file()
-    # the report writer stays byte for byte what json would write
+    # every JSON report is json.dumps of its own parse
     text = (out / f"{subcommand}.json").read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
