@@ -29,17 +29,18 @@ construction.  Averages and tail masses are summed with the deterministic
 pairwise kernels; weak norms take exact suffix sums over the sorted node
 values.
 
-Panels are graded toward known kinks.  For a fractional q, |f - f_Q|^q has
-an endpoint singularity on the level set {f = f_Q}, which ``level_breaks``
+Panels are graded toward known kinks.  For a fractional r, |f - c|^r has
+an endpoint singularity on the level set {f = c}, which ``level_breaks``
 puts on panel edges where the field can solve it, and uniform refinement
-converges there only like 2^(-(q+1)L).  Oscillations therefore pass those
-positions as ``kinks``: at level L >= 1 the end panel of a segment that
-touches a kink is cut at 2^-j of its width from the kink, j = L..1, into
-L + 1 panels that halve toward it (geometric grading, as in hp finite
+converges there only like 2^(-(r+1)L).  Every power average with a
+fractional r (oscillations at c = f_Q, norms at c = 0) therefore passes
+those positions as ``kinks``: at level L >= 1 the end panel of a segment
+that touches a kink is cut at 2^-j of its width from the kink, j = L..1,
+into L + 1 panels that halve toward it (geometric grading, as in hp finite
 elements), so the segment has order * (2^L + L) nodes per graded end.  All
 other panels, and every rule without kinks, are the uniform ones bit for
 bit.  Tails and weak norms are not graded: their breaks are jumps, with a
-smooth integrand on each panel, and an integer q makes |f - f_Q|^q a
+smooth integrand on each panel, and an integer r makes |f - c|^r a
 polynomial in f on either side of the level set.
 
 In d = 2 a level set or kink that is a circle crosses panels of either
@@ -977,8 +978,11 @@ def _mean(spec: QuadratureSpec) -> _Phase:
     return _Phase("average", spec.refinement_levels, spec.abs_tol)
 
 
-def _power(spec: QuadratureSpec, r: float, graded: bool = False) -> _Phase:
-    """The average of |v - c|^r, its panels cut at {f = c} (and graded toward it)."""
+def _power(spec: QuadratureSpec, r: float) -> _Phase:
+    """The average of |v - c|^r, cut at {f = c} and graded toward it for a fractional r."""
+    # |v|^r is a polynomial on either side of v = 0 for integer r; for any
+    # other r the zero set is an endpoint singularity of each panel beside it
+    graded = not float(r).is_integer()
     return _Phase(
         "average", spec.refinement_levels, spec.abs_tol, q=r, level_sets=np.zeros(1), kinks=graded
     )
@@ -1332,7 +1336,8 @@ def power_average(
 
     The integrand kinks on the level set {f = center}; when the field can
     solve its level sets those positions are panel breaks, so the kink
-    never crosses a panel.  Panels are not graded toward it.
+    never crosses a panel, and for a fractional r the panels beside it are
+    graded toward it.
     """
     power = [_power(spec, r)]
     return float(_drive(f, *cube_arrays([cube]), power, spec.nodes_per_axis, center)[0, 0])
@@ -1356,9 +1361,7 @@ def oscillations(
     """
     if not q >= 1.0:
         raise ValueError("oscillation exponent q must be >= 1")
-    # |v|^q is a polynomial on either side of v = 0 for integer q; for any
-    # other q the zero set is an endpoint singularity of each panel beside it
-    power = _power(spec, q, graded=not float(q).is_integer())
+    power = _power(spec, q)
     gamma = np.empty(len(sides))
     means = _drive(f, centers, sides, [_mean(spec), power], spec.nodes_per_axis, gamma=gamma)
     values = [v ** (1.0 / q) for v in means[:, 0].tolist()]

@@ -121,6 +121,16 @@ def test_d2_hardy_ops_batch_their_driver_calls(subcommand, cfg, most, tmp_path, 
     assert len(calls) <= most
 
 
+def test_duality_on_the_d3_flat_fields_certifies(tmp_path):
+    # the polymer L^p norm of the coord0 atom on the cube at (-0.5, 0, 0):
+    # ungraded toward {f = 0}, its power average needed 33,554,432 nodes at
+    # level 5, over the node cap
+    cfg = {"dimension": 3, "fields": ["coord0", "sign0", "step0"]}
+    code, out = run_cli("duality", cfg, tmp_path)
+    assert code == 0
+    assert read_json(out, "duality")["ok"] is True
+
+
 def test_duality_conjugate_mismatch_is_a_config_error(tmp_path, capsys):
     # the suite works out the conjugates of p and q itself, so a config
     # that names them is rejected like any other unknown key

@@ -776,7 +776,7 @@ def test_a_field_per_cube_gathers_a_field_split_across_phases(monkeypatch):
         return vals
 
     monkeypatch.setattr(fields, "_each_field", spy)
-    phases = [fields._mean(spec), fields._power(spec, 1.5, graded=True)]
+    phases = [fields._mean(spec), fields._power(spec, 1.5)]
     got = fields._drive(fs, *cube_arrays(cubes), phases, spec.nodes_per_axis)[:, 0]
     want = [oracles.oscillation_loop(f, c, 1.5, spec) for f, c in zip(fs, cubes)]
     assert _bits([v ** (1.0 / 1.5) for v in got.tolist()]) == _bits(want)
@@ -798,7 +798,7 @@ def test_a_field_per_cube_matches_the_one_cube_loop_bitwise(d, budget, forest_cu
     cycle += [restrict_field(shift_field(f, 0.25), Cube((0.3,) * d, 2.5)) for f in cycle]
     fs = [cycle[k % len(cycle)] for k in range(len(cubes))]
     centers, sides = cube_arrays(cubes)
-    phases = [fields._mean(spec), fields._power(spec, 1.25, graded=True)]
+    phases = [fields._mean(spec), fields._power(spec, 1.25)]
 
     def oscillations_per_cube(fs, centers, sides):
         means = fields._drive(fs, centers, sides, phases, spec.nodes_per_axis)
@@ -1020,16 +1020,28 @@ def _counted(f, sizes):
     )
 
 
+def _both_signs(r):
+    return [-r, r]
+
+
+# the d=1 corpus fields that solve their level sets: each one's function
+# and the points where it equals c, in mpmath
+_MP_FIELDS = {
+    "coord0": (lambda t: t, lambda c: [c]),
+    "radius_sq": (lambda t: t * t, lambda c: _both_signs(oracles.mp.sqrt(c)) if c > 0 else []),
+    "log_radial": (
+        lambda t: oracles.mp.log(max(abs(t), 1)),
+        lambda c: _both_signs(oracles.mp.e**c) if c > 0 else [],
+    ),
+    "exp_half_sq": (
+        lambda t: oracles.mp.e ** (t * t / 2),
+        lambda c: _both_signs(oracles.mp.sqrt(2 * oracles.mp.log(c))) if c > 1 else [],
+    ),
+}
+
+
 def _osc_mp(fid, cube, q):
-    mp = oracles.mp
-    fn, level_set = {
-        "coord0": (lambda t: t, lambda c: [c]),
-        "radius_sq": (lambda t: t * t, lambda c: [mp.sqrt(c), -mp.sqrt(c)]),
-        "exp_half_sq": (
-            lambda t: mp.e ** (t * t / 2),
-            lambda c: [mp.sqrt(2 * mp.log(c)), -mp.sqrt(2 * mp.log(c))],
-        ),
-    }[fid]
+    fn, level_set = _MP_FIELDS[fid]
     return oracles.oscillation_mp(fn, cube.lo[0], cube.hi[0], q, level_set)
 
 
@@ -1052,6 +1064,30 @@ def test_fractional_oscillation_converges_within_a_node_budget(fid, cube, spec):
     got = oscillation(_counted(corpus_by_id(1)[fid], sizes), cube, 1.25, spec)
     assert max(sizes) <= 512
     assert got == pytest.approx(_osc_mp(fid, cube, 1.25), abs=1e-10)
+
+
+POWER_CENSUS_CUBES = [P1, OFFSET, Cube((-2.3,), 0.5), Cube((1.5,), 1.0), FAR_CUBE]
+
+
+@pytest.mark.parametrize("fid", sorted(_MP_FIELDS))
+def test_power_average_census_d1_within_abs_tol(fid, spec):
+    # |f - c|^r at c = 0 (the norms) and c = f_Q (the oscillations), against
+    # mpmath split at the field's breaks and at {f = c}
+    f = corpus_by_id(1)[fid]
+    fn, level_set = _MP_FIELDS[fid]
+    for cube in POWER_CENSUS_CUBES:
+        a, b = cube.lo[0], cube.hi[0]
+        mass = oracles.gauss1d_mp(a, b)
+        for c in (0.0, average_gamma(f, cube, spec)):
+            cuts = sorted({float(t) for t in [*f.breaks.get(0, ()), *level_set(c)] if a < t < b})
+            ends = [a, *cuts, b]
+            for r in (1.25, 1.5):
+                want = sum(
+                    oracles.gauss_quad_mp(lambda t: abs(fn(t) - c) ** r, lo, hi)
+                    for lo, hi in zip(ends, ends[1:])
+                ) / mass
+                got = power_average(f, cube, r, spec, center=c)
+                assert abs(got - want) <= spec.abs_tol, (cube, c, r)
 
 
 ONE = np.zeros(1, dtype=np.int64)
