@@ -161,8 +161,10 @@ def make_atom(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> Ato
     atom = Atom(field=field, cube=cube, q=float(q), base=f, shift=shift)
     resid = abs(atom.mean(spec))
     # The tolerance scale only normalizes the residual, so a pilot-grid L^1
-    # estimate suffices; a certified |b| integral hits curved kinks in d >= 2
-    # and would fail quadrature for no benefit here.
+    # estimate suffices.  A certified |b| integral certifies in d = 2, where
+    # circles get iterated rules, but in d = 3 a sphere crossing the cube
+    # sends it to the node cap (134,217,728 nodes for a radius_sq atom), so
+    # the pilot grid stays until the iterated rule reaches d = 3.
     pts, wts = _node_grid(field, cube, spec, level=2)
     scale = max(1.0, kernels.weighted_sum(np.abs(field(pts)), wts))
     if resid > ATOM_MEAN_TOL * scale:
