@@ -397,6 +397,29 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     _assert_same_reports(result, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        np.int64(3),
+        {"a": np.int64(1)},
+        [{"a": np.int64(1)}, {"a": np.int64(2)}],
+        [object()],
+        {(1,): 2},
+    ],
+    ids=["int64", "int64-value", "int64-in-records", "object", "tuple-key"],
+)
+def test_json_writer_raises_json_type_error(obj, tmp_path):
+    # a value JSON cannot hold stops the report with json's own error and
+    # leaves no half-written file behind
+    with pytest.raises(TypeError) as expected:
+        _dumps({"value": obj})
+    result = cli.RunResult({"value": obj}, (cli.CheckResult("c", True, "detail"),))
+    with pytest.raises(TypeError) as got:
+        cli._write_reports(result, tmp_path, "r")
+    assert str(got.value) == str(expected.value)
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_covering_reports_match_json_and_csv_writers(tmp_path):
     cfg = ExperimentConfig.from_obj({"dimension": 3, "depth": 4, "coverage_points": 1000})
     result = cli._run_covering(cfg)
