@@ -1499,23 +1499,31 @@ def tail_profile(
 WEAK_REL_TOL = 1e-3
 
 
-def _node_measure_weak_sup(av: np.ndarray, wg: np.ndarray, p: float) -> float:
-    """Exact sup_sigma sigma * tail(sigma)^(1/p) for a discrete node measure.
+def _node_measure_weak_sup(av: np.ndarray, wg: np.ndarray, p: float) -> float | np.ndarray:
+    """Exact sup_sigma sigma * weight{|f| > sigma}^(1/p) of discrete measures.
 
-    The map is linear between distinct node values and jumps down as sigma
-    crosses one, so its supremum is a left limit v * (weight{|f| >= v})^(1/p)
-    at some node value v; suffix summation over the sorted values finds it.
+    ``av`` holds the values |f| and ``wg`` their nonnegative weights, one
+    measure per row of a (..., n) array: quadrature nodes, or the cells of
+    step distributions padded with zero-weight entries.  The map is linear
+    between distinct values and jumps down as sigma crosses one, so its
+    supremum is a left limit v * (weight{|f| >= v})^(1/p) at some value v;
+    suffix sums over each row's sorted values find it, taken at the first
+    index of each run of equal values.  A zero-weight entry never raises
+    the supremum, and a row without a positive value gives 0.0.  A 1-D
+    input gives a float, bit for bit its result as a row of a table.
     """
-    if float(np.max(av)) <= 0.0:
-        return 0.0
-    order = np.argsort(av)
-    suffix = np.cumsum(wg[order][::-1])[::-1]
-    sv = av[order]
+    order = np.argsort(av, axis=-1)
+    suffix = np.cumsum(np.take_along_axis(wg, order, -1)[..., ::-1], axis=-1)[..., ::-1]
+    sv = np.take_along_axis(av, order, -1)
     del order  # one n-sized array fewer alive while the runs are found
-    # the first index of each run of equal sorted values
-    first = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    first = np.empty(sv.shape, dtype=bool)
+    first[..., :1] = True
+    np.not_equal(sv[..., 1:], sv[..., :-1], out=first[..., 1:])
     scores = sv[first] * np.maximum(suffix[first], 0.0) ** (1.0 / p)
-    return float(np.max(scores))
+    suffix.fill(0.0)  # reused: the scores at run starts, 0.0 elsewhere
+    suffix[first] = scores
+    best = np.where(sv[..., -1] <= 0.0, 0.0, suffix.max(axis=-1))
+    return float(best) if best.ndim == 0 else best
 
 
 def weak_lp_norm(f: ScalarField, cube: Cube, p: float, spec: QuadratureSpec) -> float:
@@ -1586,6 +1594,17 @@ def l1_gamma_norm(
 # ---------------------------------------------------------------------------
 
 
+def _step_cells(edges: Sequence[float], values: Sequence[float]) -> tuple[tuple, tuple]:
+    """The edges and values of a step as float tuples, checked as a step needs them."""
+    edges_t = tuple(float(e) for e in edges)
+    values_t = tuple(float(v) for v in values)
+    if list(edges_t) != sorted(set(edges_t)):
+        raise ValueError("edges must be strictly increasing")
+    if len(values_t) != len(edges_t) + 1:
+        raise ValueError("need one more value than edges")
+    return edges_t, values_t
+
+
 class StepField(ScalarField):
     """Piecewise-constant field along one axis; moments are exact.
 
@@ -1604,12 +1623,7 @@ class StepField(ScalarField):
         dim: int | None = None,
         description: str = "",
     ) -> None:
-        edges_t = tuple(float(e) for e in edges)
-        values_t = tuple(float(v) for v in values)
-        if list(edges_t) != sorted(set(edges_t)):
-            raise ValueError("edges must be strictly increasing")
-        if len(values_t) != len(edges_t) + 1:
-            raise ValueError("need one more value than edges")
+        edges_t, values_t = _step_cells(edges, values)
         self.axis = int(axis)
         self.edges = edges_t
         self.values = values_t
@@ -1630,27 +1644,40 @@ class StepField(ScalarField):
         )
 
 
+def step_masses(
+    centers: np.ndarray, sides: np.ndarray, axes: np.ndarray, edges: np.ndarray
+) -> np.ndarray:
+    """Exact gamma-masses (n, k) of the k cells of n steps, each on its own cube.
+
+    Row i is a step along axis ``axes[i]`` with the increasing ``edges[i]``
+    (k - 1 of them) on the cube (``centers[i]``, ``sides[i]``).  Its cells
+    are cut at the edges clipped into the cube, so a cell outside the cube,
+    or one behind a padding edge of +inf, has zero width and zero mass.  A
+    cell's mass is ``kernels.gauss1d`` along the step axis times the cube's
+    factors on the other axes, multiplied from axis 0 on.
+    """
+    factors, _ = gaussian_measures(centers, sides)
+    c = centers[np.arange(sides.size), axes]
+    lo, hi = c - 0.5 * sides, c + 0.5 * sides
+    cuts = np.column_stack([lo, np.clip(edges, lo[:, None], hi[:, None]), hi])
+    g = kernels.gauss1d
+    masses = []
+    for row, ax, cut in zip(factors.tolist(), axes.tolist(), cuts.tolist()):
+        other = math.prod(row[:ax] + row[ax + 1 :])
+        masses.append([g(a, b) * other for a, b in zip(cut[:-1], cut[1:])])
+    return np.array(masses).reshape(edges.shape[0], edges.shape[1] + 1)
+
+
 def step_distribution(f: StepField, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
     """Exact (values, gamma-masses) of the step field's cells inside the cube."""
     if not isinstance(f, StepField):
         raise TypeError("step_distribution requires a StepField")
-    ax = f.axis
-    lo, hi = cube.lo[ax], cube.hi[ax]
-    other = 1.0
-    for a in range(cube.dim):
-        if a != ax:
-            other *= kernels.gauss1d(cube.lo[a], cube.hi[a])
-    cell_edges = [lo, *[e for e in f.edges if lo < e < hi], hi]
-    values = []
-    masses = []
-    inner = np.asarray(f.edges)
-    for i in range(len(cell_edges) - 1):
-        a, b = cell_edges[i], cell_edges[i + 1]
-        mid = 0.5 * (a + b)
-        idx = int(np.searchsorted(inner, mid, side="left"))
-        values.append(f.values[idx])
-        masses.append(kernels.gauss1d(a, b) * other)
-    return np.asarray(values), np.asarray(masses)
+    edges = np.asarray(f.edges, dtype=np.float64)
+    centers, sides = cube_arrays([cube])
+    masses = step_masses(centers, sides, np.array([f.axis]), edges[None])[0]
+    lo, hi = cube.lo[f.axis], cube.hi[f.axis]
+    inside = np.r_[edges > lo, True] & np.r_[True, edges < hi]
+    return np.asarray(f.values)[inside], masses[inside]
 
 
 def step_average(f: StepField, cube: Cube) -> float:
@@ -1664,21 +1691,26 @@ def step_oscillation(f: StepField, cube: Cube, q: float) -> float:
     return float((np.sum(np.abs(v - avg) ** q * m) / np.sum(m)) ** (1.0 / q))
 
 
-def distribution_lq_norm(values: np.ndarray, masses: np.ndarray, q: float) -> float:
-    """(sum |v|^q m)^(1/q) of a finite distribution, as from ``step_distribution``."""
-    return float(np.sum(np.abs(values) ** q * masses) ** (1.0 / q))
+def distribution_lq_norm(values: np.ndarray, masses: np.ndarray, q: float) -> float | np.ndarray:
+    """(sum |v|^q m)^(1/q) of finite distributions, one per row of (..., cells).
+
+    Rows come from ``step_distribution`` or ``step_masses``; a 1-D input
+    gives a float, bit for bit its result as a row of a table (the root is
+    taken on an array even then: numpy's scalar power can differ from its
+    array power in the last bit).
+    """
+    out = (np.sum(np.abs(values) ** q * masses, axis=-1, keepdims=True) ** (1.0 / q))[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
-def distribution_weak_lp_norm(values: np.ndarray, masses: np.ndarray, p: float) -> float:
-    """Exact sup_sigma sigma * mass(|v| > sigma)^(1/p): attained at the values."""
-    av = np.abs(values)
-    best = 0.0
-    for level in np.unique(av):
-        if level <= 0.0:
-            continue
-        tail = float(np.sum(masses[av >= level]))
-        best = max(best, float(level) * tail ** (1.0 / p))
-    return best
+def distribution_weak_lp_norm(
+    values: np.ndarray, masses: np.ndarray, p: float
+) -> float | np.ndarray:
+    """Exact sup_sigma sigma * mass(|v| > sigma)^(1/p) of each row of (..., cells).
+
+    The supremum is attained at the values (``_node_measure_weak_sup``).
+    """
+    return _node_measure_weak_sup(np.abs(values), masses, p)
 
 
 def step_lq_norm(f: StepField, cube: Cube, q: float) -> float:
@@ -1688,6 +1720,23 @@ def step_lq_norm(f: StepField, cube: Cube, q: float) -> float:
 def step_weak_lp_norm(f: StepField, cube: Cube, p: float) -> float:
     """Exact sup_sigma sigma * gamma(|f| > sigma)^(1/p): attained at cell values."""
     return distribution_weak_lp_norm(*step_distribution(f, cube), p)
+
+
+def random_step_cells(
+    rng: np.random.Generator, lo: float, hi: float, cells: int, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges strictly inside (lo, hi) and cell values of a random step.
+
+    The edges are drawn uniformly from the middle 90% of the interval and
+    the values from N(0, scale^2), checked as ``StepField`` checks them.
+    """
+    if cells < 2:
+        raise ValueError("need at least two cells")
+    u = np.sort(rng.uniform(0.05, 0.95, size=cells - 1))
+    edges = lo + (hi - lo) * u
+    values = rng.normal(0.0, scale, size=cells)
+    _step_cells(edges, values)
+    return edges, values
 
 
 def make_random_step(
@@ -1700,12 +1749,7 @@ def make_random_step(
     tag: str = "",
 ) -> StepField:
     """Random step field whose edges fall strictly inside the cube."""
-    if cells < 2:
-        raise ValueError("need at least two cells")
-    lo, hi = cube.lo[axis], cube.hi[axis]
-    u = np.sort(rng.uniform(0.05, 0.95, size=cells - 1))
-    edges = lo + (hi - lo) * u
-    values = rng.normal(0.0, scale, size=cells)
+    edges, values = random_step_cells(rng, cube.lo[axis], cube.hi[axis], cells, scale)
     label = tag or f"rs{rng.integers(0, 1 << 30):08x}"
     return StepField(
         f"randstep-{label}",

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from gaussjn import cli
 from gaussjn.cli import ExperimentConfig, ConfigError, main as cli_main
 from gaussjn.covering import build_covering
@@ -443,10 +444,14 @@ def test_covering_csv_gives_back_every_cube(d, tmp_path):
     assert values.tobytes() == np.column_stack([sides, centers]).tobytes()
 
 
-def test_embed_rows_match_the_step_norms_per_pair():
-    # one step distribution per trial gives the bits of one step_lq_norm and
-    # one step_weak_lp_norm call per (p, q) pair
-    cfg = ExperimentConfig.from_obj({"dimension": 2, "seed": 5, "embed": {"trials": 6}})
+@pytest.mark.parametrize("seed", [5, 12], ids="seed{}".format)
+@pytest.mark.parametrize("d", [1, 2, 3], ids="d{}".format)
+def test_embed_rows_match_the_step_norms_per_pair(d, seed):
+    # one row of the trial table per trial gives the bits of one step_lq_norm
+    # and one step_weak_lp_norm call per (p, q) pair, off axis 0 and with
+    # the other axes' gamma factors too; every third trial is also checked
+    # against the mpmath step oracles
+    cfg = ExperimentConfig.from_obj({"dimension": d, "seed": seed, "embed": {"trials": 6}})
     rows = cli._run_embed(cfg).csv_rows
     rng = np.random.default_rng(cfg.seed)
     expected = []
@@ -458,7 +463,21 @@ def test_embed_rows_match_the_step_norms_per_pair():
             factor = (p / (p - q)) ** (1.0 / q) * gaussian_measure(cube) ** (1.0 / q - 1.0 / p)
             lhs = step_lq_norm(step, cube, q)
             expected.append((lhs, factor * step_weak_lp_norm(step, cube, p)))
+            if trial % 3 == 0:
+                args = (step.edges, step.values, cube.lo, cube.hi, axis)
+                lq_ref = oracles.step_lq_mp(*args, q)
+                wk_ref = factor * oracles.step_weak_lp_mp(*args, p)
+                assert abs(lhs - lq_ref) <= 1e-10 * lq_ref
+                assert abs(expected[-1][1] - wk_ref) <= 1e-10 * wk_ref
     assert [(row[3], row[4]) for row in rows] == expected
+
+
+def test_empty_embed_pair_list_is_a_config_error(tmp_path, capsys):
+    # no pair would mean no comparison, and a PASS that checked nothing
+    code, out = run_cli("embed", {"embed": {"pairs": []}}, tmp_path)
+    assert code == 2
+    assert "embed.pairs must hold at least one [p, q] pair" in capsys.readouterr().err
+    assert not (out / "embed.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +558,26 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_embed_run_loads_no_scipy(tmp_path):
+    # the import alone loads none (above); an embed run takes its masses
+    # from kernels.gauss1d and its norms from numpy, so it loads none either
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"dimension": 3, "embed": {"trials": 5}}), encoding="utf-8")
+    argv = ["embed", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    code = (
+        f"import sys, gaussjn.cli; code = gaussjn.cli.main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_console_script_entry_point(tmp_path):

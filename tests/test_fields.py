@@ -444,6 +444,34 @@ def test_node_measure_weak_sup_matches_unique_oracle():
     assert fields._node_measure_weak_sup(np.zeros(4), np.ones(4), 2.0) == 0.0
 
 
+def test_weak_sup_rows_match_unique_oracle_per_row():
+    # the same rule on a table of rows, as the embed suite runs it: rows of
+    # tied and zero values, padded with zero-weight entries, row by row
+    # against the np.unique oracle; a row of zeros gives 0.0, and a 1-D
+    # input is bit for bit its row.  Without the padding the value is the
+    # same up to the order in which tied weights are summed.
+    rng = np.random.default_rng(7)
+    for p in (1.0, 1.5, 2.0, 3.7):
+        n, width = 40, 9
+        av = np.abs(np.round(rng.normal(size=(n, width)), int(rng.integers(0, 2))))
+        av[::4, :3] = 0.0
+        wg = rng.random((n, width))
+        cells = rng.integers(1, width + 1, size=n)
+        pad = np.arange(width) >= cells[:, None]
+        wg[pad] = 0.0
+        av[pad] = np.where(rng.random(pad.sum()) < 0.5, 0.0, 9.0)
+        av[5], wg[5] = 0.0, 1.0
+        got = fields._node_measure_weak_sup(av, wg, p)
+        assert got.shape == (n,) and got[5] == 0.0
+        for i in range(n):
+            ref = oracles.node_measure_weak_sup_unique(av[i], wg[i], p)
+            assert got[i].hex() == ref.hex(), (p, i)
+            assert fields._node_measure_weak_sup(av[i], wg[i], p).hex() == got[i].hex()
+            live = ~pad[i]
+            unpadded = oracles.node_measure_weak_sup_unique(av[i, live], wg[i, live], p)
+            assert got[i] == pytest.approx(unpadded, rel=1e-14, abs=0.0), (p, i)
+
+
 def test_weak_lp_rejects_bad_exponent(spec):
     with pytest.raises(ValueError):
         weak_lp_norm(_rsq(), P1, 0.5, spec)
