@@ -236,13 +236,19 @@ class _BoxGrid:
             [math.prod(int(s) for s in self.shape[ax + 1 :]) for ax in range(d)], dtype=np.int64
         )
         first = first.astype(np.int64)
+        # a box's keys are its first cell's key plus the offsets of its span
+        # (axis 0 fastest); boxes of one span share one run of a table.
+        # span - 1 is a cell of the grid, so its key names the span.
         span = (last - first + 1.0).astype(np.int64)
-        per_box = np.prod(span, axis=1)
-        box, rank = _ragged(np.zeros(live.size, dtype=np.int64), per_box)
-        key = np.zeros(box.size, dtype=np.int64)
-        for ax in range(d):
-            key += (first[box, ax] + rank % span[box, ax]) * self.strides[ax]
-            rank //= span[box, ax]
+        _, one, kind = np.unique((span - 1) @ self.strides, return_index=True, return_inverse=True)
+        offsets = [
+            sum(np.ix_(*(np.arange(n) * st for n, st in zip(row[::-1], self.strides[::-1]))))
+            for row in span[one]
+        ]
+        stop = np.cumsum([o.size for o in offsets])
+        start = np.append(0, stop[:-1])
+        box, at = _ragged(start[kind], stop[kind])
+        key = (first @ self.strides)[box] + np.concatenate([o.ravel() for o in offsets])[at]
         # entries were generated box by box, so the stable sort keeps each
         # cell's boxes in ascending order
         order = np.argsort(key, kind="stable")

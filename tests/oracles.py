@@ -332,6 +332,26 @@ def points_in_cube_brute(pts: np.ndarray, lo, hi) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def box_grid_entries(grid, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, boxes) of a ``kernels._BoxGrid``'s entries, on the grid's own step.
+
+    The per-axis loop the index used before boxes shared offset tables:
+    every (box, rank) entry finds its cell axis by axis from its rank
+    within the box (axis 0 fastest), and a stable sort by key follows.
+    """
+    live = np.flatnonzero(np.all(hi > lo, axis=1))
+    first = np.floor((lo[live] - grid.origin) / grid.step).astype(np.int64)
+    span = np.floor((hi[live] - grid.origin) / grid.step).astype(np.int64) - first + 1
+    box = np.repeat(np.arange(live.size), np.prod(span, axis=1))
+    rank = np.concatenate([np.arange(n) for n in np.prod(span, axis=1)] or [np.empty(0, int)])
+    key = np.zeros(box.size, dtype=np.int64)
+    for ax in range(lo.shape[1]):
+        key += (first[box, ax] + rank % span[box, ax]) * grid.strides[ax]
+        rank //= span[box, ax]
+    order = np.argsort(key, kind="stable")
+    return key[order], live[box[order]]
+
+
 def first_fit_disjoint_brute(cubes) -> list:
     """First-fit disjoint subfamily in the given order: each cube is tested
     against every cube kept before it, O(m^2) pairwise tests.

@@ -316,6 +316,21 @@ def test_count_membership_matches_brute():
         assert entries <= kernels._ENTRIES_PER_BOX * 2 ** lo.shape[1] * len(lo), name
 
 
+def test_box_grid_entries_match_the_per_axis_loop():
+    # each box's base key plus its span's offsets gives the entries the
+    # per-axis rank loop gave, in the same order, on the grid's own step
+    cases = [(name, lo, hi) for name, _, lo, hi in _membership_cases()]
+    for depth in (4, 6):
+        _, centers, sides = build_covering(depth, 3).arrays()
+        half = 0.5 * sides[:, None]
+        cases.append((f"covering-d3-depth{depth}", centers - half, centers + half))
+    for name, lo, hi in cases:
+        grid = kernels._BoxGrid(lo, hi)
+        keys, boxes = oracles.box_grid_entries(grid, lo, hi)
+        np.testing.assert_array_equal(grid.keys, keys, err_msg=name)
+        np.testing.assert_array_equal(grid.boxes, boxes, err_msg=name)
+
+
 def test_earlier_neighbours_hold_every_meeting_box():
     rng = np.random.default_rng(37)
     lo = rng.uniform(-2.0, 2.0, (120, 2))
