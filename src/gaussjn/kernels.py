@@ -236,19 +236,21 @@ class _BoxGrid:
             [math.prod(int(s) for s in self.shape[ax + 1 :]) for ax in range(d)], dtype=np.int64
         )
         first = first.astype(np.int64)
-        # a box's keys are its first cell's key plus the offsets of its span
-        # (axis 0 fastest); boxes of one span share one run of a table.
-        # span - 1 is a cell of the grid, so its key names the span.
+        # a box's keys are its first cell's key plus the offsets of its
+        # span's cells (axis 0 fastest), and boxes of one span share one run
+        # of a table of offsets.  span - 1 is a cell of the grid, so its key
+        # names the span.
         span = (last - first + 1.0).astype(np.int64)
         _, one, kind = np.unique((span - 1) @ self.strides, return_index=True, return_inverse=True)
-        offsets = [
-            sum(np.ix_(*(np.arange(n) * st for n, st in zip(row[::-1], self.strides[::-1]))))
-            for row in span[one]
-        ]
-        stop = np.cumsum([o.size for o in offsets])
-        start = np.append(0, stop[:-1])
-        box, at = _ragged(start[kind], stop[kind])
-        key = (first @ self.strides)[box] + np.concatenate([o.ravel() for o in offsets])[at]
+        size = np.prod(span[one], axis=1)
+        owner, rank = _ragged(np.zeros(one.size, dtype=np.int64), size)
+        table = np.zeros(owner.size, dtype=np.int64)
+        for ax, n in enumerate(span[one][owner].T):
+            table += rank % n * self.strides[ax]
+            rank //= n
+        stop = np.cumsum(size)
+        box, at = _ragged((stop - size)[kind], stop[kind])
+        key = (first @ self.strides)[box] + table[at]
         # entries were generated box by box, so the stable sort keeps each
         # cell's boxes in ascending order
         order = np.argsort(key, kind="stable")
