@@ -23,14 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import (
-    Cube,
-    cube_arrays,
-    gaussian_measure,
-    gaussian_measures,
-    is_admissible,
-    m_weight,
-)
+from .geometry import Cube, cube_arrays, gaussian_measure, is_admissible, m_weight
 from .covering import build_covering, covering_admissibility, coverage_report
 from .fields import (
     QuadratureSpec,
@@ -717,14 +710,13 @@ def _run_embed(cfg: ExperimentConfig) -> RunResult:
             rng, cube.lo[axis], cube.hi[axis], k, 1.0
         )
         centers[trial], sides[trial], axes[trial], cells[trial] = cube.center, cube.side, axis, k
-    masses = step_masses(centers, sides, axes, edges)
-    gammas = gaussian_measures(centers, sides)[1].tolist()
+    masses, gammas = step_masses(centers, sides, axes, edges)
     columns = []
     for p, q in cfg.embed.pairs:
         lhs = distribution_lq_norm(values, masses, q).tolist()
         weak = distribution_weak_lp_norm(values, masses, p).tolist()
         factor = (p / (p - q)) ** (1.0 / q)
-        rhs = [factor * g ** (1.0 / q - 1.0 / p) * w for g, w in zip(gammas, weak)]
+        rhs = [factor * g ** (1.0 / q - 1.0 / p) * w for g, w in zip(gammas.tolist(), weak)]
         columns.append((p, q, lhs, rhs))
     header = ("trial", "p", "q", "lhs", "rhs", "cells", "side", "ok")
     rows = []

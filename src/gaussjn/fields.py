@@ -1646,8 +1646,9 @@ class StepField(ScalarField):
 
 def step_masses(
     centers: np.ndarray, sides: np.ndarray, axes: np.ndarray, edges: np.ndarray
-) -> np.ndarray:
-    """Exact gamma-masses (n, k) of the k cells of n steps, each on its own cube.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gamma-masses (n, k) of the k cells of n steps, each on its own
+    cube, and the cubes' own masses (n,), as ``gaussian_measures`` gives them.
 
     Row i is a step along axis ``axes[i]`` with the increasing ``edges[i]``
     (k - 1 of them) on the cube (``centers[i]``, ``sides[i]``).  Its cells
@@ -1656,7 +1657,7 @@ def step_masses(
     cell's mass is ``kernels.gauss1d`` along the step axis times the cube's
     factors on the other axes, multiplied from axis 0 on.
     """
-    factors, _ = gaussian_measures(centers, sides)
+    factors, gammas = gaussian_measures(centers, sides)
     c = centers[np.arange(sides.size), axes]
     lo, hi = c - 0.5 * sides, c + 0.5 * sides
     cuts = np.column_stack([lo, np.clip(edges, lo[:, None], hi[:, None]), hi])
@@ -1665,7 +1666,7 @@ def step_masses(
     for row, ax, cut in zip(factors.tolist(), axes.tolist(), cuts.tolist()):
         other = math.prod(row[:ax] + row[ax + 1 :])
         masses.append([g(a, b) * other for a, b in zip(cut[:-1], cut[1:])])
-    return np.array(masses).reshape(edges.shape[0], edges.shape[1] + 1)
+    return np.array(masses).reshape(edges.shape[0], edges.shape[1] + 1), gammas
 
 
 def step_distribution(f: StepField, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
@@ -1674,10 +1675,10 @@ def step_distribution(f: StepField, cube: Cube) -> tuple[np.ndarray, np.ndarray]
         raise TypeError("step_distribution requires a StepField")
     edges = np.asarray(f.edges, dtype=np.float64)
     centers, sides = cube_arrays([cube])
-    masses = step_masses(centers, sides, np.array([f.axis]), edges[None])[0]
+    masses, _ = step_masses(centers, sides, np.array([f.axis]), edges[None])
     lo, hi = cube.lo[f.axis], cube.hi[f.axis]
     inside = np.r_[edges > lo, True] & np.r_[True, edges < hi]
-    return np.asarray(f.values)[inside], masses[inside]
+    return np.asarray(f.values)[inside], masses[0, inside]
 
 
 def step_average(f: StepField, cube: Cube) -> float:
