@@ -451,8 +451,8 @@ def test_weak_sup_rows_match_unique_oracle_per_row():
     # input is bit for bit its row.  Without the padding the value is the
     # same up to the order in which tied weights are summed.
     rng = np.random.default_rng(7)
+    n, width = 40, 9
     for p in (1.0, 1.5, 2.0, 3.7):
-        n, width = 40, 9
         av = np.abs(np.round(rng.normal(size=(n, width)), int(rng.integers(0, 2))))
         av[::4, :3] = 0.0
         wg = rng.random((n, width))
