@@ -53,7 +53,6 @@ from .hardy import (
     pairing,
     pairing_direct,
     polymer_lp_norm,
-    polymer_norm,
     subdivide_atom,
     subdivision_depth,
 )
@@ -252,6 +251,7 @@ class DualitySection:
         _require(self.pairing_tol > 0.0, "duality.pairing_tol must be positive")
         _require(1 <= self.max_exponent <= 60, "duality.max_exponent must be in [1, 60]")
         cubes = self.resolve_cubes(d)
+        _require(len(cubes) >= 1, "duality.cubes must hold at least one cube")
         for c in cubes:
             _require(c.dim == d, "duality cube dimension must match config dimension")
         try:
@@ -836,7 +836,7 @@ def _run_duality(cfg: ExperimentConfig) -> RunResult:
         poly = make_polymer(f, cubes, sec.p, sec.q, cfg.quadrature, a=cfg.a_value)
         element = HardyElement(c0=sec.c0, polymers=(poly,))
         report = duality_check(f, element, cfg.quadrature)
-        pn = polymer_norm(poly, cfg.quadrature)
+        pn = report.polymer_norms[0]
         plp = polymer_lp_norm(poly, cfg.quadrature)
         for i, chk in enumerate(report.atom_checks):
             rows.append((f.id, i, chk.lhs, chk.rhs, int(chk.ok)))

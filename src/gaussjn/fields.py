@@ -59,9 +59,10 @@ One function, ``_drive``, runs every refinement, in one shape: many cubes
 (centers (m, d), sides (m,)), one field for all of them or one field per
 cube, and a list of phases, on one table of arrays per call; a single cube
 is a table of one.  The functions of many cubes (``average_gammas``,
-``oscillations``, ``tail_profiles``) take those two arrays, the one-cube
-functions a ``Cube``; ``average_gammas`` also takes a field per cube, so
-that one call serves, say, every piece of an atom cascade.  Each cube's
+``power_averages``, ``oscillations``, ``tail_profiles``) take those two
+arrays, the one-cube functions a ``Cube``; ``average_gammas`` and
+``power_averages`` also take a field per cube, so that one call serves,
+say, every piece of an atom cascade.  Each cube's
 panels are cut at its own field's breaks and circles, and each distinct
 field is evaluated once per batch, on the nodes of its own cubes (grouped
 so that they are neighbours).  It knows four quadratures:
@@ -1329,6 +1330,20 @@ def average_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
 gauss_average = average_gamma
 
 
+def power_averages(
+    f: ScalarField | Sequence[ScalarField], centers: np.ndarray, sides: np.ndarray, r: float,
+    spec: QuadratureSpec, *, center: float = 0.0,
+) -> list[float]:
+    """``power_average`` of f on every cube (centers (m, d), sides (m,)), refined together.
+
+    ``f`` is one field for all cubes, or a list or tuple of one field per
+    cube.  Each value is bit for bit the one-cube ``power_average`` of its
+    cube's field; a failure is the one the cube-by-cube loop would raise first.
+    """
+    power = [_power(spec, r)]
+    return _drive(f, centers, sides, power, spec.nodes_per_axis, center)[:, 0].tolist()
+
+
 def power_average(
     f: ScalarField, cube: Cube, r: float, spec: QuadratureSpec, *, center: float = 0.0
 ) -> float:
@@ -1339,8 +1354,7 @@ def power_average(
     never crosses a panel, and for a fractional r the panels beside it are
     graded toward it.
     """
-    power = [_power(spec, r)]
-    return float(_drive(f, *cube_arrays([cube]), power, spec.nodes_per_axis, center)[0, 0])
+    return power_averages(f, *cube_arrays([cube]), r, spec, center=center)[0]
 
 
 def integral_gamma(f: ScalarField, cube: Cube, spec: QuadratureSpec) -> float:
@@ -1585,8 +1599,8 @@ def l1_gamma_norm(
     [estimate, estimate + tail_slack] up to quadrature tolerance.
     """
     box = np.zeros((1, d)), np.array([2.0 * float(radius)])
-    mean = _drive(f, *box, [_power(spec, 1.0)], spec.nodes_per_axis, 0.0)[0, 0]
-    return float(mean) * float(gaussian_measures(*box)[1][0]), l1_tail_bound(f, radius, d)
+    mean = power_averages(f, *box, 1.0, spec)[0]
+    return mean * float(gaussian_measures(*box)[1][0]), l1_tail_bound(f, radius, d)
 
 
 # ---------------------------------------------------------------------------

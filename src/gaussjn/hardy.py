@@ -50,10 +50,10 @@ from .fields import (
     merge_breaks,
     oscillation,
     power_average,
+    power_averages,
     product_field,
     restrict_field,
     shift_field,
-    step_distribution,
     truncate,
 )
 from .geometry import (
@@ -64,13 +64,10 @@ from .geometry import (
     is_admissible,
     overlapping_pairs,
 )
-from .jnp import jnp_sum
 
 
 #: Largest residual mean of an atom, relative to max(1, its L^1 size).
 ATOM_MEAN_TOL = 1e-10
-#: Samples per axis of a serialized non-step atom in d = 1, 2 and >= 3.
-ATOM_SAMPLES_PER_AXIS = (33, 17, 9)
 #: Share of the target oscillation a dual atom's pairing must reach.
 DUAL_MIN_RATIO = 0.95
 #: Additive slack of the Hoelder checks, per atom.
@@ -96,14 +93,12 @@ class Atom:
     """Mean-zero function supported on one cube, measured in normalized L^q.
 
     ``field`` evaluates the atom everywhere (zero outside the cube);
-    ``base`` optionally records the unrestricted field the atom came from,
-    which serialization uses to emit exact step tables.
+    ``shift`` is the constant subtracted from the field it came from.
     """
 
     field: ScalarField
     cube: Cube
     q: float
-    base: ScalarField | None = None
     shift: float = 0.0
 
     def normalized_norm(self, spec: QuadratureSpec, r: float | None = None) -> float:
@@ -115,33 +110,6 @@ class Atom:
 
     def mean(self, spec: QuadratureSpec) -> float:
         return average_gamma(self.field, self.cube, spec)
-
-    def to_obj(self, spec: QuadratureSpec) -> dict:
-        obj: dict = {"cube": self.cube.to_obj(), "q": self.q}
-        if isinstance(self.base, StepField):
-            lo, hi = self.cube.lo[self.base.axis], self.cube.hi[self.base.axis]
-            values, _masses = step_distribution(self.base, self.cube)
-            obj["kind"] = "step"
-            obj["axis"] = self.base.axis
-            obj["edges"] = [e for e in self.base.edges if lo < e < hi]
-            obj["values"] = (values - self.shift).tolist()
-        else:
-            d = self.cube.dim
-            per_axis = ATOM_SAMPLES_PER_AXIS[min(d, 3) - 1]
-            axes = [
-                np.linspace(self.cube.lo[ax], self.cube.hi[ax], per_axis)
-                for ax in range(d)
-            ]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            # nudge boundary samples inward so open-cube indicators see them
-            for ax in range(d):
-                span = self.cube.side * 1e-9
-                pts[:, ax] = np.clip(pts[:, ax], self.cube.lo[ax] + span, self.cube.hi[ax] - span)
-            obj["kind"] = "sampled"
-            obj["grid_per_axis"] = per_axis
-            obj["values"] = self.field(pts).tolist()
-        return obj
 
 
 def make_atom(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> Atom:
@@ -158,7 +126,7 @@ def make_atom(f: ScalarField, cube: Cube, q: float, spec: QuadratureSpec) -> Ato
     drift = average_gamma(shift_field(f, c), cube, spec)
     shift = c + drift
     field = restrict_field(shift_field(f, shift), cube)
-    atom = Atom(field=field, cube=cube, q=float(q), base=f, shift=shift)
+    atom = Atom(field=field, cube=cube, q=float(q), shift=shift)
     resid = abs(atom.mean(spec))
     # The tolerance scale only normalizes the residual, so a pilot-grid L^1
     # estimate suffices.  A certified |b| integral certifies in d = 2, where
@@ -205,12 +173,22 @@ class Polymer:
         return out
 
 
+def _atom_means(atoms: Sequence[Atom], r: float, spec: QuadratureSpec) -> tuple[list, list]:
+    """gamma(Q_j) and (1/gamma(Q_j)) Int |b_j|^r dgamma of each atom (one ``power_averages``)."""
+    centers, sides = cube_arrays([a.cube for a in atoms])
+    means = power_averages([a.field for a in atoms], centers, sides, r, spec)
+    return gaussian_measures(centers, sides)[1].tolist(), means
+
+
+def _lp_sum(gammas: Sequence[float], values: Sequence[float], p: float) -> float:
+    """(sum_j gamma_j * values_j^p)^(1/p): a polymer norm, or ``jnp_sum`` of its cubes."""
+    return math.fsum(g * v**p for g, v in zip(gammas, values)) ** (1.0 / p)
+
+
 def polymer_norm(poly: Polymer, spec: QuadratureSpec) -> float:
     """( sum_j gamma(Q_j) * normalized_q_norm_j^p )^(1/p)."""
-    total = math.fsum(
-        gaussian_measure(a.cube) * a.normalized_norm(spec) ** poly.p for a in poly.atoms
-    )
-    return total ** (1.0 / poly.p)
+    gammas, means = _atom_means(poly.atoms, poly.q, spec)
+    return _lp_sum(gammas, [m ** (1.0 / poly.q) for m in means], poly.p)
 
 
 def polymer_lp_norm(poly: Polymer, spec: QuadratureSpec) -> float:
@@ -219,11 +197,8 @@ def polymer_lp_norm(poly: Polymer, spec: QuadratureSpec) -> float:
     By Jensen on each atom (p < q) this never exceeds polymer_norm, and the
     pair of routines keeps both sides of that inequality computable.
     """
-    total = math.fsum(
-        gaussian_measure(a.cube) * power_average(a.field, a.cube, poly.p, spec)
-        for a in poly.atoms
-    )
-    return total ** (1.0 / poly.p)
+    gammas, means = _atom_means(poly.atoms, poly.p, spec)
+    return math.fsum(g * m for g, m in zip(gammas, means)) ** (1.0 / poly.p)
 
 
 def make_polymer(
@@ -259,19 +234,6 @@ class HardyElement:
 
     def atom_count(self) -> int:
         return sum(len(p.atoms) for p in self.polymers)
-
-    def to_obj(self, spec: QuadratureSpec) -> dict:
-        return {
-            "c0": self.c0,
-            "polymers": [
-                {
-                    "p": poly.p,
-                    "q": poly.q,
-                    "atoms": [a.to_obj(spec) for a in poly.atoms],
-                }
-                for poly in self.polymers
-            ],
-        }
 
 
 def hardy_norm_upper(element: HardyElement, spec: QuadratureSpec) -> float:
@@ -398,9 +360,7 @@ def dual_atom(
         breaks=centered.breaks,
         description=f"normalized dual atom for {f.id}",
     )
-    atom = Atom(
-        field=restrict_field(b_field, cube), cube=cube, q=float(q_atom), base=None, shift=0.0
-    )
+    atom = Atom(field=restrict_field(b_field, cube), cube=cube, q=float(q_atom))
     construction_value = average_gamma(
         product_field(f, b_field), cube, replace(loose, abs_tol=loose.abs_tol * max(1.0, target))
     )
@@ -430,7 +390,7 @@ def _scale_atom(atom: Atom, factor: float, spec: QuadratureSpec) -> Atom:
         breaks=field.breaks,
         description=field.description,
     )
-    return Atom(field=scaled, cube=atom.cube, q=atom.q, base=atom.base, shift=atom.shift)
+    return Atom(field=scaled, cube=atom.cube, q=atom.q, shift=atom.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -800,17 +760,35 @@ class HolderCheck:
         }
 
 
+def _holder_checks(f: ScalarField, atoms: Sequence[Atom], q: float, spec: QuadratureSpec):
+    """The Hoelder checks of f against atoms of exponent q, with each atom's
+    gamma(Q_j), osc_{q'}(f, Q_j) and normalized L^q norm.
+
+    The oscillations come first, one ``oscillation`` per cube, then the
+    norms from one ``power_averages`` call and the products f b_j from one
+    ``average_gammas`` call: a failure is that of the polymer's oscillation
+    sum before that of its norm, and either before that of a pairing.
+    """
+    q_osc = conjugate_exponent(q)
+    oscs = [oscillation(f, a.cube, q_osc, spec) for a in atoms]
+    gammas, means = _atom_means(atoms, q, spec)
+    norms = [m ** (1.0 / q) for m in means]
+    products = [product_field(f, a.field) for a in atoms]
+    pairs = average_gammas(products, *cube_arrays([a.cube for a in atoms]), spec)
+    checks = []
+    for a, gamma_q, mu, osc, n in zip(atoms, gammas, pairs, oscs, norms):
+        lhs, rhs = abs(mu * gamma_q), gamma_q * osc * n
+        checks.append(HolderCheck(lhs=lhs, rhs=rhs, cube=a.cube, ok=lhs <= rhs + HOLDER_ABS_TOL))
+    return checks, gammas, oscs, norms
+
+
 def holder_check(f: ScalarField, atom: Atom, spec: QuadratureSpec) -> HolderCheck:
     """|Int_Q f b| <= gamma(Q) osc_{q'}(f, Q) ||b||_{q, normalized} + HOLDER_ABS_TOL.
 
     Because the atom has zero mean, f can be recentered at f_Q on the left,
     which is exactly what makes the oscillation appear on the right.
     """
-    q_osc = conjugate_exponent(atom.q)
-    gamma_q = gaussian_measure(atom.cube)
-    lhs = abs(average_gamma(product_field(f, atom.field), atom.cube, spec) * gamma_q)
-    rhs = gamma_q * oscillation(f, atom.cube, q_osc, spec) * atom.normalized_norm(spec)
-    return HolderCheck(lhs=lhs, rhs=rhs, cube=atom.cube, ok=lhs <= rhs + HOLDER_ABS_TOL)
+    return _holder_checks(f, [atom], atom.q, spec)[0][0]
 
 
 @dataclass(frozen=True)
@@ -825,6 +803,8 @@ class DualityReport:
     headline_constant: float
     headline_bound: float
     ok: bool
+    #: ``polymer_norm`` of each polymer (not part of the report)
+    polymer_norms: tuple[float, ...]
 
     def to_obj(self) -> dict:
         return {
@@ -851,26 +831,28 @@ def duality_check(f: ScalarField, element: HardyElement, spec: QuadratureSpec) -
     sum, giving sum_ij |Int f b_ij| <= khat * sum_i ||g_i||.  The headline
     bound (1 + C1) * khat * norm_upper with the documented normalization
     C1 = ``HEADLINE_CONSTANT`` also covers the constant term pathway.
+
+    The oscillation sums, polymer norms and norm_upper come from the values
+    of the Hoelder checks, bit for bit ``jnp_sum``, ``polymer_norm`` and
+    ``hardy_norm_upper``, so each atom quantity is integrated once.
     """
     checks: list[HolderCheck] = []
+    norms: list[float] = []
     khat = 0.0
     lhs_total = 0.0
     rhs_total = 0.0
     for poly in element.polymers:
-        p_osc = conjugate_exponent(poly.p)
-        q_osc = conjugate_exponent(poly.q)
-        cubes = [a.cube for a in poly.atoms]
-        js = jnp_sum(f, cubes, p_osc, q_osc, spec)
+        poly_checks, gammas, oscs, atom_norms = _holder_checks(f, poly.atoms, poly.q, spec)
+        js = _lp_sum(gammas, oscs, conjugate_exponent(poly.p))
         khat = max(khat, js)
-        pn = polymer_norm(poly, spec)
+        norms.append(_lp_sum(gammas, atom_norms, poly.p))
         poly_lhs = 0.0
-        for a in poly.atoms:
-            chk = holder_check(f, a, spec)
+        for chk in poly_checks:
             checks.append(chk)
             poly_lhs += chk.lhs
         lhs_total += poly_lhs
-        rhs_total += js * pn
-    norm_upper = hardy_norm_upper(element, spec)
+        rhs_total += js * norms[-1]
+    norm_upper = abs(element.c0) + math.fsum(norms)
     headline = (1.0 + HEADLINE_CONSTANT) * khat * norm_upper
     ok = all(c.ok for c in checks) and lhs_total <= rhs_total + HOLDER_ABS_TOL * max(
         1, element.atom_count()
@@ -884,6 +866,7 @@ def duality_check(f: ScalarField, element: HardyElement, spec: QuadratureSpec) -
         headline_constant=HEADLINE_CONSTANT,
         headline_bound=headline,
         ok=ok,
+        polymer_norms=tuple(norms),
     )
 
 

@@ -925,23 +925,26 @@ def average_loop(f, cube, spec, *, transform=None, extra_breaks=None, kinks=None
     )
 
 
-def oscillation_loop(f, cube, q, spec):
-    """osc_q(f, Q): the centering average, then the centered power average.
+def power_average_loop(f, cube, r, spec, center=0.0):
+    """Gamma-normalized mean of |f - center|^r, cut at the zero set of f - center.
 
-    For a fractional q the panels of the power average are graded toward
-    the zero set of f - f_Q.
+    For a fractional r the panels beside that zero set are graded toward it.
     """
     from gaussjn.fields import level_set_breaks
 
-    center = average_loop(f, cube, spec)
     extra = level_set_breaks(f, center, np.zeros(1))
     radii = _level_radii(f, center, np.zeros(1))
-    fractional = not float(q).is_integer()
-    mean_pow = average_loop(
-        f, cube, spec, transform=lambda v: np.abs(v - center) ** q, extra_breaks=extra,
+    fractional = not float(r).is_integer()
+    return average_loop(
+        f, cube, spec, transform=lambda v: np.abs(v - center) ** r, extra_breaks=extra,
         kinks=extra if fractional else None, radii=radii, graded=radii if fractional else (),
     )
-    return mean_pow ** (1.0 / q)
+
+
+def oscillation_loop(f, cube, q, spec):
+    """osc_q(f, Q): the centering average, then the centered power average."""
+    center = average_loop(f, cube, spec)
+    return power_average_loop(f, cube, q, spec, center) ** (1.0 / q)
 
 
 def tail_profile_loop(f, cube, sigmas, spec, center=None):

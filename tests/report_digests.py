@@ -7,8 +7,9 @@ Run from anywhere, with the tree to check as the script's own checkout::
 It takes no options.  It runs every op of ``perfbench/workloads.pool(w)``
 for each of the three workloads, then each of the eight subcommands at the
 d=1 default config, ``subdivide`` and ``duality`` at the d=2 and d=3 default
-configs (``{"dimension": d}``) and ``duality`` on the d=3 flat fields, all
-in-process through ``gaussjn.cli.main``.  A
+configs (``{"dimension": d}``), ``duality`` on the d=3 flat fields and
+``duality`` at d=1 on all seven corpus fields, all in-process through
+``gaussjn.cli.main``.  A
 ``make_candidates`` op calls the library, as the benchmark does, and prints
 its node and root counts and a sha256 of the forest's ``centers``,
 ``sides`` and ``parent`` bytes instead of report files.  Each op prints one line
@@ -47,13 +48,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
-from gaussjn import cli, covering, jnp  # noqa: E402
+from gaussjn import cli, covering, fields, jnp  # noqa: E402
 
 
 # (subcommand, tag, config) beyond the pools and the d=1 defaults
 EXTRA_OPS = [
     *((call, f"d{d}", {"dimension": d}) for call in ("subdivide", "duality") for d in (2, 3)),
     ("duality", "d3-flat", {"dimension": 3, "fields": ["coord0", "sign0", "step0"]}),
+    ("duality", "d1-corpus", {"dimension": 1, "fields": [f.id for f in fields.corpus(1)]}),
 ]
 
 

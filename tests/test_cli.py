@@ -480,6 +480,14 @@ def test_empty_embed_pair_list_is_a_config_error(tmp_path, capsys):
     assert not (out / "embed.json").exists()
 
 
+def test_empty_duality_cube_list_is_a_config_error(tmp_path, capsys):
+    # no cube would mean no atom, and a PASS that checked nothing
+    code, out = run_cli("duality", {"duality": {"cubes": []}}, tmp_path)
+    assert code == 2
+    assert "duality.cubes must hold at least one cube" in capsys.readouterr().err
+    assert not (out / "duality.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # every subcommand on a small d=1 configuration
 # ---------------------------------------------------------------------------

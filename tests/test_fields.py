@@ -816,8 +816,8 @@ def test_a_field_per_cube_gathers_a_field_split_across_phases(monkeypatch):
 def test_a_field_per_cube_matches_the_one_cube_loop_bitwise(d, budget, forest_cubes, monkeypatch):
     # cube k takes field k of a cycle through the corpus and restricted,
     # shifted copies (in d = 2 curved and flat fields share one call): every
-    # mean and oscillation is the one-cube loop's bit for bit, and a failure
-    # the first the loop raises
+    # mean, power average (graded, r = 1.25) and oscillation is the one-cube
+    # loop's bit for bit, and a failure the first the loop raises
     if budget == "split":
         monkeypatch.setattr(fields, "BATCH_NODES", 200)
     spec = BATCH_SPECS[d]
@@ -833,21 +833,21 @@ def test_a_field_per_cube_matches_the_one_cube_loop_bitwise(d, budget, forest_cu
         return [v ** (1.0 / 1.25) for v in means[:, 0].tolist()]
 
     for batched, one in (
-        (fields.average_gammas, lambda f, c: oracles.average_loop(f, c, spec)),
+        (lambda *a: fields.average_gammas(*a, spec), lambda f, c: oracles.average_loop(f, c, spec)),
+        (
+            lambda *a: fields.power_averages(*a, 1.25, spec),
+            lambda f, c: oracles.power_average_loop(f, c, 1.25, spec),
+        ),
         (oscillations_per_cube, lambda f, c: oracles.oscillation_loop(f, c, 1.25, spec)),
     ):
         loop = [_outcome(lambda: one(f, c)) for f, c in zip(fs, cubes)]
         first = next((out for out in loop if out[0] == "error"), None)
         want = first or ("value", [out[1] for out in loop])
-        if batched is fields.average_gammas:
-            assert _outcome(lambda: batched(fs, centers, sides, spec)) == want
-        else:
-            assert _outcome(lambda: batched(fs, centers, sides)) == want
+        assert _outcome(lambda: batched(fs, centers, sides)) == want
         # the cubes that converge, together
         ok = [k for k, out in enumerate(loop) if out[0] == "value"]
         assert len(ok) > len(cubes) // 2
-        args = ([fs[k] for k in ok], centers[ok], sides[ok])
-        got = batched(*args, spec) if batched is fields.average_gammas else batched(*args)
+        got = batched([fs[k] for k in ok], centers[ok], sides[ok])
         assert _bits(got) == [loop[k][1] for k in ok]
 
 

@@ -42,6 +42,7 @@ from gaussjn.hardy import (
     subdivision_depth,
     truncation_oscillation_check,
 )
+from gaussjn.jnp import jnp_sum
 
 import oracles
 
@@ -122,6 +123,15 @@ def test_atom_evaluates_to_recentered_restriction(corpus, mspec):
     assert np.max(np.abs(atom.field(inside) - expected)) < 1e-14
     outside = np.array([[cube.hi[0] + 0.1], [cube.lo[0] - 0.1]])
     assert np.all(atom.field(outside) == 0.0)
+
+
+def test_step_atom_serializes_with_exact_pieces(mspec):
+    # on each side of the edge the atom is the step's value minus the recentering shift
+    step = StepField("two-level", 0, (0.2,), (-1.0, 2.0))
+    cube = Cube((0.1,), 1.0)
+    atom = make_atom(step, cube, 2.0, mspec)
+    pieces = atom.field(np.array([[-0.35], [0.0], [0.15], [0.25], [0.4], [0.55]]))
+    assert pieces.tolist() == [-1.0 - atom.shift] * 3 + [2.0 - atom.shift] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +595,57 @@ def test_duality_check_aggregates_per_atom_bounds(corpus, ref_element, mspec):
     json.dumps(rep.to_obj())
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _check_bits(chk):
+    return (*_hex((chk.lhs, chk.rhs)), chk.cube, chk.ok)
+
+
+def test_duality_check_matches_the_one_atom_paths_bitwise(corpus, ref_polymer, mspec):
+    # two polymers of different exponents, then the same with an empty polymer between them
+    f = corpus["radius_sq"]
+    other = make_polymer(f, [Cube((-1.0,), 0.4), Cube((0.6,), 0.3)], 1.25, 2.0, mspec)
+    empty = Polymer(atoms=(), p=1.5, q=3.0)
+    for polymers in ((ref_polymer, other), (ref_polymer, empty, other)):
+        element = HardyElement(c0=-0.2, polymers=polymers)
+        rep = duality_check(f, element, mspec)
+        atoms = [a for poly in polymers for a in poly.atoms]
+        want = [holder_check(f, a, mspec) for a in atoms]
+        assert [_check_bits(c) for c in rep.atom_checks] == [_check_bits(c) for c in want]
+        assert _hex(rep.polymer_norms) == _hex(polymer_norm(poly, mspec) for poly in polymers)
+        assert _hex([rep.norm_upper]) == _hex([hardy_norm_upper(element, mspec)])
+        sums = [
+            jnp_sum(f, [a.cube for a in poly.atoms], conjugate_exponent(poly.p),
+                    conjugate_exponent(poly.q), mspec)
+            for poly in polymers
+        ]
+        assert _hex([rep.khat_family]) == _hex([max(sums)])
+        assert "polymer_norms" not in rep.to_obj()
+
+
+def test_duality_integrates_each_atom_quantity_once(corpus, ref_element, ref_polymer, mspec,
+                                                    monkeypatch):
+    # duality_check, then polymer_lp_norm, as the duality suite runs them: no
+    # cube is refined twice for one field, phase list and center
+    keys = []
+    drive = fields._drive
+
+    def record(f, centers, sides, phases, order, center=None, gamma=None):
+        fs = f if isinstance(f, (list, tuple)) else [f] * len(sides)
+        for g, c, s in zip(fs, centers.tolist(), sides.tolist()):
+            keys.append((g.id, repr(phases), center, tuple(c), s))
+        return drive(f, centers, sides, phases, order, center, gamma)
+
+    monkeypatch.setattr(fields, "_drive", record)
+    duality_check(corpus["radius_sq"], ref_element, mspec)
+    polymer_lp_norm(ref_polymer, mspec)
+    # per atom: its oscillation, norm, pairing and L^p power average
+    assert len(keys) == 4 * len(ref_polymer.atoms)
+    assert len(set(keys)) == len(keys)
+
+
 def test_truncation_oscillation_at_most_doubles(corpus, mspec):
     osc_trunc, osc_full, ratio = truncation_oscillation_check(
         corpus["radius_sq"], P1, 1.0, 1.0, mspec
@@ -605,29 +666,3 @@ def test_truncation_oscillation_under_hard_clamps(corpus, spec_deep):
     assert abs(ratios[0] - 0.774502111) < 1e-6
     assert abs(ratios[1] - 0.435382446) < 1e-6
     assert all(r <= 2.0 + 1e-12 for r in ratios)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_element_to_obj_is_json_ready(ref_element, mspec):
-    obj = ref_element.to_obj(mspec)
-    json.dumps(obj)
-    kinds = {a["kind"] for p in obj["polymers"] for a in p["atoms"]}
-    assert kinds == {"sampled"}
-    assert obj["c0"] == 0.3
-
-
-def test_step_atom_serializes_with_exact_pieces(mspec):
-    step = StepField("two-level", 0, (0.2,), (-1.0, 2.0))
-    cube = Cube((0.1,), 1.0)
-    atom = make_atom(step, cube, 2.0, mspec)
-    obj = atom.to_obj(mspec)
-    assert obj["kind"] == "step"
-    assert obj["edges"] == [0.2]
-    assert len(obj["values"]) == 2
-    # serialized pieces are the original values minus the recentering shift
-    assert abs((obj["values"][1] - obj["values"][0]) - 3.0) < 1e-12
-    assert obj["values"] == [-1.0 - atom.shift, 2.0 - atom.shift]
