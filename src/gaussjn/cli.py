@@ -2,8 +2,9 @@
 
 Every run is steered by a JSON config (all keys optional, validated hard)
 plus four flags: --config, --out, --seed, --verbosity.  Reports land in the
-output directory as one JSON document (stable key order) and, for tabular
-subcommands, one RFC-4180 CSV.  The exit status is the verdict: 0 when every
+output directory as one JSON document (stable key order) and, for
+``covering``, ``embed`` and ``subdivide``, one RFC-4180 CSV of the per-row
+table their JSON does not hold.  The exit status is the verdict: 0 when every
 asserted inequality held, 1 when at least one failed, 2 when the config did
 not validate.  All randomness flows from the single config seed, so a rerun
 with the same config and seed reproduces the output files byte for byte.
@@ -46,6 +47,8 @@ from .jnp import (
     validate_family,
 )
 from .hardy import (
+    MAX_EXPONENT,
+    PAIRING_TOL,
     HardyElement,
     duality_check,
     make_atom,
@@ -232,8 +235,8 @@ class DualitySection:
     q: float = 3.0
     c0: float = 0.3
     cubes: tuple[Cube, ...] | None = None  # None -> three default disjoint cubes
-    pairing_tol: float = 1e-8
-    max_exponent: int = 30
+    pairing_tol: float = PAIRING_TOL
+    max_exponent: int = MAX_EXPONENT
 
     def resolve_cubes(self, d: int) -> tuple[Cube, ...]:
         if self.cubes is not None:
@@ -439,7 +442,7 @@ class _FloatTexts(dict):
 
 
 def _write_reports(result: RunResult, out_dir: Path, name: str) -> list[Path]:
-    """Write ``<name>.json`` and, for tabular subcommands, ``<name>.csv``.
+    """Write ``<name>.json`` and, when the result has a CSV header, ``<name>.csv``.
 
     The JSON is ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
     newline.  The CSV is ``csv.writer`` output, byte for byte: a column of
@@ -528,12 +531,9 @@ def _run_jnp(cfg: ExperimentConfig) -> RunResult:
     cands = make_candidates(cov, cfg.candidate_depth)
     results = []
     checks: list[CheckResult] = []
-    header = ("field", "p", "q", "value", "family_size", "candidates")
-    rows = []
     for f in _corpus_fields(cfg):
         est = maximize_jnp(f, cands, cfg.p, cfg.q, cfg.quadrature)
         results.append(dict(est.to_obj(), field=f.id))
-        rows.append((f.id, cfg.p, cfg.q, est.value, len(est.family), est.candidates))
         checks.append(
             CheckResult(
                 f"jnp-nonnegative[{f.id}]",
@@ -555,14 +555,12 @@ def _run_jnp(cfg: ExperimentConfig) -> RunResult:
                 )
             )
     payload = {"config": cfg.to_obj(), "estimates": results}
-    return RunResult(payload, tuple(checks), header, tuple(rows))
+    return RunResult(payload, tuple(checks))
 
 
 def _run_bmo(cfg: ExperimentConfig) -> RunResult:
     cov = build_covering(cfg.depth, cfg.dimension)
     cands = make_candidates(cov, cfg.candidate_depth)
-    header = ("field", "q", "bmo", "l1_term", "sup_term", "jnp_p", "p")
-    rows = []
     results = []
     checks: list[CheckResult] = []
     for f in _corpus_fields(cfg):
@@ -577,7 +575,6 @@ def _run_bmo(cfg: ExperimentConfig) -> RunResult:
         )
         jn = maximize_jnp(f, cands, cfg.p, cfg.q, cfg.quadrature, stats=stats)
         results.append(dict(est.to_obj(), field=f.id, jnp=jn.to_obj()))
-        rows.append((f.id, cfg.q, est.value, est.l1_term, est.sup_term, jn.value, cfg.p))
         checks.append(
             CheckResult(
                 f"bmo-dominates-jnp[{f.id}]",
@@ -586,24 +583,13 @@ def _run_bmo(cfg: ExperimentConfig) -> RunResult:
             )
         )
     payload = {"config": cfg.to_obj(), "estimates": results}
-    return RunResult(payload, tuple(checks), header, tuple(rows))
+    return RunResult(payload, tuple(checks))
 
 
 def _run_jn_tail(cfg: ExperimentConfig) -> RunResult:
     cov = build_covering(cfg.depth, cfg.dimension)
     cands = make_candidates(cov, cfg.candidate_depth)
     _layer, centers, sides = cov.arrays()
-    header = (
-        "field",
-        "side",
-        *(f"c{i + 1}" for i in range(cfg.dimension)),
-        "slope",
-        "c_estimate",
-        "window_lo",
-        "window_hi",
-        "degenerate",
-    )
-    rows = []
     results = []
     checks: list[CheckResult] = []
     for f in _corpus_fields(cfg):
@@ -621,19 +607,6 @@ def _run_jn_tail(cfg: ExperimentConfig) -> RunResult:
             continue
         reports = tail_fit_sweep(f, centers, sides, cfg.p, cfg.quadrature, cfg.sigmas, khat)
         c_values = [r.c_estimate for r in reports if not r.degenerate]
-        for r in reports:
-            rows.append(
-                (
-                    f.id,
-                    r.cube.side,
-                    *r.cube.center,
-                    "" if r.slope is None else r.slope,
-                    "" if r.c_estimate is None else r.c_estimate,
-                    r.window[0],
-                    r.window[1],
-                    int(r.degenerate),
-                )
-            )
         results.append(
             {
                 "field": f.id,
@@ -650,21 +623,17 @@ def _run_jn_tail(cfg: ExperimentConfig) -> RunResult:
         )
         checks.append(CheckResult(f"jn-tail-finite[{f.id}]", ok, detail))
     payload = {"config": cfg.to_obj(), "sweeps": results}
-    return RunResult(payload, tuple(checks), header, tuple(rows))
+    return RunResult(payload, tuple(checks))
 
 
 def _run_p_scan(cfg: ExperimentConfig) -> RunResult:
     cov = build_covering(cfg.depth, cfg.dimension)
     cands = make_candidates(cov, cfg.candidate_depth)
-    header = ("field", "p", "q", "value")
-    rows = []
     results = []
     checks: list[CheckResult] = []
     for f in _corpus_fields(cfg):
         scan = p_limit_scan(f, cands, cfg.p_grid, cfg.q, cfg.quadrature)
         values = [est.value for _, est in scan]
-        for (p, _), v in zip(scan, values):
-            rows.append((f.id, p, cfg.q, v))
         results.append({"field": f.id, "p_grid": list(cfg.p_grid), "values": values})
         drops = [
             (p0, v0, p1, v1)
@@ -683,7 +652,7 @@ def _run_p_scan(cfg: ExperimentConfig) -> RunResult:
             )
         )
     payload = {"config": cfg.to_obj(), "scans": results}
-    return RunResult(payload, tuple(checks), header, tuple(rows))
+    return RunResult(payload, tuple(checks))
 
 
 def _random_admissible_cube(rng: np.random.Generator, d: int, a: float) -> Cube:
@@ -828,8 +797,6 @@ def _run_duality(cfg: ExperimentConfig) -> RunResult:
     sec = cfg.duality
     d = cfg.dimension
     cubes = sec.resolve_cubes(d)
-    header = ("field", "atom", "holder_lhs", "holder_rhs", "ok")
-    rows = []
     results = []
     checks: list[CheckResult] = []
     for f in _corpus_fields(cfg):
@@ -838,8 +805,6 @@ def _run_duality(cfg: ExperimentConfig) -> RunResult:
         report = duality_check(f, element, cfg.quadrature)
         pn = report.polymer_norms[0]
         plp = polymer_lp_norm(poly, cfg.quadrature)
-        for i, chk in enumerate(report.atom_checks):
-            rows.append((f.id, i, chk.lhs, chk.rhs, int(chk.ok)))
         checks.append(
             CheckResult(
                 f"duality-atoms[{f.id}]",
@@ -909,7 +874,7 @@ def _run_duality(cfg: ExperimentConfig) -> RunResult:
                 )
         results.append(entry)
     payload = {"config": cfg.to_obj(), "results": results}
-    return RunResult(payload, tuple(checks), header, tuple(rows))
+    return RunResult(payload, tuple(checks))
 
 
 SUBCOMMANDS: dict[str, Callable[[ExperimentConfig], RunResult]] = {

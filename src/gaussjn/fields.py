@@ -1413,9 +1413,6 @@ class DistributionProfile:
     sigmas: tuple[float, ...]
     tails: tuple[float, ...]
 
-    def rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.sigmas, self.tails))
-
 
 def _ascending(rows: np.ndarray) -> np.ndarray:
     """Sort each row in place, ascending and distinct (first of equals kept), NaN last."""

@@ -74,6 +74,10 @@ DUAL_MIN_RATIO = 0.95
 HOLDER_ABS_TOL = 1e-8
 #: C1 of the headline bound (1 + C1) * khat * norm_upper.
 HEADLINE_CONSTANT = 1.0
+#: Default Cauchy tolerance of the truncation pairing.
+PAIRING_TOL = 1e-8
+#: Default largest exponent k of the truncation levels N = 2^k.
+MAX_EXPONENT = 30
 
 
 def conjugate_exponent(r: float) -> float:
@@ -510,7 +514,6 @@ class SubdivisionResult:
             "max_depth": self.max_depth,
             "atom_count": len(self.atoms),
             "atom_count_bound": self.atom_count_bound,
-            "cubes": [a.cube.to_obj() for a in self.atoms],
         }
 
 
@@ -640,16 +643,6 @@ class PairingReport:
     last_delta: float
     tail_slack: float
 
-    def to_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "converged": self.converged,
-            "levels": list(self.levels),
-            "values": list(self.values),
-            "last_delta": self.last_delta,
-            "tail_slack": self.tail_slack,
-        }
-
 
 def _pair_once(
     f_n: ScalarField,
@@ -680,8 +673,8 @@ def pairing(
     radius: float,
     spec: QuadratureSpec,
     *,
-    pairing_tol: float = 1e-8,
-    max_exponent: int = 20,
+    pairing_tol: float = PAIRING_TOL,
+    max_exponent: int = MAX_EXPONENT,
 ) -> PairingReport:
     """Lambda_f(g) = lim_N Int f_N g dgamma over a doubling schedule N = 2^k.
 

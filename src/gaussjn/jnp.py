@@ -488,14 +488,11 @@ class TailFitReport:
     ``c_estimate`` is the smallest constant C for which the sampled tails
     satisfy gamma({|f - f_Q| > s}) <= C (khat / s)^p across the fit window.
     Degenerate profiles (no tail mass inside the window) are reported, not
-    raised.
+    raised.  ``tails`` and ``window`` index the caller's sigma grid; the
+    grid, p, khat and the field are the caller's and are not kept here.
     """
 
-    field_id: str
     cube: Cube
-    p: float
-    khat: float
-    sigmas: tuple[float, ...]
     tails: tuple[float, ...]
     window: tuple[int, int]
     slope: float | None
@@ -504,11 +501,7 @@ class TailFitReport:
 
     def to_obj(self) -> dict:
         return {
-            "field_id": self.field_id,
             "cube": self.cube.to_obj(),
-            "p": self.p,
-            "khat": self.khat,
-            "sigmas": list(self.sigmas),
             "tails": list(self.tails),
             "window": list(self.window),
             "slope": self.slope,
@@ -541,7 +534,7 @@ def _tail_fit(
     sig = np.asarray(profile.sigmas)
     tails = np.asarray(profile.tails)
     idx = np.flatnonzero((tails > TAIL_FLOOR) & (tails < 0.5 * gq))
-    report = partial(TailFitReport, profile.field_id, cube, p, khat, profile.sigmas, profile.tails)
+    report = partial(TailFitReport, cube, profile.tails)
     if idx.size < 2:
         return report(window=(0, 0), slope=None, c_estimate=None, degenerate=True)
     lo, hi = int(idx[0]), int(idx[-1]) + 1

@@ -18,6 +18,7 @@ from gaussjn.cli import ExperimentConfig, ConfigError, main as cli_main
 from gaussjn.covering import build_covering
 from gaussjn.fields import make_random_step, step_lq_norm, step_weak_lp_norm
 from gaussjn.geometry import gaussian_measure
+from gaussjn.hardy import make_atom, subdivide_atom
 
 
 def run_cli(subcommand, cfg_obj, tmp_path, *extra):
@@ -528,6 +529,11 @@ SMALL_CONFIGS = {
 }
 
 
+# the subcommands with a per-row table their JSON does not hold; the others
+# write their JSON only
+CSV_SUBCOMMANDS = {"covering", "embed", "subdivide"}
+
+
 @pytest.mark.parametrize("subcommand", sorted(SMALL_CONFIGS))
 def test_subcommand_runs_green_and_writes_both_reports(subcommand, tmp_path):
     code, out = run_cli(subcommand, SMALL_CONFIGS[subcommand], tmp_path)
@@ -536,19 +542,50 @@ def test_subcommand_runs_green_and_writes_both_reports(subcommand, tmp_path):
     assert payload["ok"] is True
     assert payload["checks"]
     assert all(c["ok"] for c in payload["checks"])
-    assert (out / f"{subcommand}.csv").is_file()
+    suffixes = ("json", "csv") if subcommand in CSV_SUBCOMMANDS else ("json",)
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"{subcommand}.{s}" for s in suffixes)
     # every JSON report is json.dumps of its own parse
     text = (out / f"{subcommand}.json").read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_csv_reports_are_rectangular(tmp_path):
-    code, out = run_cli("jnp", SMALL_CONFIGS["jnp"], tmp_path)
+    # the CSV is the one place a subdivide report lists its pieces' cubes
+    cfg = dict(SMALL_CONFIGS["subdivide"], fields=["radius_sq", "coord0"])
+    code, out = run_cli("subdivide", cfg, tmp_path)
     assert code == 0
-    rows = read_csv(out, "jnp")
-    assert rows[0] == ["field", "p", "q", "value", "family_size", "candidates"]
-    assert len(rows) == 3
-    assert all(len(r) == len(rows[0]) for r in rows)
+    payload = read_json(out, "subdivide")
+    assert all("cubes" not in r for r in payload["results"])
+    header, *rows = read_csv(out, "subdivide")
+    assert header == ["field", "piece", "side", "c1", "mean"]
+    assert all(len(r) == len(header) for r in rows)
+    config = ExperimentConfig.from_obj(cfg)
+    sec, spec = config.subdivide, config.quadrature
+    a_start, cube = sec.resolve(1)
+    for f, r in zip(cli._corpus_fields(config), payload["results"]):
+        res = subdivide_atom(make_atom(f, cube, sec.atom_q, spec), a_start, sec.a_target, spec)
+        mine = [row for row in rows if row[0] == f.id]
+        assert len(mine) == len(res.atoms) == r["atom_count"]
+        assert [int(row[1]) for row in mine] == list(range(len(res.atoms)))
+        # bit for bit, so -0.0 and 0.0 differ
+        values = np.array([[float(v) for v in row[2:-1]] for row in mine])
+        cubes = [(piece.cube.side, *piece.cube.center) for piece in res.atoms]
+        assert values.tobytes() == np.array(cubes).tobytes()
+
+
+def test_jn_tail_fits_leave_the_sweep_values_to_the_config(tmp_path):
+    # the grid, p, khat and field id are written once: in the config and
+    # the sweep entry, not again in each cube's fit
+    code, out = run_cli("jn-tail", SMALL_CONFIGS["jn-tail"], tmp_path)
+    assert code == 0
+    payload = read_json(out, "jn-tail")
+    assert {"sigmas", "p", "fields"} <= set(payload["config"])
+    (sweep,) = payload["sweeps"]
+    assert sweep["field"] == "radius_sq" and sweep["khat"] > 0.0
+    assert sweep["fits"]
+    for fit in sweep["fits"]:
+        assert set(fit) == {"cube", "tails", "window", "slope", "c_estimate", "degenerate"}
+        assert len(fit["tails"]) == len(payload["config"]["sigmas"])
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

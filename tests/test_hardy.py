@@ -565,7 +565,6 @@ def test_pairing_reports_exhausted_schedule_honestly(corpus, ref_element, mspec)
     assert full.converged
     assert abs(full.value - 0.433091123783) < 1e-8
     assert full.levels[-1] >= 2.0**20
-    json.dumps(full.to_obj())
 
 
 def test_pairing_truncation_levels_double(corpus, ref_element, mspec):
